@@ -3,8 +3,11 @@
 The library computes, in exact integer arithmetic, the multiplicity of
 each irreducible module L(lambda) in every graded piece of the functions
 on the nilpotent cone and on the closure of the subregular nilpotent
-orbit, together with the root system, Weyl group, partition function and
-weight multiplicity machinery this requires.
+orbit, together with the root system, partition function and weight
+multiplicity machinery this requires.  Every alternating Weyl sum runs
+over the terms of one pruned dot-orbit walk (``dot_terms``), so no
+computation enumerates the Weyl group and all types through E_8 are
+reachable; ``enumerate_group`` is kept as an independent oracle.
 """
 
 __version__ = "0.1.0"
@@ -16,6 +19,7 @@ from .errors import (
     NilconeError,
     NonDominantWeightError,
     PositivityViolationError,
+    StaleCacheError,
     WeylCapExceededError,
     WrongRootSystemError,
 )
@@ -39,6 +43,7 @@ from .weyl import (
     WeylElement,
     WeylGroup,
     dot_action,
+    dot_terms,
     enumerate_group,
     euler_induced,
     reflection_length_theta,
@@ -59,6 +64,7 @@ __all__ = [
     "PositivityViolationError",
     "RootSystem",
     "RootSystemId",
+    "StaleCacheError",
     "Variety",
     "WeightMultiplicities",
     "WeylCapExceededError",
@@ -69,6 +75,7 @@ __all__ = [
     "big_p",
     "build",
     "dot_action",
+    "dot_terms",
     "enumerate_group",
     "euler_induced",
     "freudenthal_mult",

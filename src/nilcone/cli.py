@@ -1,7 +1,10 @@
 """Command-line surface for the graded multiplicity engine.
 
-Exit codes: 0 success, 2 usage error, 3 resource cap exceeded,
-4 invariant violation (including --check failures).
+Exit codes: 0 success, 1 unusable cache file (one for another type, built
+with another root ordering, or disagreeing with values already held),
+2 usage error, 4 invariant violation (including --check failures).  A
+partition cache that is unreadable or from another schema version is not
+an error: it is ignored with a warning on stderr and rewritten.
 
 Output formats: human tables (default), versioned JSON, CSV.  JSON and
 CSV output is byte-deterministic for identical inputs.
@@ -23,7 +26,6 @@ from .errors import (
     NilconeError,
     NonDominantWeightError,
     PositivityViolationError,
-    WeylCapExceededError,
     WrongRootSystemError,
 )
 from .graded import (
@@ -39,7 +41,6 @@ from .multiplicity import WeightMultiplicities, kostant_mult
 JSON_SCHEMA_VERSION = 1
 
 EXIT_USAGE = 2
-EXIT_CAP = 3
 EXIT_VIOLATION = 4
 
 
@@ -49,8 +50,6 @@ class CheckFailure(NilconeError):
 
 def exit_code_for(exc: Exception) -> int:
     """Map package errors onto the documented exit codes."""
-    if isinstance(exc, WeylCapExceededError):
-        return EXIT_CAP
     if isinstance(
         exc,
         (PositivityViolationError, InternalInconsistencyError, CheckFailure),
@@ -110,13 +109,9 @@ _format_option = click.option(
 _family_option = click.option("--family", "-f", required=True,
                               type=click.Choice(list(rootsys.FAMILIES)))
 _rank_option = click.option("--rank", "-r", required=True, type=int)
-_cap_option = click.option(
-    "--weyl-cap", type=int, default=weyl.DEFAULT_CAP, show_default=True,
-    help="Refuse Weyl groups larger than this.",
-)
 _cache_dir_option = click.option(
     "--cache-dir", type=click.Path(), default=None,
-    help="Persist partition/Weyl tables here (default: NILCONE_CACHE_DIR "
+    help="Persist partition tables here (default: NILCONE_CACHE_DIR "
          "when set, otherwise no persistence).",
 )
 
@@ -127,13 +122,11 @@ def resolve_cache_dir(cli_value):
     return os.environ.get("NILCONE_CACHE_DIR") or None
 
 
-def make_calculator(rs, cap, cache_dir) -> GradedCalculator:
+def make_calculator(rs, cache_dir) -> GradedCalculator:
     """Calculator with on-disk persistence when a cache directory is set."""
     if cache_dir is None:
-        return GradedCalculator(rs, cap=cap)
-    group = weyl.enumerate_group(rs, cap, cache_dir=cache_dir)
-    table = partition.load_table(rs, cache_dir)
-    return GradedCalculator(rs, cap=cap, group=group, table=table)
+        return GradedCalculator(rs)
+    return GradedCalculator(rs, table=partition.load_table(rs, cache_dir))
 
 
 def persist_tables(calc: GradedCalculator, cache_dir) -> None:
@@ -205,12 +198,11 @@ def kconst(family, rank, all_types, check, fmt):
               help="Worker processes for sweeps.")
 @click.option("--check", is_flag=True,
               help="Re-verify the total against the weight-multiplicity identity.")
-@_cap_option
 @_cache_dir_option
 @_format_option
 @handle_errors
 def graded(family, rank, variety, lam_text, sweep, max_degree, jobs, check,
-           weyl_cap, cache_dir, fmt):
+           cache_dir, fmt):
     """Graded multiplicities of one coordinate ring.
 
     nilcone: degree-n multiplicity of L(lambda) in the functions on the
@@ -223,7 +215,7 @@ def graded(family, rank, variety, lam_text, sweep, max_degree, jobs, check,
     if (lam_text is None) == (sweep is None):
         raise click.UsageError("give exactly one of --lambda or --sweep")
     cache_dir = resolve_cache_dir(cache_dir)
-    calc = make_calculator(rs, weyl_cap, cache_dir)
+    calc = make_calculator(rs, cache_dir)
     if lam_text is not None:
         lam = parse_weight(lam_text, rs.rank)
         if not rs.is_dominant(lam):
@@ -298,16 +290,15 @@ def graded(family, rank, variety, lam_text, sweep, max_degree, jobs, check,
 @click.option("--max-i", type=int, default=6, show_default=True,
               help="Largest cohomological degree reported.")
 @click.option("--check", is_flag=True, help="Re-verify parity vanishing.")
-@_cap_option
 @_cache_dir_option
 @_format_option
 @handle_errors
-def cohomology(family, rank, kind, sweep, max_i, check, weyl_cap, cache_dir, fmt):
+def cohomology(family, rank, kind, sweep, max_i, check, cache_dir, fmt):
     """Cohomology tables per module kind: dominant-weight multiplicities
     in each cohomological degree, assembled from the graded data."""
     rs = rootsys.build(family, rank)
     cache_dir = resolve_cache_dir(cache_dir)
-    calc = make_calculator(rs, weyl_cap, cache_dir)
+    calc = make_calculator(rs, cache_dir)
     table = calc.cohomology_table(ModuleKind(kind), sweep, max_i)
     persist_tables(calc, cache_dir)
     parity = table.parity_ok()
@@ -395,10 +386,9 @@ def tilting_example(check, fmt):
 @click.option("--mu", "mu_text", required=True)
 @click.option("--algorithm", type=click.Choice(["freudenthal", "kostant", "both"]),
               default="freudenthal", show_default=True)
-@_cap_option
 @_format_option
 @handle_errors
-def mult(family, rank, lam_text, mu_text, algorithm, weyl_cap, fmt):
+def mult(family, rank, lam_text, mu_text, algorithm, fmt):
     """Multiplicity of the weight mu in the irreducible module L(lambda)."""
     rs = rootsys.build(family, rank)
     lam = parse_weight(lam_text, rs.rank)
@@ -407,7 +397,7 @@ def mult(family, rank, lam_text, mu_text, algorithm, weyl_cap, fmt):
     if algorithm in ("freudenthal", "both"):
         values["freudenthal"] = WeightMultiplicities(rs, lam).at(mu)
     if algorithm in ("kostant", "both"):
-        values["kostant"] = kostant_mult(rs, lam, mu, cap=weyl_cap)
+        values["kostant"] = kostant_mult(rs, lam, mu)
     if len(values) == 2 and values["freudenthal"] != values["kostant"]:
         raise InternalInconsistencyError(
             f"freudenthal {values['freudenthal']} != kostant {values['kostant']}"
@@ -430,17 +420,16 @@ def mult(family, rank, lam_text, mu_text, algorithm, weyl_cap, fmt):
 @click.option("--variety", type=click.Choice([v.value for v in Variety]),
               required=True)
 @click.option("--max-degree", type=int, default=6, show_default=True)
-@_cap_option
 @_cache_dir_option
 @_format_option
 @handle_errors
-def hilbert(family, rank, variety, max_degree, weyl_cap, cache_dir, fmt):
+def hilbert(family, rank, variety, max_degree, cache_dir, fmt):
     """Hilbert series coefficients (graded dimensions) of the chosen ring."""
     if max_degree < 0:
         raise click.UsageError("--max-degree must be >= 0")
     rs = rootsys.build(family, rank)
     cache_dir = resolve_cache_dir(cache_dir)
-    calc = make_calculator(rs, weyl_cap, cache_dir)
+    calc = make_calculator(rs, cache_dir)
     coeffs = calc.hilbert_series(Variety(variety), max_degree)
     persist_tables(calc, cache_dir)
     if fmt == "json":
@@ -467,7 +456,7 @@ def rootsystem(family, rank):
 
 @cli.group()
 def cache():
-    """List or clear the on-disk partition/Weyl caches."""
+    """List or clear the on-disk partition caches."""
 
 
 @cache.command("list")
@@ -481,25 +470,18 @@ def cache_list(cache_dir):
     if not directory.is_dir():
         click.echo(f"no cache directory at {directory}")
         return
-    files = sorted(directory.glob("partition_*.json")) + sorted(
-        directory.glob("weyl_*.json")
-    )
+    files = sorted(directory.glob("partition_*.json"))
     if not files:
         click.echo(f"no cache files in {directory}")
         return
     for f in files:
         try:
             header = json.loads(f.read_text())
-            kind = "partition" if f.name.startswith("partition") else "weyl"
-            extra = (
-                f"height_cutoff={header.get('height_cutoff')} "
-                f"records={len(header.get('records', []))}"
-                if kind == "partition"
-                else f"order={header.get('order')}"
-            )
             click.echo(
                 f"{f.name}: schema={header.get('schema_version')} "
-                f"type={header.get('family')}{header.get('rank')} {extra}"
+                f"type={header.get('family')}{header.get('rank')} "
+                f"height_cutoff={header.get('height_cutoff')} "
+                f"records={len(header.get('records', []))}"
             )
         except (OSError, json.JSONDecodeError):
             click.echo(f"{f.name}: unreadable")
@@ -514,9 +496,7 @@ def cache_clear(cache_dir):
     directory = pathlib.Path(directory)
     removed = 0
     if directory.is_dir():
-        for f in list(directory.glob("partition_*.json")) + list(
-            directory.glob("weyl_*.json")
-        ):
+        for f in directory.glob("partition_*.json"):
             f.unlink()
             removed += 1
     click.echo(f"removed {removed} cache file(s) from {directory}")

@@ -64,3 +64,11 @@ class InternalInconsistencyError(NilconeError):
 
 class CacheFormatError(NilconeError):
     """A cache file is unreadable or does not match the current schema."""
+
+
+class StaleCacheError(CacheFormatError):
+    """A cache file is unreadable or from another schema version.
+
+    Nothing in it can be trusted, but nothing is lost by recomputing, so
+    the loaders treat it as a miss and let the next save overwrite it.
+    """

@@ -1,7 +1,9 @@
 """Graded multiplicities for the nilpotent cone and subregular orbit closure.
 
 Everything here is an alternating Weyl sum over the graded partition
-counts.  Writing E(lam, mu, n) = sum_w (-1)^w p_n(w.lam - mu):
+counts.  Writing E(lam, mu, n) = sum_w (-1)^w p_n(w.lam - mu), with the
+contributing w found by the pruned dot-orbit walk of ``weyl.dot_terms``
+(never by enumerating W):
 
 * nilcone multiplicity   d_n(lam) = E(lam, 0, n)        (Hesselink)
 * induced-wall odd part  a_i(lam) = E(lam, theta, i - k) (Andersen-Jantzen)
@@ -30,14 +32,8 @@ from .errors import (
     WrongRootSystemError,
 )
 from .multiplicity import WeightMultiplicities, weyl_dim
-from .rootsys import RootSystem, Weight, build, vscale, vsub
-from .weyl import (
-    DEFAULT_CAP,
-    WeylGroup,
-    dot_action,
-    enumerate_group,
-    shift_constant,
-)
+from .rootsys import RootSystem, Weight, build, vscale
+from .weyl import dot_terms, shift_constant
 
 DEGREE_CONVENTION = (
     "degrees are polynomial degrees n; even cohomology sits in degree 2n, "
@@ -111,7 +107,7 @@ class CohomologyTable:
 
 
 class GradedCalculator:
-    """Bundles a root system with its Weyl group and partition table.
+    """Bundles a root system with its partition table.
 
     All methods are pure given the immutable inputs; one calculator can
     serve any number of queries and threads.
@@ -121,50 +117,27 @@ class GradedCalculator:
         self,
         rs: RootSystem,
         *,
-        cap: int = DEFAULT_CAP,
-        group: WeylGroup | None = None,
         table: partition.PartitionTable | None = None,
     ):
         self.rs = rs
-        self.group = group if group is not None else enumerate_group(rs, cap)
         self.table = table if table is not None else partition.table_for(rs)
         self.reflection_length = 2 * shift_constant(rs) - 1
         self.k = shift_constant(rs)
 
     # -- the common alternating kernel ------------------------------------
 
-    def _term_vectors(self, lam, mu):
-        """Root coordinates of w.lam - mu per group element, with signs.
-
-        Terms off the nonnegative cone are dropped (they contribute 0);
-        if lam - mu is off the root lattice every term is, and the list
-        is empty.
-        """
-        rs = self.rs
-        lam, mu = tuple(lam), tuple(mu)
-        if rs.root_coords_int(vsub(lam, mu)) is None:
-            return []
-        out = []
-        for w in self.group.elements:
-            arg = rs.root_coords_int(vsub(dot_action(rs, w, lam), mu))
-            assert arg is not None
-            if any(c < 0 for c in arg):
-                continue
-            out.append((w.sign, arg))
-        return out
-
     def euler_mult(self, lam, mu, n: int) -> int:
         """sum_w (-1)^w p_n(w.lam - mu), the kernel of all graded formulas."""
         if n < 0:
             return 0
         return sum(
-            sign * self.table.p(arg, n) for sign, arg in self._term_vectors(lam, mu)
+            sign * self.table.p(arg, n) for sign, arg in dot_terms(self.rs, lam, mu)
         )
 
     def _euler_profile(self, lam, mu) -> dict[int, int]:
         """All degrees at once: {n: euler_mult(lam, mu, n)}, zeros dropped."""
         acc: dict[int, int] = {}
-        for sign, arg in self._term_vectors(lam, mu):
+        for sign, arg in dot_terms(self.rs, lam, mu):
             for n in range(sum(arg) + 1):
                 v = self.table.p(arg, n)
                 if v:
@@ -339,7 +312,8 @@ def a2_tilting_euler(rs: RootSystem, lam) -> int:
 # -- parallel sweeps -----------------------------------------------------------
 #
 # Sweeps are embarrassingly parallel over lam.  Workers rebuild their own
-# calculator (cheap for enumerable types) and return plain tuples; the
+# calculator (a root system and an empty partition table) and return
+# plain tuples; the
 # parent assembles results in the deterministic sweep order regardless of
 # completion order.
 
@@ -347,18 +321,18 @@ _worker_calc: GradedCalculator | None = None
 _worker_key: tuple | None = None
 
 
-def _calculator_for(family: str, rank: int, cap: int) -> GradedCalculator:
+def _calculator_for(family: str, rank: int) -> GradedCalculator:
     global _worker_calc, _worker_key
-    key = (family, rank, cap)
+    key = (family, rank)
     if _worker_key != key:
-        _worker_calc = GradedCalculator(build(family, rank), cap=cap)
+        _worker_calc = GradedCalculator(build(family, rank))
         _worker_key = key
     return _worker_calc
 
 
 def _series_job(args):
-    family, rank, cap, variety, lam = args
-    calc = _calculator_for(family, rank, cap)
+    family, rank, variety, lam = args
+    calc = _calculator_for(family, rank)
     return lam, sorted(calc.series(Variety(variety), lam).items())
 
 
@@ -374,8 +348,7 @@ def parallel_series(
     if jobs <= 1 or len(lams) <= 1:
         return [(lam, calc.series(variety, lam)) for lam in lams]
     rs = calc.rs
-    args = [(rs.family, rs.rank, calc.group.cap, Variety(variety).value, lam)
-            for lam in lams]
+    args = [(rs.family, rs.rank, Variety(variety).value, lam) for lam in lams]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         results = dict(pool.map(_series_job, args))
     return [(lam, dict(results[lam])) for lam in lams]

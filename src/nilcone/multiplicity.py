@@ -1,9 +1,9 @@
 """Weight multiplicities of irreducible highest-weight modules.
 
 Two independent routes are kept side by side: Freudenthal's recursion is
-the production path (no group enumeration needed), the alternating
-Kostant sum over W is retained as a verification oracle.  They must agree
-everywhere; the test suite enforces this on full weight saturations.
+the production path, the alternating Kostant sum over the dot-orbit terms
+is retained as a verification oracle.  They must agree everywhere; the
+test suite enforces this on full weight saturations.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from fractions import Fraction
 from . import partition
 from .errors import InternalInconsistencyError, NonDominantWeightError
 from .rootsys import RootSystem, Weight, vadd, vscale, vsub
-from .weyl import DEFAULT_CAP, WeylGroup, dot_action, enumerate_group
+from .weyl import dot_terms
 
 
 class WeightMultiplicities:
@@ -96,32 +96,20 @@ def kostant_mult(
     lam,
     mu,
     *,
-    group: WeylGroup | None = None,
     table: partition.PartitionTable | None = None,
-    cap: int = DEFAULT_CAP,
 ) -> int:
     """Multiplicity of mu in L(lam) as the alternating partition sum over W.
 
-    sum_w (-1)^w P(w.lam - mu), with P the ungraded partition count.
-    Requires an enumerable Weyl group; agreement with freudenthal_mult is
-    an invariant of the package.
+    sum_w (-1)^w P(w.lam - mu), with P the ungraded partition count, over
+    the contributing w that ``weyl.dot_terms`` walks to.  Agreement with
+    freudenthal_mult is an invariant of the package.
     """
     lam, mu = tuple(lam), tuple(mu)
     if not rs.is_dominant(lam):
         raise NonDominantWeightError(lam)
-    if rs.root_coords_int(vsub(lam, mu)) is None:
-        return 0
-    if group is None:
-        group = enumerate_group(rs, cap)
     if table is None:
         table = partition.table_for(rs)
-    total = 0
-    for w in group.elements:
-        arg = rs.root_coords_int(vsub(dot_action(rs, w, lam), mu))
-        assert arg is not None  # same coset for every w
-        if any(c < 0 for c in arg):
-            continue
-        total += w.sign * table.big_p(arg)
+    total = sum(sign * table.big_p(arg) for sign, arg in dot_terms(rs, lam, mu))
     if total < 0:
         raise InternalInconsistencyError(
             f"Kostant sum for lam={lam}, mu={mu} is negative: {total}"

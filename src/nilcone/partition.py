@@ -14,9 +14,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
+import tempfile
 from pathlib import Path
 
-from .errors import CacheFormatError
+from .errors import CacheFormatError, StaleCacheError
 from .rootsys import RootSystem, RootSystemId, RootVector
 
 PARTITION_CACHE_SCHEMA = 1
@@ -101,7 +103,12 @@ class PartitionTable:
         return max(sum(x) for x, _ in self._values)
 
     def save(self, path) -> Path:
-        """Write the public (x, n) -> value records to a cache file."""
+        """Write the public (x, n) -> value records to a cache file.
+
+        The file is written under a temporary name in the same directory
+        and renamed over the old one, so a concurrent reader or a failed
+        write never sees a torn file.
+        """
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         records = sorted(
@@ -115,7 +122,15 @@ class PartitionTable:
             "height_cutoff": self.height_cutoff(),
             "records": records,
         }
-        path.write_text(json.dumps(payload))
+        fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp",
+                                   dir=path.parent)
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(json.dumps(payload))
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
         return path
 
     def extend_from(self, path) -> int:
@@ -123,14 +138,18 @@ class PartitionTable:
 
         Partial tables are extendable: existing entries must agree with
         the file (both are reproducible by the DP), new ones are added.
+        An unreadable file or one from another schema version raises
+        StaleCacheError; any other mismatch raises CacheFormatError.
         """
         path = Path(path)
         try:
             payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CacheFormatError(f"unreadable partition cache {path}: {exc}") from exc
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise StaleCacheError(f"unreadable partition cache {path}: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise StaleCacheError(f"unreadable partition cache {path}: not an object")
         if payload.get("schema_version") != PARTITION_CACHE_SCHEMA:
-            raise CacheFormatError(
+            raise StaleCacheError(
                 f"partition cache {path} has schema "
                 f"{payload.get('schema_version')!r}, expected {PARTITION_CACHE_SCHEMA}"
             )
@@ -158,11 +177,18 @@ def cache_path(rs_id: RootSystemId, cache_dir) -> Path:
 
 
 def load_table(rs: RootSystem, cache_dir) -> PartitionTable:
-    """A table for rs, preloaded from the cache directory when present."""
+    """A table for rs, preloaded from the cache directory when present.
+
+    A stale or unreadable cache file counts as a miss: a one-line warning
+    goes to stderr and the next save rewrites the file.
+    """
     table = PartitionTable(rs)
     path = cache_path(rs.id, cache_dir)
     if path.exists():
-        table.extend_from(path)
+        try:
+            table.extend_from(path)
+        except StaleCacheError as exc:
+            print(f"warning: {exc}; recomputing", file=sys.stderr)
     return table
 
 

@@ -1,26 +1,35 @@
-"""Weyl group elements, enumeration, dot action, and dominant resolution.
+"""The alternating-sum term set, dot action, and dominant resolution.
 
-Elements are stored as dense integer matrices acting on fw coordinates
-(column-vector convention).  Enumeration is a breadth-first closure under
-right multiplication by simple reflections; lengths are BFS depths.  The
-two operations needed for arbitrarily large types - the reflection length
-of s_theta and the dominant-chamber resolution behind Euler characteristics
-of induced modules - avoid enumeration entirely.
+Every graded multiplicity and every Kostant multiplicity is a sum
+sum_w (-1)^w P(w.lam - mu) in which only the w with w.lam - mu in the
+nonnegative root cone contribute.  ``dot_terms`` finds exactly those w by
+a pruned walk up the weak order from the identity, so no operation of the
+package enumerates W and every type through E_8 is reachable.  The other
+operations needed for arbitrarily large types - the reflection length of
+s_theta and the dominant-chamber resolution behind Euler characteristics
+of induced modules - avoid enumeration as well.
+
+``enumerate_group`` (dense integer matrices on fw coordinates, a
+breadth-first closure under simple reflections, lengths as BFS depths)
+remains as an independent oracle for the tests.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
-from pathlib import Path
 
-from .errors import CacheFormatError, WeylCapExceededError
-from .rootsys import RootSystem, RootSystemId, Weight, vadd, vsub, weyl_group_order
+from .errors import WeylCapExceededError
+from .rootsys import (
+    RootSystem,
+    RootSystemId,
+    RootVector,
+    Weight,
+    vadd,
+    vsub,
+    weyl_group_order,
+)
 
 DEFAULT_CAP = 3_000_000
-
-WEYL_CACHE_SCHEMA = 1
 
 
 @dataclass(frozen=True)
@@ -107,27 +116,19 @@ def inversion_count(rs: RootSystem, matrix) -> int:
     return count
 
 
-def enumerate_group(
-    rs: RootSystem,
-    cap: int = DEFAULT_CAP,
-    cache_dir: str | os.PathLike | None = None,
-) -> WeylGroup:
+def enumerate_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> WeylGroup:
     """Enumerate W by breadth-first closure under simple reflections.
 
-    Refuses upfront when the classical group order exceeds the cap (so
-    E_8 fails fast instead of after millions of elements); a dynamic
-    guard inside the closure reports the partial count as a safety net.
+    A test oracle: the package itself never enumerates W.  Refuses
+    upfront when the classical group order exceeds the cap (so E_8 fails
+    fast instead of after millions of elements); a dynamic guard inside
+    the closure reports the partial count as a safety net.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
     order = weyl_group_order(rs.family, rs.rank)
     if order > cap:
         raise WeylCapExceededError(rs.family, rs.rank, cap, reached=0)
-
-    if cache_dir is not None:
-        cached = _load_group_cache(rs, cache_dir, cap)
-        if cached is not None:
-            return cached
 
     gens = [simple_reflection_matrix(rs, i) for i in range(rs.rank)]
     ident = identity_matrix(rs.rank)
@@ -159,15 +160,59 @@ def enumerate_group(
         WeylElement(matrix=m, length=l)
         for m, l in sorted(lengths.items(), key=lambda kv: (kv[1], kv[0]))
     )
-    group = WeylGroup(id=rs.id, elements=elements, order=order, cap=cap)
-    if cache_dir is not None:
-        _save_group_cache(group, cache_dir)
-    return group
+    return WeylGroup(id=rs.id, elements=elements, order=order, cap=cap)
 
 
 def dot_action(rs: RootSystem, w: WeylElement, lam) -> Weight:
     """w . lam = w(lam + rho) - rho, exactly on fw coordinates."""
     return vsub(w.apply(vadd(lam, rs.rho)), rs.rho)
+
+
+def dot_terms(rs: RootSystem, lam, mu) -> list[tuple[int, RootVector]]:
+    """(sign, root coordinates of w.lam - mu) for every w keeping it >= 0.
+
+    These are the only nonzero terms of sum_w (-1)^w P(w.lam - mu).  For
+    dominant lam the walk starts at v = lam + rho and applies s_i only
+    where c = v[i] > 0: an ascent, so the sign flips, and w.lam - mu
+    drops by c * alpha_i.  A step that would make its alpha_i coordinate
+    negative is pruned, since every later ascent only lowers the vector
+    further; the contributing w form a lower ideal of the weak order,
+    reached from the identity through contributing w alone.  lam + rho is
+    regular, so its orbit is free and v identifies w.
+
+    A non-dominant lam is first resolved through the dominant chamber
+    (the sum changes by the sign of that resolution); a singular lam + rho
+    makes the whole sum cancel, and the list is empty, as it is when
+    lam - mu is off the root lattice or no w contributes.
+    """
+    resolved = euler_induced(rs, lam)
+    if resolved is None:
+        return []
+    sign, lam = resolved
+    r = rs.root_coords_int(vsub(lam, mu))
+    if r is None or any(c < 0 for c in r):
+        return []
+    cartan = rs.cartan
+    v = vadd(lam, rs.rho)
+    seen = {v}
+    terms = [(sign, r)]
+    frontier = [(v, r)]
+    while frontier:
+        sign = -sign
+        nxt = []
+        for v, r in frontier:
+            for i, c in enumerate(v):
+                if c <= 0 or r[i] < c:
+                    continue
+                v2 = tuple(a - c * b for a, b in zip(v, cartan[i]))
+                if v2 in seen:
+                    continue
+                seen.add(v2)
+                r2 = r[:i] + (r[i] - c,) + r[i + 1:]
+                terms.append((sign, r2))
+                nxt.append((v2, r2))
+        frontier = nxt
+    return terms
 
 
 def reflection_length_theta(rs: RootSystem) -> int:
@@ -221,48 +266,3 @@ def euler_induced(rs: RootSystem, mu) -> tuple[int, Weight] | None:
         for j in range(rank):
             nu[j] -= c * row[j]
         sign = -sign
-
-
-# -- on-disk cache of enumerated groups --------------------------------------
-
-def group_cache_path(rs_id: RootSystemId, cache_dir) -> Path:
-    return Path(cache_dir) / f"weyl_{rs_id.family}{rs_id.rank}.json"
-
-
-def _save_group_cache(group: WeylGroup, cache_dir) -> Path:
-    path = group_cache_path(group.id, cache_dir)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "schema_version": WEYL_CACHE_SCHEMA,
-        "family": group.id.family,
-        "rank": group.id.rank,
-        "order": group.order,
-        "elements": [
-            {"m": [list(row) for row in e.matrix], "l": e.length}
-            for e in group.elements
-        ],
-    }
-    path.write_text(json.dumps(payload))
-    return path
-
-
-def _load_group_cache(rs: RootSystem, cache_dir, cap: int) -> WeylGroup | None:
-    path = group_cache_path(rs.id, cache_dir)
-    if not path.exists():
-        return None
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CacheFormatError(f"unreadable Weyl cache {path}: {exc}") from exc
-    if payload.get("schema_version") != WEYL_CACHE_SCHEMA:
-        return None  # stale schema: ignore, the caller re-enumerates
-    if payload.get("family") != rs.family or payload.get("rank") != rs.rank:
-        raise CacheFormatError(f"Weyl cache {path} is for another type")
-    elements = tuple(
-        WeylElement(matrix=tuple(tuple(row) for row in e["m"]), length=e["l"])
-        for e in payload["elements"]
-    )
-    order = payload["order"]
-    if len(elements) != order or order != weyl_group_order(rs.family, rs.rank):
-        raise CacheFormatError(f"Weyl cache {path} has inconsistent order")
-    return WeylGroup(id=rs.id, elements=elements, order=order, cap=cap)

@@ -5,13 +5,12 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from nilcone.cli import EXIT_CAP, EXIT_USAGE, EXIT_VIOLATION, CheckFailure, cli, exit_code_for
+from nilcone.cli import EXIT_USAGE, EXIT_VIOLATION, CheckFailure, cli, exit_code_for
 from nilcone.errors import (
     InadmissibleTypeError,
     InternalInconsistencyError,
     NonDominantWeightError,
     PositivityViolationError,
-    WeylCapExceededError,
     WrongRootSystemError,
 )
 
@@ -22,7 +21,6 @@ def runner():
 
 
 def test_exit_code_mapping():
-    assert exit_code_for(WeylCapExceededError("E", 8, 10, 0)) == EXIT_CAP
     assert exit_code_for(PositivityViolationError((0, 0), 1, -1)) == EXIT_VIOLATION
     assert exit_code_for(InternalInconsistencyError("x")) == EXIT_VIOLATION
     assert exit_code_for(CheckFailure("x")) == EXIT_VIOLATION
@@ -143,13 +141,14 @@ def test_graded_needs_lambda_xor_sweep(runner):
     ).exit_code == EXIT_USAGE
 
 
-def test_graded_e8_hits_cap(runner):
+def test_graded_e8_runs(runner):
     result = runner.invoke(cli, [
         "graded", "-f", "E", "-r", "8", "--variety", "nilcone",
-        "--lambda", "0,0,0,0,0,0,0,0",
+        "--lambda", "0,0,0,0,0,0,0,0", "--check",
     ])
-    assert result.exit_code == EXIT_CAP
-    assert "cap" in result.output
+    assert result.exit_code == 0
+    row = [l for l in result.stdout.splitlines() if l.startswith("(0,0,0,0,0,0,0,0)")]
+    assert row[0].split()[1] == "0:1"
 
 
 def test_cohomology_tilting_even_rows_only(runner):
@@ -290,14 +289,63 @@ def test_graded_persists_and_reuses_caches(runner, tmp_path):
             "--sweep", "1", "--format", "json", "--cache-dir", str(tmp_path)]
     first = runner.invoke(cli, args)
     assert first.exit_code == 0
-    assert (tmp_path / "partition_B2.json").exists()
-    assert (tmp_path / "weyl_B2.json").exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["partition_B2.json"]
     second = runner.invoke(cli, args)
     assert second.output == first.output
 
     listing = runner.invoke(cli, ["cache", "list", "--cache-dir", str(tmp_path)])
     assert "partition_B2.json" in listing.output
-    assert "weyl_B2.json" in listing.output
+
+
+def _corrupt_schema(path):
+    payload = json.loads(path.read_text())
+    payload["schema_version"] += 1
+    path.write_text(json.dumps(payload))
+
+
+def _truncate(path):
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])
+
+
+@pytest.mark.parametrize("corrupt", [
+    _corrupt_schema,
+    _truncate,
+    lambda path: path.write_text("[]"),
+    lambda path: path.write_bytes(b"\xff\xfe\x00"),
+], ids=["schema-bump", "truncated", "not-an-object", "not-text"])
+def test_stale_partition_cache_is_a_miss(runner, tmp_path, corrupt):
+    args = ["graded", "-f", "A", "-r", "2", "--variety", "subregular",
+            "--sweep", "2", "--check"]
+    cold = runner.invoke(cli, args)
+    assert cold.exit_code == 0
+    cached = args + ["--cache-dir", str(tmp_path)]
+    assert runner.invoke(cli, cached).exit_code == 0
+    path = tmp_path / "partition_A2.json"
+    corrupt(path)
+
+    result = runner.invoke(cli, cached)
+    assert result.exit_code == 0
+    assert result.stdout == cold.stdout
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("warning: ")
+    # the file was rewritten and now loads without a warning
+    assert json.loads(path.read_text())["records"]
+    again = runner.invoke(cli, cached)
+    assert again.stdout == cold.stdout and again.stderr == ""
+
+
+def test_partition_cache_for_another_type_exits_1(runner, tmp_path):
+    args = ["graded", "-f", "B", "-r", "2", "--variety", "nilcone",
+            "--lambda", "0,2", "--cache-dir", str(tmp_path)]
+    assert runner.invoke(cli, args).exit_code == 0
+    path = tmp_path / "partition_B2.json"
+    payload = json.loads(path.read_text())
+    payload["family"] = "C"
+    path.write_text(json.dumps(payload))
+    result = runner.invoke(cli, args)
+    assert result.exit_code == 1
+    assert "another type" in result.stderr
 
 
 def test_compute_commands_honour_cache_env(runner, tmp_path, monkeypatch):

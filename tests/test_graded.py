@@ -340,6 +340,58 @@ def test_hilbert_a2_subregular_degree_one(calculators):
         assert coeffs[n] == total
 
 
+# -- closed forms from the exponents -------------------------------------------------
+
+def exponents(rs):
+    """The exponents of the Weyl group, read off the root system alone: the
+    partition dual to the number of positive roots of each height
+    (Kostant 1959)."""
+    by_height = {}
+    for r in rs.positive_root_coords:
+        by_height[sum(r)] = by_height.get(sum(r), 0) + 1
+    counts = [by_height[h] for h in sorted(by_height)]
+    return sorted(sum(1 for c in counts if c >= j) for j in range(1, rs.rank + 1))
+
+
+def test_exponents_helper_examples(systems):
+    assert exponents(systems("A", 3)) == [1, 2, 3]
+    assert exponents(systems("G", 2)) == [1, 5]
+    assert exponents(systems("D", 4)) == [1, 3, 3, 5]
+    assert exponents(systems("E", 6)) == [1, 4, 5, 7, 8, 11]
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4),
+                                         ("G", 2), ("F", 4), ("E", 6)])
+def test_adjoint_degrees_are_the_exponents(calculators, family, rank):
+    # The adjoint module occurs in C[N] exactly in the degrees given by the
+    # exponents, with their multiplicity (Kostant 1963).
+    calc = calculators(family, rank)
+    expected = {}
+    for e in exponents(calc.rs):
+        expected[e] = expected.get(e, 0) + 1
+    assert calc.nilcone_series(calc.rs.theta_long) == expected
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("G", 2)])
+def test_nilcone_hilbert_series_closed_form(calculators, family, rank):
+    # C[N] is a complete intersection: its Hilbert series is
+    # prod_i (1 - q^(e_i + 1)) / (1 - q)^dim g.
+    from math import comb
+
+    max_degree = 5
+    calc = calculators(family, rank)
+    dim_g = rank + 2 * calc.rs.num_positive_roots
+    numerator = [1] + [0] * max_degree
+    for e in exponents(calc.rs):
+        numerator = [c - (numerator[n - e - 1] if n > e else 0)
+                     for n, c in enumerate(numerator)]
+    expected = [
+        sum(numerator[k] * comb(n - k + dim_g - 1, dim_g - 1) for k in range(n + 1))
+        for n in range(max_degree + 1)
+    ]
+    assert calc.hilbert_series(Variety.NILCONE, max_degree) == expected
+
+
 # -- type isomorphisms ------------------------------------------------------------
 
 def test_b2_c2_same_data_under_relabelling(calculators):

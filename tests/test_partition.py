@@ -208,3 +208,45 @@ def test_cache_header_records_ordering_hash(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(CacheFormatError):
         PartitionTable(rs).extend_from(path)
+
+
+def test_failed_save_keeps_previous_cache(tmp_path, monkeypatch):
+    import os
+
+    from nilcone import partition
+
+    rs = build("A", 2)
+    path = cache_path(rs.id, tmp_path)
+    first = PartitionTable(rs)
+    first.p((1, 1), 1)
+    first.save(path)
+
+    class TornFile:
+        """Writes half of what it is given, then fails like a full disk."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            self.fh.flush()
+            raise OSError(28, "No space left on device")
+
+    real_fdopen = os.fdopen
+    monkeypatch.setattr(partition.os, "fdopen",
+                        lambda *a, **k: TornFile(real_fdopen(*a, **k)))
+    second = PartitionTable(rs)
+    second.p((2, 2), 2)
+    with pytest.raises(OSError):
+        second.save(path)
+    monkeypatch.undo()
+
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    reloaded = load_table(rs, tmp_path)
+    assert reloaded._values == first._values

@@ -8,6 +8,7 @@ from nilcone import (
     WeylCapExceededError,
     build,
     dot_action,
+    dot_terms,
     enumerate_group,
     euler_induced,
     reflection_length_theta,
@@ -175,43 +176,58 @@ def test_euler_induced_detects_singular_nonsimple_wall(systems):
     assert euler_induced(rs, mu) is None
 
 
-def test_group_cache_round_trip(systems, tmp_path):
-    rs = systems("B", 2)
-    first = enumerate_group(rs, cap=100, cache_dir=tmp_path)
-    assert (tmp_path / "weyl_B2.json").exists()
-    second = enumerate_group(rs, cap=100, cache_dir=tmp_path)
-    assert second.elements == first.elements
-    assert second.order == 8
+def _scanned_terms(rs, W, lam, mu):
+    """The term list by brute force: every element of W, kept when
+    w.lam - mu lies in the nonnegative root cone."""
+    if rs.root_coords_int(vsub(lam, mu)) is None:
+        return []
+    terms = []
+    for e in W.elements:
+        arg = rs.root_coords_int(vsub(dot_action(rs, e, lam), mu))
+        if all(c >= 0 for c in arg):
+            terms.append((e.sign, arg))
+    return sorted(terms)
 
 
-def test_group_cache_schema_bump_forces_reenumeration(systems, tmp_path):
-    import json
-
-    rs = systems("A", 2)
-    enumerate_group(rs, cap=100, cache_dir=tmp_path)
-    path = tmp_path / "weyl_A2.json"
-    payload = json.loads(path.read_text())
-    payload["schema_version"] = 9999
-    path.write_text(json.dumps(payload))
-    # stale schema is ignored, the group is re-enumerated and re-saved
-    group = enumerate_group(rs, cap=100, cache_dir=tmp_path)
-    assert group.order == 6
-    assert json.loads(path.read_text())["schema_version"] != 9999
+@pytest.mark.parametrize("family,rank,sweep", [("A", 4, 1), ("B", 3, 2), ("C", 3, 2),
+                                               ("D", 4, 1), ("F", 4, 1), ("G", 2, 3)])
+def test_dot_terms_match_group_scan(calculators, groups, family, rank, sweep):
+    calc = calculators(family, rank)
+    rs = calc.rs
+    W = groups(family, rank)
+    for lam in calc.sweep_domain(sweep):
+        for mu in [(0,) * rank, rs.theta_short]:
+            assert sorted(dot_terms(rs, lam, mu)) == _scanned_terms(rs, W, lam, mu), (
+                lam, mu,
+            )
 
 
-def test_group_cache_rejects_corruption(systems, tmp_path):
-    import json
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("G", 2)])
+def test_dot_terms_non_dominant_lambda_keeps_the_sum(systems, groups, family, rank):
+    # A non-dominant lam is resolved through the dominant chamber first:
+    # the signed terms are the scanned ones once cancelling pairs (from a
+    # singular lam + rho) are dropped, so every alternating sum is unchanged.
+    def net(terms):
+        acc = {}
+        for sign, arg in terms:
+            acc[arg] = acc.get(arg, 0) + sign
+        return {arg: v for arg, v in acc.items() if v}
 
-    from nilcone import CacheFormatError
+    rs = systems(family, rank)
+    W = groups(family, rank)
+    for lam in itertools.product(range(-4, 3), repeat=rank):
+        for mu in [(0,) * rank, rs.theta_short]:
+            fast = dot_terms(rs, lam, mu)
+            assert net(fast) == net(_scanned_terms(rs, W, lam, mu)), (lam, mu)
+            assert len(net(fast)) == len(fast)
 
-    rs = systems("A", 2)
-    enumerate_group(rs, cap=100, cache_dir=tmp_path)
-    path = tmp_path / "weyl_A2.json"
-    payload = json.loads(path.read_text())
-    payload["elements"] = payload["elements"][:-1]
-    path.write_text(json.dumps(payload))
-    with pytest.raises(CacheFormatError):
-        enumerate_group(rs, cap=100, cache_dir=tmp_path)
+
+def test_dot_terms_e8_adjoint_without_enumeration():
+    rs = build("E", 8)
+    terms = dot_terms(rs, rs.theta_long, (0,) * 8)
+    assert len(terms) == 2318
+    assert terms[0] == (1, rs.theta_long_coords)
+    assert sorted(set(terms)) == sorted(terms)
 
 
 def test_euler_induced_exhaustive_agreement(systems, groups):
