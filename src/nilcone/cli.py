@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 unusable cache file (one for another type, built
 with another root ordering, or disagreeing with values already held),
 2 usage error, 4 invariant violation (including --check failures).  A
-partition cache that is unreadable or from another schema version is not
-an error: it is ignored with a warning on stderr and rewritten.
+partition cache that is unreadable, from another schema version, or whose
+records fail their digest or shape check is not an error: it is ignored
+with a warning on stderr and rewritten.
 
 Output formats: human tables (default), versioned JSON, CSV.  JSON and
 CSV output is byte-deterministic for identical inputs.
@@ -16,6 +17,7 @@ import functools
 import json
 import os
 import sys
+from pathlib import Path
 
 import click
 
@@ -26,6 +28,7 @@ from .errors import (
     NilconeError,
     NonDominantWeightError,
     PositivityViolationError,
+    StaleCacheError,
     WrongRootSystemError,
 )
 from .graded import (
@@ -463,10 +466,7 @@ def cache():
 @click.option("--cache-dir", type=click.Path(), default=None,
               help="Defaults to NILCONE_CACHE_DIR or ~/.cache/nilcone.")
 def cache_list(cache_dir):
-    directory = partition.default_cache_dir() if cache_dir is None else cache_dir
-    import pathlib
-
-    directory = pathlib.Path(directory)
+    directory = partition.default_cache_dir() if cache_dir is None else Path(cache_dir)
     if not directory.is_dir():
         click.echo(f"no cache directory at {directory}")
         return
@@ -476,24 +476,23 @@ def cache_list(cache_dir):
         return
     for f in files:
         try:
-            header = json.loads(f.read_text())
-            click.echo(
-                f"{f.name}: schema={header.get('schema_version')} "
-                f"type={header.get('family')}{header.get('rank')} "
-                f"height_cutoff={header.get('height_cutoff')} "
-                f"records={len(header.get('records', []))}"
-            )
-        except (OSError, json.JSONDecodeError):
+            header = partition.read_cache(f)
+        except StaleCacheError:
             click.echo(f"{f.name}: unreadable")
+            continue
+        records = header.get("records")
+        click.echo(
+            f"{f.name}: schema={header.get('schema_version')} "
+            f"type={header.get('family')}{header.get('rank')} "
+            f"height_cutoff={header.get('height_cutoff')} "
+            f"records={len(records) if isinstance(records, list) else '?'}"
+        )
 
 
 @cache.command("clear")
 @click.option("--cache-dir", type=click.Path(), default=None)
 def cache_clear(cache_dir):
-    directory = partition.default_cache_dir() if cache_dir is None else cache_dir
-    import pathlib
-
-    directory = pathlib.Path(directory)
+    directory = partition.default_cache_dir() if cache_dir is None else Path(cache_dir)
     removed = 0
     if directory.is_dir():
         for f in directory.glob("partition_*.json"):

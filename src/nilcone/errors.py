@@ -67,7 +67,8 @@ class CacheFormatError(NilconeError):
 
 
 class StaleCacheError(CacheFormatError):
-    """A cache file is unreadable or from another schema version.
+    """A cache file is unreadable, from another schema version, or holds
+    records that fail their digest or shape check.
 
     Nothing in it can be trusted, but nothing is lost by recomputing, so
     the loaders treat it as a miss and let the next save overwrite it.

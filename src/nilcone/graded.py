@@ -1,9 +1,10 @@
 """Graded multiplicities for the nilpotent cone and subregular orbit closure.
 
-Everything here is an alternating Weyl sum over the graded partition
-counts.  Writing E(lam, mu, n) = sum_w (-1)^w p_n(w.lam - mu), with the
-contributing w found by the pruned dot-orbit walk of ``weyl.dot_terms``
-(never by enumerating W):
+Everything here is one alternating Weyl sum of the graded partition
+polynomials of ``PartitionTable.poly``, Lusztig's q-analogue of Kostant's
+formula E(lam, mu; q) = sum_w (-1)^w P(w.lam - mu; q), with the contributing
+w found by the pruned dot-orbit walk of ``weyl.dot_terms``.  Writing
+E(lam, mu, n) for its q^n coefficient:
 
 * nilcone multiplicity   d_n(lam) = E(lam, 0, n)        (Hesselink)
 * induced-wall odd part  a_i(lam) = E(lam, theta, i - k) (Andersen-Jantzen)
@@ -109,8 +110,9 @@ class CohomologyTable:
 class GradedCalculator:
     """Bundles a root system with its partition table.
 
-    All methods are pure given the immutable inputs; one calculator can
-    serve any number of queries and threads.
+    Every query, one degree or a whole series, is read off one profile
+    E(lam, mu; q) per (lam, mu).  All methods are pure given the immutable
+    inputs; one calculator can serve any number of queries and threads.
     """
 
     def __init__(
@@ -121,57 +123,36 @@ class GradedCalculator:
     ):
         self.rs = rs
         self.table = table if table is not None else partition.table_for(rs)
-        self.reflection_length = 2 * shift_constant(rs) - 1
         self.k = shift_constant(rs)
 
     # -- the common alternating kernel ------------------------------------
 
-    def euler_mult(self, lam, mu, n: int) -> int:
-        """sum_w (-1)^w p_n(w.lam - mu), the kernel of all graded formulas."""
-        if n < 0:
-            return 0
-        return sum(
-            sign * self.table.p(arg, n) for sign, arg in dot_terms(self.rs, lam, mu)
-        )
-
     def _euler_profile(self, lam, mu) -> dict[int, int]:
-        """All degrees at once: {n: euler_mult(lam, mu, n)}, zeros dropped."""
-        acc: dict[int, int] = {}
+        """{n: q^n coefficient of E(lam, mu; q)}, zeros dropped."""
+        acc: list[int] = []
         for sign, arg in dot_terms(self.rs, lam, mu):
-            for n in range(sum(arg) + 1):
-                v = self.table.p(arg, n)
-                if v:
-                    acc[n] = acc.get(n, 0) + sign * v
-        return {n: v for n, v in sorted(acc.items()) if v}
+            coeffs = self.table.poly(arg)
+            if len(acc) < len(coeffs):
+                acc.extend([0] * (len(coeffs) - len(acc)))
+            for n, c in enumerate(coeffs):
+                acc[n] += sign * c
+        return {n: v for n, v in enumerate(acc) if v}
 
     # -- named multiplicities ----------------------------------------------
 
     def nilcone_mult(self, lam, n: int) -> int:
         """Multiplicity of L(lam) in degree n of the nilpotent cone ring."""
-        value = self.euler_mult(lam, (0,) * self.rs.rank, n)
-        if value < 0:
-            raise InternalInconsistencyError(
-                f"nilcone multiplicity d_{n}({tuple(lam)}) = {value} < 0"
-            )
-        return value
+        return self.nilcone_series(lam).get(n, 0)
 
     def induced_odd_mult(self, lam, i: int) -> int:
         """Multiplicity of L(lam) in odd cohomology degree 2i-1 of the
         wall-induced module; zero for i < k (negative symmetric power)."""
-        value = self.euler_mult(lam, self.rs.theta_short, i - self.k)
-        if value < 0:
-            raise InternalInconsistencyError(
-                f"induced-wall multiplicity a_{i}({tuple(lam)}) = {value} < 0"
-            )
-        return value
+        return self.induced_series(lam).get(i, 0)
 
     def subregular_mult(self, lam, n: int) -> int:
         """Multiplicity of L(lam) in degree n of the subregular orbit
         closure ring: d_n - a_n, guaranteed nonnegative."""
-        value = self.nilcone_mult(lam, n) - self.induced_odd_mult(lam, n)
-        if value < 0:
-            raise PositivityViolationError(tuple(lam), n, value)
-        return value
+        return self.subregular_series(lam).get(n, 0)
 
     # -- whole series --------------------------------------------------------
 
@@ -272,24 +253,17 @@ class GradedCalculator:
     def hilbert_series(self, variety: Variety, max_degree: int) -> list[int]:
         """Dimension of each graded piece of the chosen coordinate ring.
 
-        Coefficient n sums mult * dim L(lam) over the dominant lam that
-        the support bounds allow: lam dominance-below n*theta_long with
-        height(lam) >= n.
+        Coefficient n sums mult_n(lam) * dim L(lam) over dominant lam; as
+        d_n(lam) = 0 unless lam <= n * theta_long, one series per lam below
+        max_degree * theta_long covers every degree.
         """
         variety = Variety(variety)
-        coeffs = []
-        for n in range(max_degree + 1):
-            total = 0
-            for lam in self.rs.dominant_below(vscale(n, self.rs.theta_long)):
-                if self.rs.height(lam) < n:
-                    continue
-                if variety == Variety.NILCONE:
-                    c = self.nilcone_mult(lam, n)
-                else:
-                    c = self.subregular_mult(lam, n)
-                if c:
-                    total += c * weyl_dim(self.rs, lam)
-            coeffs.append(total)
+        coeffs = [0] * (max_degree + 1)
+        for lam in self.rs.dominant_below(vscale(max_degree, self.rs.theta_long)):
+            dim = weyl_dim(self.rs, lam)
+            for n, c in self.series(variety, lam).items():
+                if n <= max_degree:
+                    coeffs[n] += c * dim
         return coeffs
 
 

@@ -1,12 +1,13 @@
 """The graded partition function over positive roots, memoized and cacheable.
 
-``p(x, n)`` counts the multisets of exactly n positive roots (repetitions
-allowed) summing to the root-lattice vector x; ``big_p(x)`` is the sum
-over all n.  These counts drive every alternating Weyl sum downstream, so
-the table is memoized aggressively and can be persisted to disk.
+``poly(x)`` is the coefficient tuple of P(x; q) = sum_n p(x, n) q^n, with
+p(x, n) the number of multisets of exactly n positive roots (repetitions
+allowed) summing to the root-lattice vector x; ``p`` reads one coefficient
+and ``big_p`` their sum.  Every alternating Weyl sum downstream is a signed
+sum of these polynomials, so they are memoized and can be persisted.
 
 The generating identity ties the whole table to the product over positive
-roots of 1 / (1 - e^alpha t): the coefficient of t^n e^x is p(x, n).
+roots of 1 / (1 - e^alpha q): the coefficient of q^n e^x is p(x, n).
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ from pathlib import Path
 from .errors import CacheFormatError, StaleCacheError
 from .rootsys import RootSystem, RootSystemId, RootVector
 
-PARTITION_CACHE_SCHEMA = 1
+PARTITION_CACHE_SCHEMA = 2
 
 
 class PartitionTable:
-    """Memoized partition counts for one root system.
+    """Memoized partition polynomials for one root system.
 
     Readers may share a table across threads: values are deterministic,
     so concurrent memo insertion is benign (last write wins with an equal
@@ -36,9 +37,23 @@ class PartitionTable:
         self.rs = rs
         # DP order is the build order: by height, then lexicographic.
         self._roots = rs.positive_root_coords
-        self._heights = tuple(sum(r) for r in self._roots)
-        self._memo: dict[tuple[int, RootVector, int], int] = {}
-        self._values: dict[tuple[RootVector, int], int] = {}
+        # (j, x) -> P_j(x), the polynomial over the first j roots only.
+        self._memo: dict[tuple[int, RootVector], tuple[int, ...]] = {}
+        # x -> P(x), the public values a cache file holds.
+        self._values: dict[RootVector, tuple[int, ...]] = {}
+
+    def poly(self, x) -> tuple[int, ...]:
+        """Coefficients (p(x, 0), ..., p(x, height x)) of P(x; q); empty
+        for any x outside the nonnegative root cone."""
+        x = tuple(x)
+        if any(c < 0 for c in x):
+            return ()
+        hit = self._values.get(x)
+        if hit is not None:
+            return hit
+        value = self._poly(len(self._roots), x)
+        self._values[x] = value
+        return value
 
     def p(self, x, n: int) -> int:
         """Number of n-element positive-root multisets summing to x.
@@ -46,48 +61,39 @@ class PartitionTable:
         Zero for any x outside the nonnegative root cone, for n < 0 and
         for n > height(x): every positive root has height >= 1.
         """
-        x = tuple(x)
-        if n < 0 or any(c < 0 for c in x):
-            return 0
-        if n > sum(x):
-            return 0
-        key = (x, n)
-        hit = self._values.get(key)
-        if hit is not None:
-            return hit
-        value = self._count(len(self._roots), x, n)
-        self._values[key] = value
-        return value
+        coeffs = self.poly(x)
+        return coeffs[n] if 0 <= n < len(coeffs) else 0
 
     def big_p(self, x) -> int:
-        """Ungraded count: sum of p(x, n) over all n (finite support)."""
-        x = tuple(x)
-        if any(c < 0 for c in x):
-            return 0
-        return sum(self.p(x, n) for n in range(sum(x) + 1))
+        """Ungraded count: P(x; 1), the sum of p(x, n) over all n."""
+        return sum(self.poly(x))
 
-    def _count(self, j: int, x: RootVector, n: int) -> int:
-        if n == 0:
-            return 1 if not any(x) else 0
-        if j == 0 or sum(x) < n:
-            return 0
-        key = (j, x, n)
+    def _poly(self, j: int, x: RootVector) -> tuple[int, ...]:
+        # P_j(x) = sum_m q^m P_{j-1}(x - m alpha_j), height(x) + 1 coefficients,
+        # or () when it is 0.  The first roots are the simple ones, so a
+        # nonzero P_j(x) has p_j(x, height x) = 1.
+        if not any(x):
+            return (1,)
+        if j == 0:
+            return ()
+        key = (j, x)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
         alpha = self._roots[j - 1]
-        total = 0
+        acc = [0] * (sum(x) + 1)
         y = x
         m = 0
-        while m <= n:
-            total += self._count(j - 1, y, n - m)
-            y2 = tuple(a - b for a, b in zip(y, alpha))
-            if any(c < 0 for c in y2):
+        while True:
+            for n, c in enumerate(self._poly(j - 1, y), m):
+                acc[n] += c
+            y = tuple(a - b for a, b in zip(y, alpha))
+            if any(c < 0 for c in y):
                 break
-            y = y2
             m += 1
-        self._memo[key] = total
-        return total
+        value = tuple(acc) if acc[-1] else ()
+        self._memo[key] = value
+        return value
 
     # -- persistence -----------------------------------------------------
 
@@ -98,12 +104,10 @@ class PartitionTable:
 
     def height_cutoff(self) -> int:
         """Largest height among cached arguments (0 when empty)."""
-        if not self._values:
-            return 0
-        return max(sum(x) for x, _ in self._values)
+        return max((sum(x) for x in self._values), default=0)
 
     def save(self, path) -> Path:
-        """Write the public (x, n) -> value records to a cache file.
+        """Write the public x -> coefficients records to a cache file.
 
         The file is written under a temporary name in the same directory
         and renamed over the old one, so a concurrent reader or a failed
@@ -111,15 +115,14 @@ class PartitionTable:
         """
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        records = sorted(
-            [list(x), n, v] for (x, n), v in self._values.items()
-        )
+        records = sorted([list(x), list(c)] for x, c in self._values.items())
         payload = {
             "schema_version": PARTITION_CACHE_SCHEMA,
             "family": self.rs.family,
             "rank": self.rs.rank,
             "root_order_hash": self.root_order_hash(),
             "height_cutoff": self.height_cutoff(),
+            "records_sha256": records_digest(records),
             "records": records,
         }
         fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp",
@@ -138,16 +141,13 @@ class PartitionTable:
 
         Partial tables are extendable: existing entries must agree with
         the file (both are reproducible by the DP), new ones are added.
-        An unreadable file or one from another schema version raises
-        StaleCacheError; any other mismatch raises CacheFormatError.
+        A file that is unreadable, from another schema version, whose
+        records do not match their digest or whose records are malformed
+        raises StaleCacheError and merges nothing; any other mismatch
+        raises CacheFormatError.
         """
         path = Path(path)
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise StaleCacheError(f"unreadable partition cache {path}: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise StaleCacheError(f"unreadable partition cache {path}: not an object")
+        payload = read_cache(path)
         if payload.get("schema_version") != PARTITION_CACHE_SCHEMA:
             raise StaleCacheError(
                 f"partition cache {path} has schema "
@@ -159,17 +159,50 @@ class PartitionTable:
             raise CacheFormatError(
                 f"partition cache {path} was built with a different root ordering"
             )
-        loaded = 0
-        for x, n, v in payload["records"]:
-            key = (tuple(x), n)
-            existing = self._values.get(key)
-            if existing is not None and existing != v:
+        records = payload.get("records")
+        if not isinstance(records, list) or (
+            payload.get("records_sha256") != records_digest(records)
+        ):
+            raise StaleCacheError(
+                f"partition cache {path}: records missing or not matching their digest"
+            )
+        if not all(self._is_record(record) for record in records):
+            raise StaleCacheError(f"partition cache {path} holds a malformed record")
+        loaded = {tuple(x): tuple(coeffs) for x, coeffs in records}
+        for x, coeffs in loaded.items():
+            if self._values.get(x, coeffs) != coeffs:
                 raise CacheFormatError(
-                    f"partition cache {path} disagrees at {key}: {v} != {existing}"
+                    f"partition cache {path} disagrees at {x}: "
+                    f"{list(coeffs)} != {list(self._values[x])}"
                 )
-            self._values[key] = v
-            loaded += 1
-        return loaded
+        self._values.update(loaded)
+        return len(loaded)
+
+    def _is_record(self, record) -> bool:
+        """[x, coefficients]: rank naturals, then at most height(x) + 1."""
+        def naturals(v):
+            return isinstance(v, list) and all(type(c) is int and c >= 0 for c in v)
+
+        return (isinstance(record, list) and len(record) == 2
+                and naturals(record[0]) and len(record[0]) == self.rs.rank
+                and naturals(record[1]) and len(record[1]) <= sum(record[0]) + 1)
+
+
+def records_digest(records) -> str:
+    """sha256 of the records' canonical JSON; stored in the cache header."""
+    blob = json.dumps(records, separators=(",", ":")).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+def read_cache(path) -> dict:
+    """The JSON object in a cache file; StaleCacheError if there is none."""
+    try:
+        payload = json.loads(Path(path).read_text())
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise StaleCacheError(f"unreadable partition cache {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise StaleCacheError(f"unreadable partition cache {path}: not an object")
+    return payload
 
 
 def cache_path(rs_id: RootSystemId, cache_dir) -> Path:

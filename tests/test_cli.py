@@ -278,6 +278,18 @@ def test_cache_list_and_clear(runner, tmp_path):
     assert "no cache files" in result.output
 
 
+def test_cache_list_marks_unreadable_files(runner, tmp_path):
+    (tmp_path / "partition_A2.json").write_text("[]")
+    (tmp_path / "partition_B2.json").write_bytes(b"\xff\xfe\x00")
+    (tmp_path / "partition_G2.json").write_text('{"records": 3}')
+    result = runner.invoke(cli, ["cache", "list", "--cache-dir", str(tmp_path)])
+    assert result.exit_code == 0
+    lines = result.output.splitlines()
+    assert lines[:2] == ["partition_A2.json: unreadable",
+                         "partition_B2.json: unreadable"]
+    assert lines[2].endswith("records=?")
+
+
 def test_cache_dir_env_override(runner, tmp_path, monkeypatch):
     monkeypatch.setenv("NILCONE_CACHE_DIR", str(tmp_path))
     result = runner.invoke(cli, ["cache", "list"])
@@ -308,12 +320,41 @@ def _truncate(path):
     path.write_text(text[: len(text) // 2])
 
 
+def _edit_payload(edit, rehash=True):
+    """Apply edit to the parsed cache file; rehash keeps the records digest
+    consistent, so only the record checks can catch the edit."""
+    from nilcone.partition import records_digest
+
+    def corrupt(path):
+        payload = json.loads(path.read_text())
+        edit(payload)
+        if rehash:
+            payload["records_sha256"] = records_digest(payload["records"])
+        path.write_text(json.dumps(payload))
+
+    return corrupt
+
+
+def _tamper_theta(payload):
+    # p(theta, 1) = 1 becomes 5: well formed, but not what was written
+    record = next(r for r in payload["records"] if r[0] == [1, 1])
+    record[1][1] = 5
+
+
 @pytest.mark.parametrize("corrupt", [
     _corrupt_schema,
     _truncate,
     lambda path: path.write_text("[]"),
     lambda path: path.write_bytes(b"\xff\xfe\x00"),
-], ids=["schema-bump", "truncated", "not-an-object", "not-text"])
+    _edit_payload(_tamper_theta, rehash=False),
+    _edit_payload(lambda payload: payload.pop("records"), rehash=False),
+    _edit_payload(lambda payload: payload["records"][0].append(0)),
+    _edit_payload(lambda payload: payload["records"][-1][0].append(0)),
+    _edit_payload(lambda payload: payload["records"][-1][1].insert(0, -1)),
+    _edit_payload(lambda payload: payload["records"][-1][1].append(0)),
+], ids=["schema-bump", "truncated", "not-an-object", "not-text",
+        "tampered-value", "no-records", "wrong-arity", "wrong-rank",
+        "negative-coefficient", "too-many-coefficients"])
 def test_stale_partition_cache_is_a_miss(runner, tmp_path, corrupt):
     args = ["graded", "-f", "A", "-r", "2", "--variety", "subregular",
             "--sweep", "2", "--check"]

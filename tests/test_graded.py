@@ -41,26 +41,22 @@ def symmetric_power_oracle(rs, n):
 
 def test_euler_mult_trivial(calculators):
     calc = calculators("A", 2)
-    assert calc.euler_mult((0, 0), (0, 0), 0) == 1
-    assert calc.euler_mult((0, 0), (0, 0), 1) == 0
+    assert calc._euler_profile((0, 0), (0, 0)) == {0: 1}
 
 
 def test_euler_mult_a2_adjoint(calculators):
     calc = calculators("A", 2)
-    values = [calc.euler_mult((1, 1), (0, 0), n) for n in range(5)]
-    assert values == [0, 1, 1, 0, 0]
+    assert calc._euler_profile((1, 1), (0, 0)) == {1: 1, 2: 1}
 
 
 def test_euler_mult_a1(calculators):
     calc = calculators("A", 1)
-    for n in range(4):
-        assert calc.euler_mult((2,), (0,), n) == (1 if n == 1 else 0)
+    assert calc._euler_profile((2,), (0,)) == {1: 1}
 
 
 def test_euler_mult_off_lattice_is_zero(calculators):
     calc = calculators("A", 2)
-    for n in range(4):
-        assert calc.euler_mult((1, 0), (0, 0), n) == 0
+    assert calc._euler_profile((1, 0), (0, 0)) == {}
 
 
 # -- named multiplicities ------------------------------------------------------
@@ -424,11 +420,13 @@ def test_subregular_negativity_is_a_hard_error(calculators, monkeypatch):
 
     calc = calculators("A", 2)
     monkeypatch.setattr(
-        GradedCalculator, "induced_odd_mult", lambda self, lam, i: 99
+        GradedCalculator, "induced_series", lambda self, lam: {1: 99}
     )
     with pytest.raises(PositivityViolationError) as exc:
         calc.subregular_mult((1, 1), 1)
     assert exc.value.weight == (1, 1) and exc.value.degree == 1
+    with pytest.raises(PositivityViolationError):
+        calc.subregular_series((1, 1))
 
 
 def test_internal_negativity_is_a_hard_error(calculators, monkeypatch):
@@ -437,12 +435,16 @@ def test_internal_negativity_is_a_hard_error(calculators, monkeypatch):
 
     calc = calculators("A", 2)
     monkeypatch.setattr(
-        GradedCalculator, "euler_mult", lambda self, lam, mu, n: -1
+        GradedCalculator, "_euler_profile", lambda self, lam, mu: {1: -1}
     )
     with pytest.raises(InternalInconsistencyError):
         calc.nilcone_mult((1, 1), 1)
     with pytest.raises(InternalInconsistencyError):
         calc.induced_odd_mult((1, 1), 3)
+    with pytest.raises(InternalInconsistencyError):
+        calc.nilcone_series((1, 1))
+    with pytest.raises(InternalInconsistencyError):
+        calc.induced_series((1, 1))
 
 
 # -- parallel sweeps -----------------------------------------------------------------

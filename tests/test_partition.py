@@ -5,8 +5,13 @@ import math
 
 import pytest
 
-from nilcone import CacheFormatError, PartitionTable, big_p, build, p
-from nilcone.partition import PARTITION_CACHE_SCHEMA, cache_path, load_table
+from nilcone import CacheFormatError, PartitionTable, StaleCacheError, big_p, build, p
+from nilcone.partition import (
+    PARTITION_CACHE_SCHEMA,
+    cache_path,
+    load_table,
+    records_digest,
+)
 
 
 def brute_force_counts(rs, n):
@@ -88,6 +93,22 @@ def test_monotone_support(family, rank):
                 assert math.ceil(sum(x) / h_theta) <= n <= sum(x)
 
 
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("G", 2)])
+def test_poly_is_the_graded_counts(family, rank):
+    rs = build(family, rank)
+    table = PartitionTable(rs)
+    max_h = 6
+    by_n = {n: brute_force_counts(rs, n) for n in range(max_h + 1)}
+    for x in itertools.product(range(max_h + 1), repeat=rank):
+        if sum(x) > max_h:
+            continue
+        coeffs = list(table.poly(x))
+        assert coeffs == [by_n[n].get(x, 0) for n in range(sum(x) + 1)], x
+        assert coeffs == [table.p(x, n) for n in range(sum(x) + 1)], x
+        assert sum(coeffs) == table.big_p(x)
+    assert table.poly((-1, 2)) == ()
+
+
 def test_a1_counts_are_delta():
     rs = build("A", 1)
     table = PartitionTable(rs)
@@ -132,7 +153,7 @@ def test_cache_round_trip(tmp_path):
     table.save(path)
 
     fresh = load_table(rs, tmp_path)
-    assert fresh._values == {q: v for q, v in values.items()}
+    assert fresh._values == {x: table.poly(x) for x, _ in queries}
     for q, v in values.items():
         assert fresh.p(*q) == v
 
@@ -152,8 +173,8 @@ def test_cache_is_extendable(tmp_path):
     second.save(path)
 
     merged = load_table(rs, tmp_path)
-    assert ((1, 1), 1) in merged._values
-    assert ((2, 2), 2) in merged._values
+    assert merged._values[(1, 1)] == (0, 1, 1)
+    assert merged._values[(2, 2)] == (0, 0, 1, 1, 1)
     assert merged.height_cutoff() == 4
 
 
@@ -189,6 +210,39 @@ def test_cache_rejects_garbage(tmp_path):
     path.write_text("{not json")
     with pytest.raises(CacheFormatError):
         PartitionTable(rs).extend_from(path)
+
+
+def test_malformed_record_merges_nothing(tmp_path):
+    import json
+
+    rs = build("A", 2)
+    table = PartitionTable(rs)
+    table.p((2, 2), 2)
+    path = table.save(tmp_path / "cache.json")
+    payload = json.loads(path.read_text())
+    payload["records"].append([[1, 0], [0, -1]])
+    payload["records_sha256"] = records_digest(payload["records"])
+    path.write_text(json.dumps(payload))
+    fresh = PartitionTable(rs)
+    with pytest.raises(StaleCacheError):
+        fresh.extend_from(path)
+    assert fresh._values == {}
+
+
+def test_cache_disagreeing_with_table_is_refused(tmp_path):
+    import json
+
+    rs = build("A", 2)
+    table = PartitionTable(rs)
+    table.p((1, 1), 1)
+    path = table.save(tmp_path / "cache.json")
+    payload = json.loads(path.read_text())
+    payload["records"] = [[[1, 1], [0, 5, 1]]]
+    payload["records_sha256"] = records_digest(payload["records"])
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CacheFormatError, match="disagrees"):
+        table.extend_from(path)
+    assert table.poly((1, 1)) == (0, 1, 1)
 
 
 def test_cache_header_records_ordering_hash(tmp_path):
