@@ -20,7 +20,6 @@ from .errors import (
     NonDominantWeightError,
     PositivityViolationError,
     StaleCacheError,
-    WeylCapExceededError,
     WrongRootSystemError,
 )
 from .graded import (
@@ -39,9 +38,7 @@ from .multiplicity import (
 from .partition import PartitionTable, big_p, p, table_for
 from .rootsys import RootSystem, RootSystemId, build
 from .weyl import (
-    DEFAULT_CAP,
     WeylElement,
-    WeylGroup,
     dot_action,
     dot_terms,
     enumerate_group,
@@ -53,7 +50,6 @@ from .weyl import (
 __all__ = [
     "CacheFormatError",
     "CohomologyTable",
-    "DEFAULT_CAP",
     "GradedCalculator",
     "InadmissibleTypeError",
     "InternalInconsistencyError",
@@ -67,9 +63,7 @@ __all__ = [
     "StaleCacheError",
     "Variety",
     "WeightMultiplicities",
-    "WeylCapExceededError",
     "WeylElement",
-    "WeylGroup",
     "WrongRootSystemError",
     "a2_tilting_euler",
     "big_p",

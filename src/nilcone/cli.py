@@ -193,9 +193,9 @@ def kconst(family, rank, all_types, check, fmt):
               required=True)
 @click.option("--lambda", "lam_text", default=None,
               help="One dominant weight, e.g. 1,1.")
-@click.option("--sweep", type=int, default=None,
+@click.option("--sweep", type=click.IntRange(min=0), default=None,
               help="All dominant weights dominance-below SWEEP * highest root.")
-@click.option("--max-degree", type=int, default=None,
+@click.option("--max-degree", type=click.IntRange(min=0), default=None,
               help="Truncate reported degrees.")
 @click.option("--jobs", type=int, default=1, show_default=True,
               help="Worker processes for sweeps.")
@@ -225,8 +225,6 @@ def graded(family, rank, variety, lam_text, sweep, max_degree, jobs, check,
             raise NonDominantWeightError(lam)
         lams = [lam]
     else:
-        if sweep < 0:
-            raise click.UsageError("--sweep must be >= 0")
         lams = list(calc.sweep_domain(sweep))
 
     results = parallel_series(calc, variety, lams, jobs=jobs)
@@ -289,8 +287,8 @@ def graded(family, rank, variety, lam_text, sweep, max_degree, jobs, check,
 @_rank_option
 @click.option("--kind", type=click.Choice([k.value for k in ModuleKind]),
               required=True)
-@click.option("--sweep", type=int, default=1, show_default=True)
-@click.option("--max-i", type=int, default=6, show_default=True,
+@click.option("--sweep", type=click.IntRange(min=0), default=1, show_default=True)
+@click.option("--max-i", type=click.IntRange(min=0), default=6, show_default=True,
               help="Largest cohomological degree reported.")
 @click.option("--check", is_flag=True, help="Re-verify parity vanishing.")
 @_cache_dir_option
@@ -422,14 +420,13 @@ def mult(family, rank, lam_text, mu_text, algorithm, fmt):
 @_rank_option
 @click.option("--variety", type=click.Choice([v.value for v in Variety]),
               required=True)
-@click.option("--max-degree", type=int, default=6, show_default=True)
+@click.option("--max-degree", type=click.IntRange(min=0), default=6,
+              show_default=True)
 @_cache_dir_option
 @_format_option
 @handle_errors
 def hilbert(family, rank, variety, max_degree, cache_dir, fmt):
     """Hilbert series coefficients (graded dimensions) of the chosen ring."""
-    if max_degree < 0:
-        raise click.UsageError("--max-degree must be >= 0")
     rs = rootsys.build(family, rank)
     cache_dir = resolve_cache_dir(cache_dir)
     calc = make_calculator(rs, cache_dir)

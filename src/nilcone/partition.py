@@ -8,6 +8,14 @@ sum of these polynomials, so they are memoized and can be persisted.
 
 The generating identity ties the whole table to the product over positive
 roots of 1 / (1 - e^alpha q): the coefficient of q^n e^x is p(x, n).
+
+The table builds P over the first j roots in DP order, P_j, by the
+two-term recurrence P_j(y) = P_{j-1}(y) + q P_j(y - alpha_j), filled
+iteratively up each alpha_j chain so every memo entry costs one
+polynomial add.  The first rank roots are the simple ones, so for
+j <= rank P_j(x) is q^height(x) or 0 in closed form and is not stored.
+The Python recursion descends only in j: its depth is at most the number
+of positive roots, whatever the height of x.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ import json
 import os
 import sys
 import tempfile
+from operator import add, sub
 from pathlib import Path
 
 from .errors import CacheFormatError, StaleCacheError
@@ -35,10 +44,19 @@ class PartitionTable:
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
-        # DP order is the build order: by height, then lexicographic.
+        # DP order is the build order: by height, then lexicographic, so the
+        # first rank roots are the simple ones.
         self._roots = rs.positive_root_coords
-        # (j, x) -> P_j(x), the polynomial over the first j roots only.
-        self._memo: dict[tuple[int, RootVector], tuple[int, ...]] = {}
+        # j -> coordinates none of the first j roots cover, for j <= rank.
+        self._uncovered = [
+            tuple(i for i in range(rs.rank) if not any(r[i] for r in self._roots[:j]))
+            for j in range(rs.rank + 1)
+        ]
+        # j -> {x: P_j(x)}, the polynomial over the first j roots only;
+        # levels j <= rank have a closed form and are never stored.
+        self._memo: dict[int, dict[RootVector, tuple[int, ...]]] = {
+            j: {} for j in range(rs.rank + 1, len(self._roots) + 1)
+        }
         # x -> P(x), the public values a cache file holds.
         self._values: dict[RootVector, tuple[int, ...]] = {}
 
@@ -69,30 +87,44 @@ class PartitionTable:
         return sum(self.poly(x))
 
     def _poly(self, j: int, x: RootVector) -> tuple[int, ...]:
-        # P_j(x) = sum_m q^m P_{j-1}(x - m alpha_j), height(x) + 1 coefficients,
-        # or () when it is 0.  The first roots are the simple ones, so a
-        # nonzero P_j(x) has p_j(x, height x) = 1.
-        if not any(x):
-            return (1,)
-        if j == 0:
-            return ()
-        key = (j, x)
-        hit = self._memo.get(key)
+        """P_j(x) for x in the nonnegative cone, as height(x) + 1
+        coefficients, or () when it is 0.
+
+        Up to j = rank only simple roots are in play, so P_j(x) is
+        q^height(x) when x lies on the coordinates they cover and 0
+        otherwise.  Above, either alpha_j is unused or one copy of it is
+        removed: P_j(y) = P_{j-1}(y) + q P_j(y - alpha_j).  That is filled
+        up the alpha_j chain through x, from its lowest member in the cone
+        or its first one already memoized, one polynomial add per entry;
+        the recursion only descends in j, so its depth is at most N.
+        """
+        if j <= self.rs.rank:
+            if any(x[i] for i in self._uncovered[j]):
+                return ()
+            return (0,) * sum(x) + (1,)
+        memo = self._memo[j]
+        hit = memo.get(x)
         if hit is not None:
             return hit
         alpha = self._roots[j - 1]
-        acc = [0] * (sum(x) + 1)
-        y = x
-        m = 0
+        chain = [x]
+        below = None
         while True:
-            for n, c in enumerate(self._poly(j - 1, y), m):
-                acc[n] += c
-            y = tuple(a - b for a, b in zip(y, alpha))
-            if any(c < 0 for c in y):
+            y = tuple(map(sub, chain[-1], alpha))
+            if min(y) < 0:
                 break
-            m += 1
-        value = tuple(acc) if acc[-1] else ()
-        self._memo[key] = value
+            below = memo.get(y)
+            if below is not None:
+                break
+            chain.append(y)
+        for y in reversed(chain):
+            # P_{j-1}(y) is nonzero: j - 1 >= rank and y is in the cone.
+            value = self._poly(j - 1, y)
+            if below:
+                value = (value[:1] + tuple(map(add, value[1:], below))
+                         + value[len(below) + 1:])
+            memo[y] = value
+            below = value
         return value
 
     # -- persistence -----------------------------------------------------

@@ -141,6 +141,22 @@ def test_graded_needs_lambda_xor_sweep(runner):
     ).exit_code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("args", [
+    ["cohomology", "--kind", "simple", "--sweep", "-1"],
+    ["cohomology", "--kind", "simple", "--max-i", "-1"],
+    ["graded", "--variety", "nilcone", "--sweep", "1", "--max-degree", "-1"],
+    ["graded", "--variety", "nilcone", "--sweep", "-1"],
+    ["hilbert", "--variety", "nilcone", "--max-degree", "-1"],
+], ids=["cohomology-sweep", "cohomology-max-i", "graded-max-degree",
+        "graded-sweep", "hilbert-max-degree"])
+def test_negative_counts_are_usage_errors(runner, tmp_path, args):
+    result = runner.invoke(cli, [*args, "-f", "A", "-r", "2",
+                                 "--cache-dir", str(tmp_path)])
+    assert result.exit_code == EXIT_USAGE
+    assert "-1 is not in the range" in result.output
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_graded_e8_runs(runner):
     result = runner.invoke(cli, [
         "graded", "-f", "E", "-r", "8", "--variety", "nilcone",

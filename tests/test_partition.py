@@ -2,10 +2,20 @@
 
 import itertools
 import math
+import sys
 
 import pytest
 
-from nilcone import CacheFormatError, PartitionTable, StaleCacheError, big_p, build, p
+from nilcone import (
+    CacheFormatError,
+    GradedCalculator,
+    PartitionTable,
+    StaleCacheError,
+    big_p,
+    build,
+    dot_terms,
+    p,
+)
 from nilcone.partition import (
     PARTITION_CACHE_SCHEMA,
     cache_path,
@@ -93,11 +103,12 @@ def test_monotone_support(family, rank):
                 assert math.ceil(sum(x) / h_theta) <= n <= sum(x)
 
 
-@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("G", 2)])
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("G", 2),
+                                         ("A", 3), ("B", 3), ("C", 3), ("D", 4)])
 def test_poly_is_the_graded_counts(family, rank):
     rs = build(family, rank)
     table = PartitionTable(rs)
-    max_h = 6
+    max_h = 6 if rank == 2 else 5
     by_n = {n: brute_force_counts(rs, n) for n in range(max_h + 1)}
     for x in itertools.product(range(max_h + 1), repeat=rank):
         if sum(x) > max_h:
@@ -106,7 +117,77 @@ def test_poly_is_the_graded_counts(family, rank):
         assert coeffs == [by_n[n].get(x, 0) for n in range(sum(x) + 1)], x
         assert coeffs == [table.p(x, n) for n in range(sum(x) + 1)], x
         assert sum(coeffs) == table.big_p(x)
-    assert table.poly((-1, 2)) == ()
+    assert table.poly((-1,) + (2,) * (rank - 1)) == ()
+
+
+def reference_poly(roots, j, x, memo):
+    """P_j(x) by the sum over multiplicities, sum_m q^m P_{j-1}(x - m alpha_j):
+    the recursion the table used before its two-term form."""
+    if not any(x):
+        return (1,)
+    if j == 0:
+        return ()
+    if (j, x) not in memo:
+        acc = [0] * (sum(x) + 1)
+        y, m = x, 0
+        while min(y) >= 0:
+            for n, c in enumerate(reference_poly(roots, j - 1, y, memo), m):
+                acc[n] += c
+            y = tuple(a - b for a, b in zip(y, roots[j - 1]))
+            m += 1
+        memo[(j, x)] = tuple(acc) if acc[-1] else ()
+    return memo[(j, x)]
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
+def test_every_level_is_the_prefix_count(family, rank):
+    # P_j over the first j roots, including the closed-form levels j <= rank
+    # where some coordinates are still uncovered.
+    rs = build(family, rank)
+    table = PartitionTable(rs)
+    roots = rs.positive_root_coords
+    max_h = 5
+    cone = [x for x in itertools.product(range(max_h + 1), repeat=rank)
+            if sum(x) <= max_h]
+    for j in range(len(roots) + 1):
+        counts = {}
+        for n in range(max_h + 1):
+            for combo in itertools.combinations_with_replacement(roots[:j], n):
+                total = tuple(map(sum, zip(*combo))) if combo else (0,) * rank
+                counts[total, n] = counts.get((total, n), 0) + 1
+        for x in cone:
+            coeffs = [counts.get((x, n), 0) for n in range(sum(x) + 1)]
+            assert list(table._poly(j, x)) == (coeffs if any(coeffs) else []), (j, x)
+
+
+def test_long_chain_keeps_the_stack_flat():
+    # P(1200 alpha_1 + 1200 alpha_2): c copies of alpha_1 + alpha_2 and
+    # 1200 - c of each simple root, so q^(2400 - c) for c = 0..1200.  The
+    # alpha_1 + alpha_2 chain through it is longer than the recursion limit.
+    assert sys.getrecursionlimit() < 1200
+    table = PartitionTable(build("A", 2))
+    assert table.poly((1200, 1200)) == (0,) * 1200 + (1,) * 1201
+
+
+@pytest.mark.parametrize("family,rank", [("E", 6), ("F", 4)])
+def test_poly_matches_the_sum_over_multiplicities(family, rank):
+    rs = build(family, rank)
+    table = PartitionTable(rs)
+    memo = {}
+    args = {arg for mu in ((0,) * rank, rs.theta_short)
+            for _, arg in dot_terms(rs, rs.theta_long, mu)}
+    assert len(args) > 20
+    for x in sorted(args):
+        assert table.poly(x) == reference_poly(rs.positive_root_coords,
+                                               len(rs.positive_root_coords), x, memo), x
+
+
+def test_closed_form_levels_are_not_memoized():
+    rs = build("E", 7)
+    table = PartitionTable(rs)
+    GradedCalculator(rs, table=table).subregular_series(rs.theta_long)
+    filled = [j for j, level in table._memo.items() if level]
+    assert filled and min(filled) > rs.rank
 
 
 def test_a1_counts_are_delta():

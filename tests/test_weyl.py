@@ -5,7 +5,6 @@ import itertools
 import pytest
 
 from nilcone import (
-    WeylCapExceededError,
     build,
     dot_action,
     dot_terms,
@@ -14,6 +13,7 @@ from nilcone import (
     reflection_length_theta,
     shift_constant,
 )
+from nilcone.errors import WeylCapExceededError
 from nilcone.rootsys import vadd, vsub, weyl_group_order
 from nilcone.weyl import det_int, inversion_count
 
