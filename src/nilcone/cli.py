@@ -133,7 +133,9 @@ def make_calculator(rs, cache_dir) -> GradedCalculator:
 
 
 def persist_tables(calc: GradedCalculator, cache_dir) -> None:
-    if cache_dir is not None:
+    """Save the partition table if it holds values its file lacks or the
+    file it was loaded from was stale."""
+    if cache_dir is not None and calc.table.unsaved:
         calc.table.save(partition.cache_path(calc.rs.id, cache_dir))
 
 
@@ -197,8 +199,9 @@ def kconst(family, rank, all_types, check, fmt):
               help="All dominant weights dominance-below SWEEP * highest root.")
 @click.option("--max-degree", type=click.IntRange(min=0), default=None,
               help="Truncate reported degrees.")
-@click.option("--jobs", type=int, default=1, show_default=True,
-              help="Worker processes for sweeps.")
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
+              help="Worker processes for sweeps (at most one per weight "
+                   "and per CPU).")
 @click.option("--check", is_flag=True,
               help="Re-verify the total against the weight-multiplicity identity.")
 @_cache_dir_option

@@ -21,7 +21,7 @@ every table header.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import os
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
@@ -287,9 +287,10 @@ def a2_tilting_euler(rs: RootSystem, lam) -> int:
 #
 # Sweeps are embarrassingly parallel over lam.  Workers rebuild their own
 # calculator (a root system and an empty partition table) and return
-# plain tuples; the
-# parent assembles results in the deterministic sweep order regardless of
-# completion order.
+# plain tuples; the parent assembles results in the deterministic sweep
+# order regardless of completion order.  The process pool is imported only
+# when one is started, so a serial command never loads multiprocessing,
+# pickle, socket and the rest of their dependencies.
 
 _worker_calc: GradedCalculator | None = None
 _worker_key: tuple | None = None
@@ -315,14 +316,19 @@ def parallel_series(
 ) -> list[tuple[Weight, dict[int, int]]]:
     """Series for many weights, optionally across processes.
 
-    Output order always follows the input order; jobs <= 1 stays in
-    process.
+    Output order always follows the input order.  The pool gets
+    min(jobs, number of weights, CPU count) workers, since a fork-started
+    pool launches every worker up front; when that is one, the sweep stays
+    in process.
     """
     lams = [tuple(l) for l in lams]
-    if jobs <= 1 or len(lams) <= 1:
+    workers = min(jobs, len(lams), os.cpu_count() or 1)
+    if workers <= 1:
         return [(lam, calc.series(variety, lam)) for lam in lams]
+    from concurrent.futures import ProcessPoolExecutor
+
     rs = calc.rs
     args = [(rs.family, rs.rank, Variety(variety).value, lam) for lam in lams]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         results = dict(pool.map(_series_job, args))
     return [(lam, dict(results[lam])) for lam in lams]

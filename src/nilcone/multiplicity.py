@@ -8,8 +8,6 @@ test suite enforces this on full weight saturations.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import partition
 from .errors import InternalInconsistencyError, NonDominantWeightError
 from .rootsys import RootSystem, Weight, vadd, vscale, vsub
@@ -119,13 +117,16 @@ def kostant_mult(
 
 def weyl_dim(rs: RootSystem, lam) -> int:
     """Dimension of L(lam): product over positive roots of
-    (lam + rho, alpha) / (rho, alpha), evaluated exactly."""
+    (lam + rho, alpha) / (rho, alpha), evaluated exactly as one integer
+    product divided by another."""
     lam = tuple(lam)
     if not rs.is_dominant(lam):
         raise NonDominantWeightError(lam)
     shifted = vadd(lam, rs.rho)
-    result = Fraction(1)
+    num = den = 1
     for r_alpha in rs.positive_root_coords:
-        result *= Fraction(rs.inner(shifted, r_alpha), rs.inner(rs.rho, r_alpha))
-    assert result.denominator == 1 and result > 0
-    return int(result)
+        num *= rs.inner(shifted, r_alpha)
+        den *= rs.inner(rs.rho, r_alpha)
+    result, rem = divmod(num, den)
+    assert rem == 0 and result > 0
+    return result

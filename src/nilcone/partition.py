@@ -59,6 +59,9 @@ class PartitionTable:
         }
         # x -> P(x), the public values a cache file holds.
         self._values: dict[RootVector, tuple[int, ...]] = {}
+        # True when the table holds values its cache file lacks, or that
+        # file is stale; save() clears it.
+        self.unsaved = False
 
     def poly(self, x) -> tuple[int, ...]:
         """Coefficients (p(x, 0), ..., p(x, height x)) of P(x; q); empty
@@ -71,6 +74,7 @@ class PartitionTable:
             return hit
         value = self._poly(len(self._roots), x)
         self._values[x] = value
+        self.unsaved = True
         return value
 
     def p(self, x, n: int) -> int:
@@ -166,6 +170,7 @@ class PartitionTable:
         except BaseException:
             os.unlink(tmp)
             raise
+        self.unsaved = False
         return path
 
     def extend_from(self, path) -> int:
@@ -245,7 +250,8 @@ def load_table(rs: RootSystem, cache_dir) -> PartitionTable:
     """A table for rs, preloaded from the cache directory when present.
 
     A stale or unreadable cache file counts as a miss: a one-line warning
-    goes to stderr and the next save rewrites the file.
+    goes to stderr and the table is marked unsaved, so the next save
+    rewrites the file even if nothing new is computed.
     """
     table = PartitionTable(rs)
     path = cache_path(rs.id, cache_dir)
@@ -254,6 +260,7 @@ def load_table(rs: RootSystem, cache_dir) -> PartitionTable:
             table.extend_from(path)
         except StaleCacheError as exc:
             print(f"warning: {exc}; recomputing", file=sys.stderr)
+            table.unsaved = True
     return table
 
 

@@ -377,32 +377,35 @@ class RootSystem:
 
         These are exactly the dominant members of the root-lattice coset
         of lam under the dominance order, the sweep domain for graded
-        tables.  Sorted by (height, fw coords).
+        tables.  Sorted by (height, fw coords); empty when lam is off the
+        nonnegative root cone.
+
+        Every dominant weight below a dominant top is reached from it by
+        subtracting one positive root at a time without leaving the
+        dominant cone (Stembridge, Adv. Math. 136, 1998), so a
+        breadth-first search down from the dominant representative of lam
+        visits the domain at N steps per weight.  Every weight below lam
+        is below that representative, so filtering the search result by
+        the dominance order handles a non-dominant lam.
         """
-        top = self.to_root_basis(lam)
-        if any(x < 0 for x in top):
-            return ()
-        bounds = [int(x) for x in top]  # floor: dominant weights sit in the cone
-        found = []
-        offsets = [0] * self.rank
-
-        def rec(j):
-            if j == self.rank:
-                mu = tuple(
-                    lam[i]
-                    - sum(offsets[t] * self.cartan[t][i] for t in range(self.rank))
-                    for i in range(self.rank)
-                )
-                if all(c >= 0 for c in mu):
-                    found.append(mu)
-                return
-            for s in range(bounds[j] + 1):
-                offsets[j] = s
-                rec(j + 1)
-            offsets[j] = 0
-
-        rec(0)
-        return tuple(sorted(set(found), key=lambda m: (self.height(m), m)))
+        lam = tuple(lam)
+        top = self.dominant_representative(lam)
+        roots = [(a, sum(r)) for a, r in zip(self.positive_roots,
+                                             self.positive_root_coords)]
+        depth = {top: 0}  # mu -> height(top - mu)
+        frontier = [top]
+        while frontier:
+            nxt = []
+            for mu in frontier:
+                d = depth[mu]
+                for alpha, h in roots:
+                    nu = tuple(c - a for c, a in zip(mu, alpha))
+                    if nu not in depth and all(c >= 0 for c in nu):
+                        depth[nu] = d + h
+                        nxt.append(nu)
+            frontier = nxt
+        found = [mu for mu in depth if self.dominance_le(mu, lam)]
+        return tuple(sorted(found, key=lambda m: (-depth[m], m)))
 
     def dominant_up_to_height(self, max_height) -> tuple[Weight, ...]:
         """All dominant weights of height <= max_height, sorted."""

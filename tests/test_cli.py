@@ -1,6 +1,10 @@
 """CLI surface: commands, formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -115,6 +119,29 @@ def test_graded_sweep_jobs_deterministic(runner):
     two = runner.invoke(cli, args + ["--jobs", "2"])
     assert one.exit_code == two.exit_code == 0
     assert one.output == two.output
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_a_usage_error(runner, jobs):
+    result = runner.invoke(cli, [
+        "graded", "-f", "A", "-r", "2", "--variety", "nilcone",
+        "--sweep", "2", "--jobs", jobs,
+    ])
+    assert result.exit_code == EXIT_USAGE
+    assert f"{jobs} is not in the range x>=1" in result.output
+
+
+def test_import_loads_no_process_pool():
+    import nilcone
+
+    code = ("import sys, nilcone.cli; print(' '.join(m for m in "
+            "('multiprocessing', 'concurrent.futures', 'pickle', 'socket') "
+            "if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(Path(nilcone.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == []
 
 
 def test_graded_rejects_non_dominant(runner):
@@ -325,6 +352,20 @@ def test_graded_persists_and_reuses_caches(runner, tmp_path):
     assert "partition_B2.json" in listing.output
 
 
+def test_warm_run_leaves_the_cache_file_alone(runner, tmp_path):
+    args = ["graded", "-f", "A", "-r", "2", "--variety", "subregular",
+            "--sweep", "2", "--cache-dir", str(tmp_path)]
+    cold = runner.invoke(cli, args)
+    assert cold.exit_code == 0
+    path = tmp_path / "partition_A2.json"
+    before = path.stat()
+    warm = runner.invoke(cli, args)
+    assert warm.exit_code == 0 and warm.output == cold.output
+    after = path.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    assert [p.name for p in tmp_path.iterdir()] == ["partition_A2.json"]
+
+
 def _corrupt_schema(path):
     payload = json.loads(path.read_text())
     payload["schema_version"] += 1
@@ -380,6 +421,7 @@ def test_stale_partition_cache_is_a_miss(runner, tmp_path, corrupt):
     assert runner.invoke(cli, cached).exit_code == 0
     path = tmp_path / "partition_A2.json"
     corrupt(path)
+    stale_inode = path.stat().st_ino
 
     result = runner.invoke(cli, cached)
     assert result.exit_code == 0
@@ -387,6 +429,7 @@ def test_stale_partition_cache_is_a_miss(runner, tmp_path, corrupt):
     assert len(result.stderr.splitlines()) == 1
     assert result.stderr.startswith("warning: ")
     # the file was rewritten and now loads without a warning
+    assert path.stat().st_ino != stale_inode
     assert json.loads(path.read_text())["records"]
     again = runner.invoke(cli, cached)
     assert again.stdout == cold.stdout and again.stderr == ""

@@ -456,3 +456,49 @@ def test_parallel_series_matches_serial(calculators):
     parallel = parallel_series(calc, Variety.SUBREGULAR, lams, jobs=2)
     assert serial == parallel
     assert [lam for lam, _ in parallel] == lams
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs inline."""
+
+    started: list[int] = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable):
+        return map(fn, iterable)
+
+
+@pytest.mark.parametrize("jobs,cpus,expected", [
+    (1000, 3, [3]),    # capped by the CPU count
+    (1000, 64, [5]),   # capped by the number of weights
+    (2, 64, [2]),
+    (1000, 1, []),     # one worker: no pool at all
+    (1000, None, []),  # CPU count unknown counts as one
+])
+def test_parallel_series_caps_the_pool(calculators, monkeypatch, jobs, cpus,
+                                       expected):
+    import concurrent.futures
+    import os
+
+    from nilcone import graded
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    # also where a module-level import would have bound it, so no version
+    # of parallel_series can start a real pool of this size here
+    monkeypatch.setattr(graded, "ProcessPoolExecutor", _InlinePool, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_InlinePool, "started", [])
+    calc = calculators("A", 2)
+    lams = list(calc.sweep_domain(2))
+    assert len(lams) == 5
+    result = parallel_series(calc, Variety.NILCONE, lams, jobs=jobs)
+    assert _InlinePool.started == expected
+    assert result == parallel_series(calc, Variety.NILCONE, lams, jobs=1)

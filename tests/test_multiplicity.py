@@ -1,5 +1,7 @@
 """Weight multiplicities: Freudenthal vs Kostant, dimensions, saturations."""
 
+from fractions import Fraction
+
 import pytest
 
 from nilcone import (
@@ -65,6 +67,22 @@ def test_weyl_dim_other_types(systems):
     assert weyl_dim(systems("B", 2), (0, 1)) == 4   # spinor rep
     assert weyl_dim(systems("G", 2), (1, 0)) == 7
     assert weyl_dim(systems("G", 2), (0, 1)) == 14  # adjoint
+
+
+def fraction_weyl_dim(rs, lam):
+    """Reference: Weyl's product of (lam + rho, alpha) / (rho, alpha)."""
+    shifted = tuple(a + b for a, b in zip(lam, rs.rho))
+    result = Fraction(1)
+    for r_alpha in rs.positive_root_coords:
+        result *= Fraction(rs.inner(shifted, r_alpha), rs.inner(rs.rho, r_alpha))
+    return result
+
+
+@pytest.mark.parametrize("family,rank,sweep", [("G", 2, 8), ("F", 4, 3)])
+def test_weyl_dim_matches_the_fraction_product(systems, family, rank, sweep):
+    rs = systems(family, rank)
+    for lam in rs.dominant_below(tuple(sweep * c for c in rs.theta_long)):
+        assert weyl_dim(rs, lam) == fraction_weyl_dim(rs, lam), lam
 
 
 def test_w_invariance(systems):

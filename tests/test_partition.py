@@ -259,6 +259,27 @@ def test_cache_is_extendable(tmp_path):
     assert merged.height_cutoff() == 4
 
 
+def test_only_new_values_or_a_stale_file_need_saving(tmp_path):
+    rs = build("A", 2)
+    path = cache_path(rs.id, tmp_path)
+    table = PartitionTable(rs)
+    assert not table.unsaved
+    table.poly((1, 1))
+    assert table.unsaved
+    table.save(path)
+    assert not table.unsaved
+
+    warm = load_table(rs, tmp_path)
+    warm.poly((1, 1))
+    assert not warm.unsaved
+    warm.poly((2, 2))
+    assert warm.unsaved
+
+    path.write_text("[]")
+    stale = load_table(rs, tmp_path)
+    assert stale.unsaved  # rewritten even if the run computes nothing
+
+
 def test_cache_rejects_wrong_type(tmp_path):
     rs_a = build("A", 2)
     rs_b = build("B", 2)

@@ -1,5 +1,6 @@
 """Root system construction, conversions, and the type invariants."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,8 @@ from nilcone.rootsys import (
     positive_root_count,
     vadd,
     vneg,
+    vscale,
+    vsub,
 )
 
 ALL_TYPES = (
@@ -192,6 +195,60 @@ def test_dominant_below_a2():
     assert (3, 0) in below and (0, 3) in below and (1, 1) in below
     for mu in below:
         assert rs.dominance_le(mu, (3, 3))
+
+
+def box_dominant_below(rs, lam):
+    """Reference for dominant_below: every offset of root coordinates up to
+    the floor of lam's, kept when lam minus the offset is dominant."""
+    top = rs.to_root_basis(lam)
+    if any(x < 0 for x in top):
+        return ()
+    found = set()
+    for offsets in itertools.product(*(range(int(x) + 1) for x in top)):
+        mu = vsub(tuple(lam), rs.from_root_basis(offsets))
+        if rs.is_dominant(mu):
+            found.add(mu)
+    return tuple(sorted(found, key=lambda m: (rs.height(m), m)))
+
+
+# (family, rank, largest k of the k * theta_long tops)
+_SEARCH_CASES = [("A", 2, 4), ("A", 3, 3), ("A", 4, 2), ("B", 2, 4),
+                 ("B", 3, 3), ("C", 3, 3), ("D", 4, 2), ("G", 2, 24),
+                 ("F", 4, 2), ("E", 6, 2)]
+
+
+@pytest.mark.parametrize("family,rank,kmax", _SEARCH_CASES)
+def test_dominant_below_matches_the_box(family, rank, kmax):
+    rs = build(family, rank)
+    theta = rs.theta_long
+    lams = [vscale(k, theta) for k in range(kmax + 1)]
+    # non-dominant tops inside the cone, and tops off the cone
+    lams += [vsub(vscale(2, theta), a) for a in rs.simple_roots]
+    lams += [rs.simple_roots[0], vneg(theta), vneg(rs.simple_roots[-1])]
+    if rank <= 3:
+        lams += [tuple(c) for c in itertools.product(range(-1, 3), repeat=rank)]
+    for lam in lams:
+        assert rs.dominant_below(lam) == box_dominant_below(rs, lam), lam
+    assert rs.dominant_below(vneg(theta)) == ()
+
+
+def test_dominant_below_e7_two_theta():
+    rs = build("E", 7)
+    omega = [tuple(int(i == j) for j in range(7)) for i in range(7)]
+    assert rs.dominant_below(vscale(2, rs.theta_long)) == (
+        (0,) * 7, omega[0], omega[5], omega[2], vscale(2, omega[0]),
+    )
+
+
+def test_dominant_below_e8_three_theta():
+    # the box of root offsets below 3 theta has about 2.5 * 10^8 points
+    rs = build("E", 8)
+    top = vscale(3, rs.theta_long)
+    below = rs.dominant_below(top)
+    assert len(below) == 10 and len(set(below)) == 10
+    assert below[0] == (0,) * 8 and below[-1] == top
+    for mu in below:
+        assert rs.is_dominant(mu) and rs.dominance_le(mu, top)
 
 
 def test_dominant_up_to_height():
