@@ -5,7 +5,8 @@ with another root ordering, or disagreeing with values already held),
 2 usage error, 4 invariant violation (including --check failures).  A
 partition cache that is unreadable, from another schema version, or whose
 records fail their digest or shape check is not an error: it is ignored
-with a warning on stderr and rewritten.
+with a warning on stderr and rewritten.  Neither is a cache file that
+cannot be written: the run warns on stderr, prints its results and exits 0.
 
 Output formats: human tables (default), versioned JSON, CSV.  JSON and
 CSV output is byte-deterministic for identical inputs.
@@ -134,9 +135,16 @@ def make_calculator(rs, cache_dir) -> GradedCalculator:
 
 def persist_tables(calc: GradedCalculator, cache_dir) -> None:
     """Save the partition table if it holds values its file lacks or the
-    file it was loaded from was stale."""
+    file it was loaded from was stale.  The cache only saves work, so a
+    file that cannot be written is a warning: the run still prints its
+    results and exits 0."""
     if cache_dir is not None and calc.table.unsaved:
-        calc.table.save(partition.cache_path(calc.rs.id, cache_dir))
+        path = partition.cache_path(calc.rs.id, cache_dir)
+        try:
+            calc.table.save(path)
+        except OSError as exc:
+            click.echo(f"warning: cannot write partition cache {path}: {exc}",
+                       err=True)
 
 
 @click.group()
@@ -495,7 +503,10 @@ def cache_clear(cache_dir):
     directory = partition.default_cache_dir() if cache_dir is None else Path(cache_dir)
     removed = 0
     if directory.is_dir():
-        for f in directory.glob("partition_*.json"):
+        for f in sorted(directory.glob("partition_*.json")):
+            if not f.is_file():
+                click.echo(f"warning: skipping {f}: not a regular file", err=True)
+                continue
             f.unlink()
             removed += 1
     click.echo(f"removed {removed} cache file(s) from {directory}")

@@ -128,15 +128,15 @@ class GradedCalculator:
     # -- the common alternating kernel ------------------------------------
 
     def _euler_profile(self, lam, mu) -> dict[int, int]:
-        """{n: q^n coefficient of E(lam, mu; q)}, zeros dropped."""
-        acc: list[int] = []
-        for sign, arg in dot_terms(self.rs, lam, mu):
-            coeffs = self.table.poly(arg)
-            if len(acc) < len(coeffs):
-                acc.extend([0] * (len(coeffs) - len(acc)))
-            for n, c in enumerate(coeffs):
-                acc[n] += sign * c
-        return {n: v for n, v in enumerate(acc) if v}
+        """{n: q^n coefficient of E(lam, mu; q)}, zeros dropped.
+
+        One add per term: ``PartitionTable.signed_sum`` adds or subtracts
+        each P(w.lam - mu; 2^B) into one int and unpacks it once in
+        balanced base 2^B, so a negative coefficient comes back negative
+        for the checks of the series methods.  The dot orbit's arguments
+        are distinct, so B needs no room for the number of terms.
+        """
+        return self.table.signed_sum(dot_terms(self.rs, lam, mu))
 
     # -- named multiplicities ----------------------------------------------
 
@@ -197,7 +197,14 @@ class GradedCalculator:
 
     def sweep_domain(self, sweep: int) -> tuple[Weight, ...]:
         """Dominant weights dominance-below sweep * theta_long."""
-        return self.rs.dominant_below(vscale(sweep, self.rs.theta_long))
+        return self._domain(vscale(sweep, self.rs.theta_long))
+
+    def _domain(self, top) -> tuple[Weight, ...]:
+        """Dominant weights dominance-below top, with the partition table
+        sized for all of them up front: every argument of their profiles
+        is at most as tall as top, so their values share one width."""
+        self.table.reserve(sum(self.rs.root_coords_int(top)))
+        return self.rs.dominant_below(top)
 
     def cohomology_table(
         self, kind: ModuleKind, sweep: int, max_i: int
@@ -259,7 +266,7 @@ class GradedCalculator:
         """
         variety = Variety(variety)
         coeffs = [0] * (max_degree + 1)
-        for lam in self.rs.dominant_below(vscale(max_degree, self.rs.theta_long)):
+        for lam in self._domain(vscale(max_degree, self.rs.theta_long)):
             dim = weyl_dim(self.rs, lam)
             for n, c in self.series(variety, lam).items():
                 if n <= max_degree:
@@ -306,9 +313,18 @@ def _calculator_for(family: str, rank: int) -> GradedCalculator:
 
 
 def _series_job(args):
-    family, rank, variety, lam = args
+    family, rank, variety, lam, height = args
     calc = _calculator_for(family, rank)
+    calc.table.reserve(height)
     return lam, sorted(calc.series(Variety(variety), lam).items())
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else the machine's CPU count (unknown counts as one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def parallel_series(
@@ -317,18 +333,20 @@ def parallel_series(
     """Series for many weights, optionally across processes.
 
     Output order always follows the input order.  The pool gets
-    min(jobs, number of weights, CPU count) workers, since a fork-started
+    min(jobs, number of weights, usable CPUs) workers, since a fork-started
     pool launches every worker up front; when that is one, the sweep stays
-    in process.
+    in process.  Each worker sizes its table for the tallest weight, so
+    its values share one width.
     """
     lams = [tuple(l) for l in lams]
-    workers = min(jobs, len(lams), os.cpu_count() or 1)
+    workers = min(jobs, len(lams), _usable_cpus())
     if workers <= 1:
         return [(lam, calc.series(variety, lam)) for lam in lams]
     from concurrent.futures import ProcessPoolExecutor
 
     rs = calc.rs
-    args = [(rs.family, rs.rank, Variety(variety).value, lam) for lam in lams]
+    height = max(int(rs.height(lam)) for lam in lams)
+    args = [(rs.family, rs.rank, Variety(variety).value, lam, height) for lam in lams]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         results = dict(pool.map(_series_job, args))
     return [(lam, dict(results[lam])) for lam in lams]

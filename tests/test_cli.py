@@ -435,6 +435,45 @@ def test_stale_partition_cache_is_a_miss(runner, tmp_path, corrupt):
     assert again.stdout == cold.stdout and again.stderr == ""
 
 
+def _directory_at_the_cache_file(tmp_path):
+    (tmp_path / "partition_A2.json").mkdir()
+    return tmp_path
+
+
+def _regular_file_as_cache_dir(tmp_path):
+    path = tmp_path / "not-a-dir"
+    path.write_text("")
+    return path
+
+
+@pytest.mark.parametrize("cache_dir,warnings", [
+    (_directory_at_the_cache_file, 2),  # unreadable, then unwritable
+    (_regular_file_as_cache_dir, 1),
+], ids=["directory-at-file", "file-as-dir"])
+def test_unwritable_cache_warns_and_still_prints(runner, tmp_path, cache_dir,
+                                                 warnings):
+    args = ["graded", "-f", "A", "-r", "2", "--variety", "subregular",
+            "--sweep", "2", "--check"]
+    plain = runner.invoke(cli, args)
+    result = runner.invoke(cli, args + ["--cache-dir", str(cache_dir(tmp_path))])
+    assert result.exit_code == 0, result.output
+    assert result.stdout == plain.stdout
+    lines = result.stderr.splitlines()
+    assert len(lines) == warnings and all(l.startswith("warning: ") for l in lines)
+    assert "cannot write partition cache" in lines[-1]
+    assert not [p for p in tmp_path.rglob("*.tmp")]
+
+
+def test_cache_clear_skips_what_is_not_a_file(runner, tmp_path):
+    (tmp_path / "partition_A2.json").mkdir()
+    (tmp_path / "partition_B2.json").write_text("{}")
+    result = runner.invoke(cli, ["cache", "clear", "--cache-dir", str(tmp_path)])
+    assert result.exit_code == 0
+    assert result.stdout == f"removed 1 cache file(s) from {tmp_path}\n"
+    assert result.stderr.startswith("warning: skipping ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["partition_A2.json"]
+
+
 def test_partition_cache_for_another_type_exits_1(runner, tmp_path):
     args = ["graded", "-f", "B", "-r", "2", "--variety", "nilcone",
             "--lambda", "0,2", "--cache-dir", str(tmp_path)]

@@ -447,6 +447,23 @@ def test_internal_negativity_is_a_hard_error(calculators, monkeypatch):
         calc.induced_series((1, 1))
 
 
+def test_negative_coefficient_from_the_packed_kernel_is_a_hard_error(
+        calculators, monkeypatch):
+    from nilcone import InternalInconsistencyError, PartitionTable, build, graded
+
+    # P(0) - P(theta) = 1 - q - q^2 in A2: the kernel must hand the series
+    # methods negative coefficients, not their residues mod 2^B.
+    monkeypatch.setattr(graded, "dot_terms",
+                        lambda rs, lam, mu: [(1, (0, 0)), (-1, (1, 1))])
+    rs = build("A", 2)
+    calc = graded.GradedCalculator(rs, table=PartitionTable(rs))
+    assert calc._euler_profile((1, 1), (0, 0)) == {0: 1, 1: -1, 2: -1}
+    with pytest.raises(InternalInconsistencyError, match="= -1 < 0"):
+        calc.nilcone_series((1, 1))
+    with pytest.raises(InternalInconsistencyError, match="= -1 < 0"):
+        calc.induced_series((1, 1))
+
+
 # -- parallel sweeps -----------------------------------------------------------------
 
 def test_parallel_series_matches_serial(calculators):
@@ -477,11 +494,11 @@ class _InlinePool:
 
 
 @pytest.mark.parametrize("jobs,cpus,expected", [
-    (1000, 3, [3]),    # capped by the CPU count
+    (1000, 3, [3]),    # capped by the usable CPUs
     (1000, 64, [5]),   # capped by the number of weights
     (2, 64, [2]),
-    (1000, 1, []),     # one worker: no pool at all
-    (1000, None, []),  # CPU count unknown counts as one
+    (1000, 1, []),     # one usable CPU of 64: no pool at all
+    (1000, None, []),  # no affinity call and CPU count unknown: one
 ])
 def test_parallel_series_caps_the_pool(calculators, monkeypatch, jobs, cpus,
                                        expected):
@@ -494,7 +511,14 @@ def test_parallel_series_caps_the_pool(calculators, monkeypatch, jobs, cpus,
     # also where a module-level import would have bound it, so no version
     # of parallel_series can start a real pool of this size here
     monkeypatch.setattr(graded, "ProcessPoolExecutor", _InlinePool, raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+    else:
+        # The affinity mask allows `cpus` of the machine's 64.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
     monkeypatch.setattr(_InlinePool, "started", [])
     calc = calculators("A", 2)
     lams = list(calc.sweep_domain(2))
@@ -502,3 +526,16 @@ def test_parallel_series_caps_the_pool(calculators, monkeypatch, jobs, cpus,
     result = parallel_series(calc, Variety.NILCONE, lams, jobs=jobs)
     assert _InlinePool.started == expected
     assert result == parallel_series(calc, Variety.NILCONE, lams, jobs=1)
+
+
+def test_parallel_series_falls_back_to_the_cpu_count(calculators, monkeypatch):
+    import concurrent.futures
+    import os
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(_InlinePool, "started", [])
+    calc = calculators("A", 2)
+    parallel_series(calc, Variety.NILCONE, list(calc.sweep_domain(2)), jobs=1000)
+    assert _InlinePool.started == [3]

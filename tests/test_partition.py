@@ -18,10 +18,12 @@ from nilcone import (
 )
 from nilcone.partition import (
     PARTITION_CACHE_SCHEMA,
+    _coefficient_bound,
     cache_path,
     load_table,
     records_digest,
 )
+from tuple_dp import TupleDP
 
 
 def brute_force_counts(rs, n):
@@ -139,14 +141,21 @@ def reference_poly(roots, j, x, memo):
     return memo[(j, x)]
 
 
+def packed_level(packing, j, x):
+    """P_j(x) from the packed DP as a coefficient list, [] when it is 0."""
+    h = sum(x)
+    value = packing.poly(j, packing.key(x), h)
+    return list(packing.unpack(value, h)) if value else []
+
+
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
 def test_every_level_is_the_prefix_count(family, rank):
     # P_j over the first j roots, including the closed-form levels j <= rank
     # where some coordinates are still uncovered.
     rs = build(family, rank)
-    table = PartitionTable(rs)
     roots = rs.positive_root_coords
     max_h = 5
+    packing = PartitionTable(rs).reserve(max_h)
     cone = [x for x in itertools.product(range(max_h + 1), repeat=rank)
             if sum(x) <= max_h]
     for j in range(len(roots) + 1):
@@ -157,7 +166,7 @@ def test_every_level_is_the_prefix_count(family, rank):
                 counts[total, n] = counts.get((total, n), 0) + 1
         for x in cone:
             coeffs = [counts.get((x, n), 0) for n in range(sum(x) + 1)]
-            assert list(table._poly(j, x)) == (coeffs if any(coeffs) else []), (j, x)
+            assert packed_level(packing, j, x) == (coeffs if any(coeffs) else []), (j, x)
 
 
 def test_long_chain_keeps_the_stack_flat():
@@ -186,8 +195,142 @@ def test_closed_form_levels_are_not_memoized():
     rs = build("E", 7)
     table = PartitionTable(rs)
     GradedCalculator(rs, table=table).subregular_series(rs.theta_long)
-    filled = [j for j, level in table._memo.items() if level]
+    filled = [j for j, level in table._packing.memo.items() if level]
     assert filled and min(filled) > rs.rank
+
+
+def multiset_counts(roots, x):
+    """{(j, n): number of n-multisets of the first j roots summing to x}.
+
+    Enumerates every multiset explicitly, as a sequence of root indices
+    that never increases, so the first index chosen is the largest one
+    used; no memo and no recurrence are shared with either DP.
+    """
+    by_top = {}
+
+    def walk(rest, limit, n, top):
+        if not any(rest):
+            by_top[top, n] = by_top.get((top, n), 0) + 1
+            return
+        for i in range(limit + 1):
+            y = tuple(a - b for a, b in zip(rest, roots[i]))
+            if min(y) >= 0:
+                walk(y, i, n + 1, top or i + 1)
+
+    walk(tuple(x), len(roots) - 1, 0, 0)
+    return {(j, n): sum(c for (top, m), c in by_top.items() if m == n and top <= j)
+            for j in range(len(roots) + 1) for n in range(sum(x) + 1)}
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4),
+                                         ("F", 4), ("E", 6)])
+def test_packed_levels_match_the_tuple_dp_and_brute_force(family, rank):
+    # Every argument of the adjoint and --sweep 1 profiles, at every level j.
+    rs = build(family, rank)
+    roots = rs.positive_root_coords
+    table = PartitionTable(rs)
+    calc = GradedCalculator(rs, table=table)
+    lams = calc.sweep_domain(1)
+    assert rs.theta_long in lams
+    targets = sorted({x for lam in lams for mu in ((0,) * rank, rs.theta_short)
+                      for _, x in dot_terms(rs, lam, mu)})
+    assert len(targets) >= 3
+    packing = table._packing
+    reference = TupleDP(rs)
+    for x in targets:
+        counts = multiset_counts(roots, x)
+        for j in range(len(roots) + 1):
+            coeffs = [counts[j, n] for n in range(sum(x) + 1)]
+            expected = coeffs if any(coeffs) else []
+            assert list(reference.poly(j, x)) == expected, (j, x)
+            assert packed_level(packing, j, x) == expected, (j, x)
+    assert table._packing is packing  # sized once, by sweep_domain
+
+
+@pytest.mark.parametrize("family,rank,sweep", [("G", 2, 24), ("F", 4, 3), ("E", 7, 1)])
+def test_width_covers_every_coefficient_reached(family, rank, sweep):
+    rs = build(family, rank)
+    table = PartitionTable(rs)
+    calc = GradedCalculator(rs, table=table)
+    lams = calc.sweep_domain(sweep)
+    packing = table._packing
+    n_roots = len(rs.positive_root_coords)
+    height = sweep * sum(rs.theta_long_coords)
+    assert packing.height == height
+    # never wider than the bound by the number of roots alone
+    assert packing.bits <= math.comb(n_roots + height - 1, height).bit_length() + 1
+    profiles = [calc._euler_profile(lam, mu) for lam in lams
+                for mu in ((0,) * rank, rs.theta_short)]
+    assert table._packing is packing  # one width for the whole sweep
+    largest_e = max(abs(v) for profile in profiles for v in profile.values())
+    largest_p = max(max(packing.unpack(v, height))
+                    for v in packing.memo[n_roots].values())
+    assert 0 < largest_e <= packing.bound < 2 ** (packing.bits - 1)
+    assert 0 < largest_p <= packing.bound
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("G", 2), ("A", 3), ("B", 3)])
+def test_coefficient_bound_counts_multisets(family, rank):
+    # The smaller of C(N + H - 1, H) and the number of root multisets of
+    # total height <= H, the latter by enumerating the multisets.
+    rs = build(family, rank)
+    roots = rs.positive_root_coords
+    for height in range(7):
+        low = sum(1 for n in range(height + 1)
+                  for combo in itertools.combinations_with_replacement(roots, n)
+                  if sum(map(sum, combo)) <= height)
+        expected = min(math.comb(len(roots) + height - 1, height), low)
+        assert _coefficient_bound([sum(r) for r in roots], height) == expected, height
+
+
+@pytest.mark.parametrize("family,rank,height", [("A", 2, 3), ("G", 2, 120),
+                                                ("F", 4, 33), ("E", 7, 17)])
+def test_balanced_unpack_round_trips_the_extremes(family, rank, height):
+    # The largest coefficient the width allows and the bound it was sized
+    # from, with both signs; a width without its sign bit fails on the bound.
+    rs = build(family, rank)
+    packing = PartitionTable(rs).reserve(height)
+    top = 2 ** (packing.bits - 1) - 1
+    bound = packing.bound
+    assert 0 < bound <= math.comb(len(rs.positive_root_coords) + height - 1, height)
+    coeffs = [(top, -bound, bound, -top)[n % 4] for n in range(height + 1)]
+    total = sum(c << (packing.bits * n) for n, c in enumerate(coeffs))
+    assert packing.balanced(total, height) == dict(enumerate(coeffs))
+    assert packing.balanced(-total, height) == {n: -c for n, c in enumerate(coeffs)}
+
+
+def test_taller_argument_widens_the_fields():
+    # P(a alpha_1 + b alpha_2) in A2 is sum_{c <= min(a, b)} q^(a + b - c).
+    table = PartitionTable(build("A", 2))
+    assert table.poly((2, 1)) == (0, 0, 1, 1)
+    narrow = table._packing
+    assert 300 >= 2 ** (narrow.shifts[1] - 1)  # would overflow its field
+    assert table.poly((300, 1)) == (0,) * 300 + (1, 1)
+    assert table._packing.shifts[1] > narrow.shifts[1]
+    assert table.poly((1, 300)) == (0,) * 300 + (1, 1)
+    assert table.poly((2, 2)) == (0, 0, 1, 1, 1)
+
+
+def test_field_widens_even_when_the_value_width_does_not():
+    # C(N + H - 1, H) for A2 is 10 at H = 3 and 15 at H = 4: the same value
+    # width, but a coordinate of 4 needs a third bit below its guard.
+    table = PartitionTable(build("A", 2))
+    narrow = table.reserve(3)
+    assert table.poly((4, 0)) == (0, 0, 0, 0, 1)
+    assert table.poly((2, 2)) == (0, 0, 1, 1, 1)
+    assert table._packing.bits == narrow.bits
+    assert table._packing.shifts[1] > narrow.shifts[1]
+
+
+def test_repeated_arguments_widen_the_sum():
+    # p((1, 1), n) is 1 for n = 1, 2; ten copies overflow a width sized
+    # for distinct arguments, which holds coefficients up to 7.
+    table = PartitionTable(build("A", 2))
+    table.reserve(2)
+    assert table._packing.bits == 4
+    assert table.signed_sum([(1, (1, 1))] * 10) == {1: 10, 2: 10}
+    assert table.signed_sum([(-1, (1, 1))] * 10 + [(1, (0, 0))]) == {0: 1, 1: -10, 2: -10}
+    assert table._packing.bits > 4
 
 
 def test_a1_counts_are_delta():
