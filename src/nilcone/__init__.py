@@ -5,9 +5,9 @@ each irreducible module L(lambda) in every graded piece of the functions
 on the nilpotent cone and on the closure of the subregular nilpotent
 orbit, together with the root system, partition function and weight
 multiplicity machinery this requires.  Every alternating Weyl sum runs
-over the terms of one pruned dot-orbit walk (``dot_terms``), so no
-computation enumerates the Weyl group and all types through E_8 are
-reachable; ``enumerate_group`` is kept as an independent oracle.
+over the terms of one pruned dot-orbit walk (``dot_terms``) and is summed
+by one kernel (``PartitionTable.signed_sum``), so no computation
+enumerates the Weyl group and all types through E_8 are reachable.
 """
 
 __version__ = "0.1.0"
@@ -35,13 +35,10 @@ from .multiplicity import (
     kostant_mult,
     weyl_dim,
 )
-from .partition import PartitionTable, big_p, p, table_for
+from .partition import PartitionTable, table_for
 from .rootsys import RootSystem, RootSystemId, build
 from .weyl import (
-    WeylElement,
-    dot_action,
     dot_terms,
-    enumerate_group,
     euler_induced,
     reflection_length_theta,
     shift_constant,
@@ -63,18 +60,13 @@ __all__ = [
     "StaleCacheError",
     "Variety",
     "WeightMultiplicities",
-    "WeylElement",
     "WrongRootSystemError",
     "a2_tilting_euler",
-    "big_p",
     "build",
-    "dot_action",
     "dot_terms",
-    "enumerate_group",
     "euler_induced",
     "freudenthal_mult",
     "kostant_mult",
-    "p",
     "reflection_length_theta",
     "shift_constant",
     "table_for",

@@ -38,7 +38,6 @@ from .graded import (
     ModuleKind,
     Variety,
     a2_tilting_euler,
-    parallel_series,
 )
 from .multiplicity import WeightMultiplicities, kostant_mult
 
@@ -207,16 +206,13 @@ def kconst(family, rank, all_types, check, fmt):
               help="All dominant weights dominance-below SWEEP * highest root.")
 @click.option("--max-degree", type=click.IntRange(min=0), default=None,
               help="Truncate reported degrees.")
-@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
-              help="Worker processes for sweeps (at most one per weight "
-                   "and per CPU).")
 @click.option("--check", is_flag=True,
               help="Re-verify the total against the weight-multiplicity identity.")
 @_cache_dir_option
 @_format_option
 @handle_errors
-def graded(family, rank, variety, lam_text, sweep, max_degree, jobs, check,
-           cache_dir, fmt):
+def graded(family, rank, variety, lam_text, sweep, max_degree, check, cache_dir,
+           fmt):
     """Graded multiplicities of one coordinate ring.
 
     nilcone: degree-n multiplicity of L(lambda) in the functions on the
@@ -238,7 +234,7 @@ def graded(family, rank, variety, lam_text, sweep, max_degree, jobs, check,
     else:
         lams = list(calc.sweep_domain(sweep))
 
-    results = parallel_series(calc, variety, lams, jobs=jobs)
+    results = [(lam, calc.series(variety, lam)) for lam in lams]
     persist_tables(calc, cache_dir)
 
     entries = []

@@ -16,20 +16,6 @@ class InadmissibleTypeError(NilconeError, ValueError):
         super().__init__(f"no irreducible root system of type {family}_{rank}")
 
 
-class WeylCapExceededError(NilconeError):
-    """Weyl group enumeration refused: the group order exceeds the cap."""
-
-    def __init__(self, family: str, rank: int, cap: int, reached: int):
-        self.family = family
-        self.rank = rank
-        self.cap = cap
-        self.reached = reached
-        super().__init__(
-            f"Weyl group of {family}_{rank} exceeds cap {cap} "
-            f"(count reached: {reached})"
-        )
-
-
 class NonDominantWeightError(NilconeError, ValueError):
     """An operation requiring a dominant highest weight got a non-dominant one."""
 

@@ -17,11 +17,14 @@ theorem, so a negative value is reported as a hard error, never clamped.
 Degrees are polynomial degrees throughout; cohomological degree 2n (even
 parts) or 2n - 1 (odd parts) is presentation only and is spelled out in
 every table header.
+
+A sweep is a serial loop of ``series`` calls on one calculator, so every
+partition value it computes lands in the one table that a cache file
+persists.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
@@ -33,7 +36,7 @@ from .errors import (
     WrongRootSystemError,
 )
 from .multiplicity import WeightMultiplicities, weyl_dim
-from .rootsys import RootSystem, Weight, build, vscale
+from .rootsys import RootSystem, Weight, vscale
 from .weyl import dot_terms, shift_constant
 
 DEGREE_CONVENTION = (
@@ -112,7 +115,9 @@ class GradedCalculator:
 
     Every query, one degree or a whole series, is read off one profile
     E(lam, mu; q) per (lam, mu).  All methods are pure given the immutable
-    inputs; one calculator can serve any number of queries and threads.
+    inputs; one calculator can serve any number of queries and threads,
+    and its table keeps every value they compute for the next query and
+    for the cache file.
     """
 
     def __init__(
@@ -289,64 +294,3 @@ def a2_tilting_euler(rs: RootSystem, lam) -> int:
     table = WeightMultiplicities(rs, lam)
     return table.at((0, 3)) + table.at((0, 0)) - 2 * table.at((1, 1))
 
-
-# -- parallel sweeps -----------------------------------------------------------
-#
-# Sweeps are embarrassingly parallel over lam.  Workers rebuild their own
-# calculator (a root system and an empty partition table) and return
-# plain tuples; the parent assembles results in the deterministic sweep
-# order regardless of completion order.  The process pool is imported only
-# when one is started, so a serial command never loads multiprocessing,
-# pickle, socket and the rest of their dependencies.
-
-_worker_calc: GradedCalculator | None = None
-_worker_key: tuple | None = None
-
-
-def _calculator_for(family: str, rank: int) -> GradedCalculator:
-    global _worker_calc, _worker_key
-    key = (family, rank)
-    if _worker_key != key:
-        _worker_calc = GradedCalculator(build(family, rank))
-        _worker_key = key
-    return _worker_calc
-
-
-def _series_job(args):
-    family, rank, variety, lam, height = args
-    calc = _calculator_for(family, rank)
-    calc.table.reserve(height)
-    return lam, sorted(calc.series(Variety(variety), lam).items())
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform
-    has one, else the machine's CPU count (unknown counts as one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def parallel_series(
-    calc: GradedCalculator, variety: Variety, lams, jobs: int = 1
-) -> list[tuple[Weight, dict[int, int]]]:
-    """Series for many weights, optionally across processes.
-
-    Output order always follows the input order.  The pool gets
-    min(jobs, number of weights, usable CPUs) workers, since a fork-started
-    pool launches every worker up front; when that is one, the sweep stays
-    in process.  Each worker sizes its table for the tallest weight, so
-    its values share one width.
-    """
-    lams = [tuple(l) for l in lams]
-    workers = min(jobs, len(lams), _usable_cpus())
-    if workers <= 1:
-        return [(lam, calc.series(variety, lam)) for lam in lams]
-    from concurrent.futures import ProcessPoolExecutor
-
-    rs = calc.rs
-    height = max(int(rs.height(lam)) for lam in lams)
-    args = [(rs.family, rs.rank, Variety(variety).value, lam, height) for lam in lams]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        results = dict(pool.map(_series_job, args))
-    return [(lam, dict(results[lam])) for lam in lams]

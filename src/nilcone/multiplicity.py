@@ -1,8 +1,9 @@
 """Weight multiplicities of irreducible highest-weight modules.
 
 Two independent routes are kept side by side: Freudenthal's recursion is
-the production path, the alternating Kostant sum over the dot-orbit terms
-is retained as a verification oracle.  They must agree everywhere; the
+the production path, the alternating Kostant sum over the dot-orbit terms,
+taken by the partition table's one signed-sum kernel, is retained as a
+verification oracle.  They must agree everywhere; the
 test suite enforces this on full weight saturations.
 """
 
@@ -98,16 +99,18 @@ def kostant_mult(
 ) -> int:
     """Multiplicity of mu in L(lam) as the alternating partition sum over W.
 
-    sum_w (-1)^w P(w.lam - mu), with P the ungraded partition count, over
-    the contributing w that ``weyl.dot_terms`` walks to.  Agreement with
-    freudenthal_mult is an invariant of the package.
+    sum_w (-1)^w P(w.lam - mu; 1), over the contributing w that
+    ``weyl.dot_terms`` walks to: the q = 1 value of the graded profile,
+    summed from the same ``PartitionTable.signed_sum`` kernel the graded
+    multiplicities use.  Agreement with freudenthal_mult is an invariant
+    of the package.
     """
     lam, mu = tuple(lam), tuple(mu)
     if not rs.is_dominant(lam):
         raise NonDominantWeightError(lam)
     if table is None:
         table = partition.table_for(rs)
-    total = sum(sign * table.big_p(arg) for sign, arg in dot_terms(rs, lam, mu))
+    total = sum(table.signed_sum(dot_terms(rs, lam, mu)).values())
     if total < 0:
         raise InternalInconsistencyError(
             f"Kostant sum for lam={lam}, mu={mu} is negative: {total}"

@@ -455,16 +455,6 @@ def table_for(rs: RootSystem) -> PartitionTable:
     return table
 
 
-def p(rs: RootSystem, x, n: int) -> int:
-    """Convenience wrapper over the shared table."""
-    return table_for(rs).p(x, n)
-
-
-def big_p(rs: RootSystem, x) -> int:
-    """Convenience wrapper over the shared table."""
-    return table_for(rs).big_p(x)
-
-
 def default_cache_dir() -> Path:
     """Cache directory, overridable with NILCONE_CACHE_DIR."""
     env = os.environ.get("NILCONE_CACHE_DIR")

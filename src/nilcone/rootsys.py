@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
 from .errors import InadmissibleTypeError
 
@@ -80,22 +79,6 @@ def coxeter_number(family: str, rank: int) -> int:
     if family == "F":
         return 12
     return 6  # G_2
-
-
-def weyl_group_order(family: str, rank: int) -> int:
-    """Classical order of the Weyl group for the type."""
-    l = rank
-    if family == "A":
-        return factorial(l + 1)
-    if family in ("B", "C"):
-        return 2**l * factorial(l)
-    if family == "D":
-        return 2 ** (l - 1) * factorial(l)
-    if family == "E":
-        return {6: 51840, 7: 2903040, 8: 696729600}[l]
-    if family == "F":
-        return 1152
-    return 12  # G_2
 
 
 # -- small exact vector helpers ---------------------------------------------
@@ -406,29 +389,6 @@ class RootSystem:
             frontier = nxt
         found = [mu for mu in depth if self.dominance_le(mu, lam)]
         return tuple(sorted(found, key=lambda m: (-depth[m], m)))
-
-    def dominant_up_to_height(self, max_height) -> tuple[Weight, ...]:
-        """All dominant weights of height <= max_height, sorted."""
-        fw_heights = [
-            self.height(tuple(int(i == j) for j in range(self.rank)))
-            for i in range(self.rank)
-        ]
-        found = []
-        coords = [0] * self.rank
-
-        def rec(j, budget):
-            if j == self.rank:
-                found.append(tuple(coords))
-                return
-            c = 0
-            while c * fw_heights[j] <= budget:
-                coords[j] = c
-                rec(j + 1, budget - c * fw_heights[j])
-                c += 1
-            coords[j] = 0
-
-        rec(0, Fraction(max_height))
-        return tuple(sorted(found, key=lambda m: (self.height(m), m)))
 
     # -- serialisation ----------------------------------------------------
 

@@ -1,6 +1,7 @@
 import pytest
 
-from nilcone import GradedCalculator, build, enumerate_group
+from nilcone import GradedCalculator, build
+from weyl_oracle import enumerate_group
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,7 @@ from nilcone import (
     euler_induced,
     weyl_dim,
 )
-from nilcone.graded import parallel_series
+from weyl_oracle import dominant_up_to_height
 
 
 def symmetric_power_oracle(rs, n):
@@ -85,7 +85,7 @@ def test_nilcone_a1_is_delta(calculators):
 def test_induced_vanishes_below_shift(calculators):
     for family, rank in [("A", 2), ("B", 2), ("G", 2)]:
         calc = calculators(family, rank)
-        for lam in calc.rs.dominant_up_to_height(4):
+        for lam in dominant_up_to_height(calc.rs, 4):
             for i in range(calc.k):
                 assert calc.induced_odd_mult(lam, i) == 0
 
@@ -145,7 +145,7 @@ def test_exact_sequence_decomposition_height_10(calculators, family, rank):
     # the weight multiplicity identities.
     calc = calculators(family, rank)
     rs = calc.rs
-    for lam in rs.dominant_up_to_height(10):
+    for lam in dominant_up_to_height(rs, 10):
         d = calc.nilcone_series(lam)
         a = calc.induced_series(lam)
         t = calc.subregular_series(lam)
@@ -162,7 +162,7 @@ def test_exact_sequence_decomposition_height_10(calculators, family, rank):
 def test_support_bound(calculators, family, rank):
     calc = calculators(family, rank)
     rs = calc.rs
-    for lam in rs.dominant_up_to_height(8):
+    for lam in dominant_up_to_height(rs, 8):
         h = rs.height(lam)
         for series in (calc.nilcone_series(lam), calc.subregular_series(lam)):
             for n in series:
@@ -394,7 +394,7 @@ def test_b2_c2_same_data_under_relabelling(calculators):
     calc_b = calculators("B", 2)
     calc_c = calculators("C", 2)
     assert calc_b.k == calc_c.k
-    for lam in calc_b.rs.dominant_up_to_height(8):
+    for lam in dominant_up_to_height(calc_b.rs, 8):
         swapped = (lam[1], lam[0])
         assert calc_b.subregular_series(lam) == calc_c.subregular_series(swapped)
         assert calc_b.nilcone_series(lam) == calc_c.nilcone_series(swapped)
@@ -404,7 +404,7 @@ def test_a3_d3_same_data_under_relabelling(calculators):
     calc_a = calculators("A", 3)
     calc_d = calculators("D", 3)
     assert calc_a.k == calc_d.k
-    for lam in calc_a.rs.dominant_up_to_height(6):
+    for lam in dominant_up_to_height(calc_a.rs, 6):
         relabelled = (lam[1], lam[0], lam[2])  # middle A_3 node is the D_3 fork
         assert calc_a.subregular_series(lam) == calc_d.subregular_series(relabelled)
 
@@ -463,79 +463,3 @@ def test_negative_coefficient_from_the_packed_kernel_is_a_hard_error(
     with pytest.raises(InternalInconsistencyError, match="= -1 < 0"):
         calc.induced_series((1, 1))
 
-
-# -- parallel sweeps -----------------------------------------------------------------
-
-def test_parallel_series_matches_serial(calculators):
-    calc = calculators("A", 2)
-    lams = list(calc.sweep_domain(2))
-    serial = parallel_series(calc, Variety.SUBREGULAR, lams, jobs=1)
-    parallel = parallel_series(calc, Variety.SUBREGULAR, lams, jobs=2)
-    assert serial == parallel
-    assert [lam for lam, _ in parallel] == lams
-
-
-class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records max_workers, runs inline."""
-
-    started: list[int] = []
-
-    def __init__(self, max_workers):
-        self.started.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, iterable):
-        return map(fn, iterable)
-
-
-@pytest.mark.parametrize("jobs,cpus,expected", [
-    (1000, 3, [3]),    # capped by the usable CPUs
-    (1000, 64, [5]),   # capped by the number of weights
-    (2, 64, [2]),
-    (1000, 1, []),     # one usable CPU of 64: no pool at all
-    (1000, None, []),  # no affinity call and CPU count unknown: one
-])
-def test_parallel_series_caps_the_pool(calculators, monkeypatch, jobs, cpus,
-                                       expected):
-    import concurrent.futures
-    import os
-
-    from nilcone import graded
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
-    # also where a module-level import would have bound it, so no version
-    # of parallel_series can start a real pool of this size here
-    monkeypatch.setattr(graded, "ProcessPoolExecutor", _InlinePool, raising=False)
-    if cpus is None:
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-    else:
-        # The affinity mask allows `cpus` of the machine's 64.
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                            raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    monkeypatch.setattr(_InlinePool, "started", [])
-    calc = calculators("A", 2)
-    lams = list(calc.sweep_domain(2))
-    assert len(lams) == 5
-    result = parallel_series(calc, Variety.NILCONE, lams, jobs=jobs)
-    assert _InlinePool.started == expected
-    assert result == parallel_series(calc, Variety.NILCONE, lams, jobs=1)
-
-
-def test_parallel_series_falls_back_to_the_cpu_count(calculators, monkeypatch):
-    import concurrent.futures
-    import os
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(_InlinePool, "started", [])
-    calc = calculators("A", 2)
-    parallel_series(calc, Variety.NILCONE, list(calc.sweep_domain(2)), jobs=1000)
-    assert _InlinePool.started == [3]

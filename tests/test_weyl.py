@@ -6,16 +6,20 @@ import pytest
 
 from nilcone import (
     build,
-    dot_action,
     dot_terms,
-    enumerate_group,
     euler_induced,
     reflection_length_theta,
     shift_constant,
 )
-from nilcone.errors import WeylCapExceededError
-from nilcone.rootsys import vadd, vsub, weyl_group_order
-from nilcone.weyl import det_int, inversion_count
+from nilcone.rootsys import vadd, vsub
+from weyl_oracle import (
+    WeylCapExceededError,
+    det_int,
+    dot_action,
+    enumerate_group,
+    inversion_count,
+    weyl_group_order,
+)
 
 
 def test_a1_two_elements(groups):
