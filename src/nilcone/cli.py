@@ -15,7 +15,6 @@ CSV output is byte-deterministic for identical inputs.
 from __future__ import annotations
 
 import functools
-import json
 import os
 import sys
 from pathlib import Path
@@ -93,6 +92,8 @@ def fmt_weight(w) -> str:
 
 
 def emit_json(payload: dict) -> None:
+    import json
+
     payload = {"schema_version": JSON_SCHEMA_VERSION, **payload}
     click.echo(json.dumps(payload, indent=2, sort_keys=True))
 
@@ -457,6 +458,8 @@ def hilbert(family, rank, variety, max_degree, cache_dir, fmt):
 @handle_errors
 def rootsystem(family, rank):
     """Root system datum in the documented JSON schema."""
+    import json
+
     rs = rootsys.build(family, rank)
     click.echo(json.dumps(rs.to_json_dict(), sort_keys=True))
 

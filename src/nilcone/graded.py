@@ -20,7 +20,8 @@ every table header.
 
 A sweep is a serial loop of ``series`` calls on one calculator, so every
 partition value it computes lands in the one table that a cache file
-persists.
+persists.  ``hilbert_series`` runs the same kernel but keeps each profile
+packed: a mask checks its signs and only the degrees it sums are read.
 """
 
 from __future__ import annotations
@@ -266,15 +267,40 @@ class GradedCalculator:
         """Dimension of each graded piece of the chosen coordinate ring.
 
         Coefficient n sums mult_n(lam) * dim L(lam) over dominant lam; as
-        d_n(lam) = 0 unless lam <= n * theta_long, one series per lam below
-        max_degree * theta_long covers every degree.
+        d_n(lam) = 0 unless lam <= n * theta_long, one profile per lam
+        below max_degree * theta_long covers every degree.
+
+        Each profile stays packed (``PartitionTable.packed_sum``): its
+        signs are checked with one mask per packed value, and only its
+        digits n <= max_degree are read.  The subregular profile is
+        D - q^k A with D = E(lam, 0; 2^B) and A = E(lam, theta_s; 2^B):
+        once D and A pass, every digit of D - (A << B k) lies in [-M, M],
+        so one more mask over k more fields checks t_n >= 0.  A lam that
+        fails a check is handed to ``series``, which raises the error the
+        per-weight path raises.
         """
         variety = Variety(variety)
+        rs, k, table = self.rs, self.k, self.table
+        zero = (0,) * rs.rank
         coeffs = [0] * (max_degree + 1)
-        for lam in self._domain(vscale(max_degree, self.rs.theta_long)):
-            dim = weyl_dim(self.rs, lam)
-            for n, c in self.series(variety, lam).items():
-                if n <= max_degree:
+        for lam in self._domain(vscale(max_degree, rs.theta_long)):
+            packing, value = table.packed_sum(dot_terms(rs, lam, zero))
+            bits, fields = packing.bits, packing.height + 1
+            ok = packing.nonnegative(value, fields)
+            if ok and variety == Variety.SUBREGULAR:
+                # Another thread may have widened the table in between;
+                # then other is a new packing and the check fails safe.
+                other, odd = table.packed_sum(dot_terms(rs, lam, rs.theta_short))
+                value -= odd << (bits * k)
+                ok = (other is packing and packing.nonnegative(odd, fields)
+                      and packing.nonnegative(value, fields + k))
+            if not ok:
+                value = sum(c << (bits * n) for n, c in self.series(variety, lam).items())
+            # Every digit is a plain base-2^bits digit now: keep n <= max_degree.
+            low = value & ((1 << (bits * (max_degree + 1))) - 1)
+            if low:
+                dim = weyl_dim(rs, lam)
+                for n, c in enumerate(packing.unpack(low, max_degree)):
                     coeffs[n] += c * dim
         return coeffs
 

@@ -9,6 +9,9 @@ test suite enforces this on full weight saturations.
 
 from __future__ import annotations
 
+from math import prod
+from operator import mul
+
 from . import partition
 from .errors import InternalInconsistencyError, NonDominantWeightError
 from .rootsys import RootSystem, Weight, vadd, vscale, vsub
@@ -121,15 +124,12 @@ def kostant_mult(
 def weyl_dim(rs: RootSystem, lam) -> int:
     """Dimension of L(lam): product over positive roots of
     (lam + rho, alpha) / (rho, alpha), evaluated exactly as one integer
-    product divided by another."""
+    product divided by another (the denominator fixed by ``build``)."""
     lam = tuple(lam)
     if not rs.is_dominant(lam):
         raise NonDominantWeightError(lam)
     shifted = vadd(lam, rs.rho)
-    num = den = 1
-    for r_alpha in rs.positive_root_coords:
-        num *= rs.inner(shifted, r_alpha)
-        den *= rs.inner(rs.rho, r_alpha)
-    result, rem = divmod(num, den)
+    num = prod(sum(map(mul, row, shifted)) for row in rs.pairing_rows)
+    result, rem = divmod(num, rs.rho_pairing_product)
     assert rem == 0 and result > 0
     return result

@@ -4,8 +4,9 @@
 p(x, n) the number of multisets of exactly n positive roots (repetitions
 allowed) summing to the root-lattice vector x; ``p`` reads one coefficient
 and ``big_p`` their sum.  Every alternating Weyl sum downstream is a signed
-sum of these polynomials, taken by ``signed_sum``; they are memoized and
-can be persisted.
+sum of these polynomials, taken by ``packed_sum`` as one int and read by
+``signed_sum`` or, on the Hilbert path, by a mask test and a truncated
+unpack; the polynomials are memoized and can be persisted.
 
 The generating identity ties the whole table to the product over positive
 roots of 1 / (1 - e^alpha q): the coefficient of q^n e^x is p(x, n).
@@ -30,7 +31,9 @@ height(x) <= H those are multisets of at most H of the N roots (at most
 C(N + H - 1, H)) of total height at most H (``_coefficient_bound``
 takes the smaller count).  M bounds every memo coefficient and every
 coefficient of a signed sum over distinct arguments; B = bits(M) + 1
-leaves a sign bit for the balanced unpack of such a sum.  The field
+leaves a sign bit for the balanced unpack of such a sum, and makes the
+test that every digit of it is >= 0 one add and one mask over the top
+bit of each field (``_Packing.nonnegative``).  The field
 width and B are fixed for a height capacity H; a taller argument
 rebuilds the memo at the wider width, so a field never overflows into
 its neighbour.
@@ -38,8 +41,6 @@ its neighbour.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import sys
 import tempfile
@@ -91,6 +92,8 @@ class _Packing:
         }
         # key -> P(x; 2^bits) for the x whose coefficients the table holds.
         self.targets: dict[int, int] = {}
+        # fields -> tops(fields).
+        self._tops: dict[int, int] = {}
 
     def key(self, x) -> int:
         """x, whose coordinates fit in their fields, packed into one int."""
@@ -108,15 +111,36 @@ class _Packing:
         bits, mask = self.bits, (1 << self.bits) - 1
         return tuple((value >> (bits * n)) & mask for n in range(height + 1))
 
+    def tops(self, fields: int) -> int:
+        """The top bit of each of the lowest `fields` fields: 2^(bits - 1)
+        in every digit."""
+        mask = self._tops.get(fields)
+        if mask is None:
+            bits = self.bits
+            mask = ((1 << (bits * fields)) - 1) // ((1 << bits) - 1) << (bits - 1)
+            self._tops[fields] = mask
+        return mask
+
     def balanced(self, value: int, height: int) -> dict[int, int]:
         """{n: c_n} for value = sum_{n <= height} c_n 2^(bits n) with every
         |c_n| < 2^(bits - 1), zeros dropped: the digits are read in
         balanced base 2^bits, so a negative coefficient stays negative."""
-        bits, half = self.bits, 1 << (self.bits - 1)
+        half = 1 << (self.bits - 1)
         # Adding half to every digit makes each one nonnegative, with no carry.
-        offset = ((1 << (bits * (height + 1))) - 1) // ((1 << bits) - 1) * half
-        digits = self.unpack(value + offset, height)
+        digits = self.unpack(value + self.tops(height + 1), height)
         return {n: d - half for n, d in enumerate(digits) if d != half}
+
+    def nonnegative(self, value: int, fields: int) -> bool:
+        """Whether every balanced digit c_n of value = sum_{n < fields}
+        c_n 2^(bits n), each |c_n| < 2^(bits - 1), is >= 0.
+
+        Adding 2^(bits - 1) to every digit carries nowhere and leaves a
+        field's top bit set exactly when its digit was >= 0, so the test
+        is one add and one mask (SWAR, as for the keys).  A value that
+        passes is a plain base-2^bits number: its digits are its fields.
+        """
+        tops = self.tops(fields)
+        return (value + tops) & tops == tops
 
     def poly(self, j: int, x: int, h: int) -> int:
         """P_j(x; 2^bits) for the key x of a cone point of height h, or 0.
@@ -239,18 +263,20 @@ class PartitionTable:
         """Ungraded count: P(x; 1), the sum of p(x, n) over all n."""
         return sum(self.poly(x))
 
-    def signed_sum(self, terms) -> dict[int, int]:
-        """{n: sum of sign * p(x, n)} over (sign, x) terms with every x in
-        the nonnegative cone, zeros dropped.
+    def packed_sum(self, terms) -> tuple[_Packing, int]:
+        """(packing, sum of sign * P(x; 2^B)) over a list of (sign, x)
+        terms with every x in the nonnegative cone: the one alternating
+        kernel, before any unpacking.
 
-        Each term adds or subtracts P(x; 2^B) into one int, which is
-        unpacked once in balanced base 2^B.  B covers the signed sum: it
-        is sized for the tallest x and for the most times any one x can
-        occur (once, for distinct arguments such as a dot orbit's).
+        Each term adds or subtracts P(x; 2^B) into one int.  B, the
+        packing's bits, covers the signed sum: it is sized for the
+        tallest x and for the most times any one x can occur (once, for
+        distinct arguments such as a dot orbit's), so every balanced
+        digit c_n of the total has |c_n| < 2^(B - 1) and n <= the
+        tallest height.  ``_Packing.balanced`` reads the digits and
+        ``_Packing.nonnegative`` tests their signs.
         """
-        if not terms:
-            return {}
-        height = max(sum(x) for _, x in terms)
+        height = max((sum(x) for _, x in terms), default=0)
         repeats = len(terms) - len({x for _, x in terms}) + 1
         packing = self.reserve(height, repeats)
         kronecker = self._kronecker
@@ -260,7 +286,14 @@ class PartitionTable:
                 total += kronecker(packing, x)
             else:
                 total -= kronecker(packing, x)
-        return packing.balanced(total, height)
+        return packing, total
+
+    def signed_sum(self, terms) -> dict[int, int]:
+        """{n: sum of sign * p(x, n)} over (sign, x) terms with every x in
+        the nonnegative cone, zeros dropped: the ``packed_sum`` total,
+        unpacked once in balanced base 2^B."""
+        packing, total = self.packed_sum(terms)
+        return packing.balanced(total, max((sum(x) for _, x in terms), default=0))
 
     def _kronecker(self, packing: _Packing, x: RootVector) -> int:
         """P(x; 2^bits) at the packing's width for a cone point x.  A new
@@ -292,6 +325,9 @@ class PartitionTable:
 
     def root_order_hash(self) -> str:
         """Hash of the DP root ordering; cache files must match it."""
+        import hashlib
+        import json
+
         blob = json.dumps([list(r) for r in self._roots]).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -307,6 +343,8 @@ class PartitionTable:
         and renamed over the old one, so a concurrent reader or a failed
         write never sees a torn file.
         """
+        import json
+
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         self._settle()
@@ -405,12 +443,17 @@ def _coefficient_bound(heights, height: int) -> int:
 
 def records_digest(records) -> str:
     """sha256 of the records' canonical JSON; stored in the cache header."""
+    import hashlib
+    import json
+
     blob = json.dumps(records, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
 
 
 def read_cache(path) -> dict:
     """The JSON object in a cache file; StaleCacheError if there is none."""
+    import json
+
     try:
         payload = json.loads(Path(path).read_text())
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:

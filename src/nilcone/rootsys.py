@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
+from operator import mul
 
 from .errors import InadmissibleTypeError
 
@@ -236,6 +238,10 @@ class RootSystem:
     symmetrizer: tuple[int, ...]
     fw_to_root_adj: tuple[tuple[int, ...], ...]
     fw_to_root_det: int
+    # Per positive root alpha = sum r_j alpha_j, the row (d_j r_j)_j, so
+    # (w, alpha) = sum_j row_j w_j; and the product of (rho, alpha).
+    pairing_rows: tuple[tuple[int, ...], ...]
+    rho_pairing_product: int
 
     @property
     def family(self) -> str:
@@ -503,6 +509,7 @@ def build(family: str, rank: int) -> RootSystem:
         "dominant short root must agree with the dual of the highest coroot"
     )
 
+    pairing_rows = tuple(tuple(rj * dj for rj, dj in zip(r, d)) for r in positives)
     return RootSystem(
         id=RootSystemId(family, rank),
         cartan=cartan,
@@ -519,4 +526,6 @@ def build(family: str, rank: int) -> RootSystem:
         symmetrizer=d,
         fw_to_root_adj=adj,
         fw_to_root_det=det,
+        pairing_rows=pairing_rows,
+        rho_pairing_product=prod(sum(map(mul, row, rho)) for row in pairing_rows),
     )

@@ -135,6 +135,29 @@ def test_import_loads_no_process_pool():
     assert result.stdout.split() == []
 
 
+def test_cacheless_run_loads_no_cache_modules():
+    # hashlib (which loads OpenSSL) and json serve only cache files and
+    # JSON output, so neither the import nor a cache-less table run pays
+    # for them.
+    import nilcone
+
+    code = ("import sys\n"
+            "def loaded():\n"
+            "    return [m for m in ('hashlib', '_hashlib', 'json') if m in sys.modules]\n"
+            "from nilcone.cli import cli\n"
+            "print('import:', *loaded(), file=sys.stderr)\n"
+            "cli(['hilbert', '-f', 'G', '-r', '2', '--variety', 'subregular',\n"
+            "     '--max-degree', '3'], standalone_mode=False)\n"
+            "print('hilbert:', *loaded(), file=sys.stderr)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(nilcone.__file__).parents[1])}
+    env.pop("NILCONE_CACHE_DIR", None)
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "subregular Hilbert coefficients for G_2: 1 14 104 539\n"
+    assert result.stderr.splitlines() == ["import:", "hilbert:"]
+
+
 def test_graded_rejects_non_dominant(runner):
     result = runner.invoke(cli, [
         "graded", "-f", "A", "-r", "2", "--variety", "nilcone",

@@ -1,6 +1,7 @@
 """Graded multiplicity formulas, cohomology tables, Hilbert series."""
 
 import itertools
+import re
 
 import pytest
 
@@ -463,3 +464,98 @@ def test_negative_coefficient_from_the_packed_kernel_is_a_hard_error(
     with pytest.raises(InternalInconsistencyError, match="= -1 < 0"):
         calc.induced_series((1, 1))
 
+
+# -- the packed Hilbert path ---------------------------------------------------
+
+
+@pytest.mark.parametrize("variety", list(Variety))
+@pytest.mark.parametrize("family,rank,max_degree", [("A", 2, 6), ("B", 3, 4),
+                                                    ("C", 3, 4), ("G", 2, 8),
+                                                    ("F", 4, 3)])
+def test_hilbert_series_is_the_per_weight_sum(calculators, family, rank,
+                                              max_degree, variety):
+    # hilbert_series reads packed profiles; series() is the dict path.
+    calc = calculators(family, rank)
+    expected = [0] * (max_degree + 1)
+    for lam in calc.sweep_domain(max_degree):
+        dim = weyl_dim(calc.rs, lam)
+        for n, c in calc.series(variety, lam).items():
+            if n <= max_degree:
+                expected[n] += dim * c
+    assert calc.hilbert_series(variety, max_degree) == expected
+
+
+def skew_packed_kernel(monkeypatch, lam, mu, by):
+    """Make PartitionTable.packed_sum return E(lam, mu; 2^B) - by, which
+    lowers its degree-0 digit by `by`, for every path that reads it.  The
+    term walk tags its lists with their (lam, mu) so the kernel knows."""
+    from nilcone import PartitionTable, graded
+
+    real_terms, real_sum = graded.dot_terms, PartitionTable.packed_sum
+
+    class Terms(list):
+        pass
+
+    def tagged(rs, lam_, mu_):
+        terms = Terms(real_terms(rs, lam_, mu_))
+        terms.query = (tuple(lam_), tuple(mu_))
+        return terms
+
+    def skewed(self, terms):
+        packing, value = real_sum(self, terms)
+        hit = getattr(terms, "query", None) == (lam, mu)
+        return packing, (value - by if hit else value)
+
+    monkeypatch.setattr(graded, "dot_terms", tagged)
+    monkeypatch.setattr(PartitionTable, "packed_sum", skewed)
+
+
+def fresh_calculator(family, rank):
+    from nilcone import GradedCalculator, PartitionTable
+
+    rs = build(family, rank)
+    return GradedCalculator(rs, table=PartitionTable(rs))
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("G", 2)])
+def test_hilbert_nilcone_negativity_is_a_hard_error(monkeypatch, family, rank):
+    from nilcone import InternalInconsistencyError
+
+    calc = fresh_calculator(family, rank)
+    theta = calc.rs.theta_long
+    by = calc.nilcone_series(theta).get(0, 0) + 1
+    skew_packed_kernel(monkeypatch, theta, (0,) * rank, by)
+    for variety in Variety:
+        with pytest.raises(InternalInconsistencyError,
+                           match=rf"d_0\({re.escape(str(theta))}\) = -1 < 0"):
+            calc.hilbert_series(variety, 3)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("G", 2)])
+def test_hilbert_induced_negativity_is_a_hard_error(monkeypatch, family, rank):
+    from nilcone import InternalInconsistencyError
+
+    calc = fresh_calculator(family, rank)
+    theta_s, k = calc.rs.theta_short, calc.k
+    nilcone = calc.hilbert_series(Variety.NILCONE, 3)
+    by = calc.induced_series(theta_s).get(k, 0) + 1
+    skew_packed_kernel(monkeypatch, theta_s, theta_s, by)
+    with pytest.raises(InternalInconsistencyError,
+                       match=rf"a_{k}\({re.escape(str(theta_s))}\) = -1 < 0"):
+        calc.hilbert_series(Variety.SUBREGULAR, 3)
+    assert calc.hilbert_series(Variety.NILCONE, 3) == nilcone
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("G", 2)])
+def test_hilbert_subregular_negativity_is_a_hard_error(monkeypatch, family, rank):
+    # A larger a_k(theta_s) with d and a each still nonnegative: only the
+    # check of d - q^k a can catch it.
+    from nilcone import PositivityViolationError
+
+    calc = fresh_calculator(family, rank)
+    theta_s, k = calc.rs.theta_short, calc.k
+    by = -(calc.subregular_series(theta_s).get(k, 0) + 1)
+    skew_packed_kernel(monkeypatch, theta_s, theta_s, by)
+    with pytest.raises(PositivityViolationError) as exc:
+        calc.hilbert_series(Variety.SUBREGULAR, 3)
+    assert (exc.value.weight, exc.value.degree) == (theta_s, k)

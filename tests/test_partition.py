@@ -5,6 +5,8 @@ import math
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilcone import (
     CacheFormatError,
@@ -296,6 +298,33 @@ def test_balanced_unpack_round_trips_the_extremes(family, rank, height):
     total = sum(c << (packing.bits * n) for n, c in enumerate(coeffs))
     assert packing.balanced(total, height) == dict(enumerate(coeffs))
     assert packing.balanced(-total, height) == {n: -c for n, c in enumerate(coeffs)}
+
+
+_mask_packings = {}
+
+
+@pytest.mark.parametrize("family,rank,height", [("A", 2, 3), ("G", 2, 120),
+                                                ("F", 4, 12)])
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(data=st.data())
+def test_mask_sign_test_is_exact(family, rank, height, data):
+    # nonnegative() agrees with reading the balanced digits, over digits up
+    # to the width's extremes +-(2^(B-1) - 1), zero runs, vectors shifted
+    # up by k fields (as q^k A is) and masks wider than the value.
+    key = (family, rank, height)
+    if key not in _mask_packings:
+        _mask_packings[key] = PartitionTable(build(family, rank)).reserve(height)
+    packing = _mask_packings[key]
+    top = 2 ** (packing.bits - 1) - 1
+    digit = st.one_of(st.sampled_from([0, 1, -1, top, -top]),
+                      st.integers(-top, top))
+    digits = data.draw(st.lists(digit, min_size=1, max_size=height + 1))
+    shift = data.draw(st.integers(0, 4))
+    fields = shift + len(digits) + data.draw(st.integers(0, 2))
+    value = sum(c << (packing.bits * (n + shift)) for n, c in enumerate(digits))
+    read = packing.balanced(value, fields - 1)
+    assert read == {n + shift: c for n, c in enumerate(digits) if c}
+    assert packing.nonnegative(value, fields) == all(c >= 0 for c in read.values())
 
 
 def test_taller_argument_widens_the_fields():
