@@ -6,7 +6,8 @@ on the nilpotent cone and on the closure of the subregular nilpotent
 orbit, together with the root system, partition function and weight
 multiplicity machinery this requires.  Every alternating Weyl sum runs
 over the terms of one pruned dot-orbit walk (``dot_terms``) and is summed
-by one kernel (``PartitionTable.signed_sum``), so no computation
+by one kernel (``PartitionTable.packed_sums``), which fills the partition
+values of a whole batch of sums in one pass, so no computation
 enumerates the Weyl group and all types through E_8 are reachable.
 """
 

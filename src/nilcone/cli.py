@@ -235,7 +235,7 @@ def graded(family, rank, variety, lam_text, sweep, max_degree, check, cache_dir,
     else:
         lams = list(calc.sweep_domain(sweep))
 
-    results = [(lam, calc.series(variety, lam)) for lam in lams]
+    results = list(zip(lams, calc.series_batch(variety, lams)))
     persist_tables(calc, cache_dir)
 
     entries = []

@@ -18,17 +18,20 @@ Degrees are polynomial degrees throughout; cohomological degree 2n (even
 parts) or 2n - 1 (odd parts) is presentation only and is spelled out in
 every table header.
 
-A sweep is a serial loop of ``series`` calls on one calculator, so every
-partition value it computes lands in the one table that a cache file
-persists.  ``hilbert_series`` runs the same kernel but keeps each profile
+A sweep (``series_batch``, ``cohomology_table``, ``hilbert_series``)
+gathers the dot-orbit terms of every weight of its domain first and hands
+them to the partition table as one batch, so the DP fills all of their
+values in one pass, and every value lands in the one table that a cache
+file persists.  The series are then checked weight by weight, in sweep
+order, as ``series`` checks one.  ``hilbert_series`` keeps each profile
 packed: a mask checks its signs and only the degrees it sums are read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
+from typing import NamedTuple
 
 from . import partition
 from .errors import (
@@ -59,8 +62,7 @@ class Variety(str, Enum):
     SUBREGULAR = "subregular"
 
 
-@dataclass(frozen=True)
-class CohomologyTable:
+class CohomologyTable(NamedTuple):
     """Rows of dominant-weight multiplicities per cohomological degree."""
 
     family: str
@@ -144,6 +146,16 @@ class GradedCalculator:
         """
         return self.table.signed_sum(dot_terms(self.rs, lam, mu))
 
+    def _euler_profiles(self, lams, mus) -> list[tuple[dict[int, int], ...]]:
+        """For each lam, the profiles E(lam, mu; q) of ``_euler_profile``
+        for every mu in mus, all from one ``PartitionTable.signed_sums``
+        batch: every dot-orbit argument is gathered before any DP work."""
+        rs = self.rs
+        flat = self.table.signed_sums([dot_terms(rs, lam, mu)
+                                       for lam in lams for mu in mus])
+        n = len(mus)
+        return [tuple(flat[i:i + n]) for i in range(0, len(flat), n)]
+
     # -- named multiplicities ----------------------------------------------
 
     def nilcone_mult(self, lam, n: int) -> int:
@@ -163,18 +175,44 @@ class GradedCalculator:
     # -- whole series --------------------------------------------------------
 
     def nilcone_series(self, lam) -> dict[int, int]:
-        series = self._euler_profile(lam, (0,) * self.rs.rank)
-        for n, v in series.items():
+        return self._nilcone(lam, self._euler_profile(lam, (0,) * self.rs.rank))
+
+    def induced_series(self, lam) -> dict[int, int]:
+        """{i: a_i(lam)} with the shift by k applied."""
+        return self._induced(lam, self._euler_profile(lam, self.rs.theta_short))
+
+    def subregular_series(self, lam) -> dict[int, int]:
+        return self._subregular(lam, self.nilcone_series(lam), self.induced_series(lam))
+
+    def series(self, variety: Variety, lam) -> dict[int, int]:
+        if variety == Variety.NILCONE:
+            return self.nilcone_series(lam)
+        return self.subregular_series(lam)
+
+    def series_batch(self, variety: Variety, lams) -> list[dict[int, int]]:
+        """[series(variety, lam) for lam in lams], with every partition
+        value from one batch: the same series, checked in the same order,
+        so the first failing lam raises the error ``series`` raises."""
+        lams, zero = list(lams), (0,) * self.rs.rank
+        if variety == Variety.NILCONE:
+            return [self._nilcone(lam, d)
+                    for lam, (d,) in zip(lams, self._euler_profiles(lams, [zero]))]
+        profiles = self._euler_profiles(lams, [zero, self.rs.theta_short])
+        return [self._subregular(lam, self._nilcone(lam, d), self._induced(lam, a))
+                for lam, (d, a) in zip(lams, profiles)]
+
+    def _nilcone(self, lam, profile) -> dict[int, int]:
+        """{n: d_n(lam)} from E(lam, 0; q), every value checked >= 0."""
+        for n, v in profile.items():
             if v < 0:
                 raise InternalInconsistencyError(
                     f"nilcone multiplicity d_{n}({tuple(lam)}) = {v} < 0"
                 )
-        return series
+        return profile
 
-    def induced_series(self, lam) -> dict[int, int]:
-        """{i: a_i(lam)} with the shift by k applied."""
-        raw = self._euler_profile(lam, self.rs.theta_short)
-        series = {m + self.k: v for m, v in raw.items()}
+    def _induced(self, lam, profile) -> dict[int, int]:
+        """{i: a_i(lam)} from E(lam, theta_s; q), shifted by k and checked."""
+        series = {m + self.k: v for m, v in profile.items()}
         for i, v in series.items():
             if v < 0:
                 raise InternalInconsistencyError(
@@ -182,9 +220,9 @@ class GradedCalculator:
                 )
         return series
 
-    def subregular_series(self, lam) -> dict[int, int]:
-        d = self.nilcone_series(lam)
-        a = self.induced_series(lam)
+    @staticmethod
+    def _subregular(lam, d, a) -> dict[int, int]:
+        """{n: t_n(lam)} = d - a, every value checked >= 0."""
         series = {}
         for n in sorted(set(d) | set(a)):
             v = d.get(n, 0) - a.get(n, 0)
@@ -193,11 +231,6 @@ class GradedCalculator:
             if v:
                 series[n] = v
         return series
-
-    def series(self, variety: Variety, lam) -> dict[int, int]:
-        if variety == Variety.NILCONE:
-            return self.nilcone_series(lam)
-        return self.subregular_series(lam)
 
     # -- assembled tables ------------------------------------------------------
 
@@ -231,26 +264,32 @@ class GradedCalculator:
             if v and 0 <= i <= max_i:
                 rows[i][lam] = rows[i].get(lam, 0) + v
 
-        for lam in self.sweep_domain(sweep):
-            if kind == ModuleKind.TRIVIAL:
-                for n, v in self.nilcone_series(lam).items():
-                    put(2 * n, lam, v)
-            elif kind == ModuleKind.TILTING:
-                for n, v in self.subregular_series(lam).items():
-                    put(2 * n, lam, v)
-            elif kind == ModuleKind.INDUCED_WALL:
-                for i, v in self.induced_series(lam).items():
+        zero, theta_s = (0,) * self.rs.rank, self.rs.theta_short
+        mus = {ModuleKind.TRIVIAL: [zero],
+               ModuleKind.INDUCED_WALL: [theta_s]}.get(kind, [zero, theta_s])
+        lams = self.sweep_domain(sweep)
+        # The checks run per lam in sweep order, as a loop of the series
+        # methods would run them.
+        for lam, profiles in zip(lams, self._euler_profiles(lams, mus)):
+            if kind == ModuleKind.INDUCED_WALL:
+                for i, v in self._induced(lam, profiles[0]).items():
                     put(2 * i - 1, lam, v)
-            elif kind == ModuleKind.WEYL:
-                for n, v in self.subregular_series(lam).items():
+                continue
+            d = self._nilcone(lam, profiles[0])
+            if kind == ModuleKind.TRIVIAL:
+                for n, v in d.items():
                     put(2 * n, lam, v)
-                for n, v in self.nilcone_series(lam).items():
-                    put(2 * n + 1, lam, v)
-            else:  # SIMPLE
-                d = self.nilcone_series(lam)
-                a = self.induced_series(lam)
+                continue
+            a = self._induced(lam, profiles[1])
+            if kind == ModuleKind.SIMPLE:
                 for i in sorted(set(d) | {j - 1 for j in a}):
                     put(2 * i + 1, lam, d.get(i, 0) + a.get(i + 1, 0))
+            else:  # TILTING, WEYL
+                for n, v in self._subregular(lam, d, a).items():
+                    put(2 * n, lam, v)
+                if kind == ModuleKind.WEYL:
+                    for n, v in d.items():
+                        put(2 * n + 1, lam, v)
 
         frozen = MappingProxyType({i: dict(r) for i, r in rows.items()})
         return CohomologyTable(
@@ -270,9 +309,10 @@ class GradedCalculator:
         d_n(lam) = 0 unless lam <= n * theta_long, one profile per lam
         below max_degree * theta_long covers every degree.
 
-        Each profile stays packed (``PartitionTable.packed_sum``): its
-        signs are checked with one mask per packed value, and only its
-        digits n <= max_degree are read.  The subregular profile is
+        Every profile of the domain comes from one
+        ``PartitionTable.packed_sums`` batch and stays packed: its signs
+        are checked with one mask per packed value, and only its digits
+        n <= max_degree are read.  The subregular profile is
         D - q^k A with D = E(lam, 0; 2^B) and A = E(lam, theta_s; 2^B):
         once D and A pass, every digit of D - (A << B k) lies in [-M, M],
         so one more mask over k more fields checks t_n >= 0.  A lam that
@@ -280,19 +320,21 @@ class GradedCalculator:
         per-weight path raises.
         """
         variety = Variety(variety)
-        rs, k, table = self.rs, self.k, self.table
+        rs, k = self.rs, self.k
         zero = (0,) * rs.rank
+        mus = [zero] if variety == Variety.NILCONE else [zero, rs.theta_short]
+        lams = self._domain(vscale(max_degree, rs.theta_long))
+        sums = iter(self.table.packed_sums(
+            [dot_terms(rs, lam, mu) for lam in lams for mu in mus]))
         coeffs = [0] * (max_degree + 1)
-        for lam in self._domain(vscale(max_degree, rs.theta_long)):
-            packing, value = table.packed_sum(dot_terms(rs, lam, zero))
+        for lam in lams:
+            packing, value = next(sums)
             bits, fields = packing.bits, packing.height + 1
             ok = packing.nonnegative(value, fields)
-            if ok and variety == Variety.SUBREGULAR:
-                # Another thread may have widened the table in between;
-                # then other is a new packing and the check fails safe.
-                other, odd = table.packed_sum(dot_terms(rs, lam, rs.theta_short))
+            if variety == Variety.SUBREGULAR:
+                _, odd = next(sums)  # the same packing: one batch, one width
                 value -= odd << (bits * k)
-                ok = (other is packing and packing.nonnegative(odd, fields)
+                ok = (ok and packing.nonnegative(odd, fields)
                       and packing.nonnegative(value, fields + k))
             if not ok:
                 value = sum(c << (bits * n) for n, c in self.series(variety, lam).items())

@@ -4,20 +4,22 @@
 p(x, n) the number of multisets of exactly n positive roots (repetitions
 allowed) summing to the root-lattice vector x; ``p`` reads one coefficient
 and ``big_p`` their sum.  Every alternating Weyl sum downstream is a signed
-sum of these polynomials, taken by ``packed_sum`` as one int and read by
-``signed_sum`` or, on the Hilbert path, by a mask test and a truncated
-unpack; the polynomials are memoized and can be persisted.
+sum of these polynomials, taken by ``packed_sums`` as one int per sum,
+for a whole batch of sums at once, and read by ``signed_sums`` or, on the
+Hilbert path, by a mask test and a truncated unpack; the polynomials are
+memoized and can be persisted.
 
 The generating identity ties the whole table to the product over positive
 roots of 1 / (1 - e^alpha q): the coefficient of q^n e^x is p(x, n).
 
 The table builds P over the first j roots in DP order, P_j, by the
-two-term recurrence P_j(y) = P_{j-1}(y) + q P_j(y - alpha_j), filled
-iteratively up each alpha_j chain so every memo entry costs one add.
-The first rank roots are the simple ones, so for j <= rank P_j(x) is
-q^height(x) or 0 in closed form and is not stored.  The Python recursion
-descends only in j: its depth is at most the number of positive roots,
-whatever the height of x.
+two-term recurrence P_j(y) = P_{j-1}(y) + q P_j(y - alpha_j), so every
+memo entry costs one add.  The first rank roots are the simple ones, so
+for j <= rank P_j(x) is q^height(x) or 0 in closed form and is not
+stored.  All the new arguments of a batch are filled together, level by
+level and without recursion (``_Packing.fill``): a backward pass from
+j = N down collects the keys each level lacks, and a forward pass from
+j = rank + 1 up fills them.
 
 The DP runs on Python ints (``_Packing``).  A key packs x into one int,
 a fixed-width field per coordinate with a guard bit on top, so x - alpha
@@ -76,6 +78,10 @@ class _Packing:
         span = max(height, *map(max, roots)).bit_length()
         self.shifts = tuple((span + 1) * i for i in range(rank))
         self.guards = sum(1 << (s + span) for s in self.shifts)
+        # A 1 in every field, and one field's mask: (key * ones >> shifts[-1])
+        # & field is the height of a cone point no taller than `height`.
+        self.ones = sum(1 << s for s in self.shifts)
+        self.field = (1 << (span + 1)) - 1
         self.roots = [self.key(r) for r in roots]
         self.root_heights = [sum(r) for r in roots]
         # j -> key mask of the coordinates none of the first j roots cover,
@@ -147,53 +153,74 @@ class _Packing:
 
         Up to j = rank only simple roots are in play, so P_j(x) is
         q^h when x lies on the coordinates they cover and 0 otherwise.
-        Above, it is memoized or filled in by ``_fill``.
+        Above, it is memoized or filled in by ``fill``.
         """
         if j <= self.rank:
             return 0 if x & self.uncovered[j] else 1 << (self.bits * h)
         hit = self.memo[j].get(x)
-        return hit if hit is not None else self._fill(j, x, h)
+        if hit is None:
+            self.fill((x,), j)
+            hit = self.memo[j][x]
+        return hit
 
-    def _fill(self, j: int, x: int, h: int) -> int:
-        """P_j(x; 2^bits) for j > rank and an x not in memo level j.
+    def fill(self, keys, top: int | None = None) -> None:
+        """Memoize P_top(x; 2^bits), by default for top = N, at the keys
+        of cone points, with every entry of the levels below it needs.
 
         Either alpha_j is unused or one copy of it is removed:
-        P_j(y) = P_{j-1}(y) + q P_j(y - alpha_j).  That is filled up the
-        alpha_j chain through x, from its lowest member in the cone or
-        its first one already memoized, one shift and add per entry; the
-        recursion only descends in j, so its depth is at most N.
+        P_j(y) = P_{j-1}(y) + q P_j(y - alpha_j).  A backward pass over
+        j = top, ..., rank + 1 collects the keys level j lacks: the
+        alpha_j chain down from each key wanted there, until it leaves
+        the cone or meets a key memoized or already collected.  Each of
+        those needs P_{j-1}, so they are what level j - 1 is asked for.
+        A forward pass then fills j = rank + 1, ..., top.  A chain that
+        stops at a collected key rests on the chain that collected it,
+        so taking the chains in the order they were collected, each one
+        bottom-up, puts y - alpha_j in place before y: one shift and one
+        add per entry, and no recursion.
         """
-        memo = self.memo[j]
-        alpha, guards = self.roots[j - 1], self.guards
-        chain = [x]
-        below = 0
-        y = x
-        while True:
-            # Every field keeps its guard bit iff it does not go negative.
-            t = (y | guards) - alpha
-            if t & guards != guards:
+        if top is None:
+            top = len(self.roots)
+        memo, guards = self.memo, self.guards
+        levels = []
+        for j in range(top, self.rank, -1):
+            level, alpha = memo[j], self.roots[j - 1]
+            # Insertion-ordered: each chain goes in bottom-up, after the
+            # chain it rests on, so it is already in forward order.
+            lacking: dict[int, None] = {}
+            for y in keys:
+                chain = []
+                while y not in level and y not in lacking:
+                    chain.append(y)
+                    # Every field keeps its guard bit iff it does not go negative.
+                    t = (y | guards) - alpha
+                    if t & guards != guards:
+                        break
+                    y = t ^ guards
+                for y in reversed(chain):
+                    lacking[y] = None
+            if not lacking:
                 break
-            y = t ^ guards
-            hit = memo.get(y)
-            if hit is not None:
-                below = hit
-                break
-            chain.append(y)
-        step, bits = self.root_heights[j - 1], self.bits
-        h -= step * (len(chain) - 1)
-        lower = self.memo.get(j - 1)
-        for y in reversed(chain):
-            # P_{j-1}(y) is nonzero: j - 1 >= rank and y is in the cone.
-            if lower is None:  # j - 1 = rank: the simple roots cover y
-                value = 1 << (bits * h)
-            else:
-                value = lower.get(y)
-                if value is None:
-                    value = self._fill(j - 1, y, h)
-            below = value + (below << bits)
-            memo[y] = below
-            h += step
-        return below
+            levels.append((j, lacking))
+            keys = lacking
+        keys = lacking = None  # levels holds the only reference to each key set
+        bits, ones, top_field, field = self.bits, self.ones, self.shifts[-1], self.field
+        while levels:
+            # Popped, so each level's key set is freed once it is filled.
+            j, lacking = levels.pop()
+            level, alpha = memo[j], self.roots[j - 1]
+            lower = memo.get(j - 1)
+            for y in lacking:
+                if lower is None:
+                    # j - 1 = rank: P_rank(y) = q^height(y), and y * ones
+                    # sums y's fields into its top field without a carry.
+                    value = 1 << (bits * ((y * ones >> top_field) & field))
+                else:
+                    value = lower[y]
+                t = (y | guards) - alpha
+                if t & guards == guards:
+                    value += level[t ^ guards] << bits
+                level[y] = value
 
 
 class PartitionTable:
@@ -243,11 +270,8 @@ class PartitionTable:
         self._settle()
         hit = self._values.get(x)
         if hit is None:
-            h = sum(x)
-            packing = self.reserve(h)
-            hit = packing.unpack(packing.poly(len(self._roots), packing.key(x), h), h)
-            self._values[x] = hit
-            self.unsaved = True
+            packing, value = self.packed_sum([(1, x)])
+            hit = packing.unpack(value, sum(x))
         return hit
 
     def p(self, x, n: int) -> int:
@@ -263,53 +287,75 @@ class PartitionTable:
         """Ungraded count: P(x; 1), the sum of p(x, n) over all n."""
         return sum(self.poly(x))
 
-    def packed_sum(self, terms) -> tuple[_Packing, int]:
-        """(packing, sum of sign * P(x; 2^B)) over a list of (sign, x)
+    def packed_sums(self, term_lists) -> list[tuple[_Packing, int]]:
+        """(packing, sum of sign * P(x; 2^B)) for each list of (sign, x)
         terms with every x in the nonnegative cone: the one alternating
-        kernel, before any unpacking.
+        kernel, before any unpacking, over a whole batch of sums.
 
         Each term adds or subtracts P(x; 2^B) into one int.  B, the
-        packing's bits, covers the signed sum: it is sized for the
-        tallest x and for the most times any one x can occur (once, for
-        distinct arguments such as a dot orbit's), so every balanced
-        digit c_n of the total has |c_n| < 2^(B - 1) and n <= the
+        packing's bits, covers every sum of the batch: it is sized for
+        the tallest x and for the most times any one x occurs in one list
+        (once, for distinct arguments such as a dot orbit's), so every
+        balanced digit c_n of a total has |c_n| < 2^(B - 1) and n <= the
         tallest height.  ``_Packing.balanced`` reads the digits and
-        ``_Packing.nonnegative`` tests their signs.
+        ``_Packing.nonnegative`` tests their signs.  Each distinct x is
+        packed once, and the values no list had before are filled by one
+        ``_Packing.fill`` and queued for _values.
         """
-        height = max((sum(x) for _, x in terms), default=0)
-        repeats = len(terms) - len({x for _, x in terms}) + 1
-        packing = self.reserve(height, repeats)
-        kronecker = self._kronecker
-        total = 0
-        for sign, x in terms:
-            if sign > 0:
-                total += kronecker(packing, x)
-            else:
-                total -= kronecker(packing, x)
-        return packing, total
+        term_lists = list(term_lists)
+        args: set[RootVector] = set()
+        repeats = 1
+        for terms in term_lists:
+            xs = {x for _, x in terms}
+            repeats = max(repeats, len(terms) - len(xs) + 1)
+            args |= xs
+        packing = self.reserve(max(map(sum, args), default=0), repeats)
+        targets, values, key = packing.targets, self._values, packing.key
+        value_of: dict[RootVector, int] = {}
+        new = []
+        for x in args:
+            k = key(x)
+            value = targets.get(k)
+            if value is None:
+                coeffs = values.get(x)
+                if coeffs is None:
+                    new.append((x, k))
+                    continue
+                value = targets[k] = packing.pack(coeffs)
+            value_of[x] = value
+        if new:
+            top = len(self._roots)
+            packing.fill([k for _, k in new])
+            for x, k in new:
+                value = targets[k] = value_of[x] = packing.poly(top, k, sum(x))
+                self._fresh.append((x, packing, value))
+            self.unsaved = True
+        sums = []
+        for terms in term_lists:
+            total = 0
+            for sign, x in terms:
+                if sign > 0:
+                    total += value_of[x]
+                else:
+                    total -= value_of[x]
+            sums.append((packing, total))
+        return sums
+
+    def packed_sum(self, terms) -> tuple[_Packing, int]:
+        """``packed_sums`` of one list of terms."""
+        return self.packed_sums([terms])[0]
+
+    def signed_sums(self, term_lists) -> list[dict[int, int]]:
+        """{n: sum of sign * p(x, n)}, zeros dropped, for each list of
+        (sign, x) terms with every x in the nonnegative cone: the
+        ``packed_sums`` totals, each unpacked once in balanced base 2^B."""
+        term_lists = list(term_lists)
+        return [packing.balanced(total, max((sum(x) for _, x in terms), default=0))
+                for terms, (packing, total) in zip(term_lists, self.packed_sums(term_lists))]
 
     def signed_sum(self, terms) -> dict[int, int]:
-        """{n: sum of sign * p(x, n)} over (sign, x) terms with every x in
-        the nonnegative cone, zeros dropped: the ``packed_sum`` total,
-        unpacked once in balanced base 2^B."""
-        packing, total = self.packed_sum(terms)
-        return packing.balanced(total, max((sum(x) for _, x in terms), default=0))
-
-    def _kronecker(self, packing: _Packing, x: RootVector) -> int:
-        """P(x; 2^bits) at the packing's width for a cone point x.  A new
-        x is computed by the DP and queued for _values."""
-        key = packing.key(x)
-        value = packing.targets.get(key)
-        if value is None:
-            coeffs = self._values.get(x)
-            if coeffs is None:
-                value = packing.poly(len(self._roots), key, sum(x))
-                self._fresh.append((x, packing, value))
-                self.unsaved = True
-            else:
-                value = packing.pack(coeffs)
-            packing.targets[key] = value
-        return value
+        """``signed_sums`` of one list of terms."""
+        return self.signed_sums([terms])[0]
 
     def _settle(self) -> None:
         """Unpack the values signed_sum computed into _values.  Each entry

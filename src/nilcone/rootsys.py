@@ -11,8 +11,10 @@ coordinate vector of ``alpha_i`` and the fw coordinates of a vector with
 root-basis coordinates ``r`` are ``cartan^T r``.
 
 Root-basis coordinates of a general weight are exact rationals; they are
-integers precisely on the root lattice.  All arithmetic is exact - ints
-and ``fractions.Fraction`` - never floats.
+integers precisely on the root lattice.  All arithmetic is exact, never
+floats: ``build`` works in integers only (a fraction-free adjugate, an
+integer symmetrizer), and ``fractions.Fraction`` is loaded only by the
+two methods that return rationals, ``to_root_basis`` and ``height``.
 
 The symmetric bilinear form is normalised so that short roots have
 squared length 2 (``inner`` values on the weight lattice are integers).
@@ -20,12 +22,14 @@ squared length 2 (``inner`` values on the weight lattice are integers).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from math import prod
+from math import gcd, lcm, prod
 from operator import mul
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InadmissibleTypeError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Weight = tuple[int, ...]
 RootVector = tuple[int, ...]
@@ -143,72 +147,58 @@ def _cartan_matrix(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
 def _symmetrizer(cartan) -> tuple[int, ...]:
     """Positive integers d with d_j*cartan[i][j] symmetric, short roots d=1."""
     rank = len(cartan)
-    d: list[Fraction | None] = [None] * rank
-    d[0] = Fraction(1)
+    d = [0] * rank
+    d[0] = 1
     stack = [0]
     while stack:
         i = stack.pop()
         for j in range(rank):
-            if i != j and cartan[i][j] != 0 and d[j] is None:
-                d[j] = d[i] * cartan[j][i] / cartan[i][j]
+            if i != j and cartan[i][j] != 0 and not d[j]:
+                # d_j = d_i * cartan[j][i] / cartan[i][j]; when that is not
+                # an integer, scale every d fixed so far by the divisor.
+                num, den = d[i] * cartan[j][i], cartan[i][j]
+                if num % den:
+                    d = [x * abs(den) for x in d]
+                    num *= abs(den)
+                d[j] = num // den
                 stack.append(j)
-    assert all(x is not None and x > 0 for x in d), "Dynkin diagram not connected"
-    denom_lcm = 1
-    for x in d:
-        denom_lcm = denom_lcm * x.denominator // _gcd(denom_lcm, x.denominator)
-    ints = [int(x * denom_lcm) for x in d]
-    g = 0
-    for x in ints:
-        g = _gcd(g, x)
-    ints = [x // g for x in ints]
+    assert all(x > 0 for x in d), "Dynkin diagram not connected"
+    g = gcd(*d)
+    ints = [x // g for x in d]
     for i in range(rank):
         for j in range(rank):
             assert ints[j] * cartan[i][j] == ints[i] * cartan[j][i]
     return tuple(ints)
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
 def _adjugate_of_transpose(cartan) -> tuple[tuple[tuple[int, ...], ...], int]:
     """(adjugate, det) of cartan^T, so inv(cartan^T) = adjugate / det.
 
-    Both are integral; det > 0 for every Cartan matrix.
+    Both are integral; det > 0 for every Cartan matrix.  Fraction-free
+    Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968) on
+    [cartan^T | I]: every division is exact, and the last pivot is det,
+    which leaves det * I on the left and the adjugate on the right.  A
+    Cartan matrix has positive leading principal minors, so no pivot is
+    zero and no row is swapped.
     """
     n = len(cartan)
-    m = [[Fraction(cartan[j][i]) for j in range(n)] for i in range(n)]  # cartan^T
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if m[r][col] != 0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            inv[col], inv[pivot] = inv[pivot], inv[col]
-            det = -det
-        det *= m[col][col]
-        p = m[col][col]
-        m[col] = [x / p for x in m[col]]
-        inv[col] = [x / p for x in inv[col]]
+    m = [[cartan[j][i] for j in range(n)] + [int(i == j) for j in range(n)]
+         for i in range(n)]  # [cartan^T | I]
+    prev = 1
+    for k in range(n):
+        pivot, row = m[k][k], m[k]
+        assert pivot > 0, "a leading principal minor of a Cartan matrix is positive"
         for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    assert det.denominator == 1 and det > 0
-    det_i = int(det)
-    adj = []
-    for row in inv:
-        scaled = [x * det_i for x in row]
-        assert all(x.denominator == 1 for x in scaled)
-        adj.append(tuple(int(x) for x in scaled))
-    return tuple(adj), det_i
+            if r != k:
+                f = m[r][k]
+                m[r] = [(pivot * x - f * y) // prev for x, y in zip(m[r], row)]
+        prev = pivot
+    det = prev
+    assert all(m[i][i] == det for i in range(n))
+    return tuple(tuple(row[n:]) for row in m), det
 
 
-@dataclass(frozen=True)
-class RootSystemId:
+class RootSystemId(NamedTuple):
     family: str
     rank: int
 
@@ -216,8 +206,7 @@ class RootSystemId:
         return f"{self.family}{self.rank}"
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(NamedTuple):
     """Immutable combinatorial datum of an irreducible root system.
 
     Built via :func:`build`; safe to share across threads and processes.
@@ -255,6 +244,8 @@ class RootSystem:
 
     def to_root_basis(self, w) -> tuple[Fraction, ...]:
         """Root-basis coordinates of a weight, as exact rationals."""
+        from fractions import Fraction
+
         det = self.fw_to_root_det
         return tuple(
             Fraction(sum(row[i] * w[i] for i in range(self.rank)), det)
@@ -289,6 +280,8 @@ class RootSystem:
 
     def height(self, w) -> Fraction:
         """Sum of root-basis coordinates (rational for general weights)."""
+        from fractions import Fraction
+
         return sum(self.to_root_basis(w), Fraction(0))
 
     def dominance_le(self, mu, lam) -> bool:
@@ -375,7 +368,8 @@ class RootSystem:
         breadth-first search down from the dominant representative of lam
         visits the domain at N steps per weight.  Every weight below lam
         is below that representative, so filtering the search result by
-        the dominance order handles a non-dominant lam.
+        the dominance order handles a non-dominant lam; a dominant lam is
+        its own representative and needs no filter.
         """
         lam = tuple(lam)
         top = self.dominant_representative(lam)
@@ -393,7 +387,10 @@ class RootSystem:
                         depth[nu] = d + h
                         nxt.append(nu)
             frontier = nxt
-        found = [mu for mu in depth if self.dominance_le(mu, lam)]
+        if top == lam:  # everything reached down from a dominant lam is below it
+            found = list(depth)
+        else:
+            found = [mu for mu in depth if self.dominance_le(mu, lam)]
         return tuple(sorted(found, key=lambda m: (-depth[m], m)))
 
     # -- serialisation ----------------------------------------------------
@@ -498,11 +495,11 @@ def build(family: str, rank: int) -> RootSystem:
 
     # The dominant short root is dual to the highest coroot: the coroot
     # beta^vee = sum_j (2 r_j d_j / (beta,beta)) alpha_j^vee of theta_short
-    # must have strictly maximal height among all coroots.
-    def coroot_height(r, n):
-        return Fraction(2 * sum(rj * dj for rj, dj in zip(r, d)), n)
-
-    co_heights = [coroot_height(r, n) for r, n in zip(positives, norms)]
+    # must have strictly maximal height among all coroots.  Heights are
+    # compared as integers over the common denominator of the norms.
+    common = lcm(*norms)
+    co_heights = [2 * sum(map(mul, r, d)) * (common // n)
+                  for r, n in zip(positives, norms)]
     top = max(co_heights)
     top_roots = [r for r, ch in zip(positives, co_heights) if ch == top]
     assert top_roots == [theta_short_coords], (

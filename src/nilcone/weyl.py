@@ -30,14 +30,18 @@ def dot_terms(rs: RootSystem, lam, mu) -> list[tuple[int, RootVector]]:
     regular, so its orbit is free and v identifies w.
 
     A non-dominant lam is first resolved through the dominant chamber
-    (the sum changes by the sign of that resolution); a singular lam + rho
+    (the sum changes by the sign of that resolution, and a dominant lam
+    is its own resolution, with sign 1); a singular lam + rho
     makes the whole sum cancel, and the list is empty, as it is when
     lam - mu is off the root lattice or no w contributes.
     """
-    resolved = euler_induced(rs, lam)
-    if resolved is None:
-        return []
-    sign, lam = resolved
+    if min(lam) >= 0:
+        sign = 1
+    else:
+        resolved = euler_induced(rs, lam)
+        if resolved is None:
+            return []
+        sign, lam = resolved
     r = rs.root_coords_int(vsub(lam, mu))
     if r is None or any(c < 0 for c in r):
         return []

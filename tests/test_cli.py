@@ -137,13 +137,15 @@ def test_import_loads_no_process_pool():
 
 def test_cacheless_run_loads_no_cache_modules():
     # hashlib (which loads OpenSSL) and json serve only cache files and
-    # JSON output, so neither the import nor a cache-less table run pays
-    # for them.
+    # JSON output, and fractions only the two rational root-system
+    # methods; dataclasses serve nothing.  Neither the import nor a
+    # cache-less table run pays for them.
     import nilcone
 
     code = ("import sys\n"
             "def loaded():\n"
-            "    return [m for m in ('hashlib', '_hashlib', 'json') if m in sys.modules]\n"
+            "    return [m for m in ('hashlib', '_hashlib', 'json', 'dataclasses',\n"
+            "                        'fractions') if m in sys.modules]\n"
             "from nilcone.cli import cli\n"
             "print('import:', *loaded(), file=sys.stderr)\n"
             "cli(['hilbert', '-f', 'G', '-r', '2', '--variety', 'subregular',\n"

@@ -4,6 +4,7 @@ import itertools
 import re
 
 import pytest
+from click.testing import CliRunner
 
 from nilcone import (
     ModuleKind,
@@ -15,6 +16,7 @@ from nilcone import (
     euler_induced,
     weyl_dim,
 )
+from nilcone.cli import cli
 from weyl_oracle import dominant_up_to_height
 
 
@@ -485,13 +487,62 @@ def test_hilbert_series_is_the_per_weight_sum(calculators, family, rank,
     assert calc.hilbert_series(variety, max_degree) == expected
 
 
+def count_batches(monkeypatch):
+    """Count the PartitionTable.packed_sums calls; returns the counter."""
+    from nilcone import PartitionTable
+
+    real, calls = PartitionTable.packed_sums, []
+
+    def counted(self, term_lists):
+        calls.append(1)
+        return real(self, term_lists)
+
+    monkeypatch.setattr(PartitionTable, "packed_sums", counted)
+    return calls
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 3), ("G", 2)])
+def test_each_domain_is_one_batch(monkeypatch, family, rank):
+    calls = count_batches(monkeypatch)
+    for variety in Variety:
+        calls.clear()
+        fresh_calculator(family, rank).hilbert_series(variety, 4)
+        assert len(calls) == 1
+        calc = fresh_calculator(family, rank)
+        calls.clear()
+        calc.series_batch(variety, calc.sweep_domain(2))
+        assert len(calls) == 1
+    for kind in ModuleKind:
+        calls.clear()
+        fresh_calculator(family, rank).cohomology_table(kind, 2, 6)
+        assert len(calls) == 1
+    for args in (["graded", "--variety", "subregular", "--sweep", "2", "--check"],
+                 ["graded", "--variety", "nilcone", "--lambda", ",".join(["1"] * rank)],
+                 ["cohomology", "--kind", "tilting", "--sweep", "2"],
+                 ["hilbert", "--variety", "subregular", "--max-degree", "3"]):
+        calls.clear()
+        result = CliRunner().invoke(cli, [*args, "-f", family, "-r", str(rank)])
+        assert result.exit_code == 0, result.output
+        assert len(calls) == 1, args
+
+
+@pytest.mark.parametrize("variety", list(Variety))
+@pytest.mark.parametrize("family,rank,sweep", [("A", 3, 2), ("B", 3, 2), ("G", 2, 3),
+                                               ("F", 4, 1)])
+def test_series_batch_is_the_per_weight_series(calculators, family, rank, sweep, variety):
+    calc = calculators(family, rank)
+    lams = calc.sweep_domain(sweep)
+    batch = fresh_calculator(family, rank)
+    assert batch.series_batch(variety, lams) == [calc.series(variety, lam) for lam in lams]
+
+
 def skew_packed_kernel(monkeypatch, lam, mu, by):
-    """Make PartitionTable.packed_sum return E(lam, mu; 2^B) - by, which
+    """Make PartitionTable.packed_sums return E(lam, mu; 2^B) - by, which
     lowers its degree-0 digit by `by`, for every path that reads it.  The
     term walk tags its lists with their (lam, mu) so the kernel knows."""
     from nilcone import PartitionTable, graded
 
-    real_terms, real_sum = graded.dot_terms, PartitionTable.packed_sum
+    real_terms, real_sums = graded.dot_terms, PartitionTable.packed_sums
 
     class Terms(list):
         pass
@@ -501,13 +552,15 @@ def skew_packed_kernel(monkeypatch, lam, mu, by):
         terms.query = (tuple(lam_), tuple(mu_))
         return terms
 
-    def skewed(self, terms):
-        packing, value = real_sum(self, terms)
-        hit = getattr(terms, "query", None) == (lam, mu)
-        return packing, (value - by if hit else value)
+    def skewed(self, term_lists):
+        term_lists = list(term_lists)
+        return [(packing, value - by if getattr(terms, "query", None) == (lam, mu)
+                 else value)
+                for terms, (packing, value) in zip(term_lists,
+                                                   real_sums(self, term_lists))]
 
     monkeypatch.setattr(graded, "dot_terms", tagged)
-    monkeypatch.setattr(PartitionTable, "packed_sum", skewed)
+    monkeypatch.setattr(PartitionTable, "packed_sums", skewed)
 
 
 def fresh_calculator(family, rank):
@@ -559,3 +612,39 @@ def test_hilbert_subregular_negativity_is_a_hard_error(monkeypatch, family, rank
     with pytest.raises(PositivityViolationError) as exc:
         calc.hilbert_series(Variety.SUBREGULAR, 3)
     assert (exc.value.weight, exc.value.degree) == (theta_s, k)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("G", 2)])
+def test_sweep_negativity_is_the_serial_loops_error(monkeypatch, family, rank):
+    # A batch checks its series weight by weight, in sweep order.
+    from nilcone import InternalInconsistencyError, PositivityViolationError
+
+    calc = fresh_calculator(family, rank)
+    theta, theta_s, k = calc.rs.theta_long, calc.rs.theta_short, calc.k
+    lams = calc.sweep_domain(2)
+    by = calc.nilcone_series(theta).get(0, 0) + 1
+    skew_packed_kernel(monkeypatch, theta, (0,) * rank, by)
+    message = rf"d_0\({re.escape(str(theta))}\) = -1 < 0"
+    for variety in Variety:
+        with pytest.raises(InternalInconsistencyError, match=message):
+            [calc.series(variety, lam) for lam in lams]
+        with pytest.raises(InternalInconsistencyError, match=message):
+            fresh_calculator(family, rank).series_batch(variety, lams)
+    for kind in (ModuleKind.TRIVIAL, ModuleKind.WEYL, ModuleKind.SIMPLE):
+        with pytest.raises(InternalInconsistencyError, match=message):
+            fresh_calculator(family, rank).cohomology_table(kind, 2, 6)
+    fresh_calculator(family, rank).cohomology_table(ModuleKind.INDUCED_WALL, 2, 6)
+
+    monkeypatch.undo()
+    by = -(calc.subregular_series(theta_s).get(k, 0) + 1)
+    skew_packed_kernel(monkeypatch, theta_s, theta_s, by)
+    for kind in (None, ModuleKind.TILTING, ModuleKind.WEYL):
+        with pytest.raises(PositivityViolationError) as exc:
+            if kind is None:
+                fresh_calculator(family, rank).series_batch(Variety.SUBREGULAR, lams)
+            else:
+                fresh_calculator(family, rank).cohomology_table(kind, 2, 6)
+        assert (exc.value.weight, exc.value.degree) == (theta_s, k)
+    result = CliRunner().invoke(cli, ["graded", "-f", family, "-r", str(rank),
+                                      "--variety", "subregular", "--sweep", "2"])
+    assert result.exit_code == 4

@@ -248,6 +248,69 @@ def test_packed_levels_match_the_tuple_dp_and_brute_force(family, rank):
     assert table._packing is packing  # sized once, by sweep_domain
 
 
+def domain_term_lists(rs, sweep):
+    """The dot_terms lists of every weight below sweep * theta, for
+    mu = 0 and theta_s, and the height they are sized for."""
+    height = sweep * sum(rs.theta_long_coords)
+    lams = rs.dominant_below(tuple(sweep * c for c in rs.theta_long))
+    lists = [dot_terms(rs, lam, mu) for lam in lams
+             for mu in ((0,) * rs.rank, rs.theta_short)]
+    return lists, height
+
+
+@pytest.mark.parametrize("family,rank,sweep", [("A", 3, 1), ("B", 3, 1), ("C", 3, 1),
+                                               ("D", 4, 1), ("F", 4, 1), ("E", 6, 1),
+                                               ("G", 2, 24)])
+def test_batch_fill_matches_one_at_a_time(family, rank, sweep):
+    # One batch over a whole domain: the same totals, and the same keys at
+    # every memo level, as one sum at a time and as the recursive tuple DP.
+    rs = build(family, rank)
+    lists, height = domain_term_lists(rs, sweep)
+    batch, single = PartitionTable(rs), PartitionTable(rs)
+    batch.reserve(height)
+    single.reserve(height)
+    got = batch.packed_sums(lists)
+    want = [single.packed_sum(terms) for terms in lists]
+    assert [total for _, total in got] == [total for _, total in want]
+    assert {packing for packing, _ in got} == {batch._packing}
+    assert batch._packing.bits == single._packing.bits
+    keys = {j: set(level) for j, level in batch._packing.memo.items()}
+    assert keys == {j: set(level) for j, level in single._packing.memo.items()}
+    reference = TupleDP(rs)
+    for x in {x for terms in lists for _, x in terms}:
+        reference.poly(len(rs.positive_root_coords), x)
+    key = batch._packing.key
+    assert keys == {j: {key(x) for x in level} for j, level in reference.memo.items()}
+    assert sum(map(len, keys.values())) > len(lists)
+    # The values are queued for the cache records as before.
+    assert batch.unsaved and batch.height_cutoff() == single.height_cutoff()
+    assert batch._values == single._values
+
+
+def test_batch_fill_needs_no_stack_headroom():
+    # The E7 adjoint arguments reach every one of the N = 63 memo levels;
+    # the fill is iterative, so it runs with less headroom than that.
+    rs = build("E", 7)
+    lists, height = domain_term_lists(rs, 1)
+    table = PartitionTable(rs)
+    table.reserve(height)
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 20)
+    try:
+        sums = table.packed_sums(lists)
+    finally:
+        sys.setrecursionlimit(limit)
+    filled = [j for j, level in table._packing.memo.items() if level]
+    assert len(filled) == len(rs.positive_root_coords) - rs.rank
+    reference = PartitionTable(rs)
+    reference.reserve(height)
+    assert [total for _, total in sums] == [reference.packed_sum(terms)[1]
+                                           for terms in lists]
+
+
 @pytest.mark.parametrize("family,rank,sweep", [("G", 2, 24), ("F", 4, 3), ("E", 7, 1)])
 def test_width_covers_every_coefficient_reached(family, rank, sweep):
     rs = build(family, rank)
@@ -392,6 +455,35 @@ def test_concurrent_reads_are_consistent():
     with ThreadPoolExecutor(max_workers=4) as pool:
         results = list(pool.map(lambda q: shared.p(*q), queries * 3))
     assert results == expected * 3
+
+
+def test_concurrent_batches_are_consistent():
+    # Overlapping batches filled by more threads than cores, switching
+    # often: every total matches a table that filled them alone, and the
+    # memo holds the same entries.
+    from concurrent.futures import ThreadPoolExecutor
+
+    rs = build("F", 4)
+    lists, height = domain_term_lists(rs, 1)
+    reference = PartitionTable(rs)
+    reference.reserve(height)
+    expected = [total for _, total in reference.packed_sums(lists)]
+    shared = PartitionTable(rs)
+    shared.reserve(height)
+    batches = [lists[i::3] + lists[:i] for i in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(shared.packed_sums, batch) for batch in batches]
+            results = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for i, result in enumerate(results):
+        want = [expected[k] for k in range(i, len(lists), 3)] + expected[:i]
+        assert [total for _, total in result] == want
+    assert shared._packing.memo == reference._packing.memo
+    assert shared.height_cutoff() == reference.height_cutoff()
 
 
 # -- persistence --------------------------------------------------------------

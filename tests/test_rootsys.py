@@ -7,6 +7,8 @@ import pytest
 
 from nilcone import InadmissibleTypeError, build
 from nilcone.rootsys import (
+    _adjugate_of_transpose,
+    _symmetrizer,
     admissible,
     coxeter_number,
     positive_root_count,
@@ -15,6 +17,7 @@ from nilcone.rootsys import (
     vscale,
     vsub,
 )
+import fraction_reference
 from weyl_oracle import dominant_up_to_height
 
 ALL_TYPES = (
@@ -34,6 +37,20 @@ def test_build_all_types(family, rank):
     assert all(
         rs.cartan[i][j] <= 0 for i in range(rank) for j in range(rank) if i != j
     )
+
+
+@pytest.mark.parametrize("family,rank", ALL_TYPES)
+def test_integer_build_steps_match_the_rational_reference(family, rank):
+    # build is integer-only; the same steps over Fraction must agree.
+    rs = build(family, rank)
+    assert len(ALL_TYPES) == 33
+    assert rs.symmetrizer == _symmetrizer(rs.cartan) == \
+        fraction_reference.symmetrizer(rs.cartan)
+    adj, det = _adjugate_of_transpose(rs.cartan)
+    assert (adj, det) == fraction_reference.adjugate_of_transpose(rs.cartan)
+    assert (rs.fw_to_root_adj, rs.fw_to_root_det) == (adj, det)
+    assert rs.theta_short_coords == fraction_reference.dual_of_highest_coroot(rs)
+    assert rs.theta_short == rs.from_root_basis(rs.theta_short_coords)
 
 
 @pytest.mark.parametrize(
@@ -231,6 +248,25 @@ def test_dominant_below_matches_the_box(family, rank, kmax):
     for lam in lams:
         assert rs.dominant_below(lam) == box_dominant_below(rs, lam), lam
     assert rs.dominant_below(vneg(theta)) == ()
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 3), ("C", 3), ("G", 2),
+                                         ("F", 4)])
+def test_dominant_top_needs_no_dominance_filter(family, rank):
+    # Everything reached down from a dominant top lies below it; below a
+    # non-dominant lam = s_i(top) the search result is still filtered.
+    rs = build(family, rank)
+    for k in range(3):
+        top = vscale(k, rs.theta_long)
+        below = rs.dominant_below(top)
+        assert below == tuple(mu for mu in below if rs.dominance_le(mu, top))
+    top = vscale(2, rs.theta_long)
+    i = next(i for i, c in enumerate(top) if c > 0)
+    lam = rs.simple_reflection(top, i)
+    assert not rs.is_dominant(lam) and rs.dominant_representative(lam) == top
+    below = rs.dominant_below(lam)
+    assert below == tuple(mu for mu in rs.dominant_below(top) if rs.dominance_le(mu, lam))
+    assert top not in below and below
 
 
 def test_dominant_below_e7_two_theta():
