@@ -115,8 +115,9 @@ _family_option = click.option("--family", "-f", required=True,
 _rank_option = click.option("--rank", "-r", required=True, type=int)
 _cache_dir_option = click.option(
     "--cache-dir", type=click.Path(), default=None,
-    help="Persist partition tables here (default: NILCONE_CACHE_DIR "
-         "when set, otherwise no persistence).",
+    help="Directory of the partition cache files (default: "
+         "NILCONE_CACHE_DIR when set; with neither, nothing is persisted "
+         "and 'cache list' and 'cache clear' are usage errors).",
 )
 
 
@@ -124,6 +125,14 @@ def resolve_cache_dir(cli_value):
     if cli_value is not None:
         return cli_value
     return os.environ.get("NILCONE_CACHE_DIR") or None
+
+
+def required_cache_dir(cli_value) -> Path:
+    """The cache directory a 'cache' subcommand works on."""
+    cache_dir = resolve_cache_dir(cli_value)
+    if cache_dir is None:
+        raise click.UsageError("give --cache-dir or set NILCONE_CACHE_DIR")
+    return Path(cache_dir)
 
 
 def make_calculator(rs, cache_dir) -> GradedCalculator:
@@ -470,10 +479,9 @@ def cache():
 
 
 @cache.command("list")
-@click.option("--cache-dir", type=click.Path(), default=None,
-              help="Defaults to NILCONE_CACHE_DIR or ~/.cache/nilcone.")
+@_cache_dir_option
 def cache_list(cache_dir):
-    directory = partition.default_cache_dir() if cache_dir is None else Path(cache_dir)
+    directory = required_cache_dir(cache_dir)
     if not directory.is_dir():
         click.echo(f"no cache directory at {directory}")
         return
@@ -497,9 +505,9 @@ def cache_list(cache_dir):
 
 
 @cache.command("clear")
-@click.option("--cache-dir", type=click.Path(), default=None)
+@_cache_dir_option
 def cache_clear(cache_dir):
-    directory = partition.default_cache_dir() if cache_dir is None else Path(cache_dir)
+    directory = required_cache_dir(cache_dir)
     removed = 0
     if directory.is_dir():
         for f in sorted(directory.glob("partition_*.json")):

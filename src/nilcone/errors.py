@@ -49,7 +49,10 @@ class InternalInconsistencyError(NilconeError):
 
 
 class CacheFormatError(NilconeError):
-    """A cache file is unreadable or does not match the current schema."""
+    """A cache file that cannot be used: it is for another type, was
+    built with another root ordering, or disagrees with values already
+    held (exit code 1).  An unreadable or outdated file is the subclass
+    ``StaleCacheError`` and counts as a cache miss instead."""
 
 
 class StaleCacheError(CacheFormatError):

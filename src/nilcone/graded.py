@@ -18,13 +18,16 @@ Degrees are polynomial degrees throughout; cohomological degree 2n (even
 parts) or 2n - 1 (odd parts) is presentation only and is spelled out in
 every table header.
 
-A sweep (``series_batch``, ``cohomology_table``, ``hilbert_series``)
-gathers the dot-orbit terms of every weight of its domain first and hands
-them to the partition table as one batch, so the DP fills all of their
-values in one pass, and every value lands in the one table that a cache
-file persists.  The series are then checked weight by weight, in sweep
-order, as ``series`` checks one.  ``hilbert_series`` keeps each profile
-packed: a mask checks its signs and only the degrees it sums are read.
+Every query reads its profiles through one checked path,
+``GradedCalculator._profiles``: it gathers the dot-orbit terms of every
+weight asked for (one for ``series``, a whole domain for ``series_batch``,
+``cohomology_table`` and ``hilbert_series``) and hands them to the
+partition table as one batch, so the DP fills all of their values in one
+pass, and every value lands in the one table that a cache file persists.
+Each profile stays packed as one int, E(lam, mu; 2^B), and its signs are
+checked weight by weight, in order, with one mask per profile; a checked
+profile is read as plain base-2^B digits, and ``hilbert_series`` reads
+only the degrees it sums.
 """
 
 from __future__ import annotations
@@ -116,11 +119,11 @@ class CohomologyTable(NamedTuple):
 class GradedCalculator:
     """Bundles a root system with its partition table.
 
-    Every query, one degree or a whole series, is read off one profile
-    E(lam, mu; q) per (lam, mu).  All methods are pure given the immutable
-    inputs; one calculator can serve any number of queries and threads,
-    and its table keeps every value they compute for the next query and
-    for the cache file.
+    Every query, one degree or a whole series, is read off the checked
+    profiles E(lam, mu; q) of ``_profiles``.  All methods are pure given
+    the immutable inputs; one calculator can serve any number of queries
+    and threads, and its table keeps every value they compute for the next
+    query and for the cache file.
     """
 
     def __init__(
@@ -133,28 +136,59 @@ class GradedCalculator:
         self.table = table if table is not None else partition.table_for(rs)
         self.k = shift_constant(rs)
 
-    # -- the common alternating kernel ------------------------------------
+    # -- the one checked kernel ----------------------------------------------
 
-    def _euler_profile(self, lam, mu) -> dict[int, int]:
-        """{n: q^n coefficient of E(lam, mu; q)}, zeros dropped.
+    def _profiles(self, lams, mus):
+        """Yield (lam, packing, profiles) for each lam, in order, with every
+        profile packed at q = 2^B and checked digit by digit.
 
-        One add per term: ``PartitionTable.signed_sum`` adds or subtracts
-        each P(w.lam - mu; 2^B) into one int and unpacks it once in
-        balanced base 2^B, so a negative coefficient comes back negative
-        for the checks of the series methods.  The dot orbit's arguments
-        are distinct, so B needs no room for the number of terms.
+        mus is [0], [theta_s] or [0, theta_s], and every dot-orbit argument
+        of every (lam, mu) goes into one ``PartitionTable.packed_sums``
+        batch before any DP work.  The profiles are D = E(lam, 0; 2^B),
+        whose digit n is d_n(lam), and A = q^k E(lam, theta_s; 2^B), whose
+        digit i is a_i(lam), in the order of mus; when both are asked for,
+        T = D - A follows, whose digit n is t_n(lam).
+
+        One mask (``_Packing.nonnegative``) checks each profile, in the
+        order D, A, T.  Once D and A pass, every digit of T lies in
+        [-M, M], so its mask is sound too.  A lam that fails raises the
+        error for the lowest negative degree of its first failing profile
+        before any later lam is read.  A profile that passes is a plain
+        base-2^B number: its digits are its fields.
         """
-        return self.table.signed_sum(dot_terms(self.rs, lam, mu))
+        rs, k, zero = self.rs, self.k, (0,) * self.rs.rank
+        lams = list(lams)
+        sums = iter(self.table.packed_sums(
+            [dot_terms(rs, lam, mu) for lam in lams for mu in mus]))
+        shifts = [0 if mu == zero else k for mu in mus]
+        names = ["d" if mu == zero else "a" for mu in mus]
+        if len(mus) == 2:
+            names.append("t")
+        for lam in lams:
+            profiles = []
+            for shift in shifts:
+                packing, value = next(sums)  # one batch, one packing
+                profiles.append(value << (packing.bits * shift))
+            if len(mus) == 2:
+                profiles.append(profiles[0] - profiles[1])
+            fields = packing.height + k + 1
+            for name, value in zip(names, profiles):
+                if not packing.nonnegative(value, fields):
+                    raise _negative(name, lam, packing.balanced(value, fields - 1))
+            yield lam, packing, profiles
 
-    def _euler_profiles(self, lams, mus) -> list[tuple[dict[int, int], ...]]:
-        """For each lam, the profiles E(lam, mu; q) of ``_euler_profile``
-        for every mu in mus, all from one ``PartitionTable.signed_sums``
-        batch: every dot-orbit argument is gathered before any DP work."""
-        rs = self.rs
-        flat = self.table.signed_sums([dot_terms(rs, lam, mu)
-                                       for lam in lams for mu in mus])
-        n = len(mus)
-        return [tuple(flat[i:i + n]) for i in range(0, len(flat), n)]
+    def _series(self, lams, mus) -> list[dict[int, int]]:
+        """{n: c_n} of the last profile of ``_profiles`` for each lam:
+        d for [0], a for [theta_s], t for [0, theta_s]."""
+        return [_digits(packing, profiles[-1])
+                for _, packing, profiles in self._profiles(lams, mus)]
+
+    def _mus(self, variety) -> list[Weight]:
+        """The mus whose last profile is the variety's: d or t."""
+        zero = (0,) * self.rs.rank
+        if Variety(variety) == Variety.NILCONE:
+            return [zero]
+        return [zero, self.rs.theta_short]
 
     # -- named multiplicities ----------------------------------------------
 
@@ -175,62 +209,22 @@ class GradedCalculator:
     # -- whole series --------------------------------------------------------
 
     def nilcone_series(self, lam) -> dict[int, int]:
-        return self._nilcone(lam, self._euler_profile(lam, (0,) * self.rs.rank))
+        return self.series(Variety.NILCONE, lam)
 
     def induced_series(self, lam) -> dict[int, int]:
         """{i: a_i(lam)} with the shift by k applied."""
-        return self._induced(lam, self._euler_profile(lam, self.rs.theta_short))
+        return self._series([lam], [self.rs.theta_short])[0]
 
     def subregular_series(self, lam) -> dict[int, int]:
-        return self._subregular(lam, self.nilcone_series(lam), self.induced_series(lam))
+        return self.series(Variety.SUBREGULAR, lam)
 
     def series(self, variety: Variety, lam) -> dict[int, int]:
-        if variety == Variety.NILCONE:
-            return self.nilcone_series(lam)
-        return self.subregular_series(lam)
+        return self.series_batch(variety, [lam])[0]
 
     def series_batch(self, variety: Variety, lams) -> list[dict[int, int]]:
         """[series(variety, lam) for lam in lams], with every partition
-        value from one batch: the same series, checked in the same order,
-        so the first failing lam raises the error ``series`` raises."""
-        lams, zero = list(lams), (0,) * self.rs.rank
-        if variety == Variety.NILCONE:
-            return [self._nilcone(lam, d)
-                    for lam, (d,) in zip(lams, self._euler_profiles(lams, [zero]))]
-        profiles = self._euler_profiles(lams, [zero, self.rs.theta_short])
-        return [self._subregular(lam, self._nilcone(lam, d), self._induced(lam, a))
-                for lam, (d, a) in zip(lams, profiles)]
-
-    def _nilcone(self, lam, profile) -> dict[int, int]:
-        """{n: d_n(lam)} from E(lam, 0; q), every value checked >= 0."""
-        for n, v in profile.items():
-            if v < 0:
-                raise InternalInconsistencyError(
-                    f"nilcone multiplicity d_{n}({tuple(lam)}) = {v} < 0"
-                )
-        return profile
-
-    def _induced(self, lam, profile) -> dict[int, int]:
-        """{i: a_i(lam)} from E(lam, theta_s; q), shifted by k and checked."""
-        series = {m + self.k: v for m, v in profile.items()}
-        for i, v in series.items():
-            if v < 0:
-                raise InternalInconsistencyError(
-                    f"induced-wall multiplicity a_{i}({tuple(lam)}) = {v} < 0"
-                )
-        return series
-
-    @staticmethod
-    def _subregular(lam, d, a) -> dict[int, int]:
-        """{n: t_n(lam)} = d - a, every value checked >= 0."""
-        series = {}
-        for n in sorted(set(d) | set(a)):
-            v = d.get(n, 0) - a.get(n, 0)
-            if v < 0:
-                raise PositivityViolationError(tuple(lam), n, v)
-            if v:
-                series[n] = v
-        return series
+        value from one batch, checked weight by weight in order."""
+        return self._series(lams, self._mus(variety))
 
     # -- assembled tables ------------------------------------------------------
 
@@ -267,29 +261,21 @@ class GradedCalculator:
         zero, theta_s = (0,) * self.rs.rank, self.rs.theta_short
         mus = {ModuleKind.TRIVIAL: [zero],
                ModuleKind.INDUCED_WALL: [theta_s]}.get(kind, [zero, theta_s])
-        lams = self.sweep_domain(sweep)
-        # The checks run per lam in sweep order, as a loop of the series
-        # methods would run them.
-        for lam, profiles in zip(lams, self._euler_profiles(lams, mus)):
-            if kind == ModuleKind.INDUCED_WALL:
-                for i, v in self._induced(lam, profiles[0]).items():
-                    put(2 * i - 1, lam, v)
-                continue
-            d = self._nilcone(lam, profiles[0])
-            if kind == ModuleKind.TRIVIAL:
-                for n, v in d.items():
-                    put(2 * n, lam, v)
-                continue
-            a = self._induced(lam, profiles[1])
+        for lam, packing, profiles in self._profiles(self.sweep_domain(sweep), mus):
             if kind == ModuleKind.SIMPLE:
-                for i in sorted(set(d) | {j - 1 for j in a}):
-                    put(2 * i + 1, lam, d.get(i, 0) + a.get(i + 1, 0))
-            else:  # TILTING, WEYL
-                for n, v in self._subregular(lam, d, a).items():
-                    put(2 * n, lam, v)
-                if kind == ModuleKind.WEYL:
-                    for n, v in d.items():
-                        put(2 * n + 1, lam, v)
+                d, a, _ = profiles
+                # A's digit 0 is 0 (k >= 1), and digit i of the sum is
+                # d_i + a_{i+1} <= 2M < 2^bits: no carry.
+                parts = [(1, d + (a >> packing.bits))]
+            elif kind == ModuleKind.WEYL:
+                parts = [(0, profiles[2]), (1, profiles[0])]
+            elif kind == ModuleKind.INDUCED_WALL:
+                parts = [(-1, profiles[0])]
+            else:  # TRIVIAL: d, TILTING: t
+                parts = [(0, profiles[-1])]
+            for offset, value in parts:
+                for n, v in _digits(packing, value).items():
+                    put(2 * n + offset, lam, v)
 
         frozen = MappingProxyType({i: dict(r) for i, r in rows.items()})
         return CohomologyTable(
@@ -309,42 +295,37 @@ class GradedCalculator:
         d_n(lam) = 0 unless lam <= n * theta_long, one profile per lam
         below max_degree * theta_long covers every degree.
 
-        Every profile of the domain comes from one
-        ``PartitionTable.packed_sums`` batch and stays packed: its signs
-        are checked with one mask per packed value, and only its digits
-        n <= max_degree are read.  The subregular profile is
-        D - q^k A with D = E(lam, 0; 2^B) and A = E(lam, theta_s; 2^B):
-        once D and A pass, every digit of D - (A << B k) lies in [-M, M],
-        so one more mask over k more fields checks t_n >= 0.  A lam that
-        fails a check is handed to ``series``, which raises the error the
-        per-weight path raises.
+        Every profile of the domain comes from one ``_profiles`` batch and
+        stays packed: only its digits n <= max_degree are read.
         """
-        variety = Variety(variety)
-        rs, k = self.rs, self.k
-        zero = (0,) * rs.rank
-        mus = [zero] if variety == Variety.NILCONE else [zero, rs.theta_short]
-        lams = self._domain(vscale(max_degree, rs.theta_long))
-        sums = iter(self.table.packed_sums(
-            [dot_terms(rs, lam, mu) for lam in lams for mu in mus]))
+        lams = self._domain(vscale(max_degree, self.rs.theta_long))
         coeffs = [0] * (max_degree + 1)
-        for lam in lams:
-            packing, value = next(sums)
-            bits, fields = packing.bits, packing.height + 1
-            ok = packing.nonnegative(value, fields)
-            if variety == Variety.SUBREGULAR:
-                _, odd = next(sums)  # the same packing: one batch, one width
-                value -= odd << (bits * k)
-                ok = (ok and packing.nonnegative(odd, fields)
-                      and packing.nonnegative(value, fields + k))
-            if not ok:
-                value = sum(c << (bits * n) for n, c in self.series(variety, lam).items())
-            # Every digit is a plain base-2^bits digit now: keep n <= max_degree.
-            low = value & ((1 << (bits * (max_degree + 1))) - 1)
+        for lam, packing, profiles in self._profiles(lams, self._mus(variety)):
+            low = profiles[-1] & ((1 << (packing.bits * (max_degree + 1))) - 1)
             if low:
-                dim = weyl_dim(rs, lam)
+                dim = weyl_dim(self.rs, lam)
                 for n, c in enumerate(packing.unpack(low, max_degree)):
                     coeffs[n] += c * dim
         return coeffs
+
+
+def _digits(packing, value) -> dict[int, int]:
+    """{n: c_n}, zeros dropped, for value = sum_n c_n 2^(bits n) with
+    every c_n in [0, 2^bits): a profile that passed its check."""
+    top = (value.bit_length() - 1) // packing.bits
+    return {n: c for n, c in enumerate(packing.unpack(value, top)) if c}
+
+
+def _negative(name, lam, digits) -> Exception:
+    """The error for the lowest negative digit of a failing profile, from
+    its balanced digits: d or a, an internal inconsistency; t, a
+    positivity violation."""
+    n, v = next((n, v) for n, v in digits.items() if v < 0)
+    if name == "t":
+        return PositivityViolationError(tuple(lam), n, v)
+    kind = "nilcone" if name == "d" else "induced-wall"
+    return InternalInconsistencyError(
+        f"{kind} multiplicity {name}_{n}({tuple(lam)}) = {v} < 0")
 
 
 def a2_tilting_euler(rs: RootSystem, lam) -> int:

@@ -5,9 +5,10 @@ p(x, n) the number of multisets of exactly n positive roots (repetitions
 allowed) summing to the root-lattice vector x; ``p`` reads one coefficient
 and ``big_p`` their sum.  Every alternating Weyl sum downstream is a signed
 sum of these polynomials, taken by ``packed_sums`` as one int per sum,
-for a whole batch of sums at once, and read by ``signed_sums`` or, on the
-Hilbert path, by a mask test and a truncated unpack; the polynomials are
-memoized and can be persisted.
+for a whole batch of sums at once, and read by a mask test and a plain
+unpack (the graded queries) or by ``signed_sum``, a balanced unpack
+(Kostant's formula, where a non-dominant mu can give a negative digit);
+the polynomials are memoized and can be persisted.
 
 The generating identity ties the whole table to the product over positive
 roots of 1 / (1 - e^alpha q): the coefficient of q^n e^x is p(x, n).
@@ -240,7 +241,7 @@ class PartitionTable:
         self._packing = _Packing(self._roots, rs.rank, 0, 1)
         # x -> P(x), the public values a cache file holds.
         self._values: dict[RootVector, tuple[int, ...]] = {}
-        # (x, packing, P(x; 2^bits)) for the values signed_sum computed and
+        # (x, packing, P(x; 2^bits)) for the values packed_sums computed and
         # has not yet unpacked into _values; _settle() does, before anything
         # reads _values.
         self._fresh: list[tuple[RootVector, _Packing, int]] = []
@@ -270,7 +271,7 @@ class PartitionTable:
         self._settle()
         hit = self._values.get(x)
         if hit is None:
-            packing, value = self.packed_sum([(1, x)])
+            [(packing, value)] = self.packed_sums([[(1, x)]])
             hit = packing.unpack(value, sum(x))
         return hit
 
@@ -341,24 +342,16 @@ class PartitionTable:
             sums.append((packing, total))
         return sums
 
-    def packed_sum(self, terms) -> tuple[_Packing, int]:
-        """``packed_sums`` of one list of terms."""
-        return self.packed_sums([terms])[0]
-
-    def signed_sums(self, term_lists) -> list[dict[int, int]]:
-        """{n: sum of sign * p(x, n)}, zeros dropped, for each list of
-        (sign, x) terms with every x in the nonnegative cone: the
-        ``packed_sums`` totals, each unpacked once in balanced base 2^B."""
-        term_lists = list(term_lists)
-        return [packing.balanced(total, max((sum(x) for _, x in terms), default=0))
-                for terms, (packing, total) in zip(term_lists, self.packed_sums(term_lists))]
-
     def signed_sum(self, terms) -> dict[int, int]:
-        """``signed_sums`` of one list of terms."""
-        return self.signed_sums([terms])[0]
+        """{n: sum of sign * p(x, n)}, zeros dropped, for a list of
+        (sign, x) terms with every x in the nonnegative cone: the
+        ``packed_sums`` total, unpacked once in balanced base 2^B, so a
+        negative coefficient comes back negative."""
+        [(packing, total)] = self.packed_sums([terms])
+        return packing.balanced(total, max((sum(x) for _, x in terms), default=0))
 
     def _settle(self) -> None:
-        """Unpack the values signed_sum computed into _values.  Each entry
+        """Unpack the values packed_sums computed into _values.  Each entry
         is popped whole, so threads settling at once share the work."""
         while True:
             try:
@@ -542,11 +535,3 @@ def table_for(rs: RootSystem) -> PartitionTable:
         table = PartitionTable(rs)
         _tables[rs.id] = table
     return table
-
-
-def default_cache_dir() -> Path:
-    """Cache directory, overridable with NILCONE_CACHE_DIR."""
-    env = os.environ.get("NILCONE_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "nilcone"

@@ -355,6 +355,20 @@ def test_cache_dir_env_override(runner, tmp_path, monkeypatch):
     assert str(tmp_path) in result.output
 
 
+@pytest.mark.parametrize("command", ["list", "clear"])
+def test_cache_commands_need_a_cache_dir(runner, tmp_path, monkeypatch, command):
+    # No command writes a cache without --cache-dir or NILCONE_CACHE_DIR,
+    # so there is no default directory to list or clear.
+    monkeypatch.delenv("NILCONE_CACHE_DIR", raising=False)
+    monkeypatch.setenv("HOME", str(tmp_path))
+    (tmp_path / ".cache" / "nilcone").mkdir(parents=True)
+    (tmp_path / ".cache" / "nilcone" / "partition_A2.json").write_text("{}")
+    result = runner.invoke(cli, ["cache", command])
+    assert result.exit_code == EXIT_USAGE
+    assert "--cache-dir or set NILCONE_CACHE_DIR" in result.output
+    assert (tmp_path / ".cache" / "nilcone" / "partition_A2.json").exists()
+
+
 def test_graded_persists_and_reuses_caches(runner, tmp_path):
     args = ["graded", "-f", "B", "-r", "2", "--variety", "nilcone",
             "--sweep", "1", "--format", "json", "--cache-dir", str(tmp_path)]

@@ -13,6 +13,7 @@ from nilcone import (
     WrongRootSystemError,
     a2_tilting_euler,
     build,
+    dot_terms,
     euler_induced,
     weyl_dim,
 )
@@ -42,24 +43,29 @@ def symmetric_power_oracle(rs, n):
 
 # -- euler kernel -------------------------------------------------------------
 
+def euler_profile(calc, lam, mu):
+    """{n: q^n coefficient of E(lam, mu; q)}, zeros dropped."""
+    return calc.table.signed_sum(dot_terms(calc.rs, lam, mu))
+
+
 def test_euler_mult_trivial(calculators):
     calc = calculators("A", 2)
-    assert calc._euler_profile((0, 0), (0, 0)) == {0: 1}
+    assert euler_profile(calc, (0, 0), (0, 0)) == {0: 1}
 
 
 def test_euler_mult_a2_adjoint(calculators):
     calc = calculators("A", 2)
-    assert calc._euler_profile((1, 1), (0, 0)) == {1: 1, 2: 1}
+    assert euler_profile(calc, (1, 1), (0, 0)) == {1: 1, 2: 1}
 
 
 def test_euler_mult_a1(calculators):
     calc = calculators("A", 1)
-    assert calc._euler_profile((2,), (0,)) == {1: 1}
+    assert euler_profile(calc, (2,), (0,)) == {1: 1}
 
 
 def test_euler_mult_off_lattice_is_zero(calculators):
     calc = calculators("A", 2)
-    assert calc._euler_profile((1, 0), (0, 0)) == {}
+    assert euler_profile(calc, (1, 0), (0, 0)) == {}
 
 
 # -- named multiplicities ------------------------------------------------------
@@ -415,38 +421,42 @@ def test_a3_d3_same_data_under_relabelling(calculators):
 # -- error paths ------------------------------------------------------------------
 #
 # Positivity of t_n is a theorem, so the violation branch can only be
-# reached by sabotaging one side of the difference.
+# reached by sabotaging one side of the difference: ``skew_packed_kernel``
+# lowers the degree-0 digit of one packed profile, which is d_0 for
+# mu = 0 and a_k for mu = theta_s.
 
 def test_subregular_negativity_is_a_hard_error(calculators, monkeypatch):
     from nilcone import PositivityViolationError
-    from nilcone.graded import GradedCalculator
 
     calc = calculators("A", 2)
-    monkeypatch.setattr(
-        GradedCalculator, "induced_series", lambda self, lam: {1: 99}
-    )
+    theta_s, k = calc.rs.theta_short, calc.k
+    by = -(calc.subregular_series((1, 1)).get(k, 0) + 1)
+    skew_packed_kernel(monkeypatch, (1, 1), theta_s, by)
     with pytest.raises(PositivityViolationError) as exc:
         calc.subregular_mult((1, 1), 1)
-    assert exc.value.weight == (1, 1) and exc.value.degree == 1
-    with pytest.raises(PositivityViolationError):
+    assert exc.value.weight == (1, 1) and exc.value.degree == k
+    with pytest.raises(PositivityViolationError,
+                       match=rf"t_{k}\(\(1, 1\)\) = -1 < 0"):
         calc.subregular_series((1, 1))
 
 
 def test_internal_negativity_is_a_hard_error(calculators, monkeypatch):
     from nilcone import InternalInconsistencyError
-    from nilcone.graded import GradedCalculator
 
     calc = calculators("A", 2)
-    monkeypatch.setattr(
-        GradedCalculator, "_euler_profile", lambda self, lam, mu: {1: -1}
-    )
-    with pytest.raises(InternalInconsistencyError):
+    theta_s, k = calc.rs.theta_short, calc.k
+    skew_packed_kernel(monkeypatch, (1, 1), (0, 0),
+                       calc.nilcone_series((1, 1)).get(0, 0) + 1)
+    skew_packed_kernel(monkeypatch, (1, 1), theta_s,
+                       calc.induced_series((1, 1)).get(k, 0) + 1)
+    nilcone, induced = r"d_0\(\(1, 1\)\) = -1 < 0", rf"a_{k}\(\(1, 1\)\) = -1 < 0"
+    with pytest.raises(InternalInconsistencyError, match=nilcone):
         calc.nilcone_mult((1, 1), 1)
-    with pytest.raises(InternalInconsistencyError):
+    with pytest.raises(InternalInconsistencyError, match=induced):
         calc.induced_odd_mult((1, 1), 3)
-    with pytest.raises(InternalInconsistencyError):
+    with pytest.raises(InternalInconsistencyError, match=nilcone):
         calc.nilcone_series((1, 1))
-    with pytest.raises(InternalInconsistencyError):
+    with pytest.raises(InternalInconsistencyError, match=induced):
         calc.induced_series((1, 1))
 
 
@@ -460,10 +470,12 @@ def test_negative_coefficient_from_the_packed_kernel_is_a_hard_error(
                         lambda rs, lam, mu: [(1, (0, 0)), (-1, (1, 1))])
     rs = build("A", 2)
     calc = graded.GradedCalculator(rs, table=PartitionTable(rs))
-    assert calc._euler_profile((1, 1), (0, 0)) == {0: 1, 1: -1, 2: -1}
-    with pytest.raises(InternalInconsistencyError, match="= -1 < 0"):
+    terms = graded.dot_terms(rs, (1, 1), (0, 0))
+    assert calc.table.signed_sum(terms) == {0: 1, 1: -1, 2: -1}
+    # The error names the lowest negative degree: d_1, and a_{1 + k}.
+    with pytest.raises(InternalInconsistencyError, match=r"d_1\(\(1, 1\)\) = -1 < 0"):
         calc.nilcone_series((1, 1))
-    with pytest.raises(InternalInconsistencyError, match="= -1 < 0"):
+    with pytest.raises(InternalInconsistencyError, match=r"a_3\(\(1, 1\)\) = -1 < 0"):
         calc.induced_series((1, 1))
 
 
@@ -515,6 +527,16 @@ def test_each_domain_is_one_batch(monkeypatch, family, rank):
     for kind in ModuleKind:
         calls.clear()
         fresh_calculator(family, rank).cohomology_table(kind, 2, 6)
+        assert len(calls) == 1
+    theta = build(family, rank).theta_long
+    for query in (lambda c: c.series(Variety.SUBREGULAR, theta),
+                  lambda c: c.series(Variety.NILCONE, theta),
+                  lambda c: c.nilcone_series(theta),
+                  lambda c: c.induced_series(theta),
+                  lambda c: c.subregular_series(theta),
+                  lambda c: c.nilcone_mult(theta, 1)):
+        calls.clear()
+        query(fresh_calculator(family, rank))
         assert len(calls) == 1
     for args in (["graded", "--variety", "subregular", "--sweep", "2", "--check"],
                  ["graded", "--variety", "nilcone", "--lambda", ",".join(["1"] * rank)],
@@ -638,7 +660,8 @@ def test_sweep_negativity_is_the_serial_loops_error(monkeypatch, family, rank):
     monkeypatch.undo()
     by = -(calc.subregular_series(theta_s).get(k, 0) + 1)
     skew_packed_kernel(monkeypatch, theta_s, theta_s, by)
-    for kind in (None, ModuleKind.TILTING, ModuleKind.WEYL):
+    # SIMPLE reads d and a only, but checks t as well.
+    for kind in (None, ModuleKind.TILTING, ModuleKind.WEYL, ModuleKind.SIMPLE):
         with pytest.raises(PositivityViolationError) as exc:
             if kind is None:
                 fresh_calculator(family, rank).series_batch(Variety.SUBREGULAR, lams)

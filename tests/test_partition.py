@@ -270,7 +270,7 @@ def test_batch_fill_matches_one_at_a_time(family, rank, sweep):
     batch.reserve(height)
     single.reserve(height)
     got = batch.packed_sums(lists)
-    want = [single.packed_sum(terms) for terms in lists]
+    want = [single.packed_sums([terms])[0] for terms in lists]
     assert [total for _, total in got] == [total for _, total in want]
     assert {packing for packing, _ in got} == {batch._packing}
     assert batch._packing.bits == single._packing.bits
@@ -307,7 +307,7 @@ def test_batch_fill_needs_no_stack_headroom():
     assert len(filled) == len(rs.positive_root_coords) - rs.rank
     reference = PartitionTable(rs)
     reference.reserve(height)
-    assert [total for _, total in sums] == [reference.packed_sum(terms)[1]
+    assert [total for _, total in sums] == [reference.packed_sums([terms])[0][1]
                                            for terms in lists]
 
 
@@ -323,7 +323,7 @@ def test_width_covers_every_coefficient_reached(family, rank, sweep):
     assert packing.height == height
     # never wider than the bound by the number of roots alone
     assert packing.bits <= math.comb(n_roots + height - 1, height).bit_length() + 1
-    profiles = [calc._euler_profile(lam, mu) for lam in lams
+    profiles = [table.signed_sum(dot_terms(rs, lam, mu)) for lam in lams
                 for mu in ((0,) * rank, rs.theta_short)]
     assert table._packing is packing  # one width for the whole sweep
     largest_e = max(abs(v) for profile in profiles for v in profile.values())
