@@ -91,6 +91,28 @@ def fmt_weight(w) -> str:
     return "(" + ",".join(str(c) for c in w) + ")"
 
 
+CHECK_COLUMN = {Variety.NILCONE: "m(0)", Variety.SUBREGULAR: "m(0)-m(theta)"}
+
+
+def freudenthal_totals(rs, lam) -> dict[Variety, int]:
+    """What each variety's series of L(lam) sums to over all degrees, by
+    Freudenthal: m(0) for the nilcone, m(0) - m(theta) for the
+    subregular closure."""
+    mults = WeightMultiplicities(rs, lam)
+    m0 = mults.at((0,) * rs.rank)
+    return {Variety.NILCONE: m0, Variety.SUBREGULAR: m0 - mults.at(rs.theta_short)}
+
+
+def check_total(variety, lam, series, expected) -> None:
+    """CheckFailure unless the full series sums to its Freudenthal total."""
+    total = sum(series.values())
+    if total != expected:
+        raise CheckFailure(
+            f"total {total} != {CHECK_COLUMN[variety]} = {expected} "
+            f"at lambda={fmt_weight(lam)}"
+        )
+
+
 def emit_json(payload: dict) -> None:
     import json
 
@@ -249,19 +271,9 @@ def graded(family, rank, variety, lam_text, sweep, max_degree, check, cache_dir,
 
     entries = []
     for lam, series in results:
-        full_total = sum(series.values())
-        mults = WeightMultiplicities(rs, lam)
-        if variety == Variety.NILCONE:
-            check_value = mults.at((0,) * rs.rank)
-            check_name = "m(0)"
-        else:
-            check_value = mults.at((0,) * rs.rank) - mults.at(rs.theta_short)
-            check_name = "m(0)-m(theta)"
-        if check and full_total != check_value:
-            raise CheckFailure(
-                f"total {full_total} != {check_name} = {check_value} "
-                f"at lambda={fmt_weight(lam)}"
-            )
+        check_value = freudenthal_totals(rs, lam)[variety]
+        if check:
+            check_total(variety, lam, series, check_value)
         if max_degree is not None:
             series = {n: v for n, v in series.items() if n <= max_degree}
         total = sum(series.values())
@@ -280,7 +292,7 @@ def graded(family, rank, variety, lam_text, sweep, max_degree, check, cache_dir,
             "variety": variety.value,
             "k": calc.k,
             "degree_convention": DEGREE_CONVENTION,
-            "check_column": "m(0)" if variety == Variety.NILCONE else "m(0)-m(theta)",
+            "check_column": CHECK_COLUMN[variety],
             "entries": entries,
         })
     elif fmt == "csv":
@@ -291,7 +303,7 @@ def graded(family, rank, variety, lam_text, sweep, max_degree, check, cache_dir,
     else:
         click.echo(f"{variety.value} graded multiplicities for {family}_{rank} "
                    f"(k={calc.k}; {DEGREE_CONVENTION})")
-        name = "m(0)" if variety == Variety.NILCONE else "m(0)-m(theta)"
+        name = CHECK_COLUMN[variety]
         click.echo(f"{'lambda':<14} {'degrees n:mult':<40} {'total':>6} {name:>14}")
         for e in entries:
             degrees = " ".join(f"{n}:{v}" for n, v in e["degrees"]) or "-"
@@ -307,7 +319,8 @@ def graded(family, rank, variety, lam_text, sweep, max_degree, check, cache_dir,
 @click.option("--sweep", type=click.IntRange(min=0), default=1, show_default=True)
 @click.option("--max-i", type=click.IntRange(min=0), default=6, show_default=True,
               help="Largest cohomological degree reported.")
-@click.option("--check", is_flag=True, help="Re-verify parity vanishing.")
+@click.option("--check", is_flag=True,
+              help="Re-verify parity vanishing, and for weyl the totals identities.")
 @_cache_dir_option
 @_format_option
 @handle_errors
@@ -323,10 +336,13 @@ def cohomology(family, rank, kind, sweep, max_i, check, cache_dir, fmt):
     if check and not parity:
         raise CheckFailure(f"parity vanishing fails for kind {kind}")
     if check and ModuleKind(kind) == ModuleKind.WEYL:
-        trivial = calc.cohomology_table(ModuleKind.TRIVIAL, sweep, max_i)
-        for i in range(0, max_i, 2):
-            if i + 1 <= max_i and table.row(i + 1) != trivial.row(i):
-                raise CheckFailure(f"weyl row {i+1} != trivial row {i}")
+        # The weyl rows are the digits of d and t: check their full
+        # series, whatever --max-i shows of them.
+        lams = calc.sweep_domain(sweep)
+        series = {variety: calc.series_batch(variety, lams) for variety in Variety}
+        for i, lam in enumerate(lams):
+            for variety, total in freudenthal_totals(rs, lam).items():
+                check_total(variety, lam, series[variety][i], total)
 
     if fmt == "json":
         emit_json({"command": "cohomology", "parity_ok": parity,

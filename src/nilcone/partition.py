@@ -1,4 +1,4 @@
-"""The graded partition function over positive roots, memoized and cacheable.
+"""The graded partition function over positive roots, tabulated and cacheable.
 
 ``poly(x)`` is the coefficient tuple of P(x; q) = sum_n p(x, n) q^n, with
 p(x, n) the number of multisets of exactly n positive roots (repetitions
@@ -8,19 +8,20 @@ sum of these polynomials, taken by ``packed_sums`` as one int per sum,
 for a whole batch of sums at once, and read by a mask test and a plain
 unpack (the graded queries) or by ``signed_sum``, a balanced unpack
 (Kostant's formula, where a non-dominant mu can give a negative digit);
-the polynomials are memoized and can be persisted.
+the table keeps the polynomials it was asked for and can persist them.
 
 The generating identity ties the whole table to the product over positive
 roots of 1 / (1 - e^alpha q): the coefficient of q^n e^x is p(x, n).
 
 The table builds P over the first j roots in DP order, P_j, by the
 two-term recurrence P_j(y) = P_{j-1}(y) + q P_j(y - alpha_j), so every
-memo entry costs one add.  The first rank roots are the simple ones, so
-for j <= rank P_j(x) is q^height(x) or 0 in closed form and is not
-stored.  All the new arguments of a batch are filled together, level by
-level and without recursion (``_Packing.fill``): a backward pass from
-j = N down collects the keys each level lacks, and a forward pass from
-j = rank + 1 up fills them.
+entry costs one add.  The first rank roots are the simple ones, so
+P_rank(x) is q^height(x) in closed form.  All the new arguments of a
+batch are filled together, level by level and without recursion
+(``_Packing.fill``): a backward pass from j = N down collects the keys
+each level needs, and a forward pass from j = rank + 1 up fills them,
+keeping only two levels alive.  The levels are the scratch space of one
+fill; only the top values P_N = P outlive it.
 
 The DP runs on Python ints (``_Packing``).  A key packs x into one int,
 a fixed-width field per coordinate with a guard bit on top, so x - alpha
@@ -32,14 +33,13 @@ coefficients: p(x, n) counts multisets of n positive roots summing to x,
 so the p(x, n) of distinct x count disjoint multisets, and for
 height(x) <= H those are multisets of at most H of the N roots (at most
 C(N + H - 1, H)) of total height at most H (``_coefficient_bound``
-takes the smaller count).  M bounds every memo coefficient and every
+takes the smaller count).  M bounds every coefficient of P_j and every
 coefficient of a signed sum over distinct arguments; B = bits(M) + 1
 leaves a sign bit for the balanced unpack of such a sum, and makes the
 test that every digit of it is >= 0 one add and one mask over the top
 bit of each field (``_Packing.nonnegative``).  The field
-width and B are fixed for a height capacity H; a taller argument
-rebuilds the memo at the wider width, so a field never overflows into
-its neighbour.
+width and B are fixed for a height capacity H; a taller argument gets
+a wider packing, so a field never overflows into its neighbour.
 """
 
 from __future__ import annotations
@@ -62,9 +62,10 @@ class _Packing:
 
     Each coordinate of a key gets `span` bits, enough for any coordinate
     of a cone point up to the height capacity and of every root, and a
-    guard bit above them.  Values are P_j(x; 2^bits).  Nothing changes
-    but the memo and targets dicts, so a table swaps in a wider packing
-    without disturbing a DP running on this one.
+    guard bit above them.  Values are P_j(x; 2^bits).  Each fill owns
+    its levels and nothing changes but the targets dict, so a table
+    swaps in a wider packing without disturbing a DP running on this
+    one.
     """
 
     def __init__(self, roots, rank: int, height: int, repeats: int):
@@ -84,19 +85,6 @@ class _Packing:
         self.ones = sum(1 << s for s in self.shifts)
         self.field = (1 << (span + 1)) - 1
         self.roots = [self.key(r) for r in roots]
-        self.root_heights = [sum(r) for r in roots]
-        # j -> key mask of the coordinates none of the first j roots cover,
-        # for j <= rank.
-        self.uncovered = [
-            sum(((1 << span) - 1) << self.shifts[i] for i in range(rank)
-                if not any(r[i] for r in roots[:j]))
-            for j in range(rank + 1)
-        ]
-        # j -> {key: P_j(x; 2^bits)} over the first j roots only; levels
-        # j <= rank have a closed form and are never stored.
-        self.memo: dict[int, dict[int, int]] = {
-            j: {} for j in range(rank + 1, len(roots) + 1)
-        }
         # key -> P(x; 2^bits) for the x whose coefficients the table holds.
         self.targets: dict[int, int] = {}
         # fields -> tops(fields).
@@ -149,49 +137,25 @@ class _Packing:
         tops = self.tops(fields)
         return (value + tops) & tops == tops
 
-    def poly(self, j: int, x: int, h: int) -> int:
-        """P_j(x; 2^bits) for the key x of a cone point of height h, or 0.
-
-        Up to j = rank only simple roots are in play, so P_j(x) is
-        q^h when x lies on the coordinates they cover and 0 otherwise.
-        Above, it is memoized or filled in by ``fill``.
-        """
-        if j <= self.rank:
-            return 0 if x & self.uncovered[j] else 1 << (self.bits * h)
-        hit = self.memo[j].get(x)
-        if hit is None:
-            self.fill((x,), j)
-            hit = self.memo[j][x]
-        return hit
-
-    def fill(self, keys, top: int | None = None) -> None:
-        """Memoize P_top(x; 2^bits), by default for top = N, at the keys
-        of cone points, with every entry of the levels below it needs.
+    def levels(self, keys) -> list[list[int]]:
+        """The keys each level j = N, ..., rank + 1 needs to give P_N(x;
+        2^bits) at the given keys of cone points, one list per level,
+        top level first.
 
         Either alpha_j is unused or one copy of it is removed:
-        P_j(y) = P_{j-1}(y) + q P_j(y - alpha_j).  A backward pass over
-        j = top, ..., rank + 1 collects the keys level j lacks: the
+        P_j(y) = P_{j-1}(y) + q P_j(y - alpha_j).  Level j needs the
         alpha_j chain down from each key wanted there, until it leaves
-        the cone or meets a key memoized or already collected.  Each of
-        those needs P_{j-1}, so they are what level j - 1 is asked for.
-        A forward pass then fills j = rank + 1, ..., top.  A chain that
-        stops at a collected key rests on the chain that collected it,
-        so taking the chains in the order they were collected, each one
-        bottom-up, puts y - alpha_j in place before y: one shift and one
-        add per entry, and no recursion.
+        the cone or meets a key already collected, and each of those
+        needs P_{j-1}, so they are what level j - 1 is asked for.  A
+        chain goes in bottom-up, after the chain it rests on, so each
+        list is in the order ``fill`` computes it.
         """
-        if top is None:
-            top = len(self.roots)
-        memo, guards = self.memo, self.guards
-        levels = []
-        for j in range(top, self.rank, -1):
-            level, alpha = memo[j], self.roots[j - 1]
-            # Insertion-ordered: each chain goes in bottom-up, after the
-            # chain it rests on, so it is already in forward order.
+        guards, levels = self.guards, []
+        for alpha in reversed(self.roots[self.rank:]):
             lacking: dict[int, None] = {}
             for y in keys:
                 chain = []
-                while y not in level and y not in lacking:
+                while y not in lacking:
                     chain.append(y)
                     # Every field keeps its guard bit iff it does not go negative.
                     t = (y | guards) - alpha
@@ -200,37 +164,48 @@ class _Packing:
                     y = t ^ guards
                 for y in reversed(chain):
                     lacking[y] = None
-            if not lacking:
-                break
-            levels.append((j, lacking))
-            keys = lacking
-        keys = lacking = None  # levels holds the only reference to each key set
-        bits, ones, top_field, field = self.bits, self.ones, self.shifts[-1], self.field
-        while levels:
-            # Popped, so each level's key set is freed once it is filled.
-            j, lacking = levels.pop()
-            level, alpha = memo[j], self.roots[j - 1]
-            lower = memo.get(j - 1)
-            for y in lacking:
-                if lower is None:
-                    # j - 1 = rank: P_rank(y) = q^height(y), and y * ones
-                    # sums y's fields into its top field without a carry.
-                    value = 1 << (bits * ((y * ones >> top_field) & field))
-                else:
-                    value = lower[y]
+            keys = list(lacking)
+            levels.append(keys)
+        return levels
+
+    def fill(self, keys) -> dict[int, int]:
+        """{y: P_N(y; 2^bits)} over the top level of ``levels(keys)``,
+        which holds every key asked for.
+
+        The levels are filled from j = rank + 1 up, each list in order,
+        so y - alpha_j is in place before y: one shift and one add per
+        entry, and no recursion.  Only two levels are alive at a time:
+        level j takes each entry of level j - 1 it reads out of it, and
+        the rest is dropped once level j is filled.  Level rank
+        counts only simple roots, so it is q^height(y) for every cone
+        point y, and it is the top level when N = rank.
+        """
+        levels = self.levels(keys)
+        bits, guards, ones, top_field, field = (
+            self.bits, self.guards, self.ones, self.shifts[-1], self.field)
+        # y * ones sums y's fields into its top field without a carry.
+        lower = {y: 1 << (bits * ((y * ones >> top_field) & field))
+                 for y in (levels[-1] if levels else keys)}
+        for alpha in self.roots[self.rank:]:
+            # Popped, so each level's key list is freed once it is filled.
+            level = {}
+            for y in levels.pop():
+                value = lower.pop(y)
                 t = (y | guards) - alpha
                 if t & guards == guards:
                     value += level[t ^ guards] << bits
                 level[y] = value
+            lower = level
+        return lower
 
 
 class PartitionTable:
-    """Memoized partition polynomials for one root system.
+    """Partition polynomials for one root system.
 
-    Readers may share a table across threads: values are deterministic,
-    so concurrent memo insertion is benign (last write wins with an equal
-    value under the GIL's atomic dict stores), and a wider packing
-    replaces the old one whole.
+    Readers may share a table across threads: each DP fill runs on its
+    own levels, values are deterministic, so two threads that fill the
+    same argument store equal values (last write wins under the GIL's
+    atomic dict stores), and a wider packing replaces the old one whole.
     """
 
     def __init__(self, rs: RootSystem):
@@ -253,10 +228,10 @@ class PartitionTable:
         """The packing, rebuilt wider if needed, for signed sums of
         arguments up to `height` in which no argument occurs more than
         `repeats` times.  A sweep reserves its tallest height first, so
-        all its values share one width."""
+        all its values share one width.  The values the old packing filled
+        stay queued with it for _values."""
         packing = self._packing
         if height > packing.height or repeats > packing.repeats:
-            self._settle()
             packing = _Packing(self._roots, self.rs.rank, max(height, packing.height),
                                max(repeats, packing.repeats))
             self._packing = packing
@@ -325,10 +300,9 @@ class PartitionTable:
                 value = targets[k] = packing.pack(coeffs)
             value_of[x] = value
         if new:
-            top = len(self._roots)
-            packing.fill([k for _, k in new])
+            top = packing.fill([k for _, k in new])
             for x, k in new:
-                value = targets[k] = value_of[x] = packing.poly(top, k, sum(x))
+                value = targets[k] = value_of[x] = top[k]
                 self._fresh.append((x, packing, value))
             self.unsaved = True
         sums = []
@@ -525,7 +499,7 @@ def load_table(rs: RootSystem, cache_dir) -> PartitionTable:
 
 
 # Shared per-process registry so the Weyl sums, the multiplicity module and
-# the CLI all reuse one memo per root system.
+# the CLI all reuse one table of values per root system.
 _tables: dict[RootSystemId, PartitionTable] = {}
 
 

@@ -671,3 +671,18 @@ def test_sweep_negativity_is_the_serial_loops_error(monkeypatch, family, rank):
     result = CliRunner().invoke(cli, ["graded", "-f", family, "-r", str(rank),
                                       "--variety", "subregular", "--sweep", "2"])
     assert result.exit_code == 4
+
+
+@pytest.mark.parametrize("max_i", ["0", "6"])
+def test_cohomology_weyl_check_sees_a_wrong_total(monkeypatch, max_i):
+    # d_0(theta) raised by 1 leaves every digit nonnegative and every row
+    # consistent with every other, so only the Freudenthal totals of the
+    # full series can catch it, whatever --max-i shows.
+    theta = build("A", 2).theta_long
+    skew_packed_kernel(monkeypatch, theta, (0, 0), -1)
+    args = ["cohomology", "-f", "A", "-r", "2", "--kind", "weyl", "--sweep", "1",
+            "--max-i", max_i]
+    assert CliRunner().invoke(cli, args).exit_code == 0
+    result = CliRunner().invoke(cli, [*args, "--check"])
+    assert result.exit_code == 4
+    assert "total 3 != m(0) = 2 at lambda=(1,1)" in result.output

@@ -20,6 +20,7 @@ from nilcone import (
 from nilcone.partition import (
     PARTITION_CACHE_SCHEMA,
     _coefficient_bound,
+    _Packing,
     cache_path,
     load_table,
     records_digest,
@@ -142,32 +143,36 @@ def reference_poly(roots, j, x, memo):
     return memo[(j, x)]
 
 
-def packed_level(packing, j, x):
-    """P_j(x) from the packed DP as a coefficient list, [] when it is 0."""
-    h = sum(x)
-    value = packing.poly(j, packing.key(x), h)
-    return list(packing.unpack(value, h)) if value else []
+def packed_level(roots, rank, j, height, xs):
+    """{x: P_j(x)} from the packed DP as coefficient lists, [] for 0.
+
+    P_j counts the first j roots only, so it is the top level of a
+    packing over those roots; j = rank is the closed form q^height(x).
+    """
+    packing = _Packing(roots[:j], rank, height, 1)
+    top = packing.fill([packing.key(x) for x in xs])
+    values = {x: top[packing.key(x)] for x in xs}
+    return {x: list(packing.unpack(v, sum(x))) if v else [] for x, v in values.items()}
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
 def test_every_level_is_the_prefix_count(family, rank):
-    # P_j over the first j roots, including the closed-form levels j <= rank
-    # where some coordinates are still uncovered.
+    # P_j over the first j roots, from the closed-form level j = rank up.
     rs = build(family, rank)
     roots = rs.positive_root_coords
     max_h = 5
-    packing = PartitionTable(rs).reserve(max_h)
     cone = [x for x in itertools.product(range(max_h + 1), repeat=rank)
             if sum(x) <= max_h]
-    for j in range(len(roots) + 1):
+    for j in range(rank, len(roots) + 1):
         counts = {}
         for n in range(max_h + 1):
             for combo in itertools.combinations_with_replacement(roots[:j], n):
                 total = tuple(map(sum, zip(*combo))) if combo else (0,) * rank
                 counts[total, n] = counts.get((total, n), 0) + 1
+        got = packed_level(roots, rank, j, max_h, cone)
         for x in cone:
             coeffs = [counts.get((x, n), 0) for n in range(sum(x) + 1)]
-            assert packed_level(packing, j, x) == (coeffs if any(coeffs) else []), (j, x)
+            assert got[x] == (coeffs if any(coeffs) else []), (j, x)
 
 
 def test_long_chain_keeps_the_stack_flat():
@@ -193,11 +198,15 @@ def test_poly_matches_the_sum_over_multiplicities(family, rank):
 
 
 def test_closed_form_levels_are_not_memoized():
+    # The backward pass collects keys for the levels j > rank only.
     rs = build("E", 7)
-    table = PartitionTable(rs)
-    GradedCalculator(rs, table=table).subregular_series(rs.theta_long)
-    filled = [j for j, level in table._packing.memo.items() if level]
-    assert filled and min(filled) > rs.rank
+    zero = (0,) * rs.rank
+    packing = PartitionTable(rs).reserve(sum(rs.theta_long_coords))
+    keys = [packing.key(x) for mu in (zero, rs.theta_short)
+            for _, x in dot_terms(rs, rs.theta_long, mu)]
+    levels = packing.levels(keys)
+    assert len(levels) == len(rs.positive_root_coords) - rs.rank
+    assert all(levels)
 
 
 def multiset_counts(roots, x):
@@ -238,13 +247,17 @@ def test_packed_levels_match_the_tuple_dp_and_brute_force(family, rank):
     assert len(targets) >= 3
     packing = table._packing
     reference = TupleDP(rs)
-    for x in targets:
-        counts = multiset_counts(roots, x)
-        for j in range(len(roots) + 1):
-            coeffs = [counts[j, n] for n in range(sum(x) + 1)]
+    counts = {x: multiset_counts(roots, x) for x in targets}
+    for j in range(len(roots) + 1):
+        got = packed_level(roots, rank, j, packing.height, targets) if j >= rank else {}
+        for x in targets:
+            coeffs = [counts[x][j, n] for n in range(sum(x) + 1)]
             expected = coeffs if any(coeffs) else []
             assert list(reference.poly(j, x)) == expected, (j, x)
-            assert packed_level(packing, j, x) == expected, (j, x)
+            if j >= rank:
+                assert got[x] == expected, (j, x)
+            if j == len(roots):
+                assert list(table.poly(x)) == expected, x
     assert table._packing is packing  # sized once, by sweep_domain
 
 
@@ -258,12 +271,19 @@ def domain_term_lists(rs, sweep):
     return lists, height
 
 
+def level_keys(packing, keys):
+    """{j: set of keys} of the backward pass, for j = N, ..., rank + 1."""
+    n_roots = len(packing.roots)
+    return {n_roots - i: set(level) for i, level in enumerate(packing.levels(keys))}
+
+
 @pytest.mark.parametrize("family,rank,sweep", [("A", 3, 1), ("B", 3, 1), ("C", 3, 1),
                                                ("D", 4, 1), ("F", 4, 1), ("E", 6, 1),
                                                ("G", 2, 24)])
 def test_batch_fill_matches_one_at_a_time(family, rank, sweep):
-    # One batch over a whole domain: the same totals, and the same keys at
-    # every memo level, as one sum at a time and as the recursive tuple DP.
+    # One batch over a whole domain: the same totals as one sum at a time,
+    # and the same keys at every level as the single arguments' passes
+    # together and as the recursive tuple DP.
     rs = build(family, rank)
     lists, height = domain_term_lists(rs, sweep)
     batch, single = PartitionTable(rs), PartitionTable(rs)
@@ -274,12 +294,17 @@ def test_batch_fill_matches_one_at_a_time(family, rank, sweep):
     assert [total for _, total in got] == [total for _, total in want]
     assert {packing for packing, _ in got} == {batch._packing}
     assert batch._packing.bits == single._packing.bits
-    keys = {j: set(level) for j, level in batch._packing.memo.items()}
-    assert keys == {j: set(level) for j, level in single._packing.memo.items()}
-    reference = TupleDP(rs)
-    for x in {x for terms in lists for _, x in terms}:
-        reference.poly(len(rs.positive_root_coords), x)
+    args = {x for terms in lists for _, x in terms}
     key = batch._packing.key
+    keys = level_keys(batch._packing, [key(x) for x in args])
+    union = {j: set() for j in keys}
+    for x in args:
+        for j, level in level_keys(single._packing, [key(x)]).items():
+            union[j] |= level
+    assert keys == union
+    reference = TupleDP(rs)
+    for x in args:
+        reference.poly(len(rs.positive_root_coords), x)
     assert keys == {j: {key(x) for x in level} for j, level in reference.memo.items()}
     assert sum(map(len, keys.values())) > len(lists)
     # The values are queued for the cache records as before.
@@ -288,7 +313,7 @@ def test_batch_fill_matches_one_at_a_time(family, rank, sweep):
 
 
 def test_batch_fill_needs_no_stack_headroom():
-    # The E7 adjoint arguments reach every one of the N = 63 memo levels;
+    # The E7 adjoint arguments reach every one of the N - rank = 56 DP levels;
     # the fill is iterative, so it runs with less headroom than that.
     rs = build("E", 7)
     lists, height = domain_term_lists(rs, 1)
@@ -303,12 +328,34 @@ def test_batch_fill_needs_no_stack_headroom():
         sums = table.packed_sums(lists)
     finally:
         sys.setrecursionlimit(limit)
-    filled = [j for j, level in table._packing.memo.items() if level]
-    assert len(filled) == len(rs.positive_root_coords) - rs.rank
+    packing = table._packing
+    keys = [packing.key(x) for terms in lists for _, x in terms]
+    levels = packing.levels(keys)
+    assert len(levels) == len(rs.positive_root_coords) - rs.rank
+    assert set(keys) <= set(levels[0])
     reference = PartitionTable(rs)
     reference.reserve(height)
     assert [total for _, total in sums] == [reference.packed_sums([terms])[0][1]
                                            for terms in lists]
+
+
+def test_a_batch_keeps_only_its_top_values():
+    # The DP levels are the scratch space of one fill: once the batch is
+    # done, the table holds its top values, a small part of the peak.
+    import tracemalloc
+
+    rs = build("E", 7)
+    lists, height = domain_term_lists(rs, 1)
+    table = PartitionTable(rs)
+    table.reserve(height)
+    tracemalloc.start()
+    try:
+        sums = table.packed_sums(lists)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(sums) == len(lists)
+    assert kept * 4 < peak, (kept, peak)
 
 
 @pytest.mark.parametrize("family,rank,sweep", [("G", 2, 24), ("F", 4, 3), ("E", 7, 1)])
@@ -323,12 +370,13 @@ def test_width_covers_every_coefficient_reached(family, rank, sweep):
     assert packing.height == height
     # never wider than the bound by the number of roots alone
     assert packing.bits <= math.comb(n_roots + height - 1, height).bit_length() + 1
-    profiles = [table.signed_sum(dot_terms(rs, lam, mu)) for lam in lams
-                for mu in ((0,) * rank, rs.theta_short)]
+    lists = [dot_terms(rs, lam, mu) for lam in lams for mu in ((0,) * rank, rs.theta_short)]
+    profiles = [p.balanced(total, height) for p, total in table.packed_sums(lists)]
     assert table._packing is packing  # one width for the whole sweep
     largest_e = max(abs(v) for profile in profiles for v in profile.values())
-    largest_p = max(max(packing.unpack(v, height))
-                    for v in packing.memo[n_roots].values())
+    # Every top value the fill of the domain reaches, not only the targets.
+    top = packing.fill([packing.key(x) for terms in lists for _, x in terms])
+    largest_p = max(max(packing.unpack(v, height)) for v in top.values())
     assert 0 < largest_e <= packing.bound < 2 ** (packing.bits - 1)
     assert 0 < largest_p <= packing.bound
 
@@ -460,7 +508,7 @@ def test_concurrent_reads_are_consistent():
 def test_concurrent_batches_are_consistent():
     # Overlapping batches filled by more threads than cores, switching
     # often: every total matches a table that filled them alone, and the
-    # memo holds the same entries.
+    # table holds the same values.
     from concurrent.futures import ThreadPoolExecutor
 
     rs = build("F", 4)
@@ -482,8 +530,8 @@ def test_concurrent_batches_are_consistent():
     for i, result in enumerate(results):
         want = [expected[k] for k in range(i, len(lists), 3)] + expected[:i]
         assert [total for _, total in result] == want
-    assert shared._packing.memo == reference._packing.memo
     assert shared.height_cutoff() == reference.height_cutoff()
+    assert shared._values == reference._values
 
 
 # -- persistence --------------------------------------------------------------
