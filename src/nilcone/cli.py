@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import os
 import sys
+from math import comb
 from pathlib import Path
 
 import click
@@ -113,6 +114,33 @@ def check_total(variety, lam, series, expected) -> None:
         )
 
 
+def nilcone_hilbert_closed_form(rs, max_degree: int) -> list[int]:
+    """The Hilbert coefficients of C[N] to max_degree from the exponents
+    e_i alone: C[N] is a complete intersection, cut out by basic
+    invariants of degrees e_i + 1 (Kostant 1963), so its series is
+    prod_i (1 - q^(e_i + 1)) / (1 - q)^dim g."""
+    dim_g = rs.rank + 2 * rs.num_positive_roots
+    numerator = [1] + [0] * max_degree
+    for e in rootsys.exponents(rs):
+        numerator = [c - (numerator[n - e - 1] if n > e else 0)
+                     for n, c in enumerate(numerator)]
+    return [sum(numerator[j] * comb(n - j + dim_g - 1, dim_g - 1)
+                for j in range(n + 1))
+            for n in range(max_degree + 1)]
+
+
+def check_hilbert(rs, variety, k, coeffs) -> None:
+    """CheckFailure unless the series agrees with the nilcone closed form:
+    in every degree for the nilcone, in degrees n < k for the subregular
+    closure, where t_n = d_n since a_n = 0."""
+    expected = nilcone_hilbert_closed_form(rs, len(coeffs) - 1)
+    upto = len(coeffs) if variety == Variety.NILCONE else k
+    for n, (c, e) in enumerate(zip(coeffs[:upto], expected)):
+        if c != e:
+            raise CheckFailure(
+                f"Hilbert coefficient {n} = {c} != closed form {e} (nilcone)")
+
+
 def emit_json(payload: dict) -> None:
     import json
 
@@ -194,7 +222,8 @@ def cli():
 @click.option("--rank", "-r", type=int)
 @click.option("--all", "all_types", is_flag=True,
               help="All of A_1..A_8, B_2..B_8, C_2..C_8, D_3..D_8, G_2, F_4, E_6..E_8.")
-@click.option("--check", is_flag=True, help="Re-verify 2k-1 = reflection length.")
+@click.option("--check", is_flag=True,
+              help="Re-verify k = h^vee(R^vee) - 1, from the classical table.")
 @_format_option
 @handle_errors
 def kconst(family, rank, all_types, check, fmt):
@@ -211,8 +240,11 @@ def kconst(family, rank, all_types, check, fmt):
         rs = rootsys.build(fam, rk)
         length = weyl.reflection_length_theta(rs)
         k = (length + 1) // 2
-        if check and (2 * k - 1 != length or k < 1):
-            raise CheckFailure(f"k inconsistency for {fam}_{rk}")
+        expected = rootsys.dual_coxeter_number_of_dual(fam, rk) - 1
+        if check and k != expected:
+            raise CheckFailure(
+                f"k = {k} from len(s_theta) = {length}, but h^vee(R^vee) - 1 "
+                f"= {expected} for {fam}_{rk}")
         entries.append({"family": fam, "rank": rk, "k": k,
                         "reflection_length": length})
     if fmt == "json":
@@ -455,16 +487,21 @@ def mult(family, rank, lam_text, mu_text, algorithm, fmt):
               required=True)
 @click.option("--max-degree", type=click.IntRange(min=0), default=6,
               show_default=True)
+@click.option("--check", is_flag=True,
+              help="Re-verify against the nilcone closed form from the exponents "
+                   "(every degree; for subregular, the degrees below k).")
 @_cache_dir_option
 @_format_option
 @handle_errors
-def hilbert(family, rank, variety, max_degree, cache_dir, fmt):
+def hilbert(family, rank, variety, max_degree, check, cache_dir, fmt):
     """Hilbert series coefficients (graded dimensions) of the chosen ring."""
     rs = rootsys.build(family, rank)
     cache_dir = resolve_cache_dir(cache_dir)
     calc = make_calculator(rs, cache_dir)
     coeffs = calc.hilbert_series(Variety(variety), max_degree)
     persist_tables(calc, cache_dir)
+    if check:
+        check_hilbert(rs, Variety(variety), calc.k, coeffs)
     if fmt == "json":
         emit_json({"command": "hilbert", "family": family, "rank": rank,
                    "variety": variety, "coefficients": coeffs})

@@ -26,13 +26,15 @@ partition table as one batch, so the DP fills all of their values in one
 pass, and every value lands in the one table that a cache file persists.
 Each profile stays packed as one int, E(lam, mu; 2^B), and its signs are
 checked weight by weight, in order, with one mask per profile; a checked
-profile is read as plain base-2^B digits, and ``hilbert_series`` reads
-only the degrees it sums.
+profile is read as plain base-2^B digits, and ``hilbert_series`` never
+unpacks one: it sums the degrees it needs packed, in carry-free digit
+classes, and unpacks only the sums.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from math import comb
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -296,17 +298,38 @@ class GradedCalculator:
         below max_degree * theta_long covers every degree.
 
         Every profile of the domain comes from one ``_profiles`` batch and
-        stays packed: only its digits n <= max_degree are read.
+        stays packed, and the sum stays packed too, in s digit classes:
+        accumulator j adds dim L(lam) times the digits n = j (mod s),
+        n <= max_degree, of each checked profile, shifted down so that
+        digit n sits at the bottom of slot (n - j) / s, s * B bits wide.
+        s is the least integer with s * B >= bits(C(dim g + max_degree,
+        max_degree)) + 1, so no slot carries into the next: every digit is
+        >= 0 once the profile's mask passes, and the slot of degree n ends
+        at the Hilbert coefficient n, the dimension of a quotient of
+        S^n(g), at most C(dim g + n - 1, n) < 2^(s B).  Each class is
+        unpacked once, at the end.
         """
-        lams = self._domain(vscale(max_degree, self.rs.theta_long))
-        coeffs = [0] * (max_degree + 1)
+        m, rs = max_degree, self.rs
+        lams = self._domain(vscale(m, rs.theta_long))
+        dim_g = rs.rank + 2 * rs.num_positive_roots
+        accs = []
         for lam, packing, profiles in self._profiles(lams, self._mus(variety)):
-            low = profiles[-1] & ((1 << (packing.bits * (max_degree + 1))) - 1)
-            if low:
-                dim = weyl_dim(self.rs, lam)
-                for n, c in enumerate(packing.unpack(low, max_degree)):
-                    coeffs[n] += c * dim
-        return coeffs
+            if not accs:  # one batch: every lam shares this packing
+                bits = packing.bits
+                s = -(-(comb(dim_g + m, m).bit_length() + 1) // bits)
+                digit = (1 << bits) - 1
+                masks = [sum(digit << (bits * n) for n in range(j, m + 1, s))
+                         for j in range(s)]
+                low = (1 << (bits * (m + 1))) - 1
+                accs = [0] * s
+            if profiles[-1] & low:
+                dim = weyl_dim(rs, lam)
+                for j, mask in enumerate(masks):
+                    accs[j] += dim * ((profiles[-1] & mask) >> (bits * j))
+        # The domain holds 0, so the loop ran and s is set.
+        width = s * bits
+        slot = (1 << width) - 1
+        return [(accs[n % s] >> (width * (n // s))) & slot for n in range(m + 1)]
 
 
 def _digits(packing, value) -> dict[int, int]:

@@ -11,10 +11,9 @@ coordinate vector of ``alpha_i`` and the fw coordinates of a vector with
 root-basis coordinates ``r`` are ``cartan^T r``.
 
 Root-basis coordinates of a general weight are exact rationals; they are
-integers precisely on the root lattice.  All arithmetic is exact, never
-floats: ``build`` works in integers only (a fraction-free adjugate, an
-integer symmetrizer), and ``fractions.Fraction`` is loaded only by the
-two methods that return rationals, ``to_root_basis`` and ``height``.
+integers precisely on the root lattice, where ``root_coords_int`` gives
+them.  All arithmetic is exact, never floats: ``build`` works in
+integers only (a fraction-free adjugate, an integer symmetrizer).
 
 The symmetric bilinear form is normalised so that short roots have
 squared length 2 (``inner`` values on the weight lattice are integers).
@@ -23,13 +22,10 @@ squared length 2 (``inner`` values on the weight lattice are integers).
 from __future__ import annotations
 
 from math import gcd, lcm, prod
-from operator import mul
-from typing import TYPE_CHECKING, NamedTuple
+from operator import add, mul, sub
+from typing import NamedTuple
 
 from .errors import InadmissibleTypeError
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 Weight = tuple[int, ...]
 RootVector = tuple[int, ...]
@@ -87,18 +83,46 @@ def coxeter_number(family: str, rank: int) -> int:
     return 6  # G_2
 
 
+def dual_coxeter_number_of_dual(family: str, rank: int) -> int:
+    """Classical dual Coxeter number of the dual root system R^vee.
+
+    B_l and C_l swap under duality; every other type is self-dual.  The
+    highest root of R^vee is theta_s^vee, so the length 2 h^vee(R^vee) - 3
+    of its reflection is that of s_theta_s: k = h^vee(R^vee) - 1.
+    """
+    l = rank
+    if family in ("A", "B"):
+        return l + 1
+    if family == "C":
+        return 2 * l - 1
+    if family == "D":
+        return 2 * l - 2
+    if family == "E":
+        return {6: 12, 7: 18, 8: 30}[l]
+    if family == "F":
+        return 9
+    return 4  # G_2
+
+
+def exponents(rs) -> list[int]:
+    """The exponents of the Weyl group, sorted, read off the root system
+    alone: the partition dual to the number of positive roots of each
+    height (Kostant 1959)."""
+    by_height: dict[int, int] = {}
+    for r in rs.positive_root_coords:
+        by_height[sum(r)] = by_height.get(sum(r), 0) + 1
+    counts = [by_height[h] for h in sorted(by_height)]
+    return sorted(sum(1 for c in counts if c >= j) for j in range(1, rs.rank + 1))
+
+
 # -- small exact vector helpers ---------------------------------------------
 
 def vadd(u, v):
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(add, u, v))
 
 
 def vsub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vneg(u):
-    return tuple(-a for a in u)
+    return tuple(map(sub, u, v))
 
 
 def vscale(c, u):
@@ -242,47 +266,21 @@ class RootSystem(NamedTuple):
 
     # -- coordinate conversions ----------------------------------------
 
-    def to_root_basis(self, w) -> tuple[Fraction, ...]:
-        """Root-basis coordinates of a weight, as exact rationals."""
-        from fractions import Fraction
-
-        det = self.fw_to_root_det
-        return tuple(
-            Fraction(sum(row[i] * w[i] for i in range(self.rank)), det)
-            for row in self.fw_to_root_adj
-        )
-
     def root_coords_int(self, w) -> RootVector | None:
         """Integer root-basis coordinates, or None if w is off the root lattice."""
         det = self.fw_to_root_det
         out = []
         for row in self.fw_to_root_adj:
-            num = sum(row[i] * w[i] for i in range(self.rank))
+            num = sum(map(mul, row, w))
             if num % det:
                 return None
             out.append(num // det)
         return tuple(out)
 
-    def from_root_basis(self, r) -> Weight:
-        """fw coordinates of sum_j r_j alpha_j."""
-        return tuple(
-            sum(r[j] * self.cartan[j][i] for j in range(self.rank))
-            for i in range(self.rank)
-        )
-
     # -- predicates and measures ----------------------------------------
 
     def is_dominant(self, w) -> bool:
         return all(c >= 0 for c in w)
-
-    def in_root_lattice(self, w) -> bool:
-        return self.root_coords_int(w) is not None
-
-    def height(self, w) -> Fraction:
-        """Sum of root-basis coordinates (rational for general weights)."""
-        from fractions import Fraction
-
-        return sum(self.to_root_basis(w), Fraction(0))
 
     def dominance_le(self, mu, lam) -> bool:
         """True iff lam - mu has nonnegative integer root-basis coordinates."""
@@ -304,17 +302,6 @@ class RootSystem(NamedTuple):
         """
         d = self.symmetrizer
         return sum(r[j] * d[j] * w[j] for j in range(self.rank))
-
-    def root_norm2(self, r) -> int:
-        """Squared length (beta, beta) of a root-lattice vector."""
-        return self.inner(self.from_root_basis(r), r)
-
-    def coroot_pairing(self, w, r) -> int:
-        """<w, beta^vee> = 2 (w, beta) / (beta, beta) for a root beta."""
-        n2 = self.root_norm2(r)
-        num = 2 * self.inner(w, r)
-        assert num % n2 == 0, "coroot pairing of a weight must be integral"
-        return num // n2
 
     # -- reflections and orbits ------------------------------------------
 
@@ -382,8 +369,8 @@ class RootSystem(NamedTuple):
             for mu in frontier:
                 d = depth[mu]
                 for alpha, h in roots:
-                    nu = tuple(c - a for c, a in zip(mu, alpha))
-                    if nu not in depth and all(c >= 0 for c in nu):
+                    nu = tuple(map(sub, mu, alpha))
+                    if min(nu) >= 0 and nu not in depth:
                         depth[nu] = d + h
                         nxt.append(nu)
             frontier = nxt

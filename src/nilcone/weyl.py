@@ -43,7 +43,7 @@ def dot_terms(rs: RootSystem, lam, mu) -> list[tuple[int, RootVector]]:
             return []
         sign, lam = resolved
     r = rs.root_coords_int(vsub(lam, mu))
-    if r is None or any(c < 0 for c in r):
+    if r is None or min(r) < 0:
         return []
     cartan = rs.cartan
     v = vadd(lam, rs.rho)
@@ -57,11 +57,13 @@ def dot_terms(rs: RootSystem, lam, mu) -> list[tuple[int, RootVector]]:
             for i, c in enumerate(v):
                 if c <= 0 or r[i] < c:
                     continue
-                v2 = tuple(a - c * b for a, b in zip(v, cartan[i]))
+                v2 = tuple([a - c * b for a, b in zip(v, cartan[i])])
                 if v2 in seen:
                     continue
                 seen.add(v2)
-                r2 = r[:i] + (r[i] - c,) + r[i + 1:]
+                r2 = list(r)
+                r2[i] -= c
+                r2 = tuple(r2)
                 terms.append((sign, r2))
                 nxt.append((v2, r2))
         frontier = nxt

@@ -11,6 +11,8 @@ tests can check the integer versions against them.
 from fractions import Fraction
 from math import gcd
 
+from root_lattice import root_norm2
+
 
 def symmetrizer(cartan) -> tuple[int, ...]:
     """Positive integers d with d_j*cartan[i][j] symmetric, short roots d=1."""
@@ -71,7 +73,7 @@ def dual_of_highest_coroot(rs):
     beta^vee = sum_j (2 r_j d_j / (beta, beta)) alpha_j^vee has the
     largest height, as a rational; None if that root is not unique."""
     d = rs.symmetrizer
-    heights = [Fraction(2 * sum(rj * dj for rj, dj in zip(r, d)), rs.root_norm2(r))
+    heights = [Fraction(2 * sum(rj * dj for rj, dj in zip(r, d)), root_norm2(rs, r))
                for r in rs.positive_root_coords]
     top = max(heights)
     tops = [r for r, h in zip(rs.positive_root_coords, heights) if h == top]

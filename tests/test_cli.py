@@ -60,6 +60,25 @@ def test_kconst_csv(runner):
     ]
 
 
+def test_kconst_check_passes_on_every_type(runner):
+    result = runner.invoke(cli, ["kconst", "--all", "--check"])
+    assert result.exit_code == 0, result.output
+
+
+def test_kconst_check_sees_a_wrong_reflection_length(runner, monkeypatch):
+    # The check compares k with h^vee(R^vee) - 1 from a table that shares
+    # no code with the inversion count, so an odd but wrong length fails.
+    from nilcone import weyl
+
+    real = weyl.reflection_length_theta
+    monkeypatch.setattr(weyl, "reflection_length_theta", lambda rs: real(rs) + 2)
+    args = ["kconst", "-f", "G", "-r", "2"]
+    assert runner.invoke(cli, args).exit_code == 0
+    result = runner.invoke(cli, [*args, "--check"])
+    assert result.exit_code == EXIT_VIOLATION
+    assert "k = 4 from len(s_theta) = 7, but h^vee(R^vee) - 1 = 3 for G_2" in result.output
+
+
 def test_kconst_requires_type_or_all(runner):
     result = runner.invoke(cli, ["kconst"])
     assert result.exit_code == EXIT_USAGE
@@ -123,11 +142,13 @@ def test_jobs_is_no_longer_an_option(runner, jobs):
 
 
 def test_import_loads_no_process_pool():
+    # Nor json, hashlib or fractions: each is imported where it is used,
+    # so start-up, about three quarters of a short run, does not pay for them.
     import nilcone
 
     code = ("import sys, nilcone.cli; print(' '.join(m for m in "
-            "('multiprocessing', 'concurrent.futures', 'pickle', 'socket') "
-            "if m in sys.modules))")
+            "('multiprocessing', 'concurrent.futures', 'pickle', 'socket', "
+            "'json', 'hashlib', 'fractions') if m in sys.modules))")
     env = {**os.environ, "PYTHONPATH": str(Path(nilcone.__file__).parents[1])}
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, timeout=60)

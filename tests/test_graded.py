@@ -17,7 +17,9 @@ from nilcone import (
     euler_induced,
     weyl_dim,
 )
-from nilcone.cli import cli
+from nilcone.cli import cli, nilcone_hilbert_closed_form
+from nilcone.rootsys import exponents
+from root_lattice import height
 from weyl_oracle import dominant_up_to_height
 
 
@@ -172,7 +174,7 @@ def test_support_bound(calculators, family, rank):
     calc = calculators(family, rank)
     rs = calc.rs
     for lam in dominant_up_to_height(rs, 8):
-        h = rs.height(lam)
+        h = height(rs, lam)
         for series in (calc.nilcone_series(lam), calc.subregular_series(lam)):
             for n in series:
                 assert n <= h
@@ -347,17 +349,6 @@ def test_hilbert_a2_subregular_degree_one(calculators):
 
 # -- closed forms from the exponents -------------------------------------------------
 
-def exponents(rs):
-    """The exponents of the Weyl group, read off the root system alone: the
-    partition dual to the number of positive roots of each height
-    (Kostant 1959)."""
-    by_height = {}
-    for r in rs.positive_root_coords:
-        by_height[sum(r)] = by_height.get(sum(r), 0) + 1
-    counts = [by_height[h] for h in sorted(by_height)]
-    return sorted(sum(1 for c in counts if c >= j) for j in range(1, rs.rank + 1))
-
-
 def test_exponents_helper_examples(systems):
     assert exponents(systems("A", 3)) == [1, 2, 3]
     assert exponents(systems("G", 2)) == [1, 5]
@@ -377,23 +368,21 @@ def test_adjoint_degrees_are_the_exponents(calculators, family, rank):
     assert calc.nilcone_series(calc.rs.theta_long) == expected
 
 
-@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("G", 2)])
-def test_nilcone_hilbert_series_closed_form(calculators, family, rank):
+@pytest.mark.parametrize("family,rank,max_degree", [
+    pytest.param("A", 1, 24, id="A-1"),  # 2n + 1, in s = 7 digit classes
+    pytest.param("A", 3, 5, id="A-3"),
+    pytest.param("B", 3, 5, id="B-3"),
+    pytest.param("C", 3, 5, id="C-3"),
+    pytest.param("G", 2, 24, id="G-2"),  # s = 2 digit classes
+])
+def test_nilcone_hilbert_series_closed_form(calculators, family, rank, max_degree):
     # C[N] is a complete intersection: its Hilbert series is
-    # prod_i (1 - q^(e_i + 1)) / (1 - q)^dim g.
-    from math import comb
-
-    max_degree = 5
+    # prod_i (1 - q^(e_i + 1)) / (1 - q)^dim g, the closed form that
+    # hilbert --check compares with.
     calc = calculators(family, rank)
-    dim_g = rank + 2 * calc.rs.num_positive_roots
-    numerator = [1] + [0] * max_degree
-    for e in exponents(calc.rs):
-        numerator = [c - (numerator[n - e - 1] if n > e else 0)
-                     for n, c in enumerate(numerator)]
-    expected = [
-        sum(numerator[k] * comb(n - k + dim_g - 1, dim_g - 1) for k in range(n + 1))
-        for n in range(max_degree + 1)
-    ]
+    expected = nilcone_hilbert_closed_form(calc.rs, max_degree)
+    if family == "A" and rank == 1:
+        assert expected == [2 * n + 1 for n in range(max_degree + 1)]
     assert calc.hilbert_series(Variety.NILCONE, max_degree) == expected
 
 
@@ -485,10 +474,13 @@ def test_negative_coefficient_from_the_packed_kernel_is_a_hard_error(
 @pytest.mark.parametrize("variety", list(Variety))
 @pytest.mark.parametrize("family,rank,max_degree", [("A", 2, 6), ("B", 3, 4),
                                                     ("C", 3, 4), ("G", 2, 8),
-                                                    ("F", 4, 3)])
+                                                    ("F", 4, 3), ("A", 1, 24),
+                                                    ("G", 2, 24)])
 def test_hilbert_series_is_the_per_weight_sum(calculators, family, rank,
                                               max_degree, variety):
-    # hilbert_series reads packed profiles; series() is the dict path.
+    # hilbert_series sums packed profiles in digit classes (s = 1 for F4
+    # to degree 3, 2 for G2 to degree 24, 7 for A1 to degree 24);
+    # series() is the dict path.
     calc = calculators(family, rank)
     expected = [0] * (max_degree + 1)
     for lam in calc.sweep_domain(max_degree):
@@ -686,3 +678,20 @@ def test_cohomology_weyl_check_sees_a_wrong_total(monkeypatch, max_i):
     result = CliRunner().invoke(cli, [*args, "--check"])
     assert result.exit_code == 4
     assert "total 3 != m(0) = 2 at lambda=(1,1)" in result.output
+
+
+@pytest.mark.parametrize("variety", ["nilcone", "subregular"])
+def test_hilbert_check_sees_a_wrong_coefficient(monkeypatch, variety):
+    # d_0(theta) raised by 1 leaves every digit nonnegative, so every sign
+    # mask passes and coefficient 0 becomes 1 + dim g; only the closed form
+    # catches it (for subregular in a degree below k = 3).
+    rs = build("G", 2)
+    args = ["hilbert", "-f", "G", "-r", "2", "--variety", variety, "--max-degree", "8"]
+    assert CliRunner().invoke(cli, [*args, "--check"]).exit_code == 0
+    skew_packed_kernel(monkeypatch, rs.theta_long, (0, 0), -1)
+    result = CliRunner().invoke(cli, args)
+    assert result.exit_code == 0
+    assert result.output.split(": ")[1].split()[:2] == ["15", "14"]
+    result = CliRunner().invoke(cli, [*args, "--check"])
+    assert result.exit_code == 4
+    assert "Hilbert coefficient 0 = 15 != closed form 1 (nilcone)" in result.output

@@ -12,6 +12,7 @@ from nilcone import (
     shift_constant,
 )
 from nilcone.rootsys import vadd, vsub
+from root_lattice import coroot_pairing
 from weyl_oracle import (
     WeylCapExceededError,
     det_int,
@@ -138,7 +139,7 @@ def test_reflection_length_matches_enumerated_reflection(systems, groups):
         found = None
         for e in groups(family, rank).elements:
             if all(
-                e.apply(w) == vsub(w, tuple(rs.coroot_pairing(w, rs.theta_short_coords) * t
+                e.apply(w) == vsub(w, tuple(coroot_pairing(rs, w, rs.theta_short_coords) * t
                                             for t in theta))
                 for w in [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
             ):
@@ -176,7 +177,7 @@ def test_euler_induced_detects_singular_nonsimple_wall(systems):
     mu = (0, -2)
     nu = vadd(mu, rs.rho)
     assert all(c != 0 for c in nu)
-    assert rs.coroot_pairing(nu, (1, 2)) == 0
+    assert coroot_pairing(rs, nu, (1, 2)) == 0
     assert euler_induced(rs, mu) is None
 
 

@@ -16,6 +16,7 @@ from math import factorial
 
 from nilcone.errors import NilconeError
 from nilcone.rootsys import RootSystem, RootSystemId, Weight, vadd, vsub
+from root_lattice import height
 
 DEFAULT_CAP = 3_000_000
 
@@ -188,7 +189,7 @@ def dot_action(rs: RootSystem, w: WeylElement, lam) -> Weight:
 def dominant_up_to_height(rs: RootSystem, max_height) -> tuple[Weight, ...]:
     """All dominant weights of height <= max_height, sorted."""
     fw_heights = [
-        rs.height(tuple(int(i == j) for j in range(rs.rank)))
+        height(rs, tuple(int(i == j) for j in range(rs.rank)))
         for i in range(rs.rank)
     ]
     found = []
@@ -206,4 +207,4 @@ def dominant_up_to_height(rs: RootSystem, max_height) -> tuple[Weight, ...]:
         coords[j] = 0
 
     rec(0, Fraction(max_height))
-    return tuple(sorted(found, key=lambda m: (rs.height(m), m)))
+    return tuple(sorted(found, key=lambda m: (height(rs, m), m)))
