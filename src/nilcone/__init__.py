@@ -36,7 +36,7 @@ from .multiplicity import (
     kostant_mult,
     weyl_dim,
 )
-from .partition import PartitionTable, table_for
+from .partition import PartitionTable
 from .rootsys import RootSystem, RootSystemId, build
 from .weyl import (
     dot_terms,
@@ -70,6 +70,5 @@ __all__ = [
     "kostant_mult",
     "reflection_length_theta",
     "shift_constant",
-    "table_for",
     "weyl_dim",
 ]

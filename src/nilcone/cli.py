@@ -129,16 +129,31 @@ def nilcone_hilbert_closed_form(rs, max_degree: int) -> list[int]:
             for n in range(max_degree + 1)]
 
 
+def little_adjoint_dim(rs) -> int:
+    """dim L(theta_s), counted from the roots alone: its weights are the
+    short roots, and 0 once per short simple root."""
+    short = [sum(r) for c, r in zip(rs.positive_roots, rs.positive_root_coords)
+             if rs.inner(c, r) == 2]
+    return 2 * len(short) + short.count(1)
+
+
 def check_hilbert(rs, variety, k, coeffs) -> None:
     """CheckFailure unless the series agrees with the nilcone closed form:
-    in every degree for the nilcone, in degrees n < k for the subregular
-    closure, where t_n = d_n since a_n = 0."""
+    in every degree for the nilcone; for the subregular closure in the
+    degrees n < k, where t_n = d_n since a_n = 0, and in degree k, where
+    a_k(lam) = E(lam, theta_s; q) at q^0 = [lam = theta_s] takes away
+    dim L(theta_s)."""
     expected = nilcone_hilbert_closed_form(rs, len(coeffs) - 1)
-    upto = len(coeffs) if variety == Variety.NILCONE else k
-    for n, (c, e) in enumerate(zip(coeffs[:upto], expected)):
+    forms = ["nilcone"] * len(expected)
+    if variety == Variety.SUBREGULAR:
+        del expected[k + 1:]
+        if k < len(expected):
+            expected[k] -= little_adjoint_dim(rs)
+            forms[k] = "nilcone - dim L(theta_s)"
+    for n, (c, e) in enumerate(zip(coeffs, expected)):
         if c != e:
             raise CheckFailure(
-                f"Hilbert coefficient {n} = {c} != closed form {e} (nilcone)")
+                f"Hilbert coefficient {n} = {c} != closed form {e} ({forms[n]})")
 
 
 def emit_json(payload: dict) -> None:
@@ -489,7 +504,8 @@ def mult(family, rank, lam_text, mu_text, algorithm, fmt):
               show_default=True)
 @click.option("--check", is_flag=True,
               help="Re-verify against the nilcone closed form from the exponents "
-                   "(every degree; for subregular, the degrees below k).")
+                   "(every degree; for subregular, the degrees up to k, less "
+                   "dim L(theta_s) in degree k).")
 @_cache_dir_option
 @_format_option
 @handle_errors

@@ -22,8 +22,10 @@ Every query reads its profiles through one checked path,
 ``GradedCalculator._profiles``: it gathers the dot-orbit terms of every
 weight asked for (one for ``series``, a whole domain for ``series_batch``,
 ``cohomology_table`` and ``hilbert_series``) and hands them to the
-partition table as one batch, so the DP fills all of their values in one
-pass, and every value lands in the one table that a cache file persists.
+partition table as one batch, which takes the width of its tallest
+argument (for a domain, the top weight's own), so the DP fills all of
+their values in one pass, and every value lands in the calculator's
+table, which a cache file persists.
 Each profile stays packed as one int, E(lam, mu; 2^B), and its signs are
 checked weight by weight, in order, with one mask per profile; a checked
 profile is read as plain base-2^B digits, and ``hilbert_series`` never
@@ -119,7 +121,8 @@ class CohomologyTable(NamedTuple):
 
 
 class GradedCalculator:
-    """Bundles a root system with its partition table.
+    """Bundles a root system with its partition table: the one given,
+    or a new one of its own.
 
     Every query, one degree or a whole series, is read off the checked
     profiles E(lam, mu; q) of ``_profiles``.  All methods are pure given
@@ -135,7 +138,7 @@ class GradedCalculator:
         table: partition.PartitionTable | None = None,
     ):
         self.rs = rs
-        self.table = table if table is not None else partition.table_for(rs)
+        self.table = table if table is not None else partition.PartitionTable(rs)
         self.k = shift_constant(rs)
 
     # -- the one checked kernel ----------------------------------------------
@@ -232,14 +235,7 @@ class GradedCalculator:
 
     def sweep_domain(self, sweep: int) -> tuple[Weight, ...]:
         """Dominant weights dominance-below sweep * theta_long."""
-        return self._domain(vscale(sweep, self.rs.theta_long))
-
-    def _domain(self, top) -> tuple[Weight, ...]:
-        """Dominant weights dominance-below top, with the partition table
-        sized for all of them up front: every argument of their profiles
-        is at most as tall as top, so their values share one width."""
-        self.table.reserve(sum(self.rs.root_coords_int(top)))
-        return self.rs.dominant_below(top)
+        return self.rs.dominant_below(vscale(sweep, self.rs.theta_long))
 
     def cohomology_table(
         self, kind: ModuleKind, sweep: int, max_i: int
@@ -310,7 +306,7 @@ class GradedCalculator:
         unpacked once, at the end.
         """
         m, rs = max_degree, self.rs
-        lams = self._domain(vscale(m, rs.theta_long))
+        lams = rs.dominant_below(vscale(m, rs.theta_long))
         dim_g = rs.rank + 2 * rs.num_positive_roots
         accs = []
         for lam, packing, profiles in self._profiles(lams, self._mus(variety)):

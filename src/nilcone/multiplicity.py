@@ -112,7 +112,7 @@ def kostant_mult(
     if not rs.is_dominant(lam):
         raise NonDominantWeightError(lam)
     if table is None:
-        table = partition.table_for(rs)
+        table = partition.PartitionTable(rs)
     total = sum(table.signed_sum(dot_terms(rs, lam, mu)).values())
     if total < 0:
         raise InternalInconsistencyError(

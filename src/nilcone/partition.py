@@ -7,8 +7,9 @@ and ``big_p`` their sum.  Every alternating Weyl sum downstream is a signed
 sum of these polynomials, taken by ``packed_sums`` as one int per sum,
 for a whole batch of sums at once, and read by a mask test and a plain
 unpack (the graded queries) or by ``signed_sum``, a balanced unpack
-(Kostant's formula, where a non-dominant mu can give a negative digit);
-the table keeps the polynomials it was asked for and can persist them.
+(Kostant's formula, where a non-dominant mu can give a negative digit).
+The table keeps each polynomial it was asked for once, packed, with the
+packing it was computed in, and can persist them.
 
 The generating identity ties the whole table to the product over positive
 roots of 1 / (1 - e^alpha q): the coefficient of q^n e^x is p(x, n).
@@ -34,12 +35,14 @@ so the p(x, n) of distinct x count disjoint multisets, and for
 height(x) <= H those are multisets of at most H of the N roots (at most
 C(N + H - 1, H)) of total height at most H (``_coefficient_bound``
 takes the smaller count).  M bounds every coefficient of P_j and every
-coefficient of a signed sum over distinct arguments; B = bits(M) + 1
-leaves a sign bit for the balanced unpack of such a sum, and makes the
-test that every digit of it is >= 0 one add and one mask over the top
-bit of each field (``_Packing.nonnegative``).  The field
-width and B are fixed for a height capacity H; a taller argument gets
-a wider packing, so a field never overflows into its neighbour.
+coefficient of a signed sum over distinct arguments (a sum in which an
+argument occurs twice is refused); B = bits(M) + 1 leaves a sign bit
+for the balanced unpack of such a sum, and makes the test that every
+digit of it is >= 0 one add and one mask over the top bit of each
+field (``_Packing.nonnegative``).  The field width and B are fixed for a
+height capacity H; a batch with a taller argument gets a wider packing,
+so a field never overflows into its neighbour, and a held value from a
+narrower one is repacked when that batch reads it.
 """
 
 from __future__ import annotations
@@ -63,19 +66,16 @@ class _Packing:
     Each coordinate of a key gets `span` bits, enough for any coordinate
     of a cone point up to the height capacity and of every root, and a
     guard bit above them.  Values are P_j(x; 2^bits).  Each fill owns
-    its levels and nothing changes but the targets dict, so a table
-    swaps in a wider packing without disturbing a DP running on this
-    one.
+    its levels and a packing never changes once built, so a table swaps
+    in a wider packing without disturbing a DP running on this one.
     """
 
-    def __init__(self, roots, rank: int, height: int, repeats: int):
+    def __init__(self, roots, rank: int, height: int):
         self.rank = rank
         self.height = height
-        self.repeats = repeats
-        # No coefficient of a value, nor of a signed sum of values in which
-        # no x occurs more than `repeats` times, exceeds this; one more bit
-        # holds the sign.
-        self.bound = repeats * _coefficient_bound([sum(r) for r in roots], height)
+        # No coefficient of a value, nor of a signed sum of values of
+        # distinct x, exceeds this; one more bit holds the sign.
+        self.bound = _coefficient_bound([sum(r) for r in roots], height)
         self.bits = self.bound.bit_length() + 1
         span = max(height, *map(max, roots)).bit_length()
         self.shifts = tuple((span + 1) * i for i in range(rank))
@@ -85,8 +85,6 @@ class _Packing:
         self.ones = sum(1 << s for s in self.shifts)
         self.field = (1 << (span + 1)) - 1
         self.roots = [self.key(r) for r in roots]
-        # key -> P(x; 2^bits) for the x whose coefficients the table holds.
-        self.targets: dict[int, int] = {}
         # fields -> tops(fields).
         self._tops: dict[int, int] = {}
 
@@ -203,9 +201,11 @@ class PartitionTable:
     """Partition polynomials for one root system.
 
     Readers may share a table across threads: each DP fill runs on its
-    own levels, values are deterministic, so two threads that fill the
-    same argument store equal values (last write wins under the GIL's
-    atomic dict stores), and a wider packing replaces the old one whole.
+    own levels, values are deterministic, and every held value carries
+    the packing it is written in, so two threads that store the same
+    argument store equal polynomials, in whichever width (last write wins
+    under the GIL's atomic dict stores), and a wider packing replaces the
+    old one whole.
     """
 
     def __init__(self, rs: RootSystem):
@@ -213,42 +213,31 @@ class PartitionTable:
         # DP order is the build order: by height, then lexicographic, so the
         # first rank roots are the simple ones.
         self._roots = rs.positive_root_coords
-        self._packing = _Packing(self._roots, rs.rank, 0, 1)
-        # x -> P(x), the public values a cache file holds.
-        self._values: dict[RootVector, tuple[int, ...]] = {}
-        # (x, packing, P(x; 2^bits)) for the values packed_sums computed and
-        # has not yet unpacked into _values; _settle() does, before anything
-        # reads _values.
-        self._fresh: list[tuple[RootVector, _Packing, int]] = []
+        self._packing = _Packing(self._roots, rs.rank, 0)
+        # x -> (packing, P(x; 2^packing.bits)): every value the table holds.
+        self._values: dict[RootVector, tuple[_Packing, int]] = {}
         # True when the table holds values its cache file lacks, or that
         # file is stale; save() clears it.
         self.unsaved = False
 
-    def reserve(self, height: int, repeats: int = 1) -> _Packing:
+    def reserve(self, height: int) -> _Packing:
         """The packing, rebuilt wider if needed, for signed sums of
-        arguments up to `height` in which no argument occurs more than
-        `repeats` times.  A sweep reserves its tallest height first, so
-        all its values share one width.  The values the old packing filled
-        stay queued with it for _values."""
+        distinct arguments up to `height`."""
         packing = self._packing
-        if height > packing.height or repeats > packing.repeats:
-            packing = _Packing(self._roots, self.rs.rank, max(height, packing.height),
-                               max(repeats, packing.repeats))
+        if height > packing.height:
+            packing = _Packing(self._roots, self.rs.rank, height)
             self._packing = packing
         return packing
 
     def poly(self, x) -> tuple[int, ...]:
         """Coefficients (p(x, 0), ..., p(x, height x)) of P(x; q); empty
-        for any x outside the nonnegative root cone."""
+        for any x outside the nonnegative root cone, ValueError for an x
+        without rank coordinates."""
         x = tuple(x)
-        if any(c < 0 for c in x):
+        if len(x) == self.rs.rank and min(x) < 0:
             return ()
-        self._settle()
-        hit = self._values.get(x)
-        if hit is None:
-            [(packing, value)] = self.packed_sums([[(1, x)]])
-            hit = packing.unpack(value, sum(x))
-        return hit
+        [(packing, value)] = self.packed_sums([[(1, x)]])
+        return packing.unpack(value, sum(x))
 
     def p(self, x, n: int) -> int:
         """Number of n-element positive-root multisets summing to x.
@@ -265,45 +254,50 @@ class PartitionTable:
 
     def packed_sums(self, term_lists) -> list[tuple[_Packing, int]]:
         """(packing, sum of sign * P(x; 2^B)) for each list of (sign, x)
-        terms with every x in the nonnegative cone: the one alternating
-        kernel, before any unpacking, over a whole batch of sums.
+        terms with distinct x of rank coordinates, each in the nonnegative
+        cone: the one alternating kernel, before any unpacking, over a
+        whole batch of sums.
 
         Each term adds or subtracts P(x; 2^B) into one int.  B, the
-        packing's bits, covers every sum of the batch: it is sized for
-        the tallest x and for the most times any one x occurs in one list
-        (once, for distinct arguments such as a dot orbit's), so every
+        packing's bits, is sized for the tallest x of the batch, so every
         balanced digit c_n of a total has |c_n| < 2^(B - 1) and n <= the
         tallest height.  ``_Packing.balanced`` reads the digits and
-        ``_Packing.nonnegative`` tests their signs.  Each distinct x is
-        packed once, and the values no list had before are filled by one
-        ``_Packing.fill`` and queued for _values.
+        ``_Packing.nonnegative`` tests their signs.  A held value from
+        another width is repacked, once, and stored back; the values no
+        list had before are filled by one ``_Packing.fill``.  A list in
+        which an argument occurs twice, or an argument of the wrong
+        length, raises ValueError.
         """
         term_lists = list(term_lists)
         args: set[RootVector] = set()
-        repeats = 1
         for terms in term_lists:
             xs = {x for _, x in terms}
-            repeats = max(repeats, len(terms) - len(xs) + 1)
+            if len(xs) != len(terms):
+                raise ValueError("an argument occurs twice in one term list")
             args |= xs
-        packing = self.reserve(max(map(sum, args), default=0), repeats)
-        targets, values, key = packing.targets, self._values, packing.key
+        rank = self.rs.rank
+        if any(len(x) != rank for x in args):
+            raise ValueError(f"an argument does not have {rank} coordinates")
+        packing = self.reserve(max(map(sum, args), default=0))
+        values, bits = self._values, packing.bits
         value_of: dict[RootVector, int] = {}
         new = []
         for x in args:
-            k = key(x)
-            value = targets.get(k)
-            if value is None:
-                coeffs = values.get(x)
-                if coeffs is None:
-                    new.append((x, k))
-                    continue
-                value = targets[k] = packing.pack(coeffs)
+            held = values.get(x)
+            if held is None:
+                new.append(x)
+                continue
+            old, value = held
+            if old.bits != bits:  # a value depends on its packing's bits alone
+                value = packing.pack(old.unpack(value, sum(x)))
+                values[x] = packing, value
             value_of[x] = value
         if new:
-            top = packing.fill([k for _, k in new])
-            for x, k in new:
-                value = targets[k] = value_of[x] = top[k]
-                self._fresh.append((x, packing, value))
+            keys = [packing.key(x) for x in new]
+            top = packing.fill(keys)
+            for x, k in zip(new, keys):
+                value = value_of[x] = top[k]
+                values[x] = packing, value
             self.unsaved = True
         sums = []
         for terms in term_lists:
@@ -318,21 +312,11 @@ class PartitionTable:
 
     def signed_sum(self, terms) -> dict[int, int]:
         """{n: sum of sign * p(x, n)}, zeros dropped, for a list of
-        (sign, x) terms with every x in the nonnegative cone: the
+        (sign, x) terms with distinct x in the nonnegative cone: the
         ``packed_sums`` total, unpacked once in balanced base 2^B, so a
         negative coefficient comes back negative."""
         [(packing, total)] = self.packed_sums([terms])
         return packing.balanced(total, max((sum(x) for _, x in terms), default=0))
-
-    def _settle(self) -> None:
-        """Unpack the values packed_sums computed into _values.  Each entry
-        is popped whole, so threads settling at once share the work."""
-        while True:
-            try:
-                x, packing, value = self._fresh.pop()
-            except IndexError:
-                return
-            self._values[x] = packing.unpack(value, sum(x))
 
     # -- persistence -----------------------------------------------------
 
@@ -346,7 +330,6 @@ class PartitionTable:
 
     def height_cutoff(self) -> int:
         """Largest height among cached arguments (0 when empty)."""
-        self._settle()
         return max((sum(x) for x in self._values), default=0)
 
     def save(self, path) -> Path:
@@ -360,8 +343,8 @@ class PartitionTable:
 
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        self._settle()
-        records = sorted([list(x), list(c)] for x, c in self._values.items())
+        records = sorted([list(x), list(packing.unpack(value, sum(x)))]
+                         for x, (packing, value) in self._values.items())
         payload = {
             "schema_version": PARTITION_CACHE_SCHEMA,
             "family": self.rs.family,
@@ -387,7 +370,8 @@ class PartitionTable:
         """Merge records from a cache file; returns the number loaded.
 
         Partial tables are extendable: existing entries must agree with
-        the file (both are reproducible by the DP), new ones are added.
+        the file (both are reproducible by the DP), new ones are added,
+        packed once at the width of the tallest record.
         A file that is unreadable, from another schema version, whose
         records do not match their digest or whose records are malformed
         raises StaleCacheError and merges nothing; any other mismatch
@@ -416,14 +400,16 @@ class PartitionTable:
         if not all(self._is_record(record) for record in records):
             raise StaleCacheError(f"partition cache {path} holds a malformed record")
         loaded = {tuple(x): tuple(coeffs) for x, coeffs in records}
-        self._settle()
         for x, coeffs in loaded.items():
-            if self._values.get(x, coeffs) != coeffs:
-                raise CacheFormatError(
-                    f"partition cache {path} disagrees at {x}: "
-                    f"{list(coeffs)} != {list(self._values[x])}"
-                )
-        self._values.update(loaded)
+            if x in self._values:
+                packing, value = self._values[x]
+                held = packing.unpack(value, sum(x))
+                if held != coeffs:
+                    raise CacheFormatError(f"partition cache {path} disagrees at "
+                                           f"{x}: {list(coeffs)} != {list(held)}")
+        packing = self.reserve(max(map(sum, loaded), default=0))
+        self._values.update((x, (packing, packing.pack(coeffs)))
+                            for x, coeffs in loaded.items())
         return len(loaded)
 
     def _is_record(self, record) -> bool:
@@ -497,15 +483,3 @@ def load_table(rs: RootSystem, cache_dir) -> PartitionTable:
             table.unsaved = True
     return table
 
-
-# Shared per-process registry so the Weyl sums, the multiplicity module and
-# the CLI all reuse one table of values per root system.
-_tables: dict[RootSystemId, PartitionTable] = {}
-
-
-def table_for(rs: RootSystem) -> PartitionTable:
-    table = _tables.get(rs.id)
-    if table is None:
-        table = PartitionTable(rs)
-        _tables[rs.id] = table
-    return table

@@ -33,8 +33,12 @@ def dot_terms(rs: RootSystem, lam, mu) -> list[tuple[int, RootVector]]:
     (the sum changes by the sign of that resolution, and a dominant lam
     is its own resolution, with sign 1); a singular lam + rho
     makes the whole sum cancel, and the list is empty, as it is when
-    lam - mu is off the root lattice or no w contributes.
+    lam - mu is off the root lattice or no w contributes.  A lam or mu
+    without rank coordinates raises ValueError.
     """
+    if len(lam) != rs.rank or len(mu) != rs.rank:
+        raise ValueError(f"lam {tuple(lam)} and mu {tuple(mu)} need "
+                         f"{rs.rank} coordinates each")
     if min(lam) >= 0:
         sign = 1
     else:

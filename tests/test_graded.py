@@ -17,7 +17,7 @@ from nilcone import (
     euler_induced,
     weyl_dim,
 )
-from nilcone.cli import cli, nilcone_hilbert_closed_form
+from nilcone.cli import cli, little_adjoint_dim, nilcone_hilbert_closed_form
 from nilcone.rootsys import exponents
 from root_lattice import height
 from weyl_oracle import dominant_up_to_height
@@ -386,6 +386,21 @@ def test_nilcone_hilbert_series_closed_form(calculators, family, rank, max_degre
     assert calc.hilbert_series(Variety.NILCONE, max_degree) == expected
 
 
+@pytest.mark.parametrize("family,rank", [("A", 1), ("A", 2), ("A", 3), ("B", 2),
+                                         ("B", 3), ("C", 3), ("G", 2)])
+def test_subregular_hilbert_degree_k_drops_the_little_adjoint(calculators, family,
+                                                              rank):
+    # a_k(lam) = E(lam, theta_s; q) at q^0 = [lam = theta_s], so below k the
+    # subregular series is the nilcone's and degree k loses dim L(theta_s),
+    # which hilbert --check counts from the short roots.
+    calc = calculators(family, rank)
+    rs, k = calc.rs, calc.k
+    assert little_adjoint_dim(rs) == weyl_dim(rs, rs.theta_short)
+    expected = nilcone_hilbert_closed_form(rs, k)
+    expected[k] -= little_adjoint_dim(rs)
+    assert calc.hilbert_series(Variety.SUBREGULAR, k) == expected
+
+
 # -- type isomorphisms ------------------------------------------------------------
 
 def test_b2_c2_same_data_under_relabelling(calculators):
@@ -695,3 +710,17 @@ def test_hilbert_check_sees_a_wrong_coefficient(monkeypatch, variety):
     result = CliRunner().invoke(cli, [*args, "--check"])
     assert result.exit_code == 4
     assert "Hilbert coefficient 0 = 15 != closed form 1 (nilcone)" in result.output
+
+
+def test_hilbert_check_sees_a_wrong_subregular_degree_k(monkeypatch):
+    # a_3((3, 0)) raised by 1 keeps every digit nonnegative and takes
+    # dim L((3, 0)) = 77 from coefficient k = 3; only degree k sees it.
+    rs = build("G", 2)
+    args = ["hilbert", "-f", "G", "-r", "2", "--variety", "subregular",
+            "--max-degree", "8", "--check"]
+    assert CliRunner().invoke(cli, args).exit_code == 0
+    skew_packed_kernel(monkeypatch, (3, 0), rs.theta_short, -1)
+    result = CliRunner().invoke(cli, args)
+    assert result.exit_code == 4
+    assert ("Hilbert coefficient 3 = 462 != closed form 539 "
+            "(nilcone - dim L(theta_s))") in result.output

@@ -15,7 +15,7 @@ from nilcone import (
     StaleCacheError,
     build,
     dot_terms,
-    table_for,
+    kostant_mult,
 )
 from nilcone.partition import (
     PARTITION_CACHE_SCHEMA,
@@ -149,7 +149,7 @@ def packed_level(roots, rank, j, height, xs):
     P_j counts the first j roots only, so it is the top level of a
     packing over those roots; j = rank is the closed form q^height(x).
     """
-    packing = _Packing(roots[:j], rank, height, 1)
+    packing = _Packing(roots[:j], rank, height)
     top = packing.fill([packing.key(x) for x in xs])
     values = {x: top[packing.key(x)] for x in xs}
     return {x: list(packing.unpack(v, sum(x))) if v else [] for x, v in values.items()}
@@ -245,7 +245,7 @@ def test_packed_levels_match_the_tuple_dp_and_brute_force(family, rank):
     targets = sorted({x for lam in lams for mu in ((0,) * rank, rs.theta_short)
                       for _, x in dot_terms(rs, lam, mu)})
     assert len(targets) >= 3
-    packing = table._packing
+    packing = table.reserve(sum(rs.theta_long_coords))
     reference = TupleDP(rs)
     counts = {x: multiset_counts(roots, x) for x in targets}
     for j in range(len(roots) + 1):
@@ -258,7 +258,7 @@ def test_packed_levels_match_the_tuple_dp_and_brute_force(family, rank):
                 assert got[x] == expected, (j, x)
             if j == len(roots):
                 assert list(table.poly(x)) == expected, x
-    assert table._packing is packing  # sized once, by sweep_domain
+    assert table._packing is packing  # no argument is taller than theta
 
 
 def domain_term_lists(rs, sweep):
@@ -269,6 +269,12 @@ def domain_term_lists(rs, sweep):
     lists = [dot_terms(rs, lam, mu) for lam in lams
              for mu in ((0,) * rs.rank, rs.theta_short)]
     return lists, height
+
+
+def held(table):
+    """{x: P(x) coefficients} of every value the table holds."""
+    return {x: packing.unpack(value, sum(x))
+            for x, (packing, value) in table._values.items()}
 
 
 def level_keys(packing, keys):
@@ -307,9 +313,45 @@ def test_batch_fill_matches_one_at_a_time(family, rank, sweep):
         reference.poly(len(rs.positive_root_coords), x)
     assert keys == {j: {key(x) for x in level} for j, level in reference.memo.items()}
     assert sum(map(len, keys.values())) > len(lists)
-    # The values are queued for the cache records as before.
+    # The values are held for the cache records as before.
     assert batch.unsaved and batch.height_cutoff() == single.height_cutoff()
-    assert batch._values == single._values
+    assert held(batch) == held(single)
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["computed", "loaded"])
+def test_widening_keeps_older_values_right(tmp_path, loaded):
+    # A batch over the --sweep 1 domain, computed here or loaded from its
+    # cache file, then the --sweep 2 batch, which reuses every one of its
+    # arguments at a wider width: the same totals and cache records as a
+    # table that only ever saw the taller batch.
+    rs = build("B", 3)
+    short_lists, short_height = domain_term_lists(rs, 1)
+    tall_lists, tall_height = domain_term_lists(rs, 2)
+    table = PartitionTable(rs)
+    table.packed_sums(short_lists)
+    if loaded:
+        table.save(cache_path(rs.id, tmp_path))
+        table = load_table(rs, tmp_path)
+    narrow = table._packing
+    assert narrow.height == short_height  # a load packs at its tallest record
+    got = table.packed_sums(tall_lists)
+    wide = table._packing
+    assert wide.height == tall_height and wide.bits > narrow.bits
+    reused = {x for terms in short_lists for _, x in terms}
+    assert reused <= {x for terms in tall_lists for _, x in terms}
+    assert all(table._values[x][0] is wide for x in reused)  # stored back
+    fresh = PartitionTable(rs)
+    assert [t for _, t in got] == [t for _, t in fresh.packed_sums(tall_lists)]
+    assert table.save(tmp_path / "widened.json").read_text() == \
+        fresh.save(tmp_path / "fresh.json").read_text()
+
+
+def test_sweep_domain_leaves_the_table_alone():
+    rs = build("E", 6)
+    table = PartitionTable(rs)
+    packing = table._packing
+    assert len(GradedCalculator(rs, table=table).sweep_domain(2)) > 1
+    assert table._packing is packing and table._values == {}
 
 
 def test_batch_fill_needs_no_stack_headroom():
@@ -362,17 +404,17 @@ def test_a_batch_keeps_only_its_top_values():
 def test_width_covers_every_coefficient_reached(family, rank, sweep):
     rs = build(family, rank)
     table = PartitionTable(rs)
-    calc = GradedCalculator(rs, table=table)
-    lams = calc.sweep_domain(sweep)
+    lams = GradedCalculator(rs, table=table).sweep_domain(sweep)
+    lists = [dot_terms(rs, lam, mu) for lam in lams for mu in ((0,) * rank, rs.theta_short)]
+    sums = table.packed_sums(lists)
     packing = table._packing
+    assert {p for p, _ in sums} == {packing}  # one width for the whole sweep
     n_roots = len(rs.positive_root_coords)
     height = sweep * sum(rs.theta_long_coords)
-    assert packing.height == height
+    assert packing.height == height  # the top weight's own argument
     # never wider than the bound by the number of roots alone
     assert packing.bits <= math.comb(n_roots + height - 1, height).bit_length() + 1
-    lists = [dot_terms(rs, lam, mu) for lam in lams for mu in ((0,) * rank, rs.theta_short)]
-    profiles = [p.balanced(total, height) for p, total in table.packed_sums(lists)]
-    assert table._packing is packing  # one width for the whole sweep
+    profiles = [packing.balanced(total, height) for _, total in sums]
     largest_e = max(abs(v) for profile in profiles for v in profile.values())
     # Every top value the fill of the domain reaches, not only the targets.
     top = packing.fill([packing.key(x) for terms in lists for _, x in terms])
@@ -448,6 +490,8 @@ def test_taller_argument_widens_the_fields():
     assert table._packing.shifts[1] > narrow.shifts[1]
     assert table.poly((1, 300)) == (0,) * 300 + (1, 1)
     assert table.poly((2, 2)) == (0, 0, 1, 1, 1)
+    assert table.poly((2, 1)) == (0, 0, 1, 1)  # repacked at the new width
+    assert table._values[(2, 1)][0] is table._packing
 
 
 def test_field_widens_even_when_the_value_width_does_not():
@@ -461,15 +505,31 @@ def test_field_widens_even_when_the_value_width_does_not():
     assert table._packing.shifts[1] > narrow.shifts[1]
 
 
-def test_repeated_arguments_widen_the_sum():
-    # p((1, 1), n) is 1 for n = 1, 2; ten copies overflow a width sized
-    # for distinct arguments, which holds coefficients up to 7.
+def test_repeated_arguments_are_refused():
+    # The width bounds signed sums of distinct arguments, as a dot orbit's
+    # are, so a list in which one occurs twice is refused before any work.
     table = PartitionTable(build("A", 2))
-    table.reserve(2)
-    assert table._packing.bits == 4
-    assert table.signed_sum([(1, (1, 1))] * 10) == {1: 10, 2: 10}
-    assert table.signed_sum([(-1, (1, 1))] * 10 + [(1, (0, 0))]) == {0: 1, 1: -10, 2: -10}
-    assert table._packing.bits > 4
+    with pytest.raises(ValueError, match="twice"):
+        table.signed_sum([(1, (1, 1))] * 10)
+    with pytest.raises(ValueError, match="twice"):
+        table.packed_sums([[(1, (0, 0))], [(-1, (1, 1)), (1, (0, 0)), (1, (1, 1))]])
+    assert table._values == {} and not table.unsaved
+
+
+def test_vectors_of_the_wrong_length_are_refused():
+    rs = build("A", 2)
+    table = PartitionTable(rs)
+    for x in ((1, 1, 5), (-1, 0, 0), ()):
+        with pytest.raises(ValueError, match="coordinates"):
+            table.poly(x)
+    with pytest.raises(ValueError, match="coordinates"):
+        table.signed_sum([(1, (1,))])
+    assert table._values == {}  # nothing a save would write
+    with pytest.raises(ValueError, match="coordinates"):
+        GradedCalculator(rs, table=table).nilcone_series((1, 1, 1))
+    with pytest.raises(ValueError, match="coordinates"):
+        kostant_mult(rs, (1, 1), (0, 0, 0), table=table)
+    assert table._values == {}
 
 
 def test_a1_counts_are_delta():
@@ -481,10 +541,15 @@ def test_a1_counts_are_delta():
         assert table.big_p((m,)) == 1
 
 
-def test_shared_table_helpers():
+def test_calculators_build_their_own_tables():
+    # Nothing is shared behind the caller's back: a calculator or a Kostant
+    # sum given no table works on a new one.
     rs = build("A", 2)
-    assert table_for(rs).p((1, 1), 1) == 1
-    assert table_for(rs).big_p((1, 1)) == 2
+    first, second = GradedCalculator(rs), GradedCalculator(rs)
+    assert first.table is not second.table
+    assert first.nilcone_series((1, 1)) == {1: 1, 2: 1}
+    assert kostant_mult(rs, (1, 1), (0, 0)) == 2
+    assert first.table._values and second.table._values == {}
 
 
 def test_concurrent_reads_are_consistent():
@@ -531,7 +596,7 @@ def test_concurrent_batches_are_consistent():
         want = [expected[k] for k in range(i, len(lists), 3)] + expected[:i]
         assert [total for _, total in result] == want
     assert shared.height_cutoff() == reference.height_cutoff()
-    assert shared._values == reference._values
+    assert held(shared) == held(reference)
 
 
 # -- persistence --------------------------------------------------------------
@@ -545,7 +610,7 @@ def test_cache_round_trip(tmp_path):
     table.save(path)
 
     fresh = load_table(rs, tmp_path)
-    assert fresh._values == {x: table.poly(x) for x, _ in queries}
+    assert held(fresh) == {x: table.poly(x) for x, _ in queries}
     for q, v in values.items():
         assert fresh.p(*q) == v
 
@@ -565,8 +630,7 @@ def test_cache_is_extendable(tmp_path):
     second.save(path)
 
     merged = load_table(rs, tmp_path)
-    assert merged._values[(1, 1)] == (0, 1, 1)
-    assert merged._values[(2, 2)] == (0, 0, 1, 1, 1)
+    assert held(merged) == {(1, 1): (0, 1, 1), (2, 2): (0, 0, 1, 1, 1)}
     assert merged.height_cutoff() == 4
 
 
@@ -716,4 +780,4 @@ def test_failed_save_keeps_previous_cache(tmp_path, monkeypatch):
 
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
     reloaded = load_table(rs, tmp_path)
-    assert reloaded._values == first._values
+    assert held(reloaded) == held(first)

@@ -3,8 +3,13 @@
 import ast
 import io
 import re
+import shlex
 import tokenize
 from pathlib import Path
+
+from click.testing import CliRunner
+
+from nilcone.cli import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -16,6 +21,23 @@ def library_block() -> str:
     match = re.search(r"```python\n(.*?)```", section, re.S)
     assert match, "no python block under ## Library"
     return match.group(1)
+
+
+def command_lines() -> list[list[str]]:
+    """The arguments of every `nilcone ...` command in the fenced block
+    under "## Command line", comments dropped; a line that shows two
+    commands as `nilcone a / nilcone b` gives both."""
+    text = README.read_text()
+    section = text[text.index("\n## Command line\n"):]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    commands = []
+    for line in block.splitlines():
+        for command in line.split("#")[0].split(" / "):
+            words = shlex.split(command)
+            if words:
+                assert words[0] == "nilcone", line
+                commands.append(words[1:])
+    return commands
 
 
 def leading_literal(comment: str):
@@ -69,3 +91,15 @@ def test_leading_literal_stops_at_prose():
     assert leading_literal("# [1, 14]") == (True, [1, 14])
     assert leading_literal("# 3") == (True, 3)
     assert leading_literal("# the whole sweep") == (False, None)
+
+
+def test_command_line_examples_run(monkeypatch):
+    # Every documented command exits as documented: 0, and 2 (usage) for
+    # the cache commands, which have no directory to work on here.
+    monkeypatch.delenv("NILCONE_CACHE_DIR", raising=False)
+    commands = command_lines()
+    assert len(commands) >= 10
+    for args in commands:
+        result = CliRunner().invoke(cli, args)
+        expected = 2 if args[0] == "cache" else 0
+        assert result.exit_code == expected, (args, result.output)
