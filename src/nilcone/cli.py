@@ -10,17 +10,19 @@ cannot be written: the run warns on stderr, prints its results and exits 0.
 
 Output formats: human tables (default), versioned JSON, CSV.  JSON and
 CSV output is byte-deterministic for identical inputs.
+
+The options are parsed by argparse, so the command line needs nothing
+beyond the standard library.
 """
 
 from __future__ import annotations
 
+import argparse
 import functools
 import os
 import sys
 from math import comb
 from pathlib import Path
-
-import click
 
 from . import __version__, partition, rootsys, weyl
 from .errors import (
@@ -51,6 +53,11 @@ class CheckFailure(NilconeError):
     """A --check re-verification did not hold."""
 
 
+class UsageError(Exception):
+    """Arguments that parse but do not make a command: exit 2, with the
+    command's usage line."""
+
+
 def exit_code_for(exc: Exception) -> int:
     """Map package errors onto the documented exit codes."""
     if isinstance(
@@ -72,7 +79,7 @@ def handle_errors(f):
         try:
             return f(*args, **kwargs)
         except NilconeError as exc:
-            click.echo(f"error: {exc}", err=True)
+            print(f"error: {exc}", file=sys.stderr)
             sys.exit(exit_code_for(exc))
 
     return wrapper
@@ -82,9 +89,9 @@ def parse_weight(text: str, rank: int) -> tuple[int, ...]:
     try:
         coords = tuple(int(c) for c in text.split(","))
     except ValueError:
-        raise click.BadParameter(f"weight {text!r} is not a comma-separated integer vector")
+        raise UsageError(f"weight {text!r} is not a comma-separated integer vector")
     if len(coords) != rank:
-        raise click.BadParameter(f"weight {text!r} has {len(coords)} coordinates, rank is {rank}")
+        raise UsageError(f"weight {text!r} has {len(coords)} coordinates, rank is {rank}")
     return coords
 
 
@@ -160,7 +167,7 @@ def emit_json(payload: dict) -> None:
     import json
 
     payload = {"schema_version": JSON_SCHEMA_VERSION, **payload}
-    click.echo(json.dumps(payload, indent=2, sort_keys=True))
+    print(json.dumps(payload, indent=2, sort_keys=True))
 
 
 _ALL_TYPES = (
@@ -171,15 +178,25 @@ _ALL_TYPES = (
     + [("G", 2), ("F", 4), ("E", 6), ("E", 7), ("E", 8)]
 )
 
-_format_option = click.option(
-    "--format", "fmt", type=click.Choice(["table", "json", "csv"]),
-    default="table", help="Output format.",
-)
-_family_option = click.option("--family", "-f", required=True,
-                              type=click.Choice(list(rootsys.FAMILIES)))
-_rank_option = click.option("--rank", "-r", required=True, type=int)
-_cache_dir_option = click.option(
-    "--cache-dir", type=click.Path(), default=None,
+def option(*flags, **settings):
+    """One option: the arguments of ArgumentParser.add_argument."""
+    return flags, settings
+
+
+def count(text: str) -> int:
+    """A nonnegative integer option value."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is not in the range x>=0")
+    return value
+
+
+FORMAT = option("--format", dest="fmt", choices=["table", "json", "csv"],
+                default="table", help="Output format.")
+FAMILY = option("-f", "--family", required=True, choices=rootsys.FAMILIES)
+RANK = option("-r", "--rank", required=True, type=int)
+CACHE_DIR = option(
+    "--cache-dir", metavar="DIR",
     help="Directory of the partition cache files (default: "
          "NILCONE_CACHE_DIR when set; with neither, nothing is persisted "
          "and 'cache list' and 'cache clear' are usage errors).",
@@ -196,7 +213,7 @@ def required_cache_dir(cli_value) -> Path:
     """The cache directory a 'cache' subcommand works on."""
     cache_dir = resolve_cache_dir(cli_value)
     if cache_dir is None:
-        raise click.UsageError("give --cache-dir or set NILCONE_CACHE_DIR")
+        raise UsageError("give --cache-dir or set NILCONE_CACHE_DIR")
     return Path(cache_dir)
 
 
@@ -217,39 +234,116 @@ def persist_tables(calc: GradedCalculator, cache_dir) -> None:
         try:
             calc.table.save(path)
         except OSError as exc:
-            click.echo(f"warning: cannot write partition cache {path}: {exc}",
-                       err=True)
+            print(f"warning: cannot write partition cache {path}: {exc}",
+                  file=sys.stderr)
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="nilcone")
-def cli():
-    """Exact graded module data for the nilpotent cone and the subregular
-    nilpotent orbit closure.
+class Parser(argparse.ArgumentParser):
+    """argparse held to this command line's rules: --help but no -h, no
+    abbreviated options, and an option that takes a value takes the next
+    argument even when it starts with '-' (`--mu -1,2`)."""
 
-    Weights are comma-separated fundamental-weight coordinates in Bourbaki
-    numbering; all arithmetic is exact.
-    """
+    def __init__(self, **kwargs):
+        self.takes_value = set()
+        super().__init__(allow_abbrev=False, add_help=False, **kwargs)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def add_argument(self, *flags, **settings):
+        action = super().add_argument(*flags, **settings)
+        if action.option_strings and action.nargs is None:
+            self.takes_value.update(action.option_strings)
+        return action
+
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse hands each command's parser the arguments after the
+        # command's name through this method.
+        if args is not None:
+            args = list(attach_values(args, self.takes_value))
+        return super().parse_known_args(args, namespace)
 
 
-@cli.command()
-@click.option("--family", "-f", type=click.Choice(list(rootsys.FAMILIES)))
-@click.option("--rank", "-r", type=int)
-@click.option("--all", "all_types", is_flag=True,
-              help="All of A_1..A_8, B_2..B_8, C_2..C_8, D_3..D_8, G_2, F_4, E_6..E_8.")
-@click.option("--check", is_flag=True,
-              help="Re-verify k = h^vee(R^vee) - 1, from the classical table.")
-@_format_option
+def attach_values(args, takes_value):
+    """args with each option in takes_value joined to the argument after
+    it, `--mu=-1,2`: argparse would read a lone `-1,2` as an option."""
+    args = iter(args)
+    for arg in args:
+        value = next(args, None) if arg in takes_value else None
+        yield arg if value is None else f"{arg}={value}"
+
+
+class Command:
+    """A command: the function it runs and the options it takes."""
+
+    def __init__(self, name, callback, options):
+        self.name, self.callback, self.options = name, callback, options
+
+    def add_to(self, subparsers) -> None:
+        doc = self.callback.__doc__ or ""
+        parser = subparsers.add_parser(self.name, help=doc.split("\n\n")[0],
+                                       description=doc)
+        for flags, settings in self.options:
+            parser.add_argument(*flags, **settings)
+        parser.set_defaults(_command=self, _parser=parser)
+
+
+class Group:
+    """Commands under one name.  A group runs nothing itself, so its
+    callback is None."""
+
+    callback = None
+
+    def __init__(self, name, doc):
+        self.name, self.doc, self.commands = name, doc, {}
+
+    def command(self, *options, name=None):
+        """Register the decorated function as a command taking options."""
+        def register(callback):
+            command = Command(name or callback.__name__, callback, options)
+            self.commands[command.name] = command
+            return callback
+
+        return register
+
+    def group(self, name, doc) -> Group:
+        self.commands[name] = group = Group(name, doc)
+        return group
+
+    def add_to(self, subparsers) -> None:
+        self.add_commands(subparsers.add_parser(self.name, help=self.doc,
+                                                description=self.doc))
+
+    def add_commands(self, parser) -> None:
+        subparsers = parser.add_subparsers(title="commands", metavar="COMMAND",
+                                           required=True)
+        for command in self.commands.values():
+            command.add_to(subparsers)
+
+
+cli = Group("nilcone", """Exact graded module data for the nilpotent cone and
+    the subregular nilpotent orbit closure.  Weights are comma-separated
+    fundamental-weight coordinates in Bourbaki numbering; all arithmetic is
+    exact.""")
+
+
+@cli.command(
+    option("-f", "--family", choices=rootsys.FAMILIES),
+    option("-r", "--rank", type=int),
+    option("--all", dest="all_types", action="store_true",
+           help="All of A_1..A_8, B_2..B_8, C_2..C_8, D_3..D_8, G_2, F_4, E_6..E_8."),
+    option("--check", action="store_true",
+           help="Re-verify k = h^vee(R^vee) - 1, from the classical table."),
+    FORMAT,
+)
 @handle_errors
 def kconst(family, rank, all_types, check, fmt):
     """The shift constant k per type (2k-1 = length of the reflection in
     the dominant short root).  Needs no Weyl group enumeration."""
-    if all_types:
+    if all_types and family is None and rank is None:
         types = _ALL_TYPES
-    else:
-        if family is None or rank is None:
-            raise click.UsageError("give --family and --rank, or --all")
+    elif not all_types and family is not None and rank is not None:
         types = [(family, rank)]
+    else:
+        raise UsageError("give --family and --rank, or --all")
     entries = []
     for fam, rk in types:
         rs = rootsys.build(fam, rk)
@@ -265,30 +359,29 @@ def kconst(family, rank, all_types, check, fmt):
     if fmt == "json":
         emit_json({"command": "kconst", "entries": entries})
     elif fmt == "csv":
-        click.echo("family,rank,k,reflection_length")
+        print("family,rank,k,reflection_length")
         for e in entries:
-            click.echo(f"{e['family']},{e['rank']},{e['k']},{e['reflection_length']}")
+            print(f"{e['family']},{e['rank']},{e['k']},{e['reflection_length']}")
     else:
-        click.echo(f"{'type':<6} {'k':>4} {'len(s_theta)':>13}")
+        print(f"{'type':<6} {'k':>4} {'len(s_theta)':>13}")
         for e in entries:
-            click.echo(f"{e['family']}{e['rank']:<5} {e['k']:>4} {e['reflection_length']:>13}")
+            print(f"{e['family']}{e['rank']:<5} {e['k']:>4} {e['reflection_length']:>13}")
 
 
-@cli.command()
-@_family_option
-@_rank_option
-@click.option("--variety", type=click.Choice([v.value for v in Variety]),
-              required=True)
-@click.option("--lambda", "lam_text", default=None,
-              help="One dominant weight, e.g. 1,1.")
-@click.option("--sweep", type=click.IntRange(min=0), default=None,
-              help="All dominant weights dominance-below SWEEP * highest root.")
-@click.option("--max-degree", type=click.IntRange(min=0), default=None,
-              help="Truncate reported degrees.")
-@click.option("--check", is_flag=True,
-              help="Re-verify the total against the weight-multiplicity identity.")
-@_cache_dir_option
-@_format_option
+@cli.command(
+    FAMILY,
+    RANK,
+    option("--variety", required=True, choices=[v.value for v in Variety]),
+    option("--lambda", dest="lam_text", metavar="WEIGHT",
+           help="One dominant weight, e.g. 1,1."),
+    option("--sweep", type=count,
+           help="All dominant weights dominance-below SWEEP * highest root."),
+    option("--max-degree", type=count, help="Truncate reported degrees."),
+    option("--check", action="store_true",
+           help="Re-verify the total against the weight-multiplicity identity."),
+    CACHE_DIR,
+    FORMAT,
+)
 @handle_errors
 def graded(family, rank, variety, lam_text, sweep, max_degree, check, cache_dir,
            fmt):
@@ -302,7 +395,7 @@ def graded(family, rank, variety, lam_text, sweep, max_degree, check, cache_dir,
     variety = Variety(variety)
     rs = rootsys.build(family, rank)
     if (lam_text is None) == (sweep is None):
-        raise click.UsageError("give exactly one of --lambda or --sweep")
+        raise UsageError("give exactly one of --lambda or --sweep")
     cache_dir = resolve_cache_dir(cache_dir)
     calc = make_calculator(rs, cache_dir)
     if lam_text is not None:
@@ -343,33 +436,35 @@ def graded(family, rank, variety, lam_text, sweep, max_degree, check, cache_dir,
             "entries": entries,
         })
     elif fmt == "csv":
-        click.echo("lambda,degree,mult")
+        print("lambda,degree,mult")
         for e in entries:
             for n, v in e["degrees"]:
-                click.echo(f"\"{','.join(map(str, e['lambda']))}\",{n},{v}")
+                print(f"\"{','.join(map(str, e['lambda']))}\",{n},{v}")
     else:
-        click.echo(f"{variety.value} graded multiplicities for {family}_{rank} "
-                   f"(k={calc.k}; {DEGREE_CONVENTION})")
+        print(f"{variety.value} graded multiplicities for {family}_{rank} "
+              f"(k={calc.k}; {DEGREE_CONVENTION})")
         name = CHECK_COLUMN[variety]
-        click.echo(f"{'lambda':<14} {'degrees n:mult':<40} {'total':>6} {name:>14}")
+        print(f"{'lambda':<14} {'degrees n:mult':<40} {'total':>6} {name:>14}")
         for e in entries:
             degrees = " ".join(f"{n}:{v}" for n, v in e["degrees"]) or "-"
-            click.echo(f"{fmt_weight(e['lambda']):<14} {degrees:<40} "
-                       f"{e['total']:>6} {e['check']:>14}")
+            print(f"{fmt_weight(e['lambda']):<14} {degrees:<40} "
+                  f"{e['total']:>6} {e['check']:>14}")
 
 
-@cli.command()
-@_family_option
-@_rank_option
-@click.option("--kind", type=click.Choice([k.value for k in ModuleKind]),
-              required=True)
-@click.option("--sweep", type=click.IntRange(min=0), default=1, show_default=True)
-@click.option("--max-i", type=click.IntRange(min=0), default=6, show_default=True,
-              help="Largest cohomological degree reported.")
-@click.option("--check", is_flag=True,
-              help="Re-verify parity vanishing, and for weyl the totals identities.")
-@_cache_dir_option
-@_format_option
+@cli.command(
+    FAMILY,
+    RANK,
+    option("--kind", required=True, choices=[k.value for k in ModuleKind]),
+    option("--sweep", type=count, default=1,
+           help="All dominant weights dominance-below SWEEP * highest root "
+                "(default: %(default)s)."),
+    option("--max-i", type=count, default=6,
+           help="Largest cohomological degree reported (default: %(default)s)."),
+    option("--check", action="store_true",
+           help="Re-verify parity vanishing, and for weyl the totals identities."),
+    CACHE_DIR,
+    FORMAT,
+)
 @handle_errors
 def cohomology(family, rank, kind, sweep, max_i, check, cache_dir, fmt):
     """Cohomology tables per module kind: dominant-weight multiplicities
@@ -395,26 +490,28 @@ def cohomology(family, rank, kind, sweep, max_i, check, cache_dir, fmt):
         emit_json({"command": "cohomology", "parity_ok": parity,
                    **table.to_json_dict()})
     elif fmt == "csv":
-        click.echo("i,lambda,mult")
+        print("i,lambda,mult")
         for i, lam, m in table.iter_csv_rows():
-            click.echo(f"{i},\"{lam}\",{m}")
+            print(f"{i},\"{lam}\",{m}")
     else:
-        click.echo(f"cohomology of kind '{kind}' for {family}_{rank} "
-                   f"(k={table.k}; sweep {sweep}; {DEGREE_CONVENTION})")
+        print(f"cohomology of kind '{kind}' for {family}_{rank} "
+              f"(k={table.k}; sweep {sweep}; {DEGREE_CONVENTION})")
         for i in range(max_i + 1):
             row = table.row(i)
             if row:
                 cells = "  ".join(f"L{fmt_weight(l)}:{m}" for l, m in sorted(row.items()))
             else:
                 cells = "0"
-            click.echo(f"H^{i:<3} {cells}")
-        click.echo(f"parity vanishing: {'OK' if parity else 'FAILS'}")
+            print(f"H^{i:<3} {cells}")
+        print(f"parity vanishing: {'OK' if parity else 'FAILS'}")
 
 
-@cli.command("tilting-example")
-@click.option("--check", is_flag=True,
-              help="Cross-check every multiplicity with the alternating Weyl sum.")
-@_format_option
+@cli.command(
+    option("--check", action="store_true",
+           help="Cross-check every multiplicity with the alternating Weyl sum."),
+    FORMAT,
+    name="tilting-example",
+)
 @handle_errors
 def tilting_example(check, fmt):
     """The A_2 tilting module whose cohomology mixes parities.
@@ -446,28 +543,31 @@ def tilting_example(check, fmt):
                    "entries": entries,
                    "parity_vanishing_fails": bool(negatives)})
     elif fmt == "csv":
-        click.echo("lambda,euler_mult")
+        print("lambda,euler_mult")
         for e in entries:
-            click.echo(f"\"{','.join(map(str, e['lambda']))}\",{e['euler_mult']}")
+            print(f"\"{','.join(map(str, e['lambda']))}\",{e['euler_mult']}")
     else:
-        click.echo("Euler multiplicities for the A_2 tilting module "
-                   "with highest weight 3*omega_2 (untwisted)")
+        print("Euler multiplicities for the A_2 tilting module "
+              "with highest weight 3*omega_2 (untwisted)")
         for e in entries:
             flag = "  <- sign change" if e["euler_mult"] < 0 else ""
-            click.echo(f"L{fmt_weight(e['lambda']):<10} {e['euler_mult']:>3}{flag}")
+            print(f"L{fmt_weight(e['lambda']):<10} {e['euler_mult']:>3}{flag}")
         if negatives:
             club = ", ".join(fmt_weight(l) for l in negatives)
-            click.echo(f"parity vanishing FAILS: negative multiplicity at {club}")
+            print(f"parity vanishing FAILS: negative multiplicity at {club}")
 
 
-@cli.command()
-@_family_option
-@_rank_option
-@click.option("--lambda", "lam_text", required=True)
-@click.option("--mu", "mu_text", required=True)
-@click.option("--algorithm", type=click.Choice(["freudenthal", "kostant", "both"]),
-              default="freudenthal", show_default=True)
-@_format_option
+@cli.command(
+    FAMILY,
+    RANK,
+    option("--lambda", dest="lam_text", required=True, metavar="WEIGHT"),
+    option("--mu", dest="mu_text", required=True, metavar="WEIGHT"),
+    option("--algorithm", choices=["freudenthal", "kostant", "both"],
+           default="freudenthal",
+           help="Freudenthal's recursion, Kostant's alternating sum, or both, "
+                "which must agree (default: %(default)s)."),
+    FORMAT,
+)
 @handle_errors
 def mult(family, rank, lam_text, mu_text, algorithm, fmt):
     """Multiplicity of the weight mu in the irreducible module L(lambda)."""
@@ -489,25 +589,25 @@ def mult(family, rank, lam_text, mu_text, algorithm, fmt):
                    "lambda": list(lam), "mu": list(mu), "mult": value,
                    "algorithms": sorted(values)})
     elif fmt == "csv":
-        click.echo("lambda,mu,mult")
-        click.echo(f"\"{lam_text}\",\"{mu_text}\",{value}")
+        print("lambda,mu,mult")
+        print(f"\"{lam_text}\",\"{mu_text}\",{value}")
     else:
-        click.echo(f"m_{fmt_weight(lam)}{fmt_weight(mu)} = {value}")
+        print(f"m_{fmt_weight(lam)}{fmt_weight(mu)} = {value}")
 
 
-@cli.command()
-@_family_option
-@_rank_option
-@click.option("--variety", type=click.Choice([v.value for v in Variety]),
-              required=True)
-@click.option("--max-degree", type=click.IntRange(min=0), default=6,
-              show_default=True)
-@click.option("--check", is_flag=True,
-              help="Re-verify against the nilcone closed form from the exponents "
-                   "(every degree; for subregular, the degrees up to k, less "
-                   "dim L(theta_s) in degree k).")
-@_cache_dir_option
-@_format_option
+@cli.command(
+    FAMILY,
+    RANK,
+    option("--variety", required=True, choices=[v.value for v in Variety]),
+    option("--max-degree", type=count, default=6,
+           help="Largest degree reported (default: %(default)s)."),
+    option("--check", action="store_true",
+           help="Re-verify against the nilcone closed form from the exponents "
+                "(every degree; for subregular, the degrees up to k, less "
+                "dim L(theta_s) in degree k)."),
+    CACHE_DIR,
+    FORMAT,
+)
 @handle_errors
 def hilbert(family, rank, variety, max_degree, check, cache_dir, fmt):
     """Hilbert series coefficients (graded dimensions) of the chosen ring."""
@@ -522,50 +622,46 @@ def hilbert(family, rank, variety, max_degree, check, cache_dir, fmt):
         emit_json({"command": "hilbert", "family": family, "rank": rank,
                    "variety": variety, "coefficients": coeffs})
     elif fmt == "csv":
-        click.echo("degree,dimension")
+        print("degree,dimension")
         for n, c in enumerate(coeffs):
-            click.echo(f"{n},{c}")
+            print(f"{n},{c}")
     else:
-        click.echo(f"{variety} Hilbert coefficients for {family}_{rank}: "
-                   + " ".join(str(c) for c in coeffs))
+        print(f"{variety} Hilbert coefficients for {family}_{rank}: "
+              + " ".join(str(c) for c in coeffs))
 
 
-@cli.command()
-@_family_option
-@_rank_option
+@cli.command(FAMILY, RANK)
 @handle_errors
 def rootsystem(family, rank):
     """Root system datum in the documented JSON schema."""
     import json
 
     rs = rootsys.build(family, rank)
-    click.echo(json.dumps(rs.to_json_dict(), sort_keys=True))
+    print(json.dumps(rs.to_json_dict(), sort_keys=True))
 
 
-@cli.group()
-def cache():
-    """List or clear the on-disk partition caches."""
+cache = cli.group("cache", "List or clear the on-disk partition caches.")
 
 
-@cache.command("list")
-@_cache_dir_option
+@cache.command(CACHE_DIR, name="list")
 def cache_list(cache_dir):
+    """List the partition cache files and their headers."""
     directory = required_cache_dir(cache_dir)
     if not directory.is_dir():
-        click.echo(f"no cache directory at {directory}")
+        print(f"no cache directory at {directory}")
         return
     files = sorted(directory.glob("partition_*.json"))
     if not files:
-        click.echo(f"no cache files in {directory}")
+        print(f"no cache files in {directory}")
         return
     for f in files:
         try:
             header = partition.read_cache(f)
         except StaleCacheError:
-            click.echo(f"{f.name}: unreadable")
+            print(f"{f.name}: unreadable")
             continue
         records = header.get("records")
-        click.echo(
+        print(
             f"{f.name}: schema={header.get('schema_version')} "
             f"type={header.get('family')}{header.get('rank')} "
             f"height_cutoff={header.get('height_cutoff')} "
@@ -573,24 +669,39 @@ def cache_list(cache_dir):
         )
 
 
-@cache.command("clear")
-@_cache_dir_option
+@cache.command(CACHE_DIR, name="clear")
 def cache_clear(cache_dir):
+    """Remove the partition cache files."""
     directory = required_cache_dir(cache_dir)
     removed = 0
     if directory.is_dir():
         for f in sorted(directory.glob("partition_*.json")):
             if not f.is_file():
-                click.echo(f"warning: skipping {f}: not a regular file", err=True)
+                print(f"warning: skipping {f}: not a regular file", file=sys.stderr)
                 continue
             f.unlink()
             removed += 1
-    click.echo(f"removed {removed} cache file(s) from {directory}")
+    print(f"removed {removed} cache file(s) from {directory}")
 
 
-def main():
-    """Console entry point."""
-    cli()
+def build_parser() -> Parser:
+    parser = Parser(prog="nilcone", description=cli.doc)
+    parser.add_argument("--version", action="version",
+                        version=f"nilcone, version {__version__}",
+                        help="Show the version and exit.")
+    cli.add_commands(parser)
+    return parser
+
+
+def main(argv=None) -> None:
+    """Console entry point: run the command that argv (by default
+    sys.argv[1:]) names.  Exits 2 on a usage error."""
+    args = vars(build_parser().parse_args(argv))
+    command, parser = args.pop("_command"), args.pop("_parser")
+    try:
+        command.callback(**args)
+    except UsageError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

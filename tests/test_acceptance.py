@@ -11,8 +11,8 @@ import time
 from math import comb
 
 import pytest
-from click.testing import CliRunner
 
+from cli_runner import invoke
 from nilcone import (
     GradedCalculator,
     Variety,
@@ -20,7 +20,6 @@ from nilcone import (
     build,
     kostant_mult,
 )
-from nilcone.cli import cli
 from nilcone.partition import PartitionTable
 from weyl_oracle import dominant_up_to_height
 
@@ -59,7 +58,7 @@ def test_criterion_01_kconst_table():
         | {("D", l): 2 * l - 3 for l in range(3, 9)}
         | {("G", 2): 3, ("F", 4): 8, ("E", 6): 11, ("E", 7): 17, ("E", 8): 29}
     )
-    result = CliRunner().invoke(cli, ["kconst", "--all", "--format", "json"])
+    result = invoke(["kconst", "--all", "--format", "json"])
     assert result.exit_code == 0
     entries = json.loads(result.output)["entries"]
     got = {(e["family"], e["rank"]): e["k"] for e in entries}
@@ -69,7 +68,7 @@ def test_criterion_01_kconst_table():
 
 def test_criterion_02_a2_tilting_euler():
     timer = _Timer(1.0)
-    result = CliRunner().invoke(cli, ["tilting-example", "--format", "json"])
+    result = invoke(["tilting-example", "--format", "json"])
     assert result.exit_code == 0
     table = {
         tuple(e["lambda"]): e["euler_mult"]

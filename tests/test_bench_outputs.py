@@ -12,9 +12,8 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from nilcone.cli import cli
+from cli_runner import invoke
 
 RUN_PY = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
 
@@ -36,9 +35,9 @@ def bench():
 
 
 def run(args) -> bytes:
-    result = CliRunner().invoke(cli, list(args))
+    result = invoke(args)
     assert result.exit_code == 0, result.output
-    return result.stdout_bytes
+    return result.stdout.encode()
 
 
 def test_g2_hilbert_output_is_pinned(bench):

@@ -7,9 +7,9 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from nilcone.cli import EXIT_USAGE, EXIT_VIOLATION, CheckFailure, cli, exit_code_for
+from cli_runner import invoke
+from nilcone.cli import EXIT_USAGE, EXIT_VIOLATION, CheckFailure, exit_code_for, main
 from nilcone.errors import (
     InadmissibleTypeError,
     InternalInconsistencyError,
@@ -17,11 +17,6 @@ from nilcone.errors import (
     PositivityViolationError,
     WrongRootSystemError,
 )
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
 
 
 def test_exit_code_mapping():
@@ -33,16 +28,16 @@ def test_exit_code_mapping():
     assert exit_code_for(WrongRootSystemError("x")) == EXIT_USAGE
 
 
-def test_kconst_all_table(runner):
-    result = runner.invoke(cli, ["kconst", "--all"])
+def test_kconst_all_table():
+    result = invoke(["kconst", "--all"])
     assert result.exit_code == 0
     lines = result.output.splitlines()
     assert len(lines) == 1 + 33  # header + 8+7+7+6+5 types
     assert any(line.split()[:2] == ["E8", "29"] for line in lines[1:])
 
 
-def test_kconst_json(runner):
-    result = runner.invoke(cli, ["kconst", "-f", "G", "-r", "2", "--format", "json"])
+def test_kconst_json():
+    result = invoke(["kconst", "-f", "G", "-r", "2", "--format", "json"])
     assert result.exit_code == 0
     doc = json.loads(result.output)
     assert doc["schema_version"] == 1
@@ -51,8 +46,8 @@ def test_kconst_json(runner):
     ]
 
 
-def test_kconst_csv(runner):
-    result = runner.invoke(cli, ["kconst", "-f", "C", "-r", "4", "--format", "csv"])
+def test_kconst_csv():
+    result = invoke(["kconst", "-f", "C", "-r", "4", "--format", "csv"])
     assert result.exit_code == 0
     assert result.output.splitlines() == [
         "family,rank,k,reflection_length",
@@ -60,12 +55,12 @@ def test_kconst_csv(runner):
     ]
 
 
-def test_kconst_check_passes_on_every_type(runner):
-    result = runner.invoke(cli, ["kconst", "--all", "--check"])
+def test_kconst_check_passes_on_every_type():
+    result = invoke(["kconst", "--all", "--check"])
     assert result.exit_code == 0, result.output
 
 
-def test_kconst_check_sees_a_wrong_reflection_length(runner, monkeypatch):
+def test_kconst_check_sees_a_wrong_reflection_length(monkeypatch):
     # The check compares k with h^vee(R^vee) - 1 from a table that shares
     # no code with the inversion count, so an odd but wrong length fails.
     from nilcone import weyl
@@ -73,25 +68,25 @@ def test_kconst_check_sees_a_wrong_reflection_length(runner, monkeypatch):
     real = weyl.reflection_length_theta
     monkeypatch.setattr(weyl, "reflection_length_theta", lambda rs: real(rs) + 2)
     args = ["kconst", "-f", "G", "-r", "2"]
-    assert runner.invoke(cli, args).exit_code == 0
-    result = runner.invoke(cli, [*args, "--check"])
+    assert invoke(args).exit_code == 0
+    result = invoke([*args, "--check"])
     assert result.exit_code == EXIT_VIOLATION
     assert "k = 4 from len(s_theta) = 7, but h^vee(R^vee) - 1 = 3 for G_2" in result.output
 
 
-def test_kconst_requires_type_or_all(runner):
-    result = runner.invoke(cli, ["kconst"])
+def test_kconst_requires_type_or_all():
+    result = invoke(["kconst"])
     assert result.exit_code == EXIT_USAGE
 
 
-def test_kconst_inadmissible_rank(runner):
-    result = runner.invoke(cli, ["kconst", "-f", "E", "-r", "9"])
+def test_kconst_inadmissible_rank():
+    result = invoke(["kconst", "-f", "E", "-r", "9"])
     assert result.exit_code == EXIT_USAGE
     assert "E_9" in result.output
 
 
-def test_graded_subregular_adjoint(runner):
-    result = runner.invoke(cli, [
+def test_graded_subregular_adjoint():
+    result = invoke([
         "graded", "-f", "A", "-r", "2", "--variety", "subregular",
         "--lambda", "1,1",
     ])
@@ -101,8 +96,8 @@ def test_graded_subregular_adjoint(runner):
     assert row.split()[-2:] == ["1", "1"]  # total and m(0)-m(theta)
 
 
-def test_graded_zero_weight(runner):
-    result = runner.invoke(cli, [
+def test_graded_zero_weight():
+    result = invoke([
         "graded", "-f", "A", "-r", "2", "--variety", "subregular",
         "--lambda", "0,0", "--format", "json",
     ])
@@ -112,8 +107,8 @@ def test_graded_zero_weight(runner):
     ]
 
 
-def test_graded_nilcone_adjoint(runner):
-    result = runner.invoke(cli, [
+def test_graded_nilcone_adjoint():
+    result = invoke([
         "graded", "-f", "A", "-r", "2", "--variety", "nilcone",
         "--lambda", "1,1", "--format", "json",
     ])
@@ -123,8 +118,8 @@ def test_graded_nilcone_adjoint(runner):
     assert doc["check_column"] == "m(0)"
 
 
-def test_graded_sweep_with_check(runner):
-    result = runner.invoke(cli, [
+def test_graded_sweep_with_check():
+    result = invoke([
         "graded", "-f", "B", "-r", "2", "--variety", "subregular",
         "--sweep", "2", "--check",
     ])
@@ -132,23 +127,26 @@ def test_graded_sweep_with_check(runner):
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_jobs_is_no_longer_an_option(runner, jobs):
-    result = runner.invoke(cli, [
+def test_jobs_is_no_longer_an_option(jobs):
+    result = invoke([
         "graded", "-f", "A", "-r", "2", "--variety", "nilcone",
         "--sweep", "2", "--jobs", jobs,
     ])
     assert result.exit_code == EXIT_USAGE
-    assert "No such option" in result.output and "--jobs" in result.output
+    assert "unrecognized arguments" in result.output and "--jobs" in result.output
 
 
 def test_import_loads_no_process_pool():
     # Nor json, hashlib or fractions: each is imported where it is used,
-    # so start-up, about three quarters of a short run, does not pay for them.
+    # so start-up, about three quarters of a short run, does not pay for
+    # them.  Nor click: the options are parsed by argparse, and importing
+    # click cost more CPU than the package's own modules and a G2 Hilbert
+    # series together.
     import nilcone
 
     code = ("import sys, nilcone.cli; print(' '.join(m for m in "
             "('multiprocessing', 'concurrent.futures', 'pickle', 'socket', "
-            "'json', 'hashlib', 'fractions') if m in sys.modules))")
+            "'json', 'hashlib', 'fractions', 'click') if m in sys.modules))")
     env = {**os.environ, "PYTHONPATH": str(Path(nilcone.__file__).parents[1])}
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, timeout=60)
@@ -160,17 +158,19 @@ def test_cacheless_run_loads_no_cache_modules():
     # hashlib (which loads OpenSSL) and json serve only cache files and
     # JSON output, and fractions only the two rational root-system
     # methods; dataclasses serve nothing.  Neither the import nor a
-    # cache-less table run pays for them.
+    # cache-less table run pays for them.  Nor for click, or for the
+    # difflib that click imported to parse a short option such as -f.
     import nilcone
 
     code = ("import sys\n"
             "def loaded():\n"
             "    return [m for m in ('hashlib', '_hashlib', 'json', 'dataclasses',\n"
-            "                        'fractions') if m in sys.modules]\n"
-            "from nilcone.cli import cli\n"
+            "                        'fractions', 'click', 'difflib')\n"
+            "            if m in sys.modules]\n"
+            "from nilcone.cli import main\n"
             "print('import:', *loaded(), file=sys.stderr)\n"
-            "cli(['hilbert', '-f', 'G', '-r', '2', '--variety', 'subregular',\n"
-            "     '--max-degree', '3'], standalone_mode=False)\n"
+            "main(['hilbert', '-f', 'G', '-r', '2', '--variety', 'subregular',\n"
+            "      '--max-degree', '3'])\n"
             "print('hilbert:', *loaded(), file=sys.stderr)\n")
     env = {**os.environ, "PYTHONPATH": str(Path(nilcone.__file__).parents[1])}
     env.pop("NILCONE_CACHE_DIR", None)
@@ -181,28 +181,27 @@ def test_cacheless_run_loads_no_cache_modules():
     assert result.stderr.splitlines() == ["import:", "hilbert:"]
 
 
-def test_graded_rejects_non_dominant(runner):
-    result = runner.invoke(cli, [
+def test_graded_rejects_non_dominant():
+    result = invoke([
         "graded", "-f", "A", "-r", "2", "--variety", "nilcone",
         "--lambda", "-1,0",
     ])
     assert result.exit_code == EXIT_USAGE
+    assert "is not dominant" in result.stderr
 
 
-def test_graded_rejects_bad_weight(runner):
-    result = runner.invoke(cli, [
+def test_graded_rejects_bad_weight():
+    result = invoke([
         "graded", "-f", "A", "-r", "2", "--variety", "nilcone",
         "--lambda", "1,x",
     ])
     assert result.exit_code == EXIT_USAGE
 
 
-def test_graded_needs_lambda_xor_sweep(runner):
+def test_graded_needs_lambda_xor_sweep():
     base = ["graded", "-f", "A", "-r", "2", "--variety", "nilcone"]
-    assert runner.invoke(cli, base).exit_code == EXIT_USAGE
-    assert runner.invoke(
-        cli, base + ["--lambda", "1,1", "--sweep", "1"]
-    ).exit_code == EXIT_USAGE
+    assert invoke(base).exit_code == EXIT_USAGE
+    assert invoke(base + ["--lambda", "1,1", "--sweep", "1"]).exit_code == EXIT_USAGE
 
 
 @pytest.mark.parametrize("args", [
@@ -213,16 +212,15 @@ def test_graded_needs_lambda_xor_sweep(runner):
     ["hilbert", "--variety", "nilcone", "--max-degree", "-1"],
 ], ids=["cohomology-sweep", "cohomology-max-i", "graded-max-degree",
         "graded-sweep", "hilbert-max-degree"])
-def test_negative_counts_are_usage_errors(runner, tmp_path, args):
-    result = runner.invoke(cli, [*args, "-f", "A", "-r", "2",
-                                 "--cache-dir", str(tmp_path)])
+def test_negative_counts_are_usage_errors(tmp_path, args):
+    result = invoke([*args, "-f", "A", "-r", "2", "--cache-dir", str(tmp_path)])
     assert result.exit_code == EXIT_USAGE
     assert "-1 is not in the range" in result.output
     assert list(tmp_path.iterdir()) == []
 
 
-def test_graded_e8_runs(runner):
-    result = runner.invoke(cli, [
+def test_graded_e8_runs():
+    result = invoke([
         "graded", "-f", "E", "-r", "8", "--variety", "nilcone",
         "--lambda", "0,0,0,0,0,0,0,0", "--check",
     ])
@@ -231,8 +229,8 @@ def test_graded_e8_runs(runner):
     assert row[0].split()[1] == "0:1"
 
 
-def test_cohomology_tilting_even_rows_only(runner):
-    result = runner.invoke(cli, [
+def test_cohomology_tilting_even_rows_only():
+    result = invoke([
         "cohomology", "-f", "A", "-r", "1", "--kind", "tilting", "--sweep", "2",
     ])
     assert result.exit_code == 0
@@ -240,8 +238,8 @@ def test_cohomology_tilting_even_rows_only(runner):
     assert "H^1   0" in result.output
 
 
-def test_cohomology_simple_a2_h1(runner):
-    result = runner.invoke(cli, [
+def test_cohomology_simple_a2_h1():
+    result = invoke([
         "cohomology", "-f", "A", "-r", "2", "--kind", "simple",
         "--max-i", "3", "--format", "json",
     ])
@@ -252,24 +250,24 @@ def test_cohomology_simple_a2_h1(runner):
     assert doc["k"] == 2
 
 
-def test_cohomology_weyl_check_passes(runner):
-    result = runner.invoke(cli, [
+def test_cohomology_weyl_check_passes():
+    result = invoke([
         "cohomology", "-f", "A", "-r", "2", "--kind", "weyl",
         "--sweep", "1", "--max-i", "5", "--check",
     ])
     assert result.exit_code == 0
 
 
-def test_cohomology_csv(runner):
-    result = runner.invoke(cli, [
+def test_cohomology_csv():
+    result = invoke([
         "cohomology", "-f", "A", "-r", "1", "--kind", "trivial",
         "--sweep", "1", "--max-i", "2", "--format", "csv",
     ])
     assert result.output.splitlines() == ['i,lambda,mult', '0,"0",1', '2,"2",1']
 
 
-def test_tilting_example_rows(runner):
-    result = runner.invoke(cli, ["tilting-example", "--format", "json"])
+def test_tilting_example_rows():
+    result = invoke(["tilting-example", "--format", "json"])
     doc = json.loads(result.output)
     table = {tuple(e["lambda"]): e["euler_mult"] for e in doc["entries"]}
     assert table[(0, 0)] == 1
@@ -278,27 +276,27 @@ def test_tilting_example_rows(runner):
     assert doc["parity_vanishing_fails"] is True
 
 
-def test_tilting_example_flags_sign_change(runner):
-    result = runner.invoke(cli, ["tilting-example"])
+def test_tilting_example_flags_sign_change():
+    result = invoke(["tilting-example"])
     assert result.exit_code == 0
     assert "sign change" in result.output
     assert "parity vanishing FAILS" in result.output
 
 
-def test_tilting_example_check(runner):
-    assert runner.invoke(cli, ["tilting-example", "--check"]).exit_code == 0
+def test_tilting_example_check():
+    assert invoke(["tilting-example", "--check"]).exit_code == 0
 
 
-def test_mult_command(runner):
-    result = runner.invoke(cli, [
+def test_mult_command():
+    result = invoke([
         "mult", "-f", "A", "-r", "2", "--lambda", "3,0", "--mu", "1,1",
     ])
     assert result.exit_code == 0
     assert "= 1" in result.output
 
 
-def test_mult_both_algorithms(runner):
-    result = runner.invoke(cli, [
+def test_mult_both_algorithms():
+    result = invoke([
         "mult", "-f", "G", "-r", "2", "--lambda", "0,1", "--mu", "0,0",
         "--algorithm", "both", "--format", "json",
     ])
@@ -307,8 +305,8 @@ def test_mult_both_algorithms(runner):
     assert doc["algorithms"] == ["freudenthal", "kostant"]
 
 
-def test_hilbert_command(runner):
-    result = runner.invoke(cli, [
+def test_hilbert_command():
+    result = invoke([
         "hilbert", "-f", "A", "-r", "1", "--variety", "nilcone",
         "--max-degree", "4", "--format", "json",
     ])
@@ -316,15 +314,15 @@ def test_hilbert_command(runner):
     assert doc["coefficients"] == [1, 3, 5, 7, 9]
 
 
-def test_rootsystem_schema(runner):
-    result = runner.invoke(cli, ["rootsystem", "-f", "A", "-r", "2"])
+def test_rootsystem_schema():
+    result = invoke(["rootsystem", "-f", "A", "-r", "2"])
     doc = json.loads(result.output)
     assert doc["cartan"] == [[2, -1], [-1, 2]]
     assert doc["rho"] == [1, 1]
     assert doc["theta_short"] == [1, 1]
 
 
-def test_json_outputs_are_deterministic(runner):
+def test_json_outputs_are_deterministic():
     for args in (
         ["kconst", "--all", "--format", "json"],
         ["graded", "-f", "B", "-r", "2", "--variety", "subregular",
@@ -332,13 +330,13 @@ def test_json_outputs_are_deterministic(runner):
         ["cohomology", "-f", "A", "-r", "2", "--kind", "weyl",
          "--sweep", "1", "--format", "json"],
     ):
-        first = runner.invoke(cli, args)
-        second = runner.invoke(cli, args)
+        first = invoke(args)
+        second = invoke(args)
         assert first.exit_code == second.exit_code == 0
         assert first.output == second.output
 
 
-def test_cache_list_and_clear(runner, tmp_path):
+def test_cache_list_and_clear(tmp_path):
     from nilcone import build
     from nilcone.partition import PartitionTable, cache_path
 
@@ -347,22 +345,22 @@ def test_cache_list_and_clear(runner, tmp_path):
     table.p((1, 1), 1)
     table.save(cache_path(rs.id, tmp_path))
 
-    result = runner.invoke(cli, ["cache", "list", "--cache-dir", str(tmp_path)])
+    result = invoke(["cache", "list", "--cache-dir", str(tmp_path)])
     assert result.exit_code == 0
     assert "partition_A2.json" in result.output
     assert "type=A2" in result.output
 
-    result = runner.invoke(cli, ["cache", "clear", "--cache-dir", str(tmp_path)])
+    result = invoke(["cache", "clear", "--cache-dir", str(tmp_path)])
     assert "removed 1" in result.output
-    result = runner.invoke(cli, ["cache", "list", "--cache-dir", str(tmp_path)])
+    result = invoke(["cache", "list", "--cache-dir", str(tmp_path)])
     assert "no cache files" in result.output
 
 
-def test_cache_list_marks_unreadable_files(runner, tmp_path):
+def test_cache_list_marks_unreadable_files(tmp_path):
     (tmp_path / "partition_A2.json").write_text("[]")
     (tmp_path / "partition_B2.json").write_bytes(b"\xff\xfe\x00")
     (tmp_path / "partition_G2.json").write_text('{"records": 3}')
-    result = runner.invoke(cli, ["cache", "list", "--cache-dir", str(tmp_path)])
+    result = invoke(["cache", "list", "--cache-dir", str(tmp_path)])
     assert result.exit_code == 0
     lines = result.output.splitlines()
     assert lines[:2] == ["partition_A2.json: unreadable",
@@ -370,47 +368,46 @@ def test_cache_list_marks_unreadable_files(runner, tmp_path):
     assert lines[2].endswith("records=?")
 
 
-def test_cache_dir_env_override(runner, tmp_path, monkeypatch):
-    monkeypatch.setenv("NILCONE_CACHE_DIR", str(tmp_path))
-    result = runner.invoke(cli, ["cache", "list"])
+def test_cache_dir_env_override(tmp_path):
+    result = invoke(["cache", "list"], env={"NILCONE_CACHE_DIR": str(tmp_path)})
     assert str(tmp_path) in result.output
 
 
 @pytest.mark.parametrize("command", ["list", "clear"])
-def test_cache_commands_need_a_cache_dir(runner, tmp_path, monkeypatch, command):
+def test_cache_commands_need_a_cache_dir(tmp_path, monkeypatch, command):
     # No command writes a cache without --cache-dir or NILCONE_CACHE_DIR,
     # so there is no default directory to list or clear.
     monkeypatch.delenv("NILCONE_CACHE_DIR", raising=False)
     monkeypatch.setenv("HOME", str(tmp_path))
     (tmp_path / ".cache" / "nilcone").mkdir(parents=True)
     (tmp_path / ".cache" / "nilcone" / "partition_A2.json").write_text("{}")
-    result = runner.invoke(cli, ["cache", command])
+    result = invoke(["cache", command])
     assert result.exit_code == EXIT_USAGE
     assert "--cache-dir or set NILCONE_CACHE_DIR" in result.output
     assert (tmp_path / ".cache" / "nilcone" / "partition_A2.json").exists()
 
 
-def test_graded_persists_and_reuses_caches(runner, tmp_path):
+def test_graded_persists_and_reuses_caches(tmp_path):
     args = ["graded", "-f", "B", "-r", "2", "--variety", "nilcone",
             "--sweep", "1", "--format", "json", "--cache-dir", str(tmp_path)]
-    first = runner.invoke(cli, args)
+    first = invoke(args)
     assert first.exit_code == 0
     assert [p.name for p in tmp_path.iterdir()] == ["partition_B2.json"]
-    second = runner.invoke(cli, args)
+    second = invoke(args)
     assert second.output == first.output
 
-    listing = runner.invoke(cli, ["cache", "list", "--cache-dir", str(tmp_path)])
+    listing = invoke(["cache", "list", "--cache-dir", str(tmp_path)])
     assert "partition_B2.json" in listing.output
 
 
-def test_warm_run_leaves_the_cache_file_alone(runner, tmp_path):
+def test_warm_run_leaves_the_cache_file_alone(tmp_path):
     args = ["graded", "-f", "A", "-r", "2", "--variety", "subregular",
             "--sweep", "2", "--cache-dir", str(tmp_path)]
-    cold = runner.invoke(cli, args)
+    cold = invoke(args)
     assert cold.exit_code == 0
     path = tmp_path / "partition_A2.json"
     before = path.stat()
-    warm = runner.invoke(cli, args)
+    warm = invoke(args)
     assert warm.exit_code == 0 and warm.output == cold.output
     after = path.stat()
     assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
@@ -463,18 +460,18 @@ def _tamper_theta(payload):
 ], ids=["schema-bump", "truncated", "not-an-object", "not-text",
         "tampered-value", "no-records", "wrong-arity", "wrong-rank",
         "negative-coefficient", "too-many-coefficients"])
-def test_stale_partition_cache_is_a_miss(runner, tmp_path, corrupt):
+def test_stale_partition_cache_is_a_miss(tmp_path, corrupt):
     args = ["graded", "-f", "A", "-r", "2", "--variety", "subregular",
             "--sweep", "2", "--check"]
-    cold = runner.invoke(cli, args)
+    cold = invoke(args)
     assert cold.exit_code == 0
     cached = args + ["--cache-dir", str(tmp_path)]
-    assert runner.invoke(cli, cached).exit_code == 0
+    assert invoke(cached).exit_code == 0
     path = tmp_path / "partition_A2.json"
     corrupt(path)
     stale_inode = path.stat().st_ino
 
-    result = runner.invoke(cli, cached)
+    result = invoke(cached)
     assert result.exit_code == 0
     assert result.stdout == cold.stdout
     assert len(result.stderr.splitlines()) == 1
@@ -482,7 +479,7 @@ def test_stale_partition_cache_is_a_miss(runner, tmp_path, corrupt):
     # the file was rewritten and now loads without a warning
     assert path.stat().st_ino != stale_inode
     assert json.loads(path.read_text())["records"]
-    again = runner.invoke(cli, cached)
+    again = invoke(cached)
     assert again.stdout == cold.stdout and again.stderr == ""
 
 
@@ -501,12 +498,11 @@ def _regular_file_as_cache_dir(tmp_path):
     (_directory_at_the_cache_file, 2),  # unreadable, then unwritable
     (_regular_file_as_cache_dir, 1),
 ], ids=["directory-at-file", "file-as-dir"])
-def test_unwritable_cache_warns_and_still_prints(runner, tmp_path, cache_dir,
-                                                 warnings):
+def test_unwritable_cache_warns_and_still_prints(tmp_path, cache_dir, warnings):
     args = ["graded", "-f", "A", "-r", "2", "--variety", "subregular",
             "--sweep", "2", "--check"]
-    plain = runner.invoke(cli, args)
-    result = runner.invoke(cli, args + ["--cache-dir", str(cache_dir(tmp_path))])
+    plain = invoke(args)
+    result = invoke(args + ["--cache-dir", str(cache_dir(tmp_path))])
     assert result.exit_code == 0, result.output
     assert result.stdout == plain.stdout
     lines = result.stderr.splitlines()
@@ -515,32 +511,32 @@ def test_unwritable_cache_warns_and_still_prints(runner, tmp_path, cache_dir,
     assert not [p for p in tmp_path.rglob("*.tmp")]
 
 
-def test_cache_clear_skips_what_is_not_a_file(runner, tmp_path):
+def test_cache_clear_skips_what_is_not_a_file(tmp_path):
     (tmp_path / "partition_A2.json").mkdir()
     (tmp_path / "partition_B2.json").write_text("{}")
-    result = runner.invoke(cli, ["cache", "clear", "--cache-dir", str(tmp_path)])
+    result = invoke(["cache", "clear", "--cache-dir", str(tmp_path)])
     assert result.exit_code == 0
     assert result.stdout == f"removed 1 cache file(s) from {tmp_path}\n"
     assert result.stderr.startswith("warning: skipping ")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["partition_A2.json"]
 
 
-def test_partition_cache_for_another_type_exits_1(runner, tmp_path):
+def test_partition_cache_for_another_type_exits_1(tmp_path):
     args = ["graded", "-f", "B", "-r", "2", "--variety", "nilcone",
             "--lambda", "0,2", "--cache-dir", str(tmp_path)]
-    assert runner.invoke(cli, args).exit_code == 0
+    assert invoke(args).exit_code == 0
     path = tmp_path / "partition_B2.json"
     payload = json.loads(path.read_text())
     payload["family"] = "C"
     path.write_text(json.dumps(payload))
-    result = runner.invoke(cli, args)
+    result = invoke(args)
     assert result.exit_code == 1
     assert "another type" in result.stderr
 
 
-def test_compute_commands_honour_cache_env(runner, tmp_path, monkeypatch):
+def test_compute_commands_honour_cache_env(tmp_path, monkeypatch):
     monkeypatch.setenv("NILCONE_CACHE_DIR", str(tmp_path))
-    result = runner.invoke(cli, [
+    result = invoke([
         "hilbert", "-f", "A", "-r", "1", "--variety", "subregular",
         "--max-degree", "2",
     ])
@@ -548,6 +544,59 @@ def test_compute_commands_honour_cache_env(runner, tmp_path, monkeypatch):
     assert (tmp_path / "partition_A1.json").exists()
 
 
-def test_unknown_option_rejected(runner):
-    result = runner.invoke(cli, ["kconst", "--bogus"])
+def test_unknown_option_rejected():
+    result = invoke(["kconst", "--bogus"])
     assert result.exit_code == EXIT_USAGE
+    assert invoke(["kconst", "-h"]).exit_code == EXIT_USAGE  # only --help
+
+
+def test_abbreviated_options_are_refused():
+    result = invoke(["graded", "-f", "A", "-r", "2", "--var", "nilcone",
+                     "--lambda", "1,1"])
+    assert result.exit_code == EXIT_USAGE
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("fmt,line", [
+    ("table", "m_(1,1)(-1,2) = 1"),
+    ("csv", '"1,1","-1,2",1'),
+])
+def test_option_values_may_start_with_a_dash(fmt, line):
+    # An option that takes a value takes the next argument, even one that
+    # looks like an option.
+    result = invoke(["mult", "-f", "A", "-r", "2", "--lambda", "1,1",
+                     "--mu", "-1,2", "--format", fmt])
+    assert result.exit_code == 0, result.output
+    assert result.stdout.splitlines()[-1] == line
+
+
+def test_kconst_all_refuses_a_type():
+    for extra in (["-f", "G", "-r", "2"], ["-f", "G"], ["-r", "2"]):
+        result = invoke(["kconst", "--all", *extra])
+        assert result.exit_code == EXIT_USAGE
+        assert "give --family and --rank, or --all" in result.stderr
+        assert result.stdout == ""
+
+
+def test_version():
+    result = invoke(["--version"])
+    assert result.exit_code == 0
+    assert result.stdout == "nilcone, version 0.1.0\n"
+
+
+@pytest.mark.parametrize("command", [
+    [], ["kconst"], ["graded"], ["cohomology"], ["tilting-example"], ["mult"],
+    ["hilbert"], ["rootsystem"], ["cache"], ["cache", "list"], ["cache", "clear"],
+], ids=lambda command: " ".join(command) or "nilcone")
+def test_help(command):
+    result = invoke([*command, "--help"])
+    assert result.exit_code == 0
+    assert result.stdout.startswith(f"usage: {' '.join(['nilcone', *command])} ")
+    assert result.stderr == ""
+
+
+def test_main_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["nilcone", "hilbert", "-f", "A", "-r", "1",
+                                      "--variety", "nilcone", "--max-degree", "2"])
+    main()
+    assert capsys.readouterr().out == "nilcone Hilbert coefficients for A_1: 1 3 5\n"

@@ -4,8 +4,8 @@ import itertools
 import re
 
 import pytest
-from click.testing import CliRunner
 
+from cli_runner import invoke
 from nilcone import (
     ModuleKind,
     Variety,
@@ -17,7 +17,7 @@ from nilcone import (
     euler_induced,
     weyl_dim,
 )
-from nilcone.cli import cli, little_adjoint_dim, nilcone_hilbert_closed_form
+from nilcone.cli import little_adjoint_dim, nilcone_hilbert_closed_form
 from nilcone.rootsys import exponents
 from root_lattice import height
 from weyl_oracle import dominant_up_to_height
@@ -550,7 +550,7 @@ def test_each_domain_is_one_batch(monkeypatch, family, rank):
                  ["cohomology", "--kind", "tilting", "--sweep", "2"],
                  ["hilbert", "--variety", "subregular", "--max-degree", "3"]):
         calls.clear()
-        result = CliRunner().invoke(cli, [*args, "-f", family, "-r", str(rank)])
+        result = invoke([*args, "-f", family, "-r", str(rank)])
         assert result.exit_code == 0, result.output
         assert len(calls) == 1, args
 
@@ -675,8 +675,8 @@ def test_sweep_negativity_is_the_serial_loops_error(monkeypatch, family, rank):
             else:
                 fresh_calculator(family, rank).cohomology_table(kind, 2, 6)
         assert (exc.value.weight, exc.value.degree) == (theta_s, k)
-    result = CliRunner().invoke(cli, ["graded", "-f", family, "-r", str(rank),
-                                      "--variety", "subregular", "--sweep", "2"])
+    result = invoke(["graded", "-f", family, "-r", str(rank),
+                     "--variety", "subregular", "--sweep", "2"])
     assert result.exit_code == 4
 
 
@@ -689,8 +689,8 @@ def test_cohomology_weyl_check_sees_a_wrong_total(monkeypatch, max_i):
     skew_packed_kernel(monkeypatch, theta, (0, 0), -1)
     args = ["cohomology", "-f", "A", "-r", "2", "--kind", "weyl", "--sweep", "1",
             "--max-i", max_i]
-    assert CliRunner().invoke(cli, args).exit_code == 0
-    result = CliRunner().invoke(cli, [*args, "--check"])
+    assert invoke(args).exit_code == 0
+    result = invoke([*args, "--check"])
     assert result.exit_code == 4
     assert "total 3 != m(0) = 2 at lambda=(1,1)" in result.output
 
@@ -702,12 +702,12 @@ def test_hilbert_check_sees_a_wrong_coefficient(monkeypatch, variety):
     # catches it (for subregular in a degree below k = 3).
     rs = build("G", 2)
     args = ["hilbert", "-f", "G", "-r", "2", "--variety", variety, "--max-degree", "8"]
-    assert CliRunner().invoke(cli, [*args, "--check"]).exit_code == 0
+    assert invoke([*args, "--check"]).exit_code == 0
     skew_packed_kernel(monkeypatch, rs.theta_long, (0, 0), -1)
-    result = CliRunner().invoke(cli, args)
+    result = invoke(args)
     assert result.exit_code == 0
     assert result.output.split(": ")[1].split()[:2] == ["15", "14"]
-    result = CliRunner().invoke(cli, [*args, "--check"])
+    result = invoke([*args, "--check"])
     assert result.exit_code == 4
     assert "Hilbert coefficient 0 = 15 != closed form 1 (nilcone)" in result.output
 
@@ -718,9 +718,9 @@ def test_hilbert_check_sees_a_wrong_subregular_degree_k(monkeypatch):
     rs = build("G", 2)
     args = ["hilbert", "-f", "G", "-r", "2", "--variety", "subregular",
             "--max-degree", "8", "--check"]
-    assert CliRunner().invoke(cli, args).exit_code == 0
+    assert invoke(args).exit_code == 0
     skew_packed_kernel(monkeypatch, (3, 0), rs.theta_short, -1)
-    result = CliRunner().invoke(cli, args)
+    result = invoke(args)
     assert result.exit_code == 4
     assert ("Hilbert coefficient 3 = 462 != closed form 539 "
             "(nilcone - dim L(theta_s))") in result.output

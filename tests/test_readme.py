@@ -7,9 +7,8 @@ import shlex
 import tokenize
 from pathlib import Path
 
-from click.testing import CliRunner
 
-from nilcone.cli import cli
+from cli_runner import invoke
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -100,6 +99,6 @@ def test_command_line_examples_run(monkeypatch):
     commands = command_lines()
     assert len(commands) >= 10
     for args in commands:
-        result = CliRunner().invoke(cli, args)
+        result = invoke(args)
         expected = 2 if args[0] == "cache" else 0
         assert result.exit_code == expected, (args, result.output)
