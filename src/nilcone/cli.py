@@ -3,22 +3,24 @@
 Exit codes: 0 success, 1 unusable cache file (one for another type, built
 with another root ordering, or disagreeing with values already held),
 2 usage error, 4 invariant violation (including --check failures).  A
-partition cache that is unreadable, from another schema version, or whose
-records fail their digest or shape check is not an error: it is ignored
-with a warning on stderr and rewritten.  Neither is a cache file that
-cannot be written: the run warns on stderr, prints its results and exits 0.
+stale, unreadable or unwritable partition cache file is only a warning
+on stderr (``partition.load_table``, ``PartitionTable.persist``).
 
 Output formats: human tables (default), versioned JSON, CSV.  JSON and
 CSV output is byte-deterministic for identical inputs.
 
 The options are parsed by argparse, so the command line needs nothing
-beyond the standard library.
+beyond the standard library.  ``main`` is the one path into a command:
+it joins each option that takes a value to the argument after it, names
+an unknown argument under the command's own usage line, fills
+``--cache-dir`` from NILCONE_CACHE_DIR, and maps a package error to its
+exit code.  The cache file's name, layout and save policy belong to
+``partition``.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import sys
 from math import comb
@@ -31,7 +33,6 @@ from .errors import (
     NilconeError,
     NonDominantWeightError,
     PositivityViolationError,
-    StaleCacheError,
     WrongRootSystemError,
 )
 from .graded import (
@@ -71,18 +72,6 @@ def exit_code_for(exc: Exception) -> int:
     ):
         return EXIT_USAGE
     return 1
-
-
-def handle_errors(f):
-    @functools.wraps(f)
-    def wrapper(*args, **kwargs):
-        try:
-            return f(*args, **kwargs)
-        except NilconeError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            sys.exit(exit_code_for(exc))
-
-    return wrapper
 
 
 def parse_weight(text: str, rank: int) -> tuple[int, ...]:
@@ -203,68 +192,26 @@ CACHE_DIR = option(
 )
 
 
-def resolve_cache_dir(cli_value):
-    if cli_value is not None:
-        return cli_value
-    return os.environ.get("NILCONE_CACHE_DIR") or None
-
-
-def required_cache_dir(cli_value) -> Path:
+def required_cache_dir(cache_dir) -> Path:
     """The cache directory a 'cache' subcommand works on."""
-    cache_dir = resolve_cache_dir(cli_value)
     if cache_dir is None:
         raise UsageError("give --cache-dir or set NILCONE_CACHE_DIR")
     return Path(cache_dir)
 
 
-def make_calculator(rs, cache_dir) -> GradedCalculator:
-    """Calculator with on-disk persistence when a cache directory is set."""
-    if cache_dir is None:
-        return GradedCalculator(rs)
-    return GradedCalculator(rs, table=partition.load_table(rs, cache_dir))
-
-
-def persist_tables(calc: GradedCalculator, cache_dir) -> None:
-    """Save the partition table if it holds values its file lacks or the
-    file it was loaded from was stale.  The cache only saves work, so a
-    file that cannot be written is a warning: the run still prints its
-    results and exits 0."""
-    if cache_dir is not None and calc.table.unsaved:
-        path = partition.cache_path(calc.rs.id, cache_dir)
-        try:
-            calc.table.save(path)
-        except OSError as exc:
-            print(f"warning: cannot write partition cache {path}: {exc}",
-                  file=sys.stderr)
-
-
 class Parser(argparse.ArgumentParser):
-    """argparse held to this command line's rules: --help but no -h, no
-    abbreviated options, and an option that takes a value takes the next
-    argument even when it starts with '-' (`--mu -1,2`)."""
+    """argparse held to this command line's rules: --help but no -h, and
+    no abbreviated options."""
 
     def __init__(self, **kwargs):
-        self.takes_value = set()
         super().__init__(allow_abbrev=False, add_help=False, **kwargs)
         self.add_argument("--help", action="help", help="Show this message and exit.")
-
-    def add_argument(self, *flags, **settings):
-        action = super().add_argument(*flags, **settings)
-        if action.option_strings and action.nargs is None:
-            self.takes_value.update(action.option_strings)
-        return action
-
-    def parse_known_args(self, args=None, namespace=None):
-        # argparse hands each command's parser the arguments after the
-        # command's name through this method.
-        if args is not None:
-            args = list(attach_values(args, self.takes_value))
-        return super().parse_known_args(args, namespace)
 
 
 def attach_values(args, takes_value):
     """args with each option in takes_value joined to the argument after
-    it, `--mu=-1,2`: argparse would read a lone `-1,2` as an option."""
+    it, `--mu=-1,2`, so an option takes the next argument even when it
+    starts with '-': argparse would read a lone `-1,2` as an option."""
     args = iter(args)
     for arg in args:
         value = next(args, None) if arg in takes_value else None
@@ -277,13 +224,17 @@ class Command:
     def __init__(self, name, callback, options):
         self.name, self.callback, self.options = name, callback, options
 
-    def add_to(self, subparsers) -> None:
+    def add_to(self, subparsers) -> set[str]:
+        """Add the command's parser; return the flags that take a value."""
         doc = self.callback.__doc__ or ""
         parser = subparsers.add_parser(self.name, help=doc.split("\n\n")[0],
                                        description=doc)
+        takes_value = set()
         for flags, settings in self.options:
-            parser.add_argument(*flags, **settings)
+            if parser.add_argument(*flags, **settings).nargs is None:
+                takes_value.update(flags)
         parser.set_defaults(_command=self, _parser=parser)
+        return takes_value
 
 
 class Group:
@@ -308,15 +259,16 @@ class Group:
         self.commands[name] = group = Group(name, doc)
         return group
 
-    def add_to(self, subparsers) -> None:
-        self.add_commands(subparsers.add_parser(self.name, help=self.doc,
-                                                description=self.doc))
+    def add_to(self, subparsers) -> set[str]:
+        return self.add_commands(subparsers.add_parser(self.name, help=self.doc,
+                                                       description=self.doc))
 
-    def add_commands(self, parser) -> None:
+    def add_commands(self, parser) -> set[str]:
+        """Add a parser per command; return the flags that take a value."""
         subparsers = parser.add_subparsers(title="commands", metavar="COMMAND",
                                            required=True)
-        for command in self.commands.values():
-            command.add_to(subparsers)
+        return set().union(*(command.add_to(subparsers)
+                             for command in self.commands.values()))
 
 
 cli = Group("nilcone", """Exact graded module data for the nilpotent cone and
@@ -334,7 +286,6 @@ cli = Group("nilcone", """Exact graded module data for the nilpotent cone and
            help="Re-verify k = h^vee(R^vee) - 1, from the classical table."),
     FORMAT,
 )
-@handle_errors
 def kconst(family, rank, all_types, check, fmt):
     """The shift constant k per type (2k-1 = length of the reflection in
     the dominant short root).  Needs no Weyl group enumeration."""
@@ -382,7 +333,6 @@ def kconst(family, rank, all_types, check, fmt):
     CACHE_DIR,
     FORMAT,
 )
-@handle_errors
 def graded(family, rank, variety, lam_text, sweep, max_degree, check, cache_dir,
            fmt):
     """Graded multiplicities of one coordinate ring.
@@ -396,8 +346,7 @@ def graded(family, rank, variety, lam_text, sweep, max_degree, check, cache_dir,
     rs = rootsys.build(family, rank)
     if (lam_text is None) == (sweep is None):
         raise UsageError("give exactly one of --lambda or --sweep")
-    cache_dir = resolve_cache_dir(cache_dir)
-    calc = make_calculator(rs, cache_dir)
+    calc = GradedCalculator(rs, table=partition.load_table(rs, cache_dir))
     if lam_text is not None:
         lam = parse_weight(lam_text, rs.rank)
         if not rs.is_dominant(lam):
@@ -407,7 +356,7 @@ def graded(family, rank, variety, lam_text, sweep, max_degree, check, cache_dir,
         lams = list(calc.sweep_domain(sweep))
 
     results = list(zip(lams, calc.series_batch(variety, lams)))
-    persist_tables(calc, cache_dir)
+    calc.table.persist()
 
     entries = []
     for lam, series in results:
@@ -465,15 +414,13 @@ def graded(family, rank, variety, lam_text, sweep, max_degree, check, cache_dir,
     CACHE_DIR,
     FORMAT,
 )
-@handle_errors
 def cohomology(family, rank, kind, sweep, max_i, check, cache_dir, fmt):
     """Cohomology tables per module kind: dominant-weight multiplicities
     in each cohomological degree, assembled from the graded data."""
     rs = rootsys.build(family, rank)
-    cache_dir = resolve_cache_dir(cache_dir)
-    calc = make_calculator(rs, cache_dir)
+    calc = GradedCalculator(rs, table=partition.load_table(rs, cache_dir))
     table = calc.cohomology_table(ModuleKind(kind), sweep, max_i)
-    persist_tables(calc, cache_dir)
+    calc.table.persist()
     parity = table.parity_ok()
     if check and not parity:
         raise CheckFailure(f"parity vanishing fails for kind {kind}")
@@ -512,7 +459,6 @@ def cohomology(family, rank, kind, sweep, max_i, check, cache_dir, fmt):
     FORMAT,
     name="tilting-example",
 )
-@handle_errors
 def tilting_example(check, fmt):
     """The A_2 tilting module whose cohomology mixes parities.
 
@@ -568,7 +514,6 @@ def tilting_example(check, fmt):
                 "which must agree (default: %(default)s)."),
     FORMAT,
 )
-@handle_errors
 def mult(family, rank, lam_text, mu_text, algorithm, fmt):
     """Multiplicity of the weight mu in the irreducible module L(lambda)."""
     rs = rootsys.build(family, rank)
@@ -608,14 +553,12 @@ def mult(family, rank, lam_text, mu_text, algorithm, fmt):
     CACHE_DIR,
     FORMAT,
 )
-@handle_errors
 def hilbert(family, rank, variety, max_degree, check, cache_dir, fmt):
     """Hilbert series coefficients (graded dimensions) of the chosen ring."""
     rs = rootsys.build(family, rank)
-    cache_dir = resolve_cache_dir(cache_dir)
-    calc = make_calculator(rs, cache_dir)
+    calc = GradedCalculator(rs, table=partition.load_table(rs, cache_dir))
     coeffs = calc.hilbert_series(Variety(variety), max_degree)
-    persist_tables(calc, cache_dir)
+    calc.table.persist()
     if check:
         check_hilbert(rs, Variety(variety), calc.k, coeffs)
     if fmt == "json":
@@ -631,7 +574,6 @@ def hilbert(family, rank, variety, max_degree, check, cache_dir, fmt):
 
 
 @cli.command(FAMILY, RANK)
-@handle_errors
 def rootsystem(family, rank):
     """Root system datum in the documented JSON schema."""
     import json
@@ -650,23 +592,11 @@ def cache_list(cache_dir):
     if not directory.is_dir():
         print(f"no cache directory at {directory}")
         return
-    files = sorted(directory.glob("partition_*.json"))
+    files = partition.cache_files(directory)
     if not files:
         print(f"no cache files in {directory}")
-        return
     for f in files:
-        try:
-            header = partition.read_cache(f)
-        except StaleCacheError:
-            print(f"{f.name}: unreadable")
-            continue
-        records = header.get("records")
-        print(
-            f"{f.name}: schema={header.get('schema_version')} "
-            f"type={header.get('family')}{header.get('rank')} "
-            f"height_cutoff={header.get('height_cutoff')} "
-            f"records={len(records) if isinstance(records, list) else '?'}"
-        )
+        print(partition.cache_summary(f))
 
 
 @cache.command(CACHE_DIR, name="clear")
@@ -674,34 +604,45 @@ def cache_clear(cache_dir):
     """Remove the partition cache files."""
     directory = required_cache_dir(cache_dir)
     removed = 0
-    if directory.is_dir():
-        for f in sorted(directory.glob("partition_*.json")):
-            if not f.is_file():
-                print(f"warning: skipping {f}: not a regular file", file=sys.stderr)
-                continue
-            f.unlink()
-            removed += 1
+    for f in partition.cache_files(directory):
+        if not f.is_file():
+            print(f"warning: skipping {f}: not a regular file", file=sys.stderr)
+            continue
+        f.unlink()
+        removed += 1
     print(f"removed {removed} cache file(s) from {directory}")
 
 
-def build_parser() -> Parser:
+def build_parser() -> tuple[Parser, set[str]]:
+    """The root parser, and the flags of every option that takes a value."""
     parser = Parser(prog="nilcone", description=cli.doc)
     parser.add_argument("--version", action="version",
                         version=f"nilcone, version {__version__}",
                         help="Show the version and exit.")
-    cli.add_commands(parser)
-    return parser
+    return parser, cli.add_commands(parser)
 
 
 def main(argv=None) -> None:
     """Console entry point: run the command that argv (by default
-    sys.argv[1:]) names.  Exits 2 on a usage error."""
-    args = vars(build_parser().parse_args(argv))
+    sys.argv[1:]) names.  A usage error, including an unknown argument,
+    exits 2 under the command's usage line; a package error exits with
+    its documented code."""
+    parser, takes_value = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    namespace, unknown = parser.parse_known_args(list(attach_values(argv, takes_value)))
+    args = vars(namespace)
     command, parser = args.pop("_command"), args.pop("_parser")
+    if unknown:
+        parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    if "cache_dir" in args and args["cache_dir"] is None:
+        args["cache_dir"] = os.environ.get("NILCONE_CACHE_DIR") or None
     try:
         command.callback(**args)
     except UsageError as exc:
         parser.error(str(exc))
+    except NilconeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(exit_code_for(exc))
 
 
 if __name__ == "__main__":

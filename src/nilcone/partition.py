@@ -9,7 +9,11 @@ for a whole batch of sums at once, and read by a mask test and a plain
 unpack (the graded queries) or by ``signed_sum``, a balanced unpack
 (Kostant's formula, where a non-dominant mu can give a negative digit).
 The table keeps each polynomial it was asked for once, packed, with the
-packing it was computed in, and can persist them.
+packing it was computed in, and can persist them.  This module is the
+only one that knows the cache file: ``load_table`` ties a table to its
+file in a cache directory, ``PartitionTable.persist`` rewrites that file
+only when the table has changed, and ``cache_files`` and
+``cache_summary`` give what ``cache list`` and ``cache clear`` show.
 
 The generating identity ties the whole table to the product over positive
 roots of 1 / (1 - e^alpha q): the coefficient of q^n e^x is p(x, n).
@@ -216,6 +220,9 @@ class PartitionTable:
         self._packing = _Packing(self._roots, rs.rank, 0)
         # x -> (packing, P(x; 2^packing.bits)): every value the table holds.
         self._values: dict[RootVector, tuple[_Packing, int]] = {}
+        # The cache file persist() writes, set by load_table; None
+        # persists nothing.
+        self.path: Path | None = None
         # True when the table holds values its cache file lacks, or that
         # file is stale; save() clears it.
         self.unsaved = False
@@ -366,6 +373,18 @@ class PartitionTable:
         self.unsaved = False
         return path
 
+    def persist(self) -> None:
+        """Save to the table's cache file, if it has one, when the table
+        holds values the file lacks or the file it was loaded from was
+        stale.  The cache only saves work, so a file that cannot be
+        written is one warning on stderr, not an error."""
+        if self.path is not None and self.unsaved:
+            try:
+                self.save(self.path)
+            except OSError as exc:
+                print(f"warning: cannot write partition cache {self.path}: {exc}",
+                      file=sys.stderr)
+
     def extend_from(self, path) -> int:
         """Merge records from a cache file; returns the number loaded.
 
@@ -455,7 +474,9 @@ def read_cache(path) -> dict:
 
     try:
         payload = json.loads(Path(path).read_text())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: undecodable bytes, bad JSON, an int past the digit
+        # limit; RecursionError: nesting past the recursion limit.
         raise StaleCacheError(f"unreadable partition cache {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise StaleCacheError(f"unreadable partition cache {path}: not an object")
@@ -466,15 +487,38 @@ def cache_path(rs_id: RootSystemId, cache_dir) -> Path:
     return Path(cache_dir) / f"partition_{rs_id.family}{rs_id.rank}.json"
 
 
+def cache_files(cache_dir) -> list[Path]:
+    """The paths in cache_dir named like partition cache files, sorted."""
+    return sorted(Path(cache_dir).glob("partition_*.json"))
+
+
+def cache_summary(path) -> str:
+    """One line on a cache file: its name and header, or that it is
+    unreadable."""
+    try:
+        header = read_cache(path)
+    except StaleCacheError:
+        return f"{path.name}: unreadable"
+    records = header.get("records")
+    return (f"{path.name}: schema={header.get('schema_version')} "
+            f"type={header.get('family')}{header.get('rank')} "
+            f"height_cutoff={header.get('height_cutoff')} "
+            f"records={len(records) if isinstance(records, list) else '?'}")
+
+
 def load_table(rs: RootSystem, cache_dir) -> PartitionTable:
-    """A table for rs, preloaded from the cache directory when present.
+    """A table for rs that persists to its file in cache_dir, preloaded
+    from that file when present; a fresh table that persists nothing
+    when cache_dir is None.
 
     A stale or unreadable cache file counts as a miss: a one-line warning
-    goes to stderr and the table is marked unsaved, so the next save
+    goes to stderr and the table is marked unsaved, so ``persist``
     rewrites the file even if nothing new is computed.
     """
     table = PartitionTable(rs)
-    path = cache_path(rs.id, cache_dir)
+    if cache_dir is None:
+        return table
+    table.path = path = cache_path(rs.id, cache_dir)
     if path.exists():
         try:
             table.extend_from(path)

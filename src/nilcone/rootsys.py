@@ -284,13 +284,8 @@ class RootSystem(NamedTuple):
 
     def dominance_le(self, mu, lam) -> bool:
         """True iff lam - mu has nonnegative integer root-basis coordinates."""
-        diff = vsub(lam, mu)
-        det = self.fw_to_root_det
-        for row in self.fw_to_root_adj:
-            num = sum(row[i] * diff[i] for i in range(self.rank))
-            if num < 0 or num % det:
-                return False
-        return True
+        coords = self.root_coords_int(vsub(lam, mu))
+        return coords is not None and min(coords) >= 0
 
     # -- bilinear form ---------------------------------------------------
 
@@ -410,15 +405,11 @@ def build(family: str, rank: int) -> RootSystem:
     d = _symmetrizer(cartan)
     adj, det = _adjugate_of_transpose(cartan)
 
-    # Reflection closure of the simple roots.  A root is carried as
-    # (root coords, fw coords); s_i changes root coordinate i by the i-th
+    # Reflection closure of the simple roots: fw maps each root's root
+    # coords to its fw coords.  s_i changes root coordinate i by the i-th
     # fw coordinate and shifts fw coords by a Cartan row.
-    simple = []
-    for i in range(rank):
-        r = tuple(int(i == j) for j in range(rank))
-        simple.append((r, cartan[i]))
-    seen = {r for r, _ in simple}
-    frontier = list(simple)
+    fw = {tuple(int(i == j) for j in range(rank)): cartan[i] for i in range(rank)}
+    frontier = list(fw.items())
     while frontier:
         nxt = []
         for r, c in frontier:
@@ -427,29 +418,24 @@ def build(family: str, rank: int) -> RootSystem:
                 if ci == 0:
                     continue
                 r2 = tuple(r[j] - ci * int(i == j) for j in range(rank))
-                if r2 not in seen:
-                    seen.add(r2)
+                if r2 not in fw:
                     c2 = tuple(c[j] - ci * cartan[i][j] for j in range(rank))
+                    fw[r2] = c2
                     nxt.append((r2, c2))
         frontier = nxt
 
     positives = sorted(
-        (r for r in seen if all(x >= 0 for x in r)),
+        (r for r in fw if all(x >= 0 for x in r)),
         key=lambda r: (sum(r), r),
     )
-    assert 2 * len(positives) == len(seen)
+    assert 2 * len(positives) == len(fw)
     expected = positive_root_count(family, rank)
     assert len(positives) == expected, (
         f"{family}_{rank}: built {len(positives)} positive roots, "
         f"classical count is {expected}"
     )
 
-    def to_fw(r):
-        return tuple(
-            sum(r[j] * cartan[j][i] for j in range(rank)) for i in range(rank)
-        )
-
-    pos_fw = tuple(to_fw(r) for r in positives)
+    pos_fw = tuple(fw[r] for r in positives)
 
     rho = tuple([1] * rank)
     half_sum_doubled = [0] * rank
@@ -463,22 +449,18 @@ def build(family: str, rank: int) -> RootSystem:
     longest = [r for r, h in zip(positives, heights) if h == h_max]
     assert len(longest) == 1, "highest root must be unique"
     theta_long_coords = longest[0]
-    theta_long = to_fw(theta_long_coords)
+    theta_long = fw[theta_long_coords]
     assert all(c >= 0 for c in theta_long)
     assert h_max + 1 == coxeter_number(family, rank)
 
-    def norm2(r):
-        fw = to_fw(r)
-        return sum(r[j] * d[j] * fw[j] for j in range(rank))
-
-    norms = [norm2(r) for r in positives]
+    norms = [sum(a * b * c for a, b, c in zip(r, d, fw[r])) for r in positives]
     short_norm = min(norms)
     assert short_norm == 2, "short roots are normalised to squared length 2"
     shorts = [r for r, n in zip(positives, norms) if n == short_norm]
-    dominant_shorts = [r for r in shorts if all(c >= 0 for c in to_fw(r))]
+    dominant_shorts = [r for r in shorts if all(c >= 0 for c in fw[r])]
     assert len(dominant_shorts) == 1, "dominant short root must be unique"
     theta_short_coords = dominant_shorts[0]
-    theta_short = to_fw(theta_short_coords)
+    theta_short = fw[theta_short_coords]
 
     # The dominant short root is dual to the highest coroot: the coroot
     # beta^vee = sum_j (2 r_j d_j / (beta,beta)) alpha_j^vee of theta_short

@@ -134,6 +134,7 @@ def test_jobs_is_no_longer_an_option(jobs):
     ])
     assert result.exit_code == EXIT_USAGE
     assert "unrecognized arguments" in result.output and "--jobs" in result.output
+    assert result.stderr.startswith("usage: nilcone graded")
 
 
 def test_import_loads_no_process_pool():
@@ -356,16 +357,30 @@ def test_cache_list_and_clear(tmp_path):
     assert "no cache files" in result.output
 
 
+def _nest_too_deep(path):
+    # json.loads raises RecursionError on nesting past the recursion limit.
+    path.write_text("[" * 200000 + "]" * 200000)
+
+
+def _too_many_digits(path):
+    # json.loads raises ValueError on an int past the interpreter's digit limit.
+    path.write_text('{"records": [[[0, 0], [' + "1" * 5000 + ']]]}')
+
+
 def test_cache_list_marks_unreadable_files(tmp_path):
     (tmp_path / "partition_A2.json").write_text("[]")
     (tmp_path / "partition_B2.json").write_bytes(b"\xff\xfe\x00")
+    _nest_too_deep(tmp_path / "partition_C2.json")
+    _too_many_digits(tmp_path / "partition_D4.json")
     (tmp_path / "partition_G2.json").write_text('{"records": 3}')
     result = invoke(["cache", "list", "--cache-dir", str(tmp_path)])
     assert result.exit_code == 0
     lines = result.output.splitlines()
-    assert lines[:2] == ["partition_A2.json: unreadable",
-                         "partition_B2.json: unreadable"]
-    assert lines[2].endswith("records=?")
+    assert lines[:4] == ["partition_A2.json: unreadable",
+                         "partition_B2.json: unreadable",
+                         "partition_C2.json: unreadable",
+                         "partition_D4.json: unreadable"]
+    assert lines[4].endswith("records=?")
 
 
 def test_cache_dir_env_override(tmp_path):
@@ -451,6 +466,8 @@ def _tamper_theta(payload):
     _truncate,
     lambda path: path.write_text("[]"),
     lambda path: path.write_bytes(b"\xff\xfe\x00"),
+    _nest_too_deep,
+    _too_many_digits,
     _edit_payload(_tamper_theta, rehash=False),
     _edit_payload(lambda payload: payload.pop("records"), rehash=False),
     _edit_payload(lambda payload: payload["records"][0].append(0)),
@@ -458,6 +475,7 @@ def _tamper_theta(payload):
     _edit_payload(lambda payload: payload["records"][-1][1].insert(0, -1)),
     _edit_payload(lambda payload: payload["records"][-1][1].append(0)),
 ], ids=["schema-bump", "truncated", "not-an-object", "not-text",
+        "nested-too-deep", "too-many-digits",
         "tampered-value", "no-records", "wrong-arity", "wrong-rank",
         "negative-coefficient", "too-many-coefficients"])
 def test_stale_partition_cache_is_a_miss(tmp_path, corrupt):
