@@ -9,18 +9,17 @@ on stderr (``partition.load_table``, ``PartitionTable.persist``).
 Output formats: human tables (default), versioned JSON, CSV.  JSON and
 CSV output is byte-deterministic for identical inputs.
 
-The options are parsed by argparse, so the command line needs nothing
-beyond the standard library.  ``main`` is the one path into a command:
-it joins each option that takes a value to the argument after it, names
-an unknown argument under the command's own usage line, fills
-``--cache-dir`` from NILCONE_CACHE_DIR, and maps a package error to its
-exit code.  The cache file's name, layout and save policy belong to
-``partition``.
+The options are read by ``Command.parse``, from the table each command
+declares, which also renders --help and the usage errors; no parsing
+library is imported.  ``main`` is the one path into a command: it names
+an unknown argument, before a missing required option, under the
+command's own usage line, fills ``--cache-dir`` from NILCONE_CACHE_DIR,
+and maps a package error to its exit code.  The cache file's name,
+layout and save policy belong to ``partition``.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from math import comb
@@ -167,122 +166,211 @@ _ALL_TYPES = (
     + [("G", 2), ("F", 4), ("E", 6), ("E", 7), ("E", 8)]
 )
 
-def option(*flags, **settings):
-    """One option: the arguments of ArgumentParser.add_argument."""
-    return flags, settings
+
+class Option:
+    """One option of a command: its flags, and how the text given for it
+    becomes the value its command receives."""
+
+    def __init__(self, *flags, dest=None, type=str, choices=None, default=None,
+                 required=False, metavar=None, action=None, help=""):
+        self.flags, self.type, self.choices = flags, type, choices
+        self.required, self.help = required, help
+        self.dest = dest or flags[-1].lstrip("-").replace("-", "_")
+        self.takes_value = action != "store_true"
+        self.default = default if self.takes_value else False
+        self.metavar = metavar or (f"{{{','.join(choices)}}}" if choices
+                                   else self.dest.upper())
+        self.name = "/".join(flags)
+
+    def read(self, text: str):
+        """The value for text, or a UsageError naming the option."""
+        try:
+            value = self.type(text)
+            if self.choices is None or value in self.choices:
+                return value
+            choices = ", ".join(map(repr, self.choices))
+            message = f"invalid choice: {value!r} (choose from {choices})"
+        except UsageError as exc:
+            message = str(exc)
+        except ValueError:
+            message = f"invalid {self.type.__name__} value: {text!r}"
+        raise UsageError(f"argument {self.name}: {message}")
+
+    def usage(self) -> str:
+        """The option in a usage line: its first flag, in brackets unless
+        required."""
+        text = f"{self.flags[0]} {self.metavar}" if self.takes_value else self.flags[0]
+        return text if self.required else f"[{text}]"
+
+    def row(self) -> tuple[str, str]:
+        """The option's entry in --help: every flag, and its help text."""
+        suffix = f" {self.metavar}" if self.takes_value else ""
+        return (", ".join(flag + suffix for flag in self.flags),
+                self.help % {"default": self.default})
 
 
 def count(text: str) -> int:
     """A nonnegative integer option value."""
     value = int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"{value} is not in the range x>=0")
+        raise UsageError(f"{value} is not in the range x>=0")
     return value
 
 
-FORMAT = option("--format", dest="fmt", choices=["table", "json", "csv"],
+HELP = Option("--help", action="store_true", help="Show this message and exit.")
+VERSION = Option("--version", action="store_true", help="Show the version and exit.")
+FORMAT = Option("--format", dest="fmt", choices=["table", "json", "csv"],
                 default="table", help="Output format.")
-FAMILY = option("-f", "--family", required=True, choices=rootsys.FAMILIES)
-RANK = option("-r", "--rank", required=True, type=int)
-CACHE_DIR = option(
+FAMILY = Option("-f", "--family", required=True, choices=rootsys.FAMILIES)
+RANK = Option("-r", "--rank", required=True, type=int)
+CACHE_DIR = Option(
     "--cache-dir", metavar="DIR",
     help="Directory of the partition cache files (default: "
          "NILCONE_CACHE_DIR when set; with neither, nothing is persisted "
          "and 'cache list' and 'cache clear' are usage errors).",
 )
 
-
-def required_cache_dir(cache_dir) -> Path:
-    """The cache directory a 'cache' subcommand works on."""
-    if cache_dir is None:
-        raise UsageError("give --cache-dir or set NILCONE_CACHE_DIR")
-    return Path(cache_dir)
+WIDTH = 78  # help and usage lines fit an 80-column terminal
+COLUMN = 24  # where --help starts the help text of an option or command
 
 
-class Parser(argparse.ArgumentParser):
-    """argparse held to this command line's rules: --help but no -h, and
-    no abbreviated options."""
-
-    def __init__(self, **kwargs):
-        super().__init__(allow_abbrev=False, add_help=False, **kwargs)
-        self.add_argument("--help", action="help", help="Show this message and exit.")
-
-
-def attach_values(args, takes_value):
-    """args with each option in takes_value joined to the argument after
-    it, `--mu=-1,2`, so an option takes the next argument even when it
-    starts with '-': argparse would read a lone `-1,2` as an option."""
-    args = iter(args)
-    for arg in args:
-        value = next(args, None) if arg in takes_value else None
-        yield arg if value is None else f"{arg}={value}"
+def fill(words, head="", indent="") -> str:
+    """head, then the words separated by spaces, broken into lines of at
+    most WIDTH columns that start with indent; a word too long for a line
+    gets one of its own."""
+    lines, line, lead = [], head, len(head)
+    for word in words:
+        if len(line) > lead and len(line) + 1 + len(word) > WIDTH:
+            lines.append(line)
+            line, lead = indent, len(indent)
+        line += (" " if len(line) > lead else "") + word
+    return "\n".join([*lines, line])
 
 
-class Command:
+class Node:
+    """A command or a group of them: its name on the command line, the
+    description --help shows, and its options."""
+
+    callback = None
+    tail = ()
+
+    def __init__(self, name, doc, options, parent=None):
+        self.name, self.doc, self.options = name, doc, (HELP, *options)
+        self.prog = f"{parent.prog} {name}" if parent else name
+
+    def usage(self) -> str:
+        head = f"usage: {self.prog} "
+        return fill([*(o.usage() for o in self.options), *self.tail],
+                    head, " " * len(head))
+
+    def sections(self) -> dict[str, list[tuple[str, str]]]:
+        """The --help tables: a (name, help text) row per entry."""
+        return {"options": [o.row() for o in self.options]}
+
+    def help(self) -> str:
+        """The usage line, the description, then the tables; a name too
+        long for the help text's column gets a line of its own."""
+        parts = [self.usage(), *(fill(p.split()) for p in self.doc.split("\n\n"))]
+        indent = " " * COLUMN
+        for title, rows in self.sections().items():
+            lines = [f"{title}:"]
+            for name, text in rows:
+                lead = (f"  {name:<{COLUMN - 2}}" if len(name) + 4 <= COLUMN
+                        else f"  {name}\n{indent}")
+                lines.append((lead + fill(text.split(), indent, indent)[COLUMN:]).rstrip())
+            parts.append("\n".join(lines))
+        return "\n\n".join(parts)
+
+
+class Command(Node):
     """A command: the function it runs and the options it takes."""
 
-    def __init__(self, name, callback, options):
-        self.name, self.callback, self.options = name, callback, options
+    def __init__(self, name, callback, options, parent):
+        super().__init__(name, callback.__doc__ or "", options, parent)
+        self.callback = callback
+        self.flags = {flag: o for o in self.options for flag in o.flags}
 
-    def add_to(self, subparsers) -> set[str]:
-        """Add the command's parser; return the flags that take a value."""
-        doc = self.callback.__doc__ or ""
-        parser = subparsers.add_parser(self.name, help=doc.split("\n\n")[0],
-                                       description=doc)
-        takes_value = set()
-        for flags, settings in self.options:
-            if parser.add_argument(*flags, **settings).nargs is None:
-                takes_value.update(flags)
-        parser.set_defaults(_command=self, _parser=parser)
-        return takes_value
+    def parse(self, args, unknown) -> dict | None:
+        """The callback's keyword arguments from args, or None when --help
+        comes where an option may.  An option that takes a value takes
+        the next argument whatever it looks like.  The unknown arguments,
+        those passed in and those in args, are named before a missing
+        required option."""
+        values = {o.dest: o.default for o in self.options if o is not HELP}
+        unknown, args = list(unknown), iter(args)
+        for arg in args:
+            if arg == "--":  # the end of the options; no command takes others
+                unknown += [arg, *args]
+                break
+            name, given, text = arg.partition("=")
+            if name not in self.flags and not arg.startswith("--"):
+                # -ftext: a short flag and its value in one argument
+                name, given, text = arg[:2], arg[2:], arg[2:]
+            option = self.flags.get(name)
+            if option is None:
+                unknown.append(arg)
+            elif not option.takes_value:
+                if given:
+                    raise UsageError(f"argument {option.name}: "
+                                     f"ignored explicit argument {text!r}")
+                if option is HELP:
+                    return None
+                values[option.dest] = True
+            else:
+                text = text if given else next(args, None)
+                if text is None:
+                    raise UsageError(f"argument {option.name}: expected one argument")
+                values[option.dest] = option.read(text)
+        if unknown:
+            raise UsageError(f"unrecognized arguments: {' '.join(unknown)}")
+        missing = [o.name for o in self.options if o.required and values[o.dest] is None]
+        if missing:
+            raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+        return values
 
 
-class Group:
+class Group(Node):
     """Commands under one name.  A group runs nothing itself, so its
     callback is None."""
 
-    callback = None
+    tail = ("COMMAND", "...")
 
-    def __init__(self, name, doc):
-        self.name, self.doc, self.commands = name, doc, {}
+    def __init__(self, name, doc, options=(), parent=None):
+        super().__init__(name, doc, options, parent)
+        self.commands = {}
+        self.choice = Option("COMMAND", choices=self.commands)
 
     def command(self, *options, name=None):
         """Register the decorated function as a command taking options."""
         def register(callback):
-            command = Command(name or callback.__name__, callback, options)
+            command = Command(name or callback.__name__, callback, options, self)
             self.commands[command.name] = command
             return callback
 
         return register
 
     def group(self, name, doc) -> Group:
-        self.commands[name] = group = Group(name, doc)
+        self.commands[name] = group = Group(name, doc, parent=self)
         return group
 
-    def add_to(self, subparsers) -> set[str]:
-        return self.add_commands(subparsers.add_parser(self.name, help=self.doc,
-                                                       description=self.doc))
-
-    def add_commands(self, parser) -> set[str]:
-        """Add a parser per command; return the flags that take a value."""
-        subparsers = parser.add_subparsers(title="commands", metavar="COMMAND",
-                                           required=True)
-        return set().union(*(command.add_to(subparsers)
-                             for command in self.commands.values()))
+    def sections(self) -> dict[str, list[tuple[str, str]]]:
+        return {**super().sections(),
+                "commands": [(name, command.doc.split("\n\n")[0])
+                             for name, command in self.commands.items()]}
 
 
 cli = Group("nilcone", """Exact graded module data for the nilpotent cone and
     the subregular nilpotent orbit closure.  Weights are comma-separated
     fundamental-weight coordinates in Bourbaki numbering; all arithmetic is
-    exact.""")
+    exact.""", [VERSION])
 
 
 @cli.command(
-    option("-f", "--family", choices=rootsys.FAMILIES),
-    option("-r", "--rank", type=int),
-    option("--all", dest="all_types", action="store_true",
+    Option("-f", "--family", choices=rootsys.FAMILIES),
+    Option("-r", "--rank", type=int),
+    Option("--all", dest="all_types", action="store_true",
            help="All of A_1..A_8, B_2..B_8, C_2..C_8, D_3..D_8, G_2, F_4, E_6..E_8."),
-    option("--check", action="store_true",
+    Option("--check", action="store_true",
            help="Re-verify k = h^vee(R^vee) - 1, from the classical table."),
     FORMAT,
 )
@@ -322,13 +410,13 @@ def kconst(family, rank, all_types, check, fmt):
 @cli.command(
     FAMILY,
     RANK,
-    option("--variety", required=True, choices=[v.value for v in Variety]),
-    option("--lambda", dest="lam_text", metavar="WEIGHT",
+    Option("--variety", required=True, choices=[v.value for v in Variety]),
+    Option("--lambda", dest="lam_text", metavar="WEIGHT",
            help="One dominant weight, e.g. 1,1."),
-    option("--sweep", type=count,
+    Option("--sweep", type=count,
            help="All dominant weights dominance-below SWEEP * highest root."),
-    option("--max-degree", type=count, help="Truncate reported degrees."),
-    option("--check", action="store_true",
+    Option("--max-degree", type=count, help="Truncate reported degrees."),
+    Option("--check", action="store_true",
            help="Re-verify the total against the weight-multiplicity identity."),
     CACHE_DIR,
     FORMAT,
@@ -403,13 +491,13 @@ def graded(family, rank, variety, lam_text, sweep, max_degree, check, cache_dir,
 @cli.command(
     FAMILY,
     RANK,
-    option("--kind", required=True, choices=[k.value for k in ModuleKind]),
-    option("--sweep", type=count, default=1,
+    Option("--kind", required=True, choices=[k.value for k in ModuleKind]),
+    Option("--sweep", type=count, default=1,
            help="All dominant weights dominance-below SWEEP * highest root "
                 "(default: %(default)s)."),
-    option("--max-i", type=count, default=6,
+    Option("--max-i", type=count, default=6,
            help="Largest cohomological degree reported (default: %(default)s)."),
-    option("--check", action="store_true",
+    Option("--check", action="store_true",
            help="Re-verify parity vanishing, and for weyl the totals identities."),
     CACHE_DIR,
     FORMAT,
@@ -454,7 +542,7 @@ def cohomology(family, rank, kind, sweep, max_i, check, cache_dir, fmt):
 
 
 @cli.command(
-    option("--check", action="store_true",
+    Option("--check", action="store_true",
            help="Cross-check every multiplicity with the alternating Weyl sum."),
     FORMAT,
     name="tilting-example",
@@ -506,9 +594,9 @@ def tilting_example(check, fmt):
 @cli.command(
     FAMILY,
     RANK,
-    option("--lambda", dest="lam_text", required=True, metavar="WEIGHT"),
-    option("--mu", dest="mu_text", required=True, metavar="WEIGHT"),
-    option("--algorithm", choices=["freudenthal", "kostant", "both"],
+    Option("--lambda", dest="lam_text", required=True, metavar="WEIGHT"),
+    Option("--mu", dest="mu_text", required=True, metavar="WEIGHT"),
+    Option("--algorithm", choices=["freudenthal", "kostant", "both"],
            default="freudenthal",
            help="Freudenthal's recursion, Kostant's alternating sum, or both, "
                 "which must agree (default: %(default)s)."),
@@ -543,10 +631,10 @@ def mult(family, rank, lam_text, mu_text, algorithm, fmt):
 @cli.command(
     FAMILY,
     RANK,
-    option("--variety", required=True, choices=[v.value for v in Variety]),
-    option("--max-degree", type=count, default=6,
+    Option("--variety", required=True, choices=[v.value for v in Variety]),
+    Option("--max-degree", type=count, default=6,
            help="Largest degree reported (default: %(default)s)."),
-    option("--check", action="store_true",
+    Option("--check", action="store_true",
            help="Re-verify against the nilcone closed form from the exponents "
                 "(every degree; for subregular, the degrees up to k, less "
                 "dim L(theta_s) in degree k)."),
@@ -585,12 +673,23 @@ def rootsystem(family, rank):
 cache = cli.group("cache", "List or clear the on-disk partition caches.")
 
 
+def cache_directory(cache_dir) -> Path | None:
+    """The directory a 'cache' subcommand works on; None, said on stdout,
+    when there is no directory at that path."""
+    if cache_dir is None:
+        raise UsageError("give --cache-dir or set NILCONE_CACHE_DIR")
+    directory = Path(cache_dir)
+    if not directory.is_dir():
+        print(f"no cache directory at {directory}")
+        return None
+    return directory
+
+
 @cache.command(CACHE_DIR, name="list")
 def cache_list(cache_dir):
     """List the partition cache files and their headers."""
-    directory = required_cache_dir(cache_dir)
-    if not directory.is_dir():
-        print(f"no cache directory at {directory}")
+    directory = cache_directory(cache_dir)
+    if directory is None:
         return
     files = partition.cache_files(directory)
     if not files:
@@ -602,7 +701,9 @@ def cache_list(cache_dir):
 @cache.command(CACHE_DIR, name="clear")
 def cache_clear(cache_dir):
     """Remove the partition cache files."""
-    directory = required_cache_dir(cache_dir)
+    directory = cache_directory(cache_dir)
+    if directory is None:
+        return
     removed = 0
     for f in partition.cache_files(directory):
         if not f.is_file():
@@ -613,33 +714,40 @@ def cache_clear(cache_dir):
     print(f"removed {removed} cache file(s) from {directory}")
 
 
-def build_parser() -> tuple[Parser, set[str]]:
-    """The root parser, and the flags of every option that takes a value."""
-    parser = Parser(prog="nilcone", description=cli.doc)
-    parser.add_argument("--version", action="version",
-                        version=f"nilcone, version {__version__}",
-                        help="Show the version and exit.")
-    return parser, cli.add_commands(parser)
-
-
 def main(argv=None) -> None:
     """Console entry point: run the command that argv (by default
-    sys.argv[1:]) names.  A usage error, including an unknown argument,
-    exits 2 under the command's usage line; a package error exits with
-    its documented code."""
-    parser, takes_value = build_parser()
-    argv = sys.argv[1:] if argv is None else argv
-    namespace, unknown = parser.parse_known_args(list(attach_values(argv, takes_value)))
-    args = vars(namespace)
-    command, parser = args.pop("_command"), args.pop("_parser")
-    if unknown:
-        parser.error(f"unrecognized arguments: {' '.join(unknown)}")
-    if "cache_dir" in args and args["cache_dir"] is None:
-        args["cache_dir"] = os.environ.get("NILCONE_CACHE_DIR") or None
+    sys.argv[1:]) names.  A usage error exits 2 under the usage line of
+    the command or group it was found in; a package error exits with its
+    documented code."""
+    args = sys.argv[1:] if argv is None else list(argv)
+    node, unknown = cli, []
     try:
-        command.callback(**args)
+        while isinstance(node, Group):
+            # The command is the first argument not starting with '-'; the
+            # options before it are the group's or unknown.
+            for i, arg in enumerate(args):
+                if arg == "--help":
+                    print(node.help())
+                    return
+                if arg == "--version" and VERSION in node.options:
+                    print(f"nilcone, version {__version__}")
+                    return
+                if not arg.startswith("-"):
+                    break
+            else:
+                raise UsageError("the following arguments are required: COMMAND")
+            name = node.choice.read(arg)
+            node, unknown, args = node.commands[name], unknown + args[:i], args[i + 1:]
+        kwargs = node.parse(args, unknown)
+        if kwargs is None:
+            print(node.help())
+            return
+        if "cache_dir" in kwargs and kwargs["cache_dir"] is None:
+            kwargs["cache_dir"] = os.environ.get("NILCONE_CACHE_DIR") or None
+        node.callback(**kwargs)
     except UsageError as exc:
-        parser.error(str(exc))
+        print(node.usage(), f"{node.prog}: error: {exc}", sep="\n", file=sys.stderr)
+        sys.exit(EXIT_USAGE)
     except NilconeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(exit_code_for(exc))

@@ -108,14 +108,14 @@ def test_graded_zero_weight():
 
 
 def test_graded_nilcone_adjoint():
-    result = invoke([
-        "graded", "-f", "A", "-r", "2", "--variety", "nilcone",
-        "--lambda", "1,1", "--format", "json",
-    ])
-    doc = json.loads(result.output)
-    assert doc["entries"][0]["degrees"] == [[1, 1], [2, 1]]
-    assert doc["entries"][0]["total"] == 2
-    assert doc["check_column"] == "m(0)"
+    # A value may also follow a short flag directly, or a long one after '='.
+    for spelling in (["-f", "A", "-r", "2", "--variety", "nilcone"],
+                     ["-fA", "-r2", "--variety=nilcone"]):
+        result = invoke(["graded", *spelling, "--lambda", "1,1", "--format", "json"])
+        doc = json.loads(result.output)
+        assert doc["entries"][0]["degrees"] == [[1, 1], [2, 1]]
+        assert doc["entries"][0]["total"] == 2
+        assert doc["check_column"] == "m(0)"
 
 
 def test_graded_sweep_with_check():
@@ -140,14 +140,15 @@ def test_jobs_is_no_longer_an_option(jobs):
 def test_import_loads_no_process_pool():
     # Nor json, hashlib or fractions: each is imported where it is used,
     # so start-up, about three quarters of a short run, does not pay for
-    # them.  Nor click: the options are parsed by argparse, and importing
-    # click cost more CPU than the package's own modules and a G2 Hilbert
-    # series together.
+    # them.  Nor a parsing library: importing click cost more CPU than the
+    # package's own modules and a G2 Hilbert series together, and argparse
+    # (with gettext) and building its parsers about 10 ms a command.
     import nilcone
 
     code = ("import sys, nilcone.cli; print(' '.join(m for m in "
             "('multiprocessing', 'concurrent.futures', 'pickle', 'socket', "
-            "'json', 'hashlib', 'fractions', 'click') if m in sys.modules))")
+            "'json', 'hashlib', 'fractions', 'click', 'argparse', 'gettext') "
+            "if m in sys.modules))")
     env = {**os.environ, "PYTHONPATH": str(Path(nilcone.__file__).parents[1])}
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, timeout=60)
@@ -159,14 +160,16 @@ def test_cacheless_run_loads_no_cache_modules():
     # hashlib (which loads OpenSSL) and json serve only cache files and
     # JSON output, and fractions only the two rational root-system
     # methods; dataclasses serve nothing.  Neither the import nor a
-    # cache-less table run pays for them.  Nor for click, or for the
-    # difflib that click imported to parse a short option such as -f.
+    # cache-less table run pays for them.  Nor for a parsing library:
+    # click, the difflib it imported to parse a short option such as -f,
+    # or argparse and the gettext it imports.
     import nilcone
 
     code = ("import sys\n"
             "def loaded():\n"
             "    return [m for m in ('hashlib', '_hashlib', 'json', 'dataclasses',\n"
-            "                        'fractions', 'click', 'difflib')\n"
+            "                        'fractions', 'click', 'difflib', 'argparse',\n"
+            "                        'gettext')\n"
             "            if m in sys.modules]\n"
             "from nilcone.cli import main\n"
             "print('import:', *loaded(), file=sys.stderr)\n"
@@ -192,11 +195,15 @@ def test_graded_rejects_non_dominant():
 
 
 def test_graded_rejects_bad_weight():
-    result = invoke([
-        "graded", "-f", "A", "-r", "2", "--variety", "nilcone",
-        "--lambda", "1,x",
-    ])
-    assert result.exit_code == EXIT_USAGE
+    # After --lambda, --help is the weight, not a request for help.
+    for weight in ("1,x", "--help"):
+        result = invoke([
+            "graded", "-f", "A", "-r", "2", "--variety", "nilcone",
+            "--lambda", weight,
+        ])
+        assert result.exit_code == EXIT_USAGE
+        assert result.stdout == ""
+        assert f"weight {weight!r} is not a comma-separated integer vector" in result.stderr
 
 
 def test_graded_needs_lambda_xor_sweep():
@@ -260,11 +267,13 @@ def test_cohomology_weyl_check_passes():
 
 
 def test_cohomology_csv():
-    result = invoke([
-        "cohomology", "-f", "A", "-r", "1", "--kind", "trivial",
-        "--sweep", "1", "--max-i", "2", "--format", "csv",
-    ])
-    assert result.output.splitlines() == ['i,lambda,mult', '0,"0",1', '2,"2",1']
+    # A repeated option keeps its last value.
+    for sweeps in (["--sweep", "1"], ["--sweep", "3", "--sweep", "1"]):
+        result = invoke([
+            "cohomology", "-f", "A", "-r", "1", "--kind", "trivial",
+            *sweeps, "--max-i", "2", "--format", "csv",
+        ])
+        assert result.output.splitlines() == ['i,lambda,mult', '0,"0",1', '2,"2",1']
 
 
 def test_tilting_example_rows():
@@ -355,6 +364,13 @@ def test_cache_list_and_clear(tmp_path):
     assert "removed 1" in result.output
     result = invoke(["cache", "list", "--cache-dir", str(tmp_path)])
     assert "no cache files" in result.output
+
+    (tmp_path / "a-file").write_text("")
+    for path in (tmp_path / "a-file", tmp_path / "missing"):
+        for command in ("list", "clear"):
+            result = invoke(["cache", command, "--cache-dir", str(path)])
+            assert result.exit_code == 0
+            assert result.stdout == f"no cache directory at {path}\n"
 
 
 def _nest_too_deep(path):
@@ -563,16 +579,32 @@ def test_compute_commands_honour_cache_env(tmp_path, monkeypatch):
 
 
 def test_unknown_option_rejected():
-    result = invoke(["kconst", "--bogus"])
-    assert result.exit_code == EXIT_USAGE
-    assert invoke(["kconst", "-h"]).exit_code == EXIT_USAGE  # only --help
+    for args, message in [
+        (["--bogus"], "unrecognized arguments: --bogus"),
+        (["-h"], "unrecognized arguments: -h"),  # only --help
+        (["--all", "--", "--help"], "unrecognized arguments: -- --help"),
+        (["--all", "--check=1"], "argument --check: ignored explicit argument '1'"),
+        (["--all", "--format"], "argument --format: expected one argument"),
+        (["-f", "Z", "-r", "2"], "argument -f/--family: invalid choice: 'Z' "
+                                 "(choose from 'A', 'B', 'C', 'D', 'E', 'F', 'G')"),
+        (["-f", "G", "-r", "x"], "argument -r/--rank: invalid int value: 'x'"),
+    ]:
+        result = invoke(["kconst", *args])
+        assert result.exit_code == EXIT_USAGE
+        assert result.stdout == ""
+        assert result.stderr.startswith("usage: nilcone kconst ")
+        assert result.stderr.endswith(f"\nnilcone kconst: error: {message}\n")
 
 
 def test_abbreviated_options_are_refused():
+    # The unknown --var is named, although --variety is missing too.
     result = invoke(["graded", "-f", "A", "-r", "2", "--var", "nilcone",
                      "--lambda", "1,1"])
     assert result.exit_code == EXIT_USAGE
     assert result.stdout == ""
+    assert result.stderr.startswith("usage: nilcone graded ")
+    assert result.stderr.endswith(
+        "\nnilcone graded: error: unrecognized arguments: --var nilcone\n")
 
 
 @pytest.mark.parametrize("fmt,line", [
@@ -610,6 +642,7 @@ def test_help(command):
     result = invoke([*command, "--help"])
     assert result.exit_code == 0
     assert result.stdout.startswith(f"usage: {' '.join(['nilcone', *command])} ")
+    assert "%(" not in result.stdout  # a default is shown, not its placeholder
     assert result.stderr == ""
 
 
