@@ -14,7 +14,6 @@ enumerates the Weyl group and all types through E_8 are reachable.
 __version__ = "0.1.0"
 
 from .errors import (
-    CacheFormatError,
     InadmissibleTypeError,
     InternalInconsistencyError,
     NilconeError,
@@ -46,7 +45,6 @@ from .weyl import (
 )
 
 __all__ = [
-    "CacheFormatError",
     "CohomologyTable",
     "GradedCalculator",
     "InadmissibleTypeError",

@@ -1,10 +1,9 @@
 """Command-line surface for the graded multiplicity engine.
 
-Exit codes: 0 success, 1 unusable cache file (one for another type, built
-with another root ordering, or disagreeing with values already held),
-2 usage error, 4 invariant violation (including --check failures).  A
-stale, unreadable or unwritable partition cache file is only a warning
-on stderr (``partition.load_table``, ``PartitionTable.persist``).
+Exit codes: 0 success, 2 usage error, 4 invariant violation (including
+--check failures).  A partition cache file that cannot be used or
+written is only a warning on stderr (``partition.load_table``,
+``PartitionTable.persist``).
 
 Output formats: human tables (default), versioned JSON, CSV.  JSON and
 CSV output is byte-deterministic for identical inputs.
@@ -26,14 +25,7 @@ from math import comb
 from pathlib import Path
 
 from . import __version__, partition, rootsys, weyl
-from .errors import (
-    InadmissibleTypeError,
-    InternalInconsistencyError,
-    NilconeError,
-    NonDominantWeightError,
-    PositivityViolationError,
-    WrongRootSystemError,
-)
+from .errors import InternalInconsistencyError, NilconeError, NonDominantWeightError
 from .graded import (
     DEGREE_CONVENTION,
     GradedCalculator,
@@ -59,18 +51,9 @@ class UsageError(Exception):
 
 
 def exit_code_for(exc: Exception) -> int:
-    """Map package errors onto the documented exit codes."""
-    if isinstance(
-        exc,
-        (PositivityViolationError, InternalInconsistencyError, CheckFailure),
-    ):
-        return EXIT_VIOLATION
-    if isinstance(
-        exc,
-        (InadmissibleTypeError, NonDominantWeightError, WrongRootSystemError),
-    ):
-        return EXIT_USAGE
-    return 1
+    """The documented exit code of a package error: 2 for bad input (the
+    package's ValueError subclasses), 4 for an invariant violation."""
+    return EXIT_USAGE if isinstance(exc, ValueError) else EXIT_VIOLATION
 
 
 def parse_weight(text: str, rank: int) -> tuple[int, ...]:

@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+The errors of bad input are exactly the ``ValueError`` subclasses, and
+the command line exits 2 on them; it exits 4 on every other error that
+reaches it.  ``StaleCacheError`` never reaches it: a cache file that
+cannot be used is a miss.
+"""
 
 from __future__ import annotations
 
@@ -48,17 +54,14 @@ class InternalInconsistencyError(NilconeError):
     """A quantity that is nonnegative by theory came out negative."""
 
 
-class CacheFormatError(NilconeError):
-    """A cache file that cannot be used: it is for another type, was
-    built with another root ordering, or disagrees with values already
-    held (exit code 1).  An unreadable or outdated file is the subclass
-    ``StaleCacheError`` and counts as a cache miss instead."""
+class StaleCacheError(NilconeError):
+    """A partition cache file that cannot be used: it cannot be read or
+    parsed, is not a JSON object, is from another schema version, is for
+    another type, was built with another root ordering, has no records
+    or records that fail their digest, holds a malformed record, or
+    disagrees with a value the table already holds.
 
-
-class StaleCacheError(CacheFormatError):
-    """A cache file is unreadable, from another schema version, or holds
-    records that fail their digest or shape check.
-
-    Nothing in it can be trusted, but nothing is lost by recomputing, so
-    the loaders treat it as a miss and let the next save overwrite it.
+    Nothing in it is used, but nothing is lost by recomputing, so
+    ``partition.load_table`` treats it as a miss: one warning, and the
+    next save overwrites it.
     """

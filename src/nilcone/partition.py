@@ -58,8 +58,8 @@ from math import comb
 from operator import lshift
 from pathlib import Path
 
-from .errors import CacheFormatError, StaleCacheError
-from .rootsys import RootSystem, RootSystemId, RootVector
+from .errors import StaleCacheError
+from .rootsys import RootSystem, RootSystemId, RootVector, build
 
 PARTITION_CACHE_SCHEMA = 2
 
@@ -390,11 +390,9 @@ class PartitionTable:
 
         Partial tables are extendable: existing entries must agree with
         the file (both are reproducible by the DP), new ones are added,
-        packed once at the width of the tallest record.
-        A file that is unreadable, from another schema version, whose
-        records do not match their digest or whose records are malformed
-        raises StaleCacheError and merges nothing; any other mismatch
-        raises CacheFormatError.
+        packed once at the width of the tallest record.  A file that
+        fails any check (see ``StaleCacheError``) raises StaleCacheError
+        and merges nothing.
         """
         path = Path(path)
         payload = read_cache(path)
@@ -404,9 +402,9 @@ class PartitionTable:
                 f"{payload.get('schema_version')!r}, expected {PARTITION_CACHE_SCHEMA}"
             )
         if payload.get("family") != self.rs.family or payload.get("rank") != self.rs.rank:
-            raise CacheFormatError(f"partition cache {path} is for another type")
+            raise StaleCacheError(f"partition cache {path} is for another type")
         if payload.get("root_order_hash") != self.root_order_hash():
-            raise CacheFormatError(
+            raise StaleCacheError(
                 f"partition cache {path} was built with a different root ordering"
             )
         records = payload.get("records")
@@ -424,21 +422,24 @@ class PartitionTable:
                 packing, value = self._values[x]
                 held = packing.unpack(value, sum(x))
                 if held != coeffs:
-                    raise CacheFormatError(f"partition cache {path} disagrees at "
-                                           f"{x}: {list(coeffs)} != {list(held)}")
+                    raise StaleCacheError(f"partition cache {path} disagrees at "
+                                          f"{x}: {list(coeffs)} != {list(held)}")
         packing = self.reserve(max(map(sum, loaded), default=0))
         self._values.update((x, (packing, packing.pack(coeffs)))
                             for x, coeffs in loaded.items())
         return len(loaded)
 
     def _is_record(self, record) -> bool:
-        """[x, coefficients]: rank naturals, then at most height(x) + 1."""
+        """[x, coefficients]: rank naturals, then height(x) + 1 naturals,
+        as ``save`` writes them.  So no record is taller than its own
+        coefficient list, and the packing a file asks for is bounded by
+        the file's size."""
         def naturals(v):
             return isinstance(v, list) and all(type(c) is int and c >= 0 for c in v)
 
         return (isinstance(record, list) and len(record) == 2
                 and naturals(record[0]) and len(record[0]) == self.rs.rank
-                and naturals(record[1]) and len(record[1]) <= sum(record[0]) + 1)
+                and naturals(record[1]) and len(record[1]) == sum(record[0]) + 1)
 
 
 def _coefficient_bound(heights, height: int) -> int:
@@ -493,17 +494,20 @@ def cache_files(cache_dir) -> list[Path]:
 
 
 def cache_summary(path) -> str:
-    """One line on a cache file: its name and header, or that it is
-    unreadable."""
+    """One line on a cache file: its name and what a run of the type in
+    its name loads from it, or ``stale`` when that run would not use it
+    (a name ``build`` refuses included)."""
+    stem = path.name[len("partition_"):-len(".json")]
     try:
-        header = read_cache(path)
-    except StaleCacheError:
-        return f"{path.name}: unreadable"
-    records = header.get("records")
-    return (f"{path.name}: schema={header.get('schema_version')} "
-            f"type={header.get('family')}{header.get('rank')} "
-            f"height_cutoff={header.get('height_cutoff')} "
-            f"records={len(records) if isinstance(records, list) else '?'}")
+        rs_id = RootSystemId(stem[:1], int(stem[1:]))
+        if cache_path(rs_id, path.parent) != path:  # "A02", "A+2": no run reads it
+            raise ValueError(path.name)
+        table = PartitionTable(build(*rs_id))
+        records = table.extend_from(path)
+    except (ValueError, StaleCacheError):
+        return f"{path.name}: stale"
+    return (f"{path.name}: schema={PARTITION_CACHE_SCHEMA} type={rs_id} "
+            f"height_cutoff={table.height_cutoff()} records={records}")
 
 
 def load_table(rs: RootSystem, cache_dir) -> PartitionTable:
@@ -511,9 +515,10 @@ def load_table(rs: RootSystem, cache_dir) -> PartitionTable:
     from that file when present; a fresh table that persists nothing
     when cache_dir is None.
 
-    A stale or unreadable cache file counts as a miss: a one-line warning
-    goes to stderr and the table is marked unsaved, so ``persist``
-    rewrites the file even if nothing new is computed.
+    A cache file that cannot be used (``StaleCacheError``) counts as a
+    miss: a one-line warning goes to stderr and the table is marked
+    unsaved, so ``persist`` rewrites the file even if nothing new is
+    computed.
     """
     table = PartitionTable(rs)
     if cache_dir is None:

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilcone import (
-    CacheFormatError,
     GradedCalculator,
     PartitionTable,
     StaleCacheError,
@@ -662,7 +661,7 @@ def test_cache_rejects_wrong_type(tmp_path):
     table.p((1, 1), 1)
     path = tmp_path / "cache.json"
     table.save(path)
-    with pytest.raises(CacheFormatError):
+    with pytest.raises(StaleCacheError):
         PartitionTable(rs_b).extend_from(path)
 
 
@@ -677,7 +676,7 @@ def test_cache_rejects_schema_bump(tmp_path):
     payload = json.loads(path.read_text())
     payload["schema_version"] = PARTITION_CACHE_SCHEMA + 1
     path.write_text(json.dumps(payload))
-    with pytest.raises(CacheFormatError):
+    with pytest.raises(StaleCacheError):
         PartitionTable(rs).extend_from(path)
 
 
@@ -685,7 +684,7 @@ def test_cache_rejects_garbage(tmp_path):
     rs = build("A", 2)
     path = tmp_path / "cache.json"
     path.write_text("{not json")
-    with pytest.raises(CacheFormatError):
+    with pytest.raises(StaleCacheError):
         PartitionTable(rs).extend_from(path)
 
 
@@ -717,7 +716,7 @@ def test_cache_disagreeing_with_table_is_refused(tmp_path):
     payload["records"] = [[[1, 1], [0, 5, 1]]]
     payload["records_sha256"] = records_digest(payload["records"])
     path.write_text(json.dumps(payload))
-    with pytest.raises(CacheFormatError, match="disagrees"):
+    with pytest.raises(StaleCacheError, match="disagrees"):
         table.extend_from(path)
     assert table.poly((1, 1)) == (0, 1, 1)
 
@@ -737,7 +736,7 @@ def test_cache_header_records_ordering_hash(tmp_path):
     # a different ordering hash is refused
     payload["root_order_hash"] = "0" * 16
     path.write_text(json.dumps(payload))
-    with pytest.raises(CacheFormatError):
+    with pytest.raises(StaleCacheError):
         PartitionTable(rs).extend_from(path)
 
 
