@@ -200,6 +200,14 @@ def count(text: str) -> int:
     return value
 
 
+def directory(text: str) -> str:
+    """A directory option value: any path but the empty one, which would
+    name the working directory."""
+    if not text:
+        raise UsageError("expected a directory, got ''")
+    return text
+
+
 HELP = Option("--help", action="store_true", help="Show this message and exit.")
 VERSION = Option("--version", action="store_true", help="Show the version and exit.")
 FORMAT = Option("--format", dest="fmt", choices=["table", "json", "csv"],
@@ -207,7 +215,7 @@ FORMAT = Option("--format", dest="fmt", choices=["table", "json", "csv"],
 FAMILY = Option("-f", "--family", required=True, choices=rootsys.FAMILIES)
 RANK = Option("-r", "--rank", required=True, type=int)
 CACHE_DIR = Option(
-    "--cache-dir", metavar="DIR",
+    "--cache-dir", metavar="DIR", type=directory,
     help="Directory of the partition cache files (default: "
          "NILCONE_CACHE_DIR when set; with neither, nothing is persisted "
          "and 'cache list' and 'cache clear' are usage errors).",

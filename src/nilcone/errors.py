@@ -55,10 +55,10 @@ class InternalInconsistencyError(NilconeError):
 
 
 class StaleCacheError(NilconeError):
-    """A partition cache file that cannot be used: it cannot be read or
-    parsed, is not a JSON object, is from another schema version, is for
-    another type, was built with another root ordering, has no records
-    or records that fail their digest, holds a malformed record, or
+    """A partition cache file that cannot be used: it cannot be read,
+    has no schema header or is from another schema version, is for
+    another type, was built with another root ordering, has record lines
+    that fail their digest, holds a malformed or repeated record, or
     disagrees with a value the table already holds.
 
     Nothing in it is used, but nothing is lost by recomputing, so

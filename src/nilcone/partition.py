@@ -14,6 +14,13 @@ only one that knows the cache file: ``load_table`` ties a table to its
 file in a cache directory, ``PartitionTable.persist`` rewrites that file
 only when the table has changed, and ``cache_files`` and
 ``cache_summary`` give what ``cache list`` and ``cache clear`` show.
+The file, ``partition_<TYPE>.txt``, is ASCII lines: a header (schema,
+family, rank, root-order hash, and the SHA-256 of the record lines as
+written), then one record per line, the coordinates of x and then the
+coefficients of P(x; q), in the order ``sorted`` puts them.  It is read
+and written with CPython's built-in SHA-256 and ``int`` alone: json and
+hashlib (which loads OpenSSL) cost more to import than the DP a small
+file saves (``PartitionTable.extend_from`` lists every check).
 
 The generating identity ties the whole table to the product over positive
 roots of 1 / (1 - e^alpha q): the coefficient of q^n e^x is p(x, n).
@@ -53,7 +60,6 @@ from __future__ import annotations
 
 import os
 import sys
-import tempfile
 from math import comb
 from operator import lshift
 from pathlib import Path
@@ -61,7 +67,9 @@ from pathlib import Path
 from .errors import StaleCacheError
 from .rootsys import RootSystem, RootSystemId, RootVector, build
 
-PARTITION_CACHE_SCHEMA = 2
+PARTITION_CACHE_SCHEMA = 3
+# The first word of a cache file's header line.
+_MAGIC = "nilcone-partition-cache"
 
 
 class _Packing:
@@ -329,43 +337,36 @@ class PartitionTable:
 
     def root_order_hash(self) -> str:
         """Hash of the DP root ordering; cache files must match it."""
-        import hashlib
-        import json
-
-        blob = json.dumps([list(r) for r in self._roots]).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
+        blob = repr([list(r) for r in self._roots]).encode()
+        return _sha256(blob).hexdigest()[:16]
 
     def height_cutoff(self) -> int:
         """Largest height among cached arguments (0 when empty)."""
         return max((sum(x) for x in self._values), default=0)
 
     def save(self, path) -> Path:
-        """Write the public x -> coefficients records to a cache file.
+        """Write the x -> coefficients records to a cache file: the
+        header line, then one line per record, sorted by x.
 
         The file is written under a temporary name in the same directory
         and renamed over the old one, so a concurrent reader or a failed
         write never sees a torn file.
         """
-        import json
+        import tempfile  # with the random module it imports: only for a write
 
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        records = sorted([list(x), list(packing.unpack(value, sum(x)))]
+        records = sorted(x + packing.unpack(value, sum(x))
                          for x, (packing, value) in self._values.items())
-        payload = {
-            "schema_version": PARTITION_CACHE_SCHEMA,
-            "family": self.rs.family,
-            "rank": self.rs.rank,
-            "root_order_hash": self.root_order_hash(),
-            "height_cutoff": self.height_cutoff(),
-            "records_sha256": records_digest(records),
-            "records": records,
-        }
+        body = "".join(" ".join(map(str, r)) + "\n" for r in records).encode()
+        header = (f"{_MAGIC} {PARTITION_CACHE_SCHEMA} {self.rs.family} "
+                  f"{self.rs.rank} {self.root_order_hash()} "
+                  f"{_sha256(body).hexdigest()}\n").encode()
         fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp",
                                    dir=path.parent)
         try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(json.dumps(payload))
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(header + body)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -390,33 +391,42 @@ class PartitionTable:
 
         Partial tables are extendable: existing entries must agree with
         the file (both are reproducible by the DP), new ones are added,
-        packed once at the width of the tallest record.  A file that
-        fails any check (see ``StaleCacheError``) raises StaleCacheError
-        and merges nothing.
+        packed once at the width of the tallest record.  The checks, in
+        order: a schema-3 header line, the family and rank, the root-order
+        hash, the SHA-256 of the record bytes as read, before any parsing,
+        each record's shape (``_parse_records``), and agreement with held
+        values.  A file that fails any of them raises StaleCacheError and
+        merges nothing.
         """
         path = Path(path)
-        payload = read_cache(path)
-        if payload.get("schema_version") != PARTITION_CACHE_SCHEMA:
+        try:
+            data = path.read_bytes()
+        except OSError as exc:
+            raise StaleCacheError(f"unreadable partition cache {path}: {exc}") from exc
+        head, _, body = data.partition(b"\n")
+        fields = head.split(b" ")
+        if fields[0] != _MAGIC.encode() or len(fields) != 6:
+            raise StaleCacheError(f"partition cache {path} has no "
+                                  f"schema-{PARTITION_CACHE_SCHEMA} header")
+        _, schema, family, rank, order, digest = fields
+        if schema != str(PARTITION_CACHE_SCHEMA).encode():
             raise StaleCacheError(
                 f"partition cache {path} has schema "
-                f"{payload.get('schema_version')!r}, expected {PARTITION_CACHE_SCHEMA}"
+                f"{schema.decode(errors='replace')!r}, expected {PARTITION_CACHE_SCHEMA}"
             )
-        if payload.get("family") != self.rs.family or payload.get("rank") != self.rs.rank:
+        if family != self.rs.family.encode() or rank != str(self.rs.rank).encode():
             raise StaleCacheError(f"partition cache {path} is for another type")
-        if payload.get("root_order_hash") != self.root_order_hash():
+        if order != self.root_order_hash().encode():
             raise StaleCacheError(
                 f"partition cache {path} was built with a different root ordering"
             )
-        records = payload.get("records")
-        if not isinstance(records, list) or (
-            payload.get("records_sha256") != records_digest(records)
-        ):
+        if digest != _sha256(body).hexdigest().encode():
             raise StaleCacheError(
-                f"partition cache {path}: records missing or not matching their digest"
+                f"partition cache {path}: records not matching their digest"
             )
-        if not all(self._is_record(record) for record in records):
+        loaded = self._parse_records(body)
+        if loaded is None:
             raise StaleCacheError(f"partition cache {path} holds a malformed record")
-        loaded = {tuple(x): tuple(coeffs) for x, coeffs in records}
         for x, coeffs in loaded.items():
             if x in self._values:
                 packing, value = self._values[x]
@@ -429,17 +439,30 @@ class PartitionTable:
                             for x, coeffs in loaded.items())
         return len(loaded)
 
-    def _is_record(self, record) -> bool:
-        """[x, coefficients]: rank naturals, then height(x) + 1 naturals,
-        as ``save`` writes them.  So no record is taller than its own
-        coefficient list, and the packing a file asks for is bounded by
-        the file's size."""
-        def naturals(v):
-            return isinstance(v, list) and all(type(c) is int and c >= 0 for c in v)
-
-        return (isinstance(record, list) and len(record) == 2
-                and naturals(record[0]) and len(record[0]) == self.rs.rank
-                and naturals(record[1]) and len(record[1]) == sum(record[0]) + 1)
+    def _parse_records(self, body: bytes) -> dict | None:
+        """{x: coefficients} from the record lines as ``save`` writes
+        them, or None unless every line is rank naturals, then exactly
+        height(x) + 1 naturals, single spaces between them, and no x
+        comes twice.  So no record is taller than its own line, and the
+        packing a file asks for is bounded by the file's size."""
+        # Digits, spaces and newlines only: no sign, underscore, other
+        # whitespace or other text that int() would accept.
+        if body.translate(None, b"0123456789 \n"):
+            return None
+        lines = body.splitlines()
+        rank, loaded = self.rs.rank, {}
+        try:
+            for line in lines:
+                # int() raises ValueError for an empty field and for one
+                # past the interpreter's digit limit.
+                record = tuple(map(int, line.split(b" ")))
+                x = record[:rank]
+                if len(record) != rank + sum(x) + 1:
+                    return None
+                loaded[x] = record[rank:]
+        except ValueError:
+            return None
+        return loaded if len(loaded) == len(lines) else None
 
 
 def _coefficient_bound(heights, height: int) -> int:
@@ -460,44 +483,35 @@ def _coefficient_bound(heights, height: int) -> int:
     return min(comb(len(heights) + height - 1, height), sum(counts))
 
 
-def records_digest(records) -> str:
-    """sha256 of the records' canonical JSON; stored in the cache header."""
-    import hashlib
-    import json
-
-    blob = json.dumps(records, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
-
-
-def read_cache(path) -> dict:
-    """The JSON object in a cache file; StaleCacheError if there is none."""
-    import json
-
+def _sha256(data: bytes):
+    """The SHA-256 of data from CPython's built-in module, as ``random``
+    gets sha512: importing hashlib loads OpenSSL, which costs more than
+    reading a small cache file saves.  Only the code that reads or writes
+    a file calls this, so a run with no cache does not load the module."""
     try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, ValueError, RecursionError) as exc:
-        # ValueError: undecodable bytes, bad JSON, an int past the digit
-        # limit; RecursionError: nesting past the recursion limit.
-        raise StaleCacheError(f"unreadable partition cache {path}: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise StaleCacheError(f"unreadable partition cache {path}: not an object")
-    return payload
+        if sys.version_info >= (3, 12):
+            from _sha2 import sha256
+        else:
+            from _sha256 import sha256
+    except ImportError:  # an interpreter built without its own hashes
+        from hashlib import sha256
+    return sha256(data)
 
 
 def cache_path(rs_id: RootSystemId, cache_dir) -> Path:
-    return Path(cache_dir) / f"partition_{rs_id.family}{rs_id.rank}.json"
+    return Path(cache_dir) / f"partition_{rs_id.family}{rs_id.rank}.txt"
 
 
 def cache_files(cache_dir) -> list[Path]:
     """The paths in cache_dir named like partition cache files, sorted."""
-    return sorted(Path(cache_dir).glob("partition_*.json"))
+    return sorted(Path(cache_dir).glob("partition_*.txt"))
 
 
 def cache_summary(path) -> str:
     """One line on a cache file: its name and what a run of the type in
     its name loads from it, or ``stale`` when that run would not use it
     (a name ``build`` refuses included)."""
-    stem = path.name[len("partition_"):-len(".json")]
+    stem = path.name[len("partition_"):-len(".txt")]
     try:
         rs_id = RootSystemId(stem[:1], int(stem[1:]))
         if cache_path(rs_id, path.parent) != path:  # "A02", "A+2": no run reads it

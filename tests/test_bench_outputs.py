@@ -52,7 +52,7 @@ def test_e6_output_is_pinned_cold_and_warm(bench, tmp_path):
     args = [*workload.args, "--cache-dir", str(tmp_path)]
     cold = run(args)
     cache = sorted(p.name for p in tmp_path.iterdir())
-    assert cache == ["partition_E6.json"]
+    assert cache == ["partition_E6.txt"]
     before = (tmp_path / cache[0]).stat()
     warm = run(args)
     after = (tmp_path / cache[0]).stat()

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from cache_file import editing, split
 from cli_runner import invoke
 from nilcone.cli import EXIT_USAGE, EXIT_VIOLATION, CheckFailure, exit_code_for, main
 from nilcone.errors import (
@@ -17,6 +18,7 @@ from nilcone.errors import (
     PositivityViolationError,
     WrongRootSystemError,
 )
+from nilcone.partition import PARTITION_CACHE_SCHEMA
 
 
 def test_exit_code_mapping():
@@ -157,10 +159,13 @@ def test_import_loads_no_process_pool():
 
 
 def test_cacheless_run_loads_no_cache_modules():
-    # hashlib (which loads OpenSSL) and json serve only cache files and
-    # JSON output, and fractions only the two rational root-system
-    # methods; dataclasses serve nothing.  Neither the import nor a
-    # cache-less table run pays for them.  Nor for a parsing library:
+    # Only cache files need SHA-256, from _sha256 up to 3.11 and _sha2
+    # from 3.12 (which the random module that tempfile imports also loads
+    # on 3.12, so tempfile is imported only to write a file); hashlib
+    # (which loads OpenSSL) serves nothing, json only JSON output, and
+    # fractions only the two rational root-system methods; dataclasses
+    # serve nothing.  Neither the import nor a cache-less table run pays
+    # for them.  Nor for a parsing library:
     # click, the difflib it imported to parse a short option such as -f,
     # or argparse and the gettext it imports.
     import nilcone
@@ -169,7 +174,7 @@ def test_cacheless_run_loads_no_cache_modules():
             "def loaded():\n"
             "    return [m for m in ('hashlib', '_hashlib', 'json', 'dataclasses',\n"
             "                        'fractions', 'click', 'difflib', 'argparse',\n"
-            "                        'gettext')\n"
+            "                        'gettext', '_sha256', '_sha2')\n"
             "            if m in sys.modules]\n"
             "from nilcone.cli import main\n"
             "print('import:', *loaded(), file=sys.stderr)\n"
@@ -183,6 +188,32 @@ def test_cacheless_run_loads_no_cache_modules():
     assert result.returncode == 0, result.stderr
     assert result.stdout == "subregular Hilbert coefficients for G_2: 1 14 104 539\n"
     assert result.stderr.splitlines() == ["import:", "hilbert:"]
+
+
+def test_cached_runs_load_no_json_or_hashlib(tmp_path):
+    # The cache exists to skip the DP, and on E6 --sweep 1 importing json
+    # and hashlib cost more than that DP: a cold run that writes the file,
+    # a warm run that reads it, and 'cache list' load neither.
+    import nilcone
+
+    code = ("import sys\n"
+            "from nilcone.cli import main\n"
+            "args = ['graded', '-f', 'A', '-r', '2', '--variety', 'nilcone',\n"
+            "        '--sweep', '1', '--cache-dir', sys.argv[1]]\n"
+            "for step, argv in [('cold', args), ('warm', args),\n"
+            "                   ('list', ['cache', 'list', '--cache-dir', sys.argv[1]])]:\n"
+            "    main(argv)\n"
+            "    print(step + ':', *[m for m in ('json', 'hashlib', '_hashlib')\n"
+            "                        if m in sys.modules], file=sys.stderr)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(nilcone.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.splitlines() == ["cold:", "warm:", "list:"]
+    plain = invoke(["graded", "-f", "A", "-r", "2", "--variety", "nilcone", "--sweep", "1"])
+    listing = invoke(["cache", "list", "--cache-dir", str(tmp_path)])
+    assert listing.stdout.startswith("partition_A2.txt: schema=3 type=A2 ")
+    assert result.stdout == 2 * plain.stdout + listing.stdout
 
 
 def test_graded_rejects_non_dominant():
@@ -227,6 +258,26 @@ def test_negative_counts_are_usage_errors(tmp_path, args):
     assert result.exit_code == EXIT_USAGE
     assert "-1 is not in the range" in result.output
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args", [
+    ["graded", "-f", "A", "-r", "2", "--variety", "nilcone", "--sweep", "1"],
+    ["cache", "list"],
+    ["cache", "clear"],
+], ids=["graded", "cache-list", "cache-clear"])
+def test_empty_cache_dir_is_a_usage_error(tmp_path, monkeypatch, args):
+    # An empty path would name the working directory: graded wrote its
+    # cache file there, and cache clear emptied it.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "partition_A2.txt").write_text("")
+    for spelling in (["--cache-dir", ""], ["--cache-dir="]):
+        result = invoke([*args, *spelling])
+        assert result.exit_code == EXIT_USAGE
+        assert result.stdout == ""
+        assert result.stderr.endswith(
+            ": error: argument --cache-dir: expected a directory, got ''\n")
+    assert [(p.name, p.read_text()) for p in tmp_path.iterdir()] == [
+        ("partition_A2.txt", "")]
 
 
 def test_graded_e8_runs():
@@ -359,7 +410,7 @@ def test_cache_list_and_clear(tmp_path):
 
     result = invoke(["cache", "list", "--cache-dir", str(tmp_path)])
     assert result.exit_code == 0
-    assert "partition_A2.json" in result.output
+    assert "partition_A2.txt" in result.output
     assert "type=A2" in result.output
 
     result = invoke(["cache", "clear", "--cache-dir", str(tmp_path)])
@@ -376,32 +427,32 @@ def test_cache_list_and_clear(tmp_path):
 
 
 def _nest_too_deep(path):
-    # json.loads raises RecursionError on nesting past the recursion limit.
+    # JSON that json.loads could not read: nesting past the recursion limit.
     path.write_text("[" * 200000 + "]" * 200000)
 
 
 def _too_many_digits(path):
-    # json.loads raises ValueError on an int past the interpreter's digit limit.
+    # JSON with an int past the interpreter's digit limit.
     path.write_text('{"records": [[[0, 0], [' + "1" * 5000 + ']]]}')
 
 
 def test_cache_list_marks_unreadable_files(tmp_path):
-    (tmp_path / "partition_A2.json").write_text("[]")
-    (tmp_path / "partition_B2.json").write_bytes(b"\xff\xfe\x00")
-    _nest_too_deep(tmp_path / "partition_C2.json")
-    _too_many_digits(tmp_path / "partition_D4.json")
-    (tmp_path / "partition_G2.json").write_text('{"records": 3}')
+    (tmp_path / "partition_A2.txt").write_text("[]")
+    (tmp_path / "partition_B2.txt").write_bytes(b"\xff\xfe\x00")
+    _nest_too_deep(tmp_path / "partition_C2.txt")
+    _too_many_digits(tmp_path / "partition_D4.txt")
+    (tmp_path / "partition_G2.txt").write_text('{"records": 3}')
     args = ["graded", "-f", "A", "-r", "3", "--variety", "nilcone", "--sweep", "1"]
     assert invoke(args + ["--cache-dir", str(tmp_path)]).exit_code == 0
     assert invoke(["cache", "list", "--cache-dir", str(tmp_path)]).stdout.splitlines()[1] == (
-        "partition_A3.json: schema=2 type=A3 height_cutoff=3 records=3")
-    _edit_payload(_another_root_order, rehash=False)(tmp_path / "partition_A3.json")
+        "partition_A3.txt: schema=3 type=A3 height_cutoff=3 records=3")
+    _set_header(4, "0" * 16)(tmp_path / "partition_A3.txt")  # another root order
     result = invoke(["cache", "list", "--cache-dir", str(tmp_path)])
     assert result.exit_code == 0
     assert result.output.splitlines() == [
-        "partition_A2.json: stale", "partition_A3.json: stale",
-        "partition_B2.json: stale", "partition_C2.json: stale",
-        "partition_D4.json: stale", "partition_G2.json: stale"]
+        "partition_A2.txt: stale", "partition_A3.txt: stale",
+        "partition_B2.txt: stale", "partition_C2.txt: stale",
+        "partition_D4.txt: stale", "partition_G2.txt: stale"]
 
 
 def test_cache_dir_env_override(tmp_path):
@@ -416,11 +467,11 @@ def test_cache_commands_need_a_cache_dir(tmp_path, monkeypatch, command):
     monkeypatch.delenv("NILCONE_CACHE_DIR", raising=False)
     monkeypatch.setenv("HOME", str(tmp_path))
     (tmp_path / ".cache" / "nilcone").mkdir(parents=True)
-    (tmp_path / ".cache" / "nilcone" / "partition_A2.json").write_text("{}")
+    (tmp_path / ".cache" / "nilcone" / "partition_A2.txt").write_text("{}")
     result = invoke(["cache", command])
     assert result.exit_code == EXIT_USAGE
     assert "--cache-dir or set NILCONE_CACHE_DIR" in result.output
-    assert (tmp_path / ".cache" / "nilcone" / "partition_A2.json").exists()
+    assert (tmp_path / ".cache" / "nilcone" / "partition_A2.txt").exists()
 
 
 def test_graded_persists_and_reuses_caches(tmp_path):
@@ -428,12 +479,12 @@ def test_graded_persists_and_reuses_caches(tmp_path):
             "--sweep", "1", "--format", "json", "--cache-dir", str(tmp_path)]
     first = invoke(args)
     assert first.exit_code == 0
-    assert [p.name for p in tmp_path.iterdir()] == ["partition_B2.json"]
+    assert [p.name for p in tmp_path.iterdir()] == ["partition_B2.txt"]
     second = invoke(args)
     assert second.output == first.output
 
     listing = invoke(["cache", "list", "--cache-dir", str(tmp_path)])
-    assert "partition_B2.json" in listing.output
+    assert "partition_B2.txt" in listing.output
 
 
 def test_warm_run_leaves_the_cache_file_alone(tmp_path):
@@ -441,19 +492,13 @@ def test_warm_run_leaves_the_cache_file_alone(tmp_path):
             "--sweep", "2", "--cache-dir", str(tmp_path)]
     cold = invoke(args)
     assert cold.exit_code == 0
-    path = tmp_path / "partition_A2.json"
+    path = tmp_path / "partition_A2.txt"
     before = path.stat()
     warm = invoke(args)
     assert warm.exit_code == 0 and warm.output == cold.output
     after = path.stat()
     assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
-    assert [p.name for p in tmp_path.iterdir()] == ["partition_A2.json"]
-
-
-def _corrupt_schema(path):
-    payload = json.loads(path.read_text())
-    payload["schema_version"] += 1
-    path.write_text(json.dumps(payload))
+    assert [p.name for p in tmp_path.iterdir()] == ["partition_A2.txt"]
 
 
 def _truncate(path):
@@ -461,53 +506,58 @@ def _truncate(path):
     path.write_text(text[: len(text) // 2])
 
 
-def _edit_payload(edit, rehash=True):
-    """Apply edit to the parsed cache file; rehash keeps the records digest
-    consistent, so only the record checks can catch the edit."""
-    from nilcone.partition import records_digest
+def _set_header(field, value):
+    """Set one field of the header line; the records and their digest
+    stay as written."""
+    def edit(header, records):
+        header[field] = value
 
-    def corrupt(path):
-        payload = json.loads(path.read_text())
-        edit(payload)
-        if rehash:
-            payload["records_sha256"] = records_digest(payload["records"])
-        path.write_text(json.dumps(payload))
-
-    return corrupt
+    return editing(edit, rehash=False)
 
 
-def _tamper_theta(payload):
+def _edit_last_record(edit):
+    """Apply edit to the fields of the last record line and keep the
+    digest consistent, so only the record checks can catch the edit."""
+    def change(header, records):
+        fields = records[-1].split(" ")
+        edit(fields)
+        records[-1] = " ".join(fields)
+
+    return editing(change)
+
+
+def _tamper_theta(header, records):
     # p(theta, 1) = 1 becomes 5: well formed, but not what was written
-    record = next(r for r in payload["records"] if r[0] == [1, 1])
-    record[1][1] = 5
-
-
-def _another_root_order(payload):
-    payload["root_order_hash"] = "0" * 16
+    i = records.index("1 1 0 1 1")
+    records[i] = "1 1 0 5 1"
 
 
 @pytest.mark.parametrize("corrupt", [
-    _corrupt_schema,
+    _set_header(1, str(PARTITION_CACHE_SCHEMA + 1)),
     _truncate,
     lambda path: path.write_text("[]"),
     lambda path: path.write_bytes(b"\xff\xfe\x00"),
     _nest_too_deep,
     _too_many_digits,
-    _edit_payload(_tamper_theta, rehash=False),
-    _edit_payload(lambda payload: payload.pop("records"), rehash=False),
-    _edit_payload(lambda payload: payload["records"][0].append(0)),
-    _edit_payload(lambda payload: payload["records"][-1][0].append(0)),
-    _edit_payload(lambda payload: payload["records"][-1][1].insert(0, -1)),
-    _edit_payload(lambda payload: payload["records"][-1][1].append(0)),
-    _edit_payload(lambda payload: payload["records"][-1][1].pop()),
-    _edit_payload(lambda payload: payload["records"].append([[10**30, 0], [1]])),
-    _edit_payload(lambda payload: payload.update(family="B"), rehash=False),
-    _edit_payload(_another_root_order, rehash=False),
+    editing(_tamper_theta, rehash=False),
+    editing(lambda header, records: records.clear(), rehash=False),
+    _edit_last_record(lambda fields: fields.insert(1, "")),
+    _edit_last_record(lambda fields: fields.insert(2, "0")),
+    _edit_last_record(lambda fields: fields.__setitem__(2, "-1")),
+    _edit_last_record(lambda fields: fields.append("0")),
+    _edit_last_record(lambda fields: fields.pop()),
+    editing(lambda header, records: records.append(f"{10**30} 0 1")),
+    _set_header(2, "B"),
+    _set_header(4, "0" * 16),
+    editing(lambda header, records: records.append(records[0])),
+    editing(lambda header, records: records.append("0 0 " + "1" * 5000)),
+    _edit_last_record(lambda fields: fields.__setitem__(2, "\u0661")),
 ], ids=["schema-bump", "truncated", "not-an-object", "not-text",
         "nested-too-deep", "too-many-digits",
         "tampered-value", "no-records", "wrong-arity", "wrong-rank",
         "negative-coefficient", "too-many-coefficients", "too-few-coefficients",
-        "too-tall", "another-type", "another-root-order"])
+        "too-tall", "another-type", "another-root-order",
+        "repeated-x", "digits-past-limit", "non-ascii"])
 def test_stale_partition_cache_is_a_miss(tmp_path, corrupt):
     args = ["graded", "-f", "A", "-r", "2", "--variety", "subregular",
             "--sweep", "2", "--check"]
@@ -515,7 +565,7 @@ def test_stale_partition_cache_is_a_miss(tmp_path, corrupt):
     assert cold.exit_code == 0
     cached = args + ["--cache-dir", str(tmp_path)]
     assert invoke(cached).exit_code == 0
-    path = tmp_path / "partition_A2.json"
+    path = tmp_path / "partition_A2.txt"
     corrupt(path)
     stale_inode = path.stat().st_ino
 
@@ -526,13 +576,13 @@ def test_stale_partition_cache_is_a_miss(tmp_path, corrupt):
     assert result.stderr.startswith("warning: ")
     # the file was rewritten and now loads without a warning
     assert path.stat().st_ino != stale_inode
-    assert json.loads(path.read_text())["records"]
+    assert split(path)[1]
     again = invoke(cached)
     assert again.stdout == cold.stdout and again.stderr == ""
 
 
 def _directory_at_the_cache_file(tmp_path):
-    (tmp_path / "partition_A2.json").mkdir()
+    (tmp_path / "partition_A2.txt").mkdir()
     return tmp_path
 
 
@@ -560,13 +610,13 @@ def test_unwritable_cache_warns_and_still_prints(tmp_path, cache_dir, warnings):
 
 
 def test_cache_clear_skips_what_is_not_a_file(tmp_path):
-    (tmp_path / "partition_A2.json").mkdir()
-    (tmp_path / "partition_B2.json").write_text("{}")
+    (tmp_path / "partition_A2.txt").mkdir()
+    (tmp_path / "partition_B2.txt").write_text("{}")
     result = invoke(["cache", "clear", "--cache-dir", str(tmp_path)])
     assert result.exit_code == 0
     assert result.stdout == f"removed 1 cache file(s) from {tmp_path}\n"
     assert result.stderr.startswith("warning: skipping ")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["partition_A2.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["partition_A2.txt"]
 
 
 def test_compute_commands_honour_cache_env(tmp_path, monkeypatch):
@@ -576,7 +626,7 @@ def test_compute_commands_honour_cache_env(tmp_path, monkeypatch):
         "--max-degree", "2",
     ])
     assert result.exit_code == 0
-    assert (tmp_path / "partition_A1.json").exists()
+    assert (tmp_path / "partition_A1.txt").exists()
 
 
 def test_unknown_option_rejected():

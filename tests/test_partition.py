@@ -22,8 +22,8 @@ from nilcone.partition import (
     _Packing,
     cache_path,
     load_table,
-    records_digest,
 )
+from cache_file import digest, rewrite
 from tuple_dp import TupleDP
 
 
@@ -341,8 +341,8 @@ def test_widening_keeps_older_values_right(tmp_path, loaded):
     assert all(table._values[x][0] is wide for x in reused)  # stored back
     fresh = PartitionTable(rs)
     assert [t for _, t in got] == [t for _, t in fresh.packed_sums(tall_lists)]
-    assert table.save(tmp_path / "widened.json").read_text() == \
-        fresh.save(tmp_path / "fresh.json").read_text()
+    assert table.save(tmp_path / "widened.txt").read_text() == \
+        fresh.save(tmp_path / "fresh.txt").read_text()
 
 
 def test_sweep_domain_leaves_the_table_alone():
@@ -659,84 +659,93 @@ def test_cache_rejects_wrong_type(tmp_path):
     rs_b = build("B", 2)
     table = PartitionTable(rs_a)
     table.p((1, 1), 1)
-    path = tmp_path / "cache.json"
+    path = tmp_path / "cache.txt"
     table.save(path)
     with pytest.raises(StaleCacheError):
         PartitionTable(rs_b).extend_from(path)
 
 
 def test_cache_rejects_schema_bump(tmp_path):
-    import json
-
     rs = build("A", 2)
     table = PartitionTable(rs)
     table.p((1, 1), 1)
-    path = tmp_path / "cache.json"
+    path = tmp_path / "cache.txt"
     table.save(path)
-    payload = json.loads(path.read_text())
-    payload["schema_version"] = PARTITION_CACHE_SCHEMA + 1
-    path.write_text(json.dumps(payload))
-    with pytest.raises(StaleCacheError):
+
+    def bump(header, records):
+        header[1] = str(PARTITION_CACHE_SCHEMA + 1)
+
+    rewrite(path, bump)
+    with pytest.raises(StaleCacheError, match="schema"):
         PartitionTable(rs).extend_from(path)
 
 
 def test_cache_rejects_garbage(tmp_path):
     rs = build("A", 2)
-    path = tmp_path / "cache.json"
+    path = tmp_path / "cache.txt"
     path.write_text("{not json")
     with pytest.raises(StaleCacheError):
         PartitionTable(rs).extend_from(path)
 
 
 def test_malformed_record_merges_nothing(tmp_path):
-    import json
-
     rs = build("A", 2)
     table = PartitionTable(rs)
     table.p((2, 2), 2)
-    path = table.save(tmp_path / "cache.json")
-    payload = json.loads(path.read_text())
-    payload["records"].append([[1, 0], [0, -1]])
-    payload["records_sha256"] = records_digest(payload["records"])
-    path.write_text(json.dumps(payload))
+    path = table.save(tmp_path / "cache.txt")
+    rewrite(path, lambda header, records: records.append("1 0 0 -1"))
     fresh = PartitionTable(rs)
-    with pytest.raises(StaleCacheError):
+    with pytest.raises(StaleCacheError, match="malformed"):
+        fresh.extend_from(path)
+    assert fresh._values == {}
+
+
+def test_repeated_record_merges_nothing(tmp_path):
+    rs = build("A", 2)
+    table = PartitionTable(rs)
+    table.p((2, 2), 2)
+    path = table.save(tmp_path / "cache.txt")
+    # The same x twice, each record well formed and true.
+    rewrite(path, lambda header, records: records.append(records[0]))
+    fresh = PartitionTable(rs)
+    with pytest.raises(StaleCacheError, match="malformed"):
         fresh.extend_from(path)
     assert fresh._values == {}
 
 
 def test_cache_disagreeing_with_table_is_refused(tmp_path):
-    import json
-
     rs = build("A", 2)
     table = PartitionTable(rs)
     table.p((1, 1), 1)
-    path = table.save(tmp_path / "cache.json")
-    payload = json.loads(path.read_text())
-    payload["records"] = [[[1, 1], [0, 5, 1]]]
-    payload["records_sha256"] = records_digest(payload["records"])
-    path.write_text(json.dumps(payload))
+    path = table.save(tmp_path / "cache.txt")
+
+    def tamper(header, records):
+        records[:] = ["1 1 0 5 1"]
+
+    rewrite(path, tamper)
     with pytest.raises(StaleCacheError, match="disagrees"):
         table.extend_from(path)
     assert table.poly((1, 1)) == (0, 1, 1)
 
 
 def test_cache_header_records_ordering_hash(tmp_path):
-    import json
-
     rs = build("G", 2)
     table = PartitionTable(rs)
     table.p((1, 1), 1)
-    path = table.save(tmp_path / "g2.json")
-    payload = json.loads(path.read_text())
-    assert payload["schema_version"] == PARTITION_CACHE_SCHEMA
-    assert payload["family"] == "G" and payload["rank"] == 2
-    assert payload["root_order_hash"] == table.root_order_hash()
-    assert payload["height_cutoff"] == 2
+    path = table.save(tmp_path / "g2.txt")
+    # The digest is the SHA-256 of the record bytes after the header line.
+    head, body = path.read_bytes().split(b"\n", 1)
+    assert body == b"1 1 0 1 1\n"
+    assert head.decode().split(" ") == [
+        "nilcone-partition-cache", str(PARTITION_CACHE_SCHEMA), "G", "2",
+        table.root_order_hash(), digest(body)]
+
     # a different ordering hash is refused
-    payload["root_order_hash"] = "0" * 16
-    path.write_text(json.dumps(payload))
-    with pytest.raises(StaleCacheError):
+    def reorder(header, records):
+        header[4] = "0" * 16
+
+    rewrite(path, reorder)
+    with pytest.raises(StaleCacheError, match="root ordering"):
         PartitionTable(rs).extend_from(path)
 
 
