@@ -23,7 +23,6 @@ from .errors import (
     WrongRootSystemError,
 )
 from .graded import (
-    CohomologyTable,
     GradedCalculator,
     ModuleKind,
     Variety,
@@ -45,7 +44,6 @@ from .weyl import (
 )
 
 __all__ = [
-    "CohomologyTable",
     "GradedCalculator",
     "InadmissibleTypeError",
     "InternalInconsistencyError",

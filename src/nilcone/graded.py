@@ -15,17 +15,19 @@ with theta the dominant short root and k the shift constant
 theorem, so a negative value is reported as a hard error, never clamped.
 
 Degrees are polynomial degrees throughout; cohomological degree 2n (even
-parts) or 2n - 1 (odd parts) is presentation only and is spelled out in
-every table header.
+parts) or 2n - 1 (odd parts) is presentation only, spelled out by the
+command line.  The queries return plain values: a series is {n: c_n},
+``cohomology_table`` is {i: {lam: mult}}, ``hilbert_series`` a list;
+one degree of a series is ``series.get(n, 0)``.
 
 Every query reads its profiles through one checked path,
 ``GradedCalculator._profiles``: it gathers the dot-orbit terms of every
-weight asked for (one for ``series``, a whole domain for ``series_batch``,
-``cohomology_table`` and ``hilbert_series``) and hands them to the
-partition table as one batch, which takes the width of its tallest
-argument (for a domain, the top weight's own), so the DP fills all of
-their values in one pass, and every value lands in the calculator's
-table, which a cache file persists.
+weight asked for (one for ``nilcone_series`` and its kin, a whole domain
+for ``series_batch``, ``cohomology_table`` and ``hilbert_series``) and
+hands them to the partition table as one batch, which takes the width of
+its tallest argument (for a domain, the top weight's own), so the DP
+fills all of their values in one pass, and every value lands in the
+calculator's table, which a cache file persists.
 Each profile stays packed as one int, E(lam, mu; 2^B), and its signs are
 checked weight by weight, in order, with one mask per profile; a checked
 profile is read as plain base-2^B digits, and ``hilbert_series`` never
@@ -37,8 +39,6 @@ from __future__ import annotations
 
 from enum import Enum
 from math import comb
-from types import MappingProxyType
-from typing import NamedTuple
 
 from . import partition
 from .errors import (
@@ -49,11 +49,6 @@ from .errors import (
 from .multiplicity import WeightMultiplicities, weyl_dim
 from .rootsys import RootSystem, Weight, vscale
 from .weyl import dot_terms, shift_constant
-
-DEGREE_CONVENTION = (
-    "degrees are polynomial degrees n; even cohomology sits in degree 2n, "
-    "odd cohomology in degree 2n-1"
-)
 
 
 class ModuleKind(str, Enum):
@@ -69,66 +64,15 @@ class Variety(str, Enum):
     SUBREGULAR = "subregular"
 
 
-class CohomologyTable(NamedTuple):
-    """Rows of dominant-weight multiplicities per cohomological degree."""
-
-    family: str
-    rank: int
-    kind: ModuleKind
-    k: int
-    max_i: int
-    sweep: int
-    rows: MappingProxyType
-    degree_convention: str = DEGREE_CONVENTION
-
-    def row(self, i: int) -> dict[Weight, int]:
-        return dict(self.rows.get(i, {}))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "rank": self.rank,
-            "kind": self.kind.value,
-            "k": self.k,
-            "degree_convention": self.degree_convention,
-            "rows": [
-                {
-                    "i": i,
-                    "entries": [
-                        {"lambda": list(lam), "mult": m}
-                        for lam, m in sorted(self.rows[i].items())
-                    ],
-                }
-                for i in sorted(self.rows)
-            ],
-        }
-
-    def iter_csv_rows(self):
-        """(i, lambda-string, mult) triples, one per nonzero entry."""
-        for i in sorted(self.rows):
-            for lam, m in sorted(self.rows[i].items()):
-                yield i, ",".join(str(c) for c in lam), m
-
-    def parity_ok(self) -> bool:
-        """Whether the kind's vanishing pattern holds in every row."""
-        if self.kind in (ModuleKind.TRIVIAL, ModuleKind.TILTING):
-            bad = 1
-        elif self.kind in (ModuleKind.INDUCED_WALL, ModuleKind.SIMPLE):
-            bad = 0
-        else:
-            return True  # Weyl modules live in both parities
-        return all(not row for i, row in self.rows.items() if i % 2 == bad)
-
-
 class GradedCalculator:
     """Bundles a root system with its partition table: the one given,
     or a new one of its own.
 
-    Every query, one degree or a whole series, is read off the checked
-    profiles E(lam, mu; q) of ``_profiles``.  All methods are pure given
-    the immutable inputs; one calculator can serve any number of queries
-    and threads, and its table keeps every value they compute for the next
-    query and for the cache file.
+    Every query is read off the checked profiles E(lam, mu; q) of
+    ``_profiles``.  All methods are pure given the immutable inputs; one
+    calculator can serve any number of queries and threads, and its table
+    keeps every value they compute for the next query and for the cache
+    file.
     """
 
     def __init__(
@@ -195,36 +139,19 @@ class GradedCalculator:
             return [zero]
         return [zero, self.rs.theta_short]
 
-    # -- named multiplicities ----------------------------------------------
-
-    def nilcone_mult(self, lam, n: int) -> int:
-        """Multiplicity of L(lam) in degree n of the nilpotent cone ring."""
-        return self.nilcone_series(lam).get(n, 0)
-
-    def induced_odd_mult(self, lam, i: int) -> int:
-        """Multiplicity of L(lam) in odd cohomology degree 2i-1 of the
-        wall-induced module; zero for i < k (negative symmetric power)."""
-        return self.induced_series(lam).get(i, 0)
-
-    def subregular_mult(self, lam, n: int) -> int:
-        """Multiplicity of L(lam) in degree n of the subregular orbit
-        closure ring: d_n - a_n, guaranteed nonnegative."""
-        return self.subregular_series(lam).get(n, 0)
-
     # -- whole series --------------------------------------------------------
 
     def nilcone_series(self, lam) -> dict[int, int]:
-        return self.series(Variety.NILCONE, lam)
+        """{n: d_n(lam)}."""
+        return self.series_batch(Variety.NILCONE, [lam])[0]
 
     def induced_series(self, lam) -> dict[int, int]:
-        """{i: a_i(lam)} with the shift by k applied."""
+        """{i: a_i(lam)} with the shift by k applied; a_i = 0 for i < k."""
         return self._series([lam], [self.rs.theta_short])[0]
 
     def subregular_series(self, lam) -> dict[int, int]:
-        return self.series(Variety.SUBREGULAR, lam)
-
-    def series(self, variety: Variety, lam) -> dict[int, int]:
-        return self.series_batch(variety, [lam])[0]
+        """{n: t_n(lam)}, t_n = d_n - a_n, guaranteed nonnegative."""
+        return self.series_batch(Variety.SUBREGULAR, [lam])[0]
 
     def series_batch(self, variety: Variety, lams) -> list[dict[int, int]]:
         """[series(variety, lam) for lam in lams], with every partition
@@ -239,8 +166,9 @@ class GradedCalculator:
 
     def cohomology_table(
         self, kind: ModuleKind, sweep: int, max_i: int
-    ) -> CohomologyTable:
-        """Assemble rows H^i -> {lam: mult} for one module kind.
+    ) -> dict[int, dict[Weight, int]]:
+        """Rows {i: {lam: mult}}, i = 0..max_i, of one module kind over
+        ``sweep_domain(sweep)``; zero multiplicities are left out.
 
         Row conventions per kind (n, i are polynomial degrees):
           trivial       H^{2n}   = d_n          (odd rows vanish)
@@ -251,11 +179,6 @@ class GradedCalculator:
         """
         kind = ModuleKind(kind)
         rows: dict[int, dict[Weight, int]] = {i: {} for i in range(max_i + 1)}
-
-        def put(i, lam, v):
-            if v and 0 <= i <= max_i:
-                rows[i][lam] = rows[i].get(lam, 0) + v
-
         zero, theta_s = (0,) * self.rs.rank, self.rs.theta_short
         mus = {ModuleKind.TRIVIAL: [zero],
                ModuleKind.INDUCED_WALL: [theta_s]}.get(kind, [zero, theta_s])
@@ -271,20 +194,11 @@ class GradedCalculator:
                 parts = [(-1, profiles[0])]
             else:  # TRIVIAL: d, TILTING: t
                 parts = [(0, profiles[-1])]
-            for offset, value in parts:
+            for offset, value in parts:  # each part fills rows of one parity
                 for n, v in _digits(packing, value).items():
-                    put(2 * n + offset, lam, v)
-
-        frozen = MappingProxyType({i: dict(r) for i, r in rows.items()})
-        return CohomologyTable(
-            family=self.rs.family,
-            rank=self.rs.rank,
-            kind=kind,
-            k=self.k,
-            max_i=max_i,
-            sweep=sweep,
-            rows=frozen,
-        )
+                    if 0 <= 2 * n + offset <= max_i:
+                        rows[2 * n + offset][lam] = v
+        return rows
 
     def hilbert_series(self, variety: Variety, max_degree: int) -> list[int]:
         """Dimension of each graded piece of the chosen coordinate ring.
@@ -306,10 +220,10 @@ class GradedCalculator:
         unpacked once, at the end.
         """
         m, rs = max_degree, self.rs
-        lams = rs.dominant_below(vscale(m, rs.theta_long))
         dim_g = rs.rank + 2 * rs.num_positive_roots
         accs = []
-        for lam, packing, profiles in self._profiles(lams, self._mus(variety)):
+        for lam, packing, profiles in self._profiles(self.sweep_domain(m),
+                                                   self._mus(variety)):
             if not accs:  # one batch: every lam shares this packing
                 bits = packing.bits
                 s = -(-(comb(dim_g + m, m).bit_length() + 1) // bits)

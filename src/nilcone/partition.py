@@ -348,11 +348,12 @@ class PartitionTable:
         """Write the x -> coefficients records to a cache file: the
         header line, then one line per record, sorted by x.
 
-        The file is written under a temporary name in the same directory
-        and renamed over the old one, so a concurrent reader or a failed
-        write never sees a torn file.
+        The file is written under a temporary name in the same directory,
+        unique to this process and thread, and renamed over the old one,
+        so a concurrent reader or a failed write never sees a torn file.
+        It is created with mode 0666 less the umask, like any new file.
         """
-        import tempfile  # with the random module it imports: only for a write
+        import threading  # only a write needs the thread id
 
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -362,8 +363,13 @@ class PartitionTable:
         header = (f"{_MAGIC} {PARTITION_CACHE_SCHEMA} {self.rs.family} "
                   f"{self.rs.rank} {self.root_order_hash()} "
                   f"{_sha256(body).hexdigest()}\n").encode()
-        fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp",
-                                   dir=path.parent)
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+        flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
+        try:
+            fd = os.open(tmp, flags, 0o666)
+        except FileExistsError:  # left by a killed writer with this pid and thread
+            os.unlink(tmp)
+            fd = os.open(tmp, flags, 0o666)
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(header + body)

@@ -160,9 +160,7 @@ def test_import_loads_no_process_pool():
 
 def test_cacheless_run_loads_no_cache_modules():
     # Only cache files need SHA-256, from _sha256 up to 3.11 and _sha2
-    # from 3.12 (which the random module that tempfile imports also loads
-    # on 3.12, so tempfile is imported only to write a file); hashlib
-    # (which loads OpenSSL) serves nothing, json only JSON output, and
+    # from 3.12; hashlib (which loads OpenSSL) serves nothing, json only JSON output, and
     # fractions only the two rational root-system methods; dataclasses
     # serve nothing.  Neither the import nor a cache-less table run pays
     # for them.  Nor for a parsing library:

@@ -1,6 +1,7 @@
 """Graded multiplicity formulas, cohomology tables, Hilbert series."""
 
 import itertools
+import json
 import re
 
 import pytest
@@ -74,9 +75,10 @@ def test_euler_mult_off_lattice_is_zero(calculators):
 
 def test_nilcone_constants(calculators):
     calc = calculators("A", 2)
-    assert calc.nilcone_mult((0, 0), 0) == 1
+    series = calc.nilcone_series((0, 0))
+    assert series.get(0, 0) == 1
     for n in range(1, 6):
-        assert calc.nilcone_mult((0, 0), n) == 0
+        assert series.get(n, 0) == 0
 
 
 def test_nilcone_a2_adjoint(calculators):
@@ -97,22 +99,24 @@ def test_induced_vanishes_below_shift(calculators):
     for family, rank in [("A", 2), ("B", 2), ("G", 2)]:
         calc = calculators(family, rank)
         for lam in dominant_up_to_height(calc.rs, 4):
+            series = calc.induced_series(lam)
             for i in range(calc.k):
-                assert calc.induced_odd_mult(lam, i) == 0
+                assert series.get(i, 0) == 0
 
 
 def test_induced_a2_adjoint(calculators):
     calc = calculators("A", 2)
     assert calc.k == 2
-    assert calc.induced_odd_mult((1, 1), 2) == 1
+    assert calc.induced_series((1, 1)).get(2, 0) == 1
     assert calc.induced_series((1, 1)) == {2: 1}
 
 
 def test_induced_a1_trivial_module(calculators):
     calc = calculators("A", 1)
     assert calc.k == 1
+    series = calc.induced_series((0,))
     for i in range(6):
-        assert calc.induced_odd_mult((0,), i) == 0
+        assert series.get(i, 0) == 0
 
 
 def test_subregular_trivial(calculators):
@@ -144,7 +148,7 @@ def test_symmetric_power_oracle_matches_hesselink(calculators, family, rank):
         oracle = symmetric_power_oracle(rs, n)
         bound = tuple(n * c for c in rs.theta_long)
         for lam in rs.dominant_below(bound):
-            assert calc.nilcone_mult(lam, n) == oracle.get(lam, 0), (lam, n)
+            assert calc.nilcone_series(lam).get(n, 0) == oracle.get(lam, 0), (lam, n)
         # the oracle found nothing outside the sweep bound
         for lam in oracle:
             assert rs.dominance_le(lam, bound)
@@ -183,32 +187,28 @@ def test_support_bound(calculators, family, rank):
 # -- cohomology tables ---------------------------------------------------------
 
 def test_trivial_table_a1(calculators):
-    table = calculators("A", 1).cohomology_table(ModuleKind.TRIVIAL, 2, 4)
-    assert table.row(0) == {(0,): 1}
-    assert table.row(1) == {}
-    assert table.row(2) == {(2,): 1}
-    assert table.row(3) == {}
-    assert table.row(4) == {(4,): 1}
-    assert table.parity_ok()
+    rows = calculators("A", 1).cohomology_table(ModuleKind.TRIVIAL, 2, 4)
+    assert rows == {0: {(0,): 1}, 1: {}, 2: {(2,): 1}, 3: {}, 4: {(4,): 1}}
 
 
 def test_tilting_table_parity(calculators):
     for family, rank in [("A", 1), ("A", 2), ("B", 2)]:
-        table = calculators(family, rank).cohomology_table(ModuleKind.TILTING, 2, 6)
-        assert table.parity_ok()
+        rows = calculators(family, rank).cohomology_table(ModuleKind.TILTING, 2, 6)
+        assert sorted(rows) == list(range(7))
+        for i in range(1, 7, 2):
+            assert rows[i] == {}
         for i in range(0, 7, 2):
-            for mult in table.row(i).values():
-                assert mult >= 0
+            for mult in rows[i].values():
+                assert mult > 0
 
 
 def test_induced_wall_table_parity(calculators):
-    table = calculators("A", 2).cohomology_table(ModuleKind.INDUCED_WALL, 2, 6)
-    assert table.parity_ok()
+    rows = calculators("A", 2).cohomology_table(ModuleKind.INDUCED_WALL, 2, 6)
     for i in range(0, 7, 2):
-        assert table.row(i) == {}
+        assert rows[i] == {}
     # first nonzero odd row sits at 2k - 1 = 3
-    assert table.row(1) == {}
-    assert table.row(3) != {}
+    assert rows[1] == {}
+    assert rows[3] != {}
 
 
 def test_weyl_table_odd_rows_copy_trivial(calculators):
@@ -219,51 +219,52 @@ def test_weyl_table_odd_rows_copy_trivial(calculators):
         tilting = calc.cohomology_table(ModuleKind.TILTING, 2, 7)
         for i in range(0, 7):
             if i % 2 == 0:
-                assert weyl_t.row(i) == tilting.row(i)
-            elif i - 1 >= 0:
-                assert weyl_t.row(i) == trivial.row(i - 1)
+                assert weyl_t[i] == tilting[i]
+            else:
+                assert weyl_t[i] == trivial[i - 1]
 
 
 def test_simple_table_a2(calculators):
-    table = calculators("A", 2).cohomology_table(ModuleKind.SIMPLE, 2, 5)
-    assert table.parity_ok()
+    rows = calculators("A", 2).cohomology_table(ModuleKind.SIMPLE, 2, 5)
+    assert rows[0] == rows[2] == rows[4] == {}
     # H^1 = d_0 + a_1: only L(0) with multiplicity 1 (a_1 = 0 since k = 2)
-    assert table.row(1) == {(0, 0): 1}
-    assert table.row(0) == {} and table.row(2) == {}
+    assert rows[1] == {(0, 0): 1}
 
 
 def test_simple_table_assembles_d_and_a(calculators):
     calc = calculators("B", 2)
-    table = calc.cohomology_table(ModuleKind.SIMPLE, 2, 9)
+    rows = calc.cohomology_table(ModuleKind.SIMPLE, 2, 9)
     for lam in calc.sweep_domain(2):
         d = calc.nilcone_series(lam)
         a = calc.induced_series(lam)
         for i in range(0, 4):
             expected = d.get(i, 0) + a.get(i + 1, 0)
-            assert table.row(2 * i + 1).get(lam, 0) == expected
+            assert rows[2 * i + 1].get(lam, 0) == expected
 
 
 def test_euler_consistency_weyl_kind(calculators):
     # even total minus odd total per weight equals -m_lam(theta)
     calc = calculators("A", 2)
     max_i = 25
-    table = calc.cohomology_table(ModuleKind.WEYL, 2, max_i)
+    rows = calc.cohomology_table(ModuleKind.WEYL, 2, max_i)
     for lam in calc.sweep_domain(2):
-        even = sum(table.row(i).get(lam, 0) for i in range(0, max_i + 1, 2))
-        odd = sum(table.row(i).get(lam, 0) for i in range(1, max_i + 1, 2))
+        even = sum(rows[i].get(lam, 0) for i in range(0, max_i + 1, 2))
+        odd = sum(rows[i].get(lam, 0) for i in range(1, max_i + 1, 2))
         assert even - odd == -WeightMultiplicities(calc.rs, lam).at(
             calc.rs.theta_short
         )
 
 
-def test_table_json_and_csv_shape(calculators):
-    table = calculators("A", 1).cohomology_table(ModuleKind.TRIVIAL, 1, 2)
-    doc = table.to_json_dict()
-    assert set(doc) == {"family", "rank", "kind", "k", "degree_convention", "rows"}
+def test_table_json_and_csv_shape():
+    args = ["cohomology", "-f", "A", "-r", "1", "--kind", "trivial", "--sweep", "1",
+            "--max-i", "2"]
+    doc = json.loads(invoke([*args, "--format", "json"]).stdout)
+    assert set(doc) == {"schema_version", "command", "parity_ok", "family", "rank",
+                        "kind", "k", "degree_convention", "rows"}
     assert doc["family"] == "A" and doc["rank"] == 1 and doc["kind"] == "trivial"
     assert doc["rows"][0] == {"i": 0, "entries": [{"lambda": [0], "mult": 1}]}
-    rows = list(table.iter_csv_rows())
-    assert (0, "0", 1) in rows and (2, "2", 1) in rows
+    rows = invoke([*args, "--format", "csv"]).stdout.splitlines()
+    assert rows == ["i,lambda,mult", '0,"0",1', '2,"2",1']
 
 
 # -- the A_2 tilting example ----------------------------------------------------
@@ -437,7 +438,7 @@ def test_subregular_negativity_is_a_hard_error(calculators, monkeypatch):
     by = -(calc.subregular_series((1, 1)).get(k, 0) + 1)
     skew_packed_kernel(monkeypatch, (1, 1), theta_s, by)
     with pytest.raises(PositivityViolationError) as exc:
-        calc.subregular_mult((1, 1), 1)
+        calc.series_batch(Variety.SUBREGULAR, [(1, 1)])
     assert exc.value.weight == (1, 1) and exc.value.degree == k
     with pytest.raises(PositivityViolationError,
                        match=rf"t_{k}\(\(1, 1\)\) = -1 < 0"):
@@ -455,13 +456,11 @@ def test_internal_negativity_is_a_hard_error(calculators, monkeypatch):
                        calc.induced_series((1, 1)).get(k, 0) + 1)
     nilcone, induced = r"d_0\(\(1, 1\)\) = -1 < 0", rf"a_{k}\(\(1, 1\)\) = -1 < 0"
     with pytest.raises(InternalInconsistencyError, match=nilcone):
-        calc.nilcone_mult((1, 1), 1)
-    with pytest.raises(InternalInconsistencyError, match=induced):
-        calc.induced_odd_mult((1, 1), 3)
-    with pytest.raises(InternalInconsistencyError, match=nilcone):
         calc.nilcone_series((1, 1))
     with pytest.raises(InternalInconsistencyError, match=induced):
         calc.induced_series((1, 1))
+    with pytest.raises(InternalInconsistencyError, match=nilcone):
+        calc.series_batch(Variety.NILCONE, [(1, 1)])
 
 
 def test_negative_coefficient_from_the_packed_kernel_is_a_hard_error(
@@ -495,12 +494,13 @@ def test_hilbert_series_is_the_per_weight_sum(calculators, family, rank,
                                               max_degree, variety):
     # hilbert_series sums packed profiles in digit classes (s = 1 for F4
     # to degree 3, 2 for G2 to degree 24, 7 for A1 to degree 24);
-    # series() is the dict path.
+    # series_batch() is the dict path.
     calc = calculators(family, rank)
     expected = [0] * (max_degree + 1)
-    for lam in calc.sweep_domain(max_degree):
+    lams = calc.sweep_domain(max_degree)
+    for lam, series in zip(lams, calc.series_batch(variety, lams)):
         dim = weyl_dim(calc.rs, lam)
-        for n, c in calc.series(variety, lam).items():
+        for n, c in series.items():
             if n <= max_degree:
                 expected[n] += dim * c
     assert calc.hilbert_series(variety, max_degree) == expected
@@ -536,12 +536,11 @@ def test_each_domain_is_one_batch(monkeypatch, family, rank):
         fresh_calculator(family, rank).cohomology_table(kind, 2, 6)
         assert len(calls) == 1
     theta = build(family, rank).theta_long
-    for query in (lambda c: c.series(Variety.SUBREGULAR, theta),
-                  lambda c: c.series(Variety.NILCONE, theta),
+    for query in (lambda c: c.series_batch(Variety.SUBREGULAR, [theta]),
+                  lambda c: c.series_batch(Variety.NILCONE, [theta]),
                   lambda c: c.nilcone_series(theta),
                   lambda c: c.induced_series(theta),
-                  lambda c: c.subregular_series(theta),
-                  lambda c: c.nilcone_mult(theta, 1)):
+                  lambda c: c.subregular_series(theta)):
         calls.clear()
         query(fresh_calculator(family, rank))
         assert len(calls) == 1
@@ -562,7 +561,8 @@ def test_series_batch_is_the_per_weight_series(calculators, family, rank, sweep,
     calc = calculators(family, rank)
     lams = calc.sweep_domain(sweep)
     batch = fresh_calculator(family, rank)
-    assert batch.series_batch(variety, lams) == [calc.series(variety, lam) for lam in lams]
+    assert batch.series_batch(variety, lams) == [calc.series_batch(variety, [lam])[0]
+                                                 for lam in lams]
 
 
 def skew_packed_kernel(monkeypatch, lam, mu, by):
@@ -656,7 +656,7 @@ def test_sweep_negativity_is_the_serial_loops_error(monkeypatch, family, rank):
     message = rf"d_0\({re.escape(str(theta))}\) = -1 < 0"
     for variety in Variety:
         with pytest.raises(InternalInconsistencyError, match=message):
-            [calc.series(variety, lam) for lam in lams]
+            [calc.series_batch(variety, [lam]) for lam in lams]
         with pytest.raises(InternalInconsistencyError, match=message):
             fresh_calculator(family, rank).series_batch(variety, lams)
     for kind in (ModuleKind.TRIVIAL, ModuleKind.WEYL, ModuleKind.SIMPLE):
@@ -693,6 +693,31 @@ def test_cohomology_weyl_check_sees_a_wrong_total(monkeypatch, max_i):
     result = invoke([*args, "--check"])
     assert result.exit_code == 4
     assert "total 3 != m(0) = 2 at lambda=(1,1)" in result.output
+
+
+@pytest.mark.parametrize("kind", [k.value for k in ModuleKind])
+@pytest.mark.parametrize("mu,by,message", [
+    # d_0(theta) raised by 1: the nilcone total of theta is 3, not m(0) = 2.
+    ("zero", -1, "total 3 != m(0) = 2 at lambda=(1,1)"),
+    # a_k(theta_s) lowered from 1 to 0: d stays, t_k(theta_s) becomes 1, so
+    # the subregular total of theta is 2, not m(0) - m(theta) = 1.
+    ("theta_s", 1, "total 2 != m(0)-m(theta) = 1 at lambda=(1,1)"),
+], ids=["d", "a"])
+def test_cohomology_check_sees_a_wrong_total_for_every_kind(monkeypatch, kind, mu,
+                                                            by, message):
+    # Each skew leaves every digit of d, a and t nonnegative, and the rows
+    # of every kind sit in their kind's parity, so only the totals of the
+    # full d and t series can catch it, whichever profiles the kind reads.
+    rs = build("A", 2)
+    mu = (0, 0) if mu == "zero" else rs.theta_short
+    skew_packed_kernel(monkeypatch, rs.theta_long, mu, by)
+    args = ["cohomology", "-f", "A", "-r", "2", "--kind", kind, "--sweep", "1"]
+    result = invoke(args)
+    assert result.exit_code == 0, result.output
+    assert "parity vanishing: OK" in result.output
+    result = invoke([*args, "--check"])
+    assert result.exit_code == 4
+    assert message in result.output
 
 
 @pytest.mark.parametrize("variety", ["nilcone", "subregular"])

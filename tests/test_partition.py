@@ -789,3 +789,40 @@ def test_failed_save_keeps_previous_cache(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
     reloaded = load_table(rs, tmp_path)
     assert held(reloaded) == held(first)
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask-022", "umask-077"])
+def test_saved_cache_file_honours_the_umask(tmp_path, umask, mode):
+    # A shared cache directory needs files every user can read: the file
+    # gets 0666 less the umask, as any new file does.
+    import os
+    import stat
+
+    rs = build("A", 2)
+    table = PartitionTable(rs)
+    table.p((1, 1), 1)
+    saved = os.umask(umask)
+    try:
+        path = table.save(cache_path(rs.id, tmp_path))
+    finally:
+        os.umask(saved)
+    assert stat.S_IMODE(path.stat().st_mode) == mode
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_save_replaces_a_temporary_file_left_by_a_killed_writer(tmp_path):
+    # The temporary name is unique to a process and thread, so a file
+    # already there was left by a writer that died with the same ids.
+    import os
+    import threading
+
+    rs = build("A", 2)
+    table = PartitionTable(rs)
+    table.p((1, 1), 1)
+    path = cache_path(rs.id, tmp_path)
+    left = tmp_path / f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
+    left.write_bytes(b"half a file")
+    table.save(path)
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    assert held(load_table(rs, tmp_path)) == held(table)
