@@ -81,9 +81,8 @@ def freudenthal_totals(rs, lam) -> dict[Variety, int]:
     return {Variety.NILCONE: m0, Variety.SUBREGULAR: m0 - mults.at(rs.theta_short)}
 
 
-def check_total(variety, lam, series, expected) -> None:
-    """CheckFailure unless the full series sums to its Freudenthal total."""
-    total = sum(series.values())
+def check_total(variety, lam, total, expected) -> None:
+    """CheckFailure unless a full series' total is its Freudenthal total."""
     if total != expected:
         raise CheckFailure(
             f"total {total} != {CHECK_COLUMN[variety]} = {expected} "
@@ -440,7 +439,7 @@ def graded(family, rank, variety, lam_text, sweep, max_degree, check, cache_dir,
     for lam, series in results:
         check_value = freudenthal_totals(rs, lam)[variety]
         if check:
-            check_total(variety, lam, series, check_value)
+            check_total(variety, lam, sum(series.values()), check_value)
         if max_degree is not None:
             series = {n: v for n, v in series.items() if n <= max_degree}
         total = sum(series.values())
@@ -499,16 +498,17 @@ def cohomology(family, rank, kind, sweep, max_i, check, cache_dir, fmt):
     kind = ModuleKind(kind)
     rs = rootsys.build(family, rank)
     calc = GradedCalculator(rs, table=partition.load_table(rs, cache_dir))
-    rows = calc.cohomology_table(kind, sweep, max_i)
-    calc.table.persist()
+    # Every kind's rows are digits of d and a (so of d and t = d - a):
+    # --check compares the totals of their full series, whatever --max-i
+    # shows of them, read from the rows' own batch.
     if check:
-        # Every kind's rows are digits of d and a (so of d and t = d - a):
-        # check their full series, whatever --max-i shows of them.
-        lams = calc.sweep_domain(sweep)
-        series = {variety: calc.series_batch(variety, lams) for variety in Variety}
-        for i, lam in enumerate(lams):
-            for variety, total in freudenthal_totals(rs, lam).items():
-                check_total(variety, lam, series[variety][i], total)
+        rows, totals = calc.cohomology_table(kind, sweep, max_i, totals=True)
+    else:
+        rows, totals = calc.cohomology_table(kind, sweep, max_i), {}
+    calc.table.persist()
+    for lam, sums in totals.items():
+        for variety, total in freudenthal_totals(rs, lam).items():
+            check_total(variety, lam, sums[variety], total)
     # The parity whose rows the kind's vanishing pattern leaves empty; the
     # weyl rows live in both.
     empty = {ModuleKind.TRIVIAL: 1, ModuleKind.TILTING: 1,

@@ -27,7 +27,9 @@ for ``series_batch``, ``cohomology_table`` and ``hilbert_series``) and
 hands them to the partition table as one batch, which takes the width of
 its tallest argument (for a domain, the top weight's own), so the DP
 fills all of their values in one pass, and every value lands in the
-calculator's table, which a cache file persists.
+calculator's table, which a cache file persists.  ``hilbert_series``
+alone truncates its batch to the degrees it prints: the DP then fills
+the digits n <= max_degree only, and keeps none of its values.
 Each profile stays packed as one int, E(lam, mu; 2^B), and its signs are
 checked weight by weight, in order, with one mask per profile; a checked
 profile is read as plain base-2^B digits, and ``hilbert_series`` never
@@ -87,7 +89,7 @@ class GradedCalculator:
 
     # -- the one checked kernel ----------------------------------------------
 
-    def _profiles(self, lams, mus):
+    def _profiles(self, lams, mus, degree=None):
         """Yield (lam, packing, profiles) for each lam, in order, with every
         profile packed at q = 2^B and checked digit by digit.
 
@@ -96,19 +98,24 @@ class GradedCalculator:
         batch before any DP work.  The profiles are D = E(lam, 0; 2^B),
         whose digit n is d_n(lam), and A = q^k E(lam, theta_s; 2^B), whose
         digit i is a_i(lam), in the order of mus; when both are asked for,
-        T = D - A follows, whose digit n is t_n(lam).
+        T = D - A follows, whose digit n is t_n(lam).  With a degree m,
+        the batch is truncated to q^m and every profile holds the digits
+        n <= m alone: A is shifted, then cut to m + 1 fields.
 
         One mask (``_Packing.nonnegative``) checks each profile, in the
         order D, A, T.  Once D and A pass, every digit of T lies in
-        [-M, M], so its mask is sound too.  A lam that fails raises the
-        error for the lowest negative degree of its first failing profile
-        before any later lam is read.  A profile that passes is a plain
-        base-2^B number: its digits are its fields.
+        [-M, M], so its mask is sound too.  A truncated batch's sums are
+        exact only mod 2^(B (m + 1)), and the mask and
+        ``_Packing.balanced`` read only those low m + 1 fields, so the
+        checks hold there as well.  A lam that fails raises the error for
+        the lowest negative degree of its first failing profile before
+        any later lam is read.  A profile that passes is a plain base-2^B
+        number: its digits are its fields.
         """
         rs, k, zero = self.rs, self.k, (0,) * self.rs.rank
         lams = list(lams)
         sums = iter(self.table.packed_sums(
-            [dot_terms(rs, lam, mu) for lam in lams for mu in mus]))
+            [dot_terms(rs, lam, mu) for lam in lams for mu in mus], degree=degree))
         shifts = [0 if mu == zero else k for mu in mus]
         names = ["d" if mu == zero else "a" for mu in mus]
         if len(mus) == 2:
@@ -117,10 +124,10 @@ class GradedCalculator:
             profiles = []
             for shift in shifts:
                 packing, value = next(sums)  # one batch, one packing
-                profiles.append(value << (packing.bits * shift))
+                profiles.append((value << (packing.bits * shift)) & packing.low)
             if len(mus) == 2:
                 profiles.append(profiles[0] - profiles[1])
-            fields = packing.height + k + 1
+            fields = packing.height + k + 1 if degree is None else degree + 1
             for name, value in zip(names, profiles):
                 if not packing.nonnegative(value, fields):
                     raise _negative(name, lam, packing.balanced(value, fields - 1))
@@ -164,9 +171,8 @@ class GradedCalculator:
         """Dominant weights dominance-below sweep * theta_long."""
         return self.rs.dominant_below(vscale(sweep, self.rs.theta_long))
 
-    def cohomology_table(
-        self, kind: ModuleKind, sweep: int, max_i: int
-    ) -> dict[int, dict[Weight, int]]:
+    def cohomology_table(self, kind: ModuleKind, sweep: int, max_i: int,
+                         totals: bool = False):
         """Rows {i: {lam: mult}}, i = 0..max_i, of one module kind over
         ``sweep_domain(sweep)``; zero multiplicities are left out.
 
@@ -176,29 +182,44 @@ class GradedCalculator:
           induced_wall  H^{2i-1} = a_i          (even rows vanish)
           weyl          H^{2n}   = t_n,  H^{2n+1} = d_n
           simple        H^{2i+1} = d_i + a_{i+1} (even rows vanish)
+
+        With totals, returns (rows, {lam: {variety: total}}) instead: the
+        sum over all degrees of each weight's full d and t series, read
+        from the same batch as the rows, which then holds the profiles of
+        both mus whatever the kind.
         """
         kind = ModuleKind(kind)
         rows: dict[int, dict[Weight, int]] = {i: {} for i in range(max_i + 1)}
+        sums: dict[Weight, dict[Variety, int]] = {}
         zero, theta_s = (0,) * self.rs.rank, self.rs.theta_short
-        mus = {ModuleKind.TRIVIAL: [zero],
-               ModuleKind.INDUCED_WALL: [theta_s]}.get(kind, [zero, theta_s])
+        mus = [zero, theta_s]
+        if not totals and kind in (ModuleKind.TRIVIAL, ModuleKind.INDUCED_WALL):
+            mus = [zero] if kind == ModuleKind.TRIVIAL else [theta_s]
         for lam, packing, profiles in self._profiles(self.sweep_domain(sweep), mus):
+            if len(profiles) == 3:
+                d, a, t = profiles
+            elif kind == ModuleKind.TRIVIAL:
+                [d] = profiles
+            else:
+                [a] = profiles
             if kind == ModuleKind.SIMPLE:
-                d, a, _ = profiles
                 # A's digit 0 is 0 (k >= 1), and digit i of the sum is
                 # d_i + a_{i+1} <= 2M < 2^bits: no carry.
                 parts = [(1, d + (a >> packing.bits))]
             elif kind == ModuleKind.WEYL:
-                parts = [(0, profiles[2]), (1, profiles[0])]
+                parts = [(0, t), (1, d)]
             elif kind == ModuleKind.INDUCED_WALL:
-                parts = [(-1, profiles[0])]
-            else:  # TRIVIAL: d, TILTING: t
-                parts = [(0, profiles[-1])]
+                parts = [(-1, a)]
+            else:
+                parts = [(0, d if kind == ModuleKind.TRIVIAL else t)]
             for offset, value in parts:  # each part fills rows of one parity
                 for n, v in _digits(packing, value).items():
                     if 0 <= 2 * n + offset <= max_i:
                         rows[2 * n + offset][lam] = v
-        return rows
+            if totals:
+                sums[lam] = {Variety.NILCONE: sum(_digits(packing, d).values()),
+                             Variety.SUBREGULAR: sum(_digits(packing, t).values())}
+        return (rows, sums) if totals else rows
 
     def hilbert_series(self, variety: Variety, max_degree: int) -> list[int]:
         """Dimension of each graded piece of the chosen coordinate ring.
@@ -207,12 +228,15 @@ class GradedCalculator:
         d_n(lam) = 0 unless lam <= n * theta_long, one profile per lam
         below max_degree * theta_long covers every degree.
 
-        Every profile of the domain comes from one ``_profiles`` batch and
-        stays packed, and the sum stays packed too, in s digit classes:
-        accumulator j adds dim L(lam) times the digits n = j (mod s),
-        n <= max_degree, of each checked profile, shifted down so that
-        digit n sits at the bottom of slot (n - j) / s, s * B bits wide.
-        s is the least integer with s * B >= bits(C(dim g + max_degree,
+        Every profile of the domain comes from one ``_profiles`` batch,
+        truncated to q^max_degree: the partition DP fills only the digits
+        n <= max_degree, in fields sized for those digits, and stores none
+        of its values, so the table and its cache file never see them.
+        Each profile stays packed, and the sum stays packed too, in s digit
+        classes: accumulator j adds dim L(lam) times the digits n = j
+        (mod s) of each checked profile, shifted down so that digit n sits
+        at the bottom of slot (n - j) / s, s * B bits wide.  s is the
+        least integer with s * B >= bits(C(dim g + max_degree,
         max_degree)) + 1, so no slot carries into the next: every digit is
         >= 0 once the profile's mask passes, and the slot of degree n ends
         at the Hilbert coefficient n, the dimension of a quotient of
@@ -223,16 +247,15 @@ class GradedCalculator:
         dim_g = rs.rank + 2 * rs.num_positive_roots
         accs = []
         for lam, packing, profiles in self._profiles(self.sweep_domain(m),
-                                                   self._mus(variety)):
+                                                   self._mus(variety), degree=m):
             if not accs:  # one batch: every lam shares this packing
                 bits = packing.bits
                 s = -(-(comb(dim_g + m, m).bit_length() + 1) // bits)
                 digit = (1 << bits) - 1
                 masks = [sum(digit << (bits * n) for n in range(j, m + 1, s))
                          for j in range(s)]
-                low = (1 << (bits * (m + 1))) - 1
                 accs = [0] * s
-            if profiles[-1] & low:
+            if profiles[-1]:
                 dim = weyl_dim(rs, lam)
                 for j, mask in enumerate(masks):
                     accs[j] += dim * ((profiles[-1] & mask) >> (bits * j))

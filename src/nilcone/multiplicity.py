@@ -14,15 +14,17 @@ from operator import mul
 
 from . import partition
 from .errors import InternalInconsistencyError, NonDominantWeightError
-from .rootsys import RootSystem, Weight, vadd, vscale, vsub
+from .rootsys import RootSystem, Weight, vadd, vsub
 from .weyl import dot_terms
 
 
 class WeightMultiplicities:
     """Freudenthal table of all weight multiplicities of one module L(lam).
 
-    Values are memoized per dominant representative, so sweeping a whole
-    saturation costs one recursion pass.
+    Values are memoized per dominant representative.  A query fills the
+    memo over the dominant weights between its own and lam, from the top
+    down, so every value Freudenthal's formula reads is in place before
+    it is needed: no recursion, however far the weight is below lam.
     """
 
     def __init__(self, rs: RootSystem, lam):
@@ -40,43 +42,59 @@ class WeightMultiplicities:
         rs = self.rs
         if rs.root_coords_int(vsub(self.lam, mu)) is None:
             return 0
-        return self._value(mu)
-
-    def _value(self, mu: Weight) -> int:
-        # mu is in the root-lattice coset of lam here.
-        rs = self.rs
         mu = rs.dominant_representative(mu)
-        hit = self._memo.get(mu)
-        if hit is not None:
-            return hit
+        if mu not in self._memo:
+            self._fill(mu)
+        return self._memo[mu]
+
+    def _fill(self, mu: Weight) -> None:
+        """Memoize m(nu) for every dominant nu with mu <= nu <= lam, mu
+        dominant and in the root-lattice coset of lam; m(mu) = 0 when mu
+        is not below lam.
+
+        Freudenthal's formula at nu reads m at the dominant representative
+        of each nu + j alpha (alpha > 0, j >= 1, up to lam), and that
+        representative is above nu + j alpha, so above mu and nearer lam
+        in height: ``dominant_below`` lists nu's by height, so its
+        reverse, from lam down, computes each one after all it reads.  A
+        representative not below lam is no weight of L(lam) and reads 0.
+        """
+        rs, memo = self.rs, self._memo
+        if not rs.dominance_le(mu, self.lam):
+            memo[mu] = 0
+            return
+        for nu in reversed(rs.dominant_below(self.lam)):
+            if nu not in memo and rs.dominance_le(mu, nu):
+                memo[nu] = self._freudenthal(nu)
+
+    def _freudenthal(self, mu: Weight) -> int:
+        """m(mu) for a dominant mu below lam, from the memoized values above
+        it."""
+        rs, memo, dominant = self.rs, self._memo, self.rs.dominant_representative
         diff = rs.root_coords_int(vsub(self.lam, mu))
-        assert diff is not None
-        if any(c < 0 for c in diff):
-            self._memo[mu] = 0
-            return 0
         # Freudenthal: ((lam+rho,lam+rho) - (mu+rho,mu+rho)) m(mu)
         #            = 2 sum_{alpha>0} sum_{j>=1} (mu + j alpha, alpha) m(mu + j alpha)
         numerator = 0
         for c_alpha, r_alpha in zip(rs.positive_roots, rs.positive_root_coords):
-            j = 1
-            remaining = diff
-            while True:
-                remaining = vsub(remaining, r_alpha)
-                if any(c < 0 for c in remaining):
-                    break
-                nu = vadd(mu, vscale(j, c_alpha))
-                m = self._value(nu)
+            # mu + j alpha is below lam for j <= steps; (mu + j alpha, alpha)
+            # is linear in j.
+            steps = min(d // r for d, r in zip(diff, r_alpha) if r)
+            if not steps:
+                continue
+            base, slope = rs.inner(mu, r_alpha), rs.inner(c_alpha, r_alpha)
+            nu = mu
+            for j in range(1, steps + 1):
+                nu = vadd(nu, c_alpha)
+                m = memo.get(dominant(nu), 0)
                 if m:
-                    numerator += rs.inner(nu, r_alpha) * m
-                j += 1
+                    numerator += (base + j * slope) * m
         denominator = rs.inner(vadd(vadd(mu, rs.rho), self._lam_shift), diff)
         assert denominator > 0
         value, rem = divmod(2 * numerator, denominator)
         assert rem == 0 and value >= 0, (
-            f"Freudenthal recursion produced {2 * numerator}/{denominator} "
+            f"Freudenthal's formula produced {2 * numerator}/{denominator} "
             f"at mu={mu}"
         )
-        self._memo[mu] = value
         return value
 
     def saturation(self) -> tuple[Weight, ...]:

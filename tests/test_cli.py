@@ -109,6 +109,14 @@ def test_graded_zero_weight():
     ]
 
 
+def test_graded_check_of_a_deep_weight():
+    # The m(0) column of L((4000)) is 2000 Freudenthal steps below lambda.
+    result = invoke(["graded", "-f", "A", "-r", "1", "--variety", "nilcone",
+                     "--lambda", "4000", "--check"])
+    assert result.exit_code == 0, result.output
+    assert result.stdout.splitlines()[-1].split() == ["(4000)", "2000:1", "1", "1"]
+
+
 def test_graded_nilcone_adjoint():
     # A value may also follow a short flag directly, or a long one after '='.
     for spelling in (["-f", "A", "-r", "2", "--variety", "nilcone"],
@@ -620,11 +628,54 @@ def test_cache_clear_skips_what_is_not_a_file(tmp_path):
 def test_compute_commands_honour_cache_env(tmp_path, monkeypatch):
     monkeypatch.setenv("NILCONE_CACHE_DIR", str(tmp_path))
     result = invoke([
-        "hilbert", "-f", "A", "-r", "1", "--variety", "subregular",
-        "--max-degree", "2",
+        "graded", "-f", "A", "-r", "1", "--variety", "subregular",
+        "--lambda", "2",
     ])
     assert result.exit_code == 0
     assert (tmp_path / "partition_A1.txt").exists()
+
+
+def _snapshot(directory):
+    """{name: bytes} of every file under directory."""
+    return {p.relative_to(directory): p.read_bytes()
+            for p in directory.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("variety", ["nilcone", "subregular"])
+def test_hilbert_reads_the_cache_but_never_adds_records(tmp_path, variety):
+    # hilbert's partition values are truncated to --max-degree, so none of
+    # them may reach the cache file: an absent file stays absent, and a
+    # warm one, here from a graded sweep, stays byte-identical, while its
+    # records still give the cache-less output.
+    args = ["hilbert", "-f", "G", "-r", "2", "--variety", variety,
+            "--max-degree", "6", "--check"]
+    plain = invoke(args)
+    assert plain.exit_code == 0, plain.output
+    cached = [*args, "--cache-dir", str(tmp_path)]
+    result = invoke(cached)
+    assert (result.exit_code, result.stdout, result.stderr) == (0, plain.stdout, "")
+    assert _snapshot(tmp_path) == {}
+    warm = invoke(["graded", "-f", "G", "-r", "2", "--variety", "subregular",
+                   "--sweep", "3", "--cache-dir", str(tmp_path)])
+    assert warm.exit_code == 0
+    before = _snapshot(tmp_path)
+    assert list(before) == [Path("partition_G2.txt")]
+    result = invoke(cached)
+    assert (result.exit_code, result.stdout, result.stderr) == (0, plain.stdout, "")
+    assert _snapshot(tmp_path) == before
+
+
+def test_hilbert_still_rewrites_a_stale_cache_file(tmp_path):
+    args = ["hilbert", "-f", "G", "-r", "2", "--variety", "nilcone",
+            "--max-degree", "6", "--cache-dir", str(tmp_path)]
+    path = tmp_path / "partition_G2.txt"
+    path.write_text("not a cache file\n")
+    result = invoke(args)
+    assert result.exit_code == 0
+    assert result.stderr.startswith("warning: ") and len(result.stderr.splitlines()) == 1
+    header, records = split(path)
+    assert header[0] == "nilcone-partition-cache" and records == []
+    assert invoke(args).stderr == ""
 
 
 def test_unknown_option_rejected():

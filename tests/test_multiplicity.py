@@ -127,3 +127,14 @@ def test_freudenthal_equals_kostant_height_8(systems, family, rank):
         table = WeightMultiplicities(rs, lam)
         for mu in table.saturation():
             assert table.at(mu) == kostant_mult(rs, lam, mu), (lam, mu)
+
+
+def test_deep_weight_needs_no_recursion(systems):
+    # 2000 dominant weights lie between 0 and lam = (4000) on A1, each a
+    # step up from the last; the memo is filled from lam down, so no call
+    # stack grows with that depth (the default recursion limit is 1000).
+    rs = systems("A", 1)
+    table = WeightMultiplicities(rs, (4000,))
+    assert table.at((0,)) == 1
+    assert table.at((-3998,)) == table.at((2,)) == 1
+    assert table.at((4002,)) == 0

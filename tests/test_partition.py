@@ -317,6 +317,99 @@ def test_batch_fill_matches_one_at_a_time(family, rank, sweep):
     assert held(batch) == held(single)
 
 
+def kostant_term_lists(rs, top):
+    """The dot_terms lists of every (lam, mu), lam dominant below top and
+    mu any weight of the W-orbits below lam: most mu are not dominant,
+    so some digits of the sums are negative."""
+    lams = rs.dominant_below(top)
+    return [dot_terms(rs, lam, mu) for lam in lams
+            for nu in lams if rs.dominance_le(nu, lam)
+            for mu in rs.weight_orbit(nu)]
+
+
+@pytest.mark.parametrize("family,rank,degrees", [
+    ("A", 1, range(13)), ("A", 2, range(9)), ("A", 3, range(6)), ("A", 4, range(4)),
+    ("B", 3, range(5)), ("G", 2, range(13)), ("F", 4, [4]), ("E", 6, [3]),
+])
+def test_truncated_sums_are_the_low_digits_of_the_full_sums(family, rank, degrees):
+    # A batch truncated to q^m gives, in its digits 0..m, the balanced
+    # digits 0..m of the full batch: over the Hilbert domain below m * theta
+    # (both mus) and over Kostant lists with non-dominant mu, where digits
+    # go negative.
+    rs = build(family, rank)
+    for m in degrees:
+        lists, height = domain_term_lists(rs, m)
+        if m <= 2:
+            lists += kostant_term_lists(rs, tuple(m * c for c in rs.theta_long))
+        full = PartitionTable(rs).packed_sums(lists)
+        cut = PartitionTable(rs).packed_sums(lists, degree=m)
+        want = [{n: c for n, c in p.balanced(total, height).items() if n <= m}
+                for p, total in full]
+        got = [p.balanced(total, m) for p, total in cut]
+        assert got == want, m
+        [packing] = {p for p, _ in cut}
+        assert packing.degree == m and packing.bits <= full[0][0].bits
+        if 1 <= m <= 2 and rank > 1:  # e.g. A2: E((1, 1), (-2, 1); q) = -q
+            assert min(c for digits in want for c in digits.values()) < 0
+
+
+def test_truncated_fill_is_narrower_and_smaller():
+    # G2 to degree 24: 25 fields of bits(C(6 + 23, 24)) + 1 = 18 bits,
+    # where the full batch needs 121 fields of 27 bits; and each level
+    # keeps only keys the full fill has, within its coordinate caps:
+    # 5519 entries instead of 9301.
+    rs = build("G", 2)
+    lists, height = domain_term_lists(rs, 24)
+    [(full, _), *_] = PartitionTable(rs).packed_sums(lists)
+    [(cut, _), *_] = PartitionTable(rs).packed_sums(lists, degree=24)
+    assert (height, full.bits) == (120, 27)
+    assert cut.bits == math.comb(6 + 23, 24).bit_length() + 1 == 18
+    assert cut.low == (1 << (18 * 25)) - 1
+    args = {x for terms in lists for _, x in terms}
+    full_levels = level_keys(full, [full.key(x) for x in args])
+    cut_levels = level_keys(cut, [cut.key(x) for x in args])
+    assert full.shifts == cut.shifts  # one key layout: the sets compare
+    assert all(cut_levels[j] <= full_levels[j] for j in full_levels)
+    assert (sum(map(len, cut_levels.values())),
+            sum(map(len, full_levels.values()))) == (5519, 9301)
+    # Every coordinate of every kept key is within 24 times its largest
+    # value among the roots of its level and below.
+    roots = rs.positive_root_coords
+    for j, level in cut_levels.items():
+        caps = [24 * max(r[i] for r in roots[:j]) for i in range(2)]
+        assert all(y & cut.field <= caps[0] and y >> cut.shifts[1] <= caps[1]
+                   for y in level), j
+
+
+@pytest.mark.parametrize("held_from", ["narrower", "wider", "file"])
+def test_truncated_batch_reads_held_values_and_stores_nothing(tmp_path, held_from):
+    # Values held at another width, or loaded from a cache file, are read
+    # back truncated: the same sums as a table that holds nothing.  The
+    # truncated batch leaves the table's values, packing, unsaved flag and
+    # cache file as they were.
+    rs, m = build("B", 3), 3
+    lists, _ = domain_term_lists(rs, m)
+    want = PartitionTable(rs).packed_sums(lists, degree=m)
+    table = PartitionTable(rs)
+    table.packed_sums(domain_term_lists(rs, {"narrower": 1, "wider": m + 1,
+                                             "file": 2}[held_from])[0])
+    if held_from == "file":
+        table.save(cache_path(rs.id, tmp_path))
+        table = load_table(rs, tmp_path)
+    args = {x for terms in lists for _, x in terms}
+    before = dict(table._values)
+    assert args & set(before) and (held_from == "wider") == (args <= set(before))
+    packing, unsaved = table._packing, table.unsaved
+    files = {f: f.read_bytes() for f in tmp_path.iterdir()}
+    got = table.packed_sums(lists, degree=m)
+    assert [t for _, t in got] == [t for _, t in want]
+    assert got[0][0] is not packing
+    assert table._values == before and table._packing is packing
+    assert table.unsaved == unsaved == (held_from != "file")
+    table.persist()
+    assert {f: f.read_bytes() for f in tmp_path.iterdir()} == files
+
+
 @pytest.mark.parametrize("loaded", [False, True], ids=["computed", "loaded"])
 def test_widening_keeps_older_values_right(tmp_path, loaded):
     # A batch over the --sweep 1 domain, computed here or loaded from its
