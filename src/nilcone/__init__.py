@@ -9,6 +9,8 @@ over the terms of one pruned dot-orbit walk (``dot_terms``) and is summed
 by one kernel (``PartitionTable.packed_sums``), which fills the partition
 values of a whole batch of sums in one pass, so no computation
 enumerates the Weyl group and all types through E_8 are reachable.
+The Hilbert series is the one query off that kernel: it folds the few
+low-degree partition values into the dominant chamber (``graded.fold``).
 """
 
 __version__ = "0.1.0"

@@ -635,15 +635,13 @@ def mult(family, rank, lam_text, mu_text, algorithm, fmt):
            help="Re-verify against the nilcone closed form from the exponents "
                 "(every degree; for subregular, the degrees up to k, less "
                 "dim L(theta_s) in degree k)."),
-    CACHE_DIR,
     FORMAT,
 )
-def hilbert(family, rank, variety, max_degree, check, cache_dir, fmt):
+def hilbert(family, rank, variety, max_degree, check, fmt):
     """Hilbert series coefficients (graded dimensions) of the chosen ring."""
     rs = rootsys.build(family, rank)
-    calc = GradedCalculator(rs, table=partition.load_table(rs, cache_dir))
+    calc = GradedCalculator(rs)
     coeffs = calc.hilbert_series(Variety(variety), max_degree)
-    calc.table.persist()
     if check:
         check_hilbert(rs, Variety(variety), calc.k, coeffs)
     if fmt == "json":

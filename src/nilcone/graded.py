@@ -20,27 +20,27 @@ command line.  The queries return plain values: a series is {n: c_n},
 ``cohomology_table`` is {i: {lam: mult}}, ``hilbert_series`` a list;
 one degree of a series is ``series.get(n, 0)``.
 
-Every query reads its profiles through one checked path,
+Every query but ``hilbert_series`` reads its profiles from
 ``GradedCalculator._profiles``: it gathers the dot-orbit terms of every
 weight asked for (one for ``nilcone_series`` and its kin, a whole domain
-for ``series_batch``, ``cohomology_table`` and ``hilbert_series``) and
-hands them to the partition table as one batch, which takes the width of
-its tallest argument (for a domain, the top weight's own), so the DP
-fills all of their values in one pass, and every value lands in the
-calculator's table, which a cache file persists.  ``hilbert_series``
-alone truncates its batch to the degrees it prints: the DP then fills
-the digits n <= max_degree only, and keeps none of its values.
-Each profile stays packed as one int, E(lam, mu; 2^B), and its signs are
-checked weight by weight, in order, with one mask per profile; a checked
-profile is read as plain base-2^B digits, and ``hilbert_series`` never
-unpacks one: it sums the degrees it needs packed, in carry-free digit
-classes, and unpacks only the sums.
+for ``series_batch`` and ``cohomology_table``) and hands them to the
+partition table as one batch, which takes the width of its tallest
+argument (for a domain, the top weight's own), so the DP fills all of
+their values in one pass, and every value lands in the calculator's
+table, which a cache file persists.  ``hilbert_series`` is the one query
+off ``packed_sums``: it prints the degrees n <= max_degree alone, and
+``fold`` gives their digits for every weight at once, from the few
+partition values those degrees reach, with no table and no cache.
+Each profile stays packed as one int, E(lam, mu; 2^B), and every
+profile of both paths is checked by ``GradedCalculator._checked``,
+weight by weight, in order, with one mask per profile; a checked
+profile is read as plain base-2^B digits.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from math import comb
+from operator import add, mul
 
 from . import partition
 from .errors import (
@@ -49,8 +49,8 @@ from .errors import (
     WrongRootSystemError,
 )
 from .multiplicity import WeightMultiplicities, weyl_dim
-from .rootsys import RootSystem, Weight, vscale
-from .weyl import dot_terms, shift_constant
+from .rootsys import RootSystem, Weight, vadd, vscale, vsub
+from .weyl import chamber_signs, dot_terms, shift_constant
 
 
 class ModuleKind(str, Enum):
@@ -71,10 +71,10 @@ class GradedCalculator:
     or a new one of its own.
 
     Every query is read off the checked profiles E(lam, mu; q) of
-    ``_profiles``.  All methods are pure given the immutable inputs; one
-    calculator can serve any number of queries and threads, and its table
-    keeps every value they compute for the next query and for the cache
-    file.
+    ``_profiles``, or, for ``hilbert_series``, of ``fold``.  All methods
+    are pure given the immutable inputs; one calculator can serve any
+    number of queries and threads, and its table keeps every value they
+    compute for the next query and for the cache file.
     """
 
     def __init__(
@@ -89,55 +89,53 @@ class GradedCalculator:
 
     # -- the one checked kernel ----------------------------------------------
 
-    def _profiles(self, lams, mus, degree=None):
-        """Yield (lam, packing, profiles) for each lam, in order, with every
-        profile packed at q = 2^B and checked digit by digit.
+    def _profiles(self, lams, mus):
+        """(packing, ``_checked`` profiles of each lam, in order), every
+        dot-orbit argument of every (lam, mu) in one ``packed_sums`` batch
+        before any DP work; mus is [0], [theta_s] or [0, theta_s]."""
+        rs, lams = self.rs, list(lams)
+        sums = self.table.packed_sums(
+            [dot_terms(rs, lam, mu) for lam in lams for mu in mus])
+        packing = sums[0][0] if sums else self.table.reserve(0)  # one batch
+        values = iter([value for _, value in sums])
+        rows = zip(lams, zip(*[values] * len(mus)))  # len(mus) values a lam
+        return packing, self._checked(rows, mus, packing, packing.height + self.k + 1)
 
-        mus is [0], [theta_s] or [0, theta_s], and every dot-orbit argument
-        of every (lam, mu) goes into one ``PartitionTable.packed_sums``
-        batch before any DP work.  The profiles are D = E(lam, 0; 2^B),
-        whose digit n is d_n(lam), and A = q^k E(lam, theta_s; 2^B), whose
-        digit i is a_i(lam), in the order of mus; when both are asked for,
-        T = D - A follows, whose digit n is t_n(lam).  With a degree m,
-        the batch is truncated to q^m and every profile holds the digits
-        n <= m alone: A is shifted, then cut to m + 1 fields.
+    def _checked(self, rows, mus, digits, fields):
+        """Yield (lam, profiles) for each (lam, values) of rows, in order,
+        with every profile checked digit by digit.
 
-        One mask (``_Packing.nonnegative``) checks each profile, in the
-        order D, A, T.  Once D and A pass, every digit of T lies in
-        [-M, M], so its mask is sound too.  A truncated batch's sums are
-        exact only mod 2^(B (m + 1)), and the mask and
-        ``_Packing.balanced`` read only those low m + 1 fields, so the
-        checks hold there as well.  A lam that fails raises the error for
-        the lowest negative degree of its first failing profile before
-        any later lam is read.  A profile that passes is a plain base-2^B
-        number: its digits are its fields.
+        values[i] is E(lam, mus[i]; 2^B), exact at least modulo 2^(B
+        fields).  The profiles are D = E(lam, 0; 2^B), whose digit n is
+        d_n(lam), and A = q^k E(lam, theta_s; 2^B), whose digit i is
+        a_i(lam), in the order of mus, each cut to `fields` fields; when
+        both are asked for, T = D - A follows, whose digit n is t_n(lam).
+
+        One mask (``_Digits.nonnegative``) checks each profile, in the
+        order D, A, T; once D and A pass, every digit of T lies in [-M,
+        M], so its mask is sound too.  The masks and balanced reads see
+        the `fields` fields alone, so a residue is checked exactly.  A lam
+        that fails raises the error for the lowest negative degree of its
+        first failing profile before any later lam is read.  A profile
+        that passes is a plain base-2^B number: its digits are its fields.
         """
-        rs, k, zero = self.rs, self.k, (0,) * self.rs.rank
-        lams = list(lams)
-        sums = iter(self.table.packed_sums(
-            [dot_terms(rs, lam, mu) for lam in lams for mu in mus], degree=degree))
-        shifts = [0 if mu == zero else k for mu in mus]
-        names = ["d" if mu == zero else "a" for mu in mus]
-        if len(mus) == 2:
-            names.append("t")
-        for lam in lams:
-            profiles = []
-            for shift in shifts:
-                packing, value = next(sums)  # one batch, one packing
-                profiles.append((value << (packing.bits * shift)) & packing.low)
+        bits, cut = digits.bits, (1 << (digits.bits * fields)) - 1
+        shifts = [bits * self.k if any(mu) else 0 for mu in mus]
+        names = ["a" if any(mu) else "d" for mu in mus] + ["t"] * (len(mus) == 2)
+        for lam, values in rows:
+            profiles = [(value << shift) & cut for value, shift in zip(values, shifts)]
             if len(mus) == 2:
                 profiles.append(profiles[0] - profiles[1])
-            fields = packing.height + k + 1 if degree is None else degree + 1
             for name, value in zip(names, profiles):
-                if not packing.nonnegative(value, fields):
-                    raise _negative(name, lam, packing.balanced(value, fields - 1))
-            yield lam, packing, profiles
+                if not digits.nonnegative(value, fields):
+                    raise _negative(name, lam, digits.balanced(value, fields - 1))
+            yield lam, profiles
 
     def _series(self, lams, mus) -> list[dict[int, int]]:
         """{n: c_n} of the last profile of ``_profiles`` for each lam:
         d for [0], a for [theta_s], t for [0, theta_s]."""
-        return [_digits(packing, profiles[-1])
-                for _, packing, profiles in self._profiles(lams, mus)]
+        packing, checked = self._profiles(lams, mus)
+        return [_digits(packing, profiles[-1]) for _, profiles in checked]
 
     def _mus(self, variety) -> list[Weight]:
         """The mus whose last profile is the variety's: d or t."""
@@ -195,7 +193,8 @@ class GradedCalculator:
         mus = [zero, theta_s]
         if not totals and kind in (ModuleKind.TRIVIAL, ModuleKind.INDUCED_WALL):
             mus = [zero] if kind == ModuleKind.TRIVIAL else [theta_s]
-        for lam, packing, profiles in self._profiles(self.sweep_domain(sweep), mus):
+        packing, checked = self._profiles(self.sweep_domain(sweep), mus)
+        for lam, profiles in checked:
             if len(profiles) == 3:
                 d, a, t = profiles
             elif kind == ModuleKind.TRIVIAL:
@@ -225,44 +224,58 @@ class GradedCalculator:
         """Dimension of each graded piece of the chosen coordinate ring.
 
         Coefficient n sums mult_n(lam) * dim L(lam) over dominant lam; as
-        d_n(lam) = 0 unless lam <= n * theta_long, one profile per lam
-        below max_degree * theta_long covers every degree.
-
-        Every profile of the domain comes from one ``_profiles`` batch,
-        truncated to q^max_degree: the partition DP fills only the digits
-        n <= max_degree, in fields sized for those digits, and stores none
-        of its values, so the table and its cache file never see them.
-        Each profile stays packed, and the sum stays packed too, in s digit
-        classes: accumulator j adds dim L(lam) times the digits n = j
-        (mod s) of each checked profile, shifted down so that digit n sits
-        at the bottom of slot (n - j) / s, s * B bits wide.  s is the
-        least integer with s * B >= bits(C(dim g + max_degree,
-        max_degree)) + 1, so no slot carries into the next: every digit is
-        >= 0 once the profile's mask passes, and the slot of degree n ends
-        at the Hilbert coefficient n, the dimension of a quotient of
-        S^n(g), at most C(dim g + n - 1, n) < 2^(s B).  Each class is
-        unpacked once, at the end.
+        d_n(lam) = 0 unless lam <= n * theta_long, the lam below m *
+        theta_long, m = max_degree, cover every degree.  Their profiles
+        come from ``fold``, not from the table, and are checked by
+        ``_checked`` in domain order; a folded lam outside the domain whose
+        profile, A shifted and cut, is not 0 is an internal inconsistency.
         """
-        m, rs = max_degree, self.rs
-        dim_g = rs.rank + 2 * rs.num_positive_roots
-        accs = []
-        for lam, packing, profiles in self._profiles(self.sweep_domain(m),
-                                                   self._mus(variety), degree=m):
-            if not accs:  # one batch: every lam shares this packing
-                bits = packing.bits
-                s = -(-(comb(dim_g + m, m).bit_length() + 1) // bits)
-                digit = (1 << bits) - 1
-                masks = [sum(digit << (bits * n) for n in range(j, m + 1, s))
-                         for j in range(s)]
-                accs = [0] * s
+        m, mus = max_degree, self._mus(variety)
+        digits, folded = fold(self.rs, m, mus)
+        rows = ((lam, [profiles.pop(lam, 0) for profiles in folded])
+                for lam in self.sweep_domain(m))
+        coeffs = [0] * (m + 1)
+        for lam, profiles in self._checked(rows, mus, digits, m + 1):
             if profiles[-1]:
-                dim = weyl_dim(rs, lam)
-                for j, mask in enumerate(masks):
-                    accs[j] += dim * ((profiles[-1] & mask) >> (bits * j))
-        # The domain holds 0, so the loop ran and s is set.
-        width = s * bits
-        slot = (1 << width) - 1
-        return [(accs[n % s] >> (width * (n // s))) & slot for n in range(m + 1)]
+                dim = weyl_dim(self.rs, lam)
+                for n, c in enumerate(digits.unpack(profiles[-1], m)):
+                    coeffs[n] += dim * c
+        # What is left is outside the domain (mus is [0] or [0, theta_s]):
+        # the digits D keeps, and A keeps once shifted and cut, must be 0.
+        low = (1 << (digits.bits * (m + 1))) - 1
+        for name, keep, rest in zip("da", [low, low >> digits.bits * self.k], folded):
+            stray = sorted(lam for lam, value in rest.items() if value & keep)
+            if stray:
+                raise InternalInconsistencyError(
+                    f"{name} profile of {stray[0]} is nonzero outside sweep_domain({m})")
+        return coeffs
+
+
+def fold(rs: RootSystem, m: int, mus) -> tuple[partition._Digits, list[dict]]:
+    """(digits, [{lam: E(lam, mu; 2^B) mod 2^(B (m + 1))}, one per mu]),
+    every lam with a nonzero value, from ``partition.low_degrees``.
+
+    In E(lam, mu; q) = sum_w (-1)^w P(w.lam - mu; q), w.lam - mu = x
+    exactly when w(lam + rho) = x + mu + rho, and lam + rho is regular.
+    So each x whose x + mu + rho is off every wall adds its value, with
+    the sign of w, to the one lam with lam + rho dominant in that orbit
+    (``weyl.chamber_signs``), and the others add nothing: the
+    Racah-Speiser (Brauer-Klimyk) fold of the q-partition function.
+    """
+    digits, values = partition.low_degrees(rs, m)
+    columns = list(zip(*rs.cartan))  # x in weight coordinates: x . cartan
+    weights = [[sum(map(mul, x, column)) for column in columns] for x in values]
+    folded = []
+    for mu in mus:
+        shift = vadd(mu, rs.rho)
+        points = [list(map(add, w, shift)) for w in weights]
+        profile: dict[Weight, int] = {}
+        for sign, nu, value in zip(chamber_signs(rs, points), points, values.values()):
+            if sign:
+                top = tuple(nu)
+                profile[top] = profile.get(top, 0) + sign * value
+        folded.append({vsub(top, rs.rho): v for top, v in profile.items() if v})
+    return digits, folded
 
 
 def _digits(packing, value) -> dict[int, int]:

@@ -35,14 +35,9 @@ each level needs, and a forward pass from j = rank + 1 up fills them
 in one dict, updated in place.  The levels are the scratch space of one
 fill; only the top values P_N = P outlive it.
 
-A batch with a degree m (``packed_sums(..., degree=m)``, the Hilbert
-series) needs the digits n <= m alone, so it works modulo q^(m + 1):
-its values have m + 1 fields, B is sized for those digits, and level j
-drops every key with a coordinate above m times that coordinate's
-largest value among the first j roots, since no m of those roots reach
-it.  Such values are residues, not polynomials, so the batch stores
-none of them: it never changes the table, its ``unsaved`` flag or its
-cache file.
+``hilbert`` is the one query off ``packed_sums``: ``low_degrees``
+builds the digits n <= m of every P(x; q) forward from 0, over the few
+x that at most m roots reach; no table holds such residues.
 
 The DP runs on Python ints (``_Packing``).  A key packs x into one int,
 a fixed-width field per coordinate with a guard bit on top, so x - alpha
@@ -59,7 +54,7 @@ coefficient of a signed sum over distinct arguments (a sum in which an
 argument occurs twice is refused); B = bits(M) + 1 leaves a sign bit
 for the balanced unpack of such a sum, and makes the test that every
 digit of it is >= 0 one add and one mask over the top bit of each
-field (``_Packing.nonnegative``).  The field width and B are fixed for a
+field (``_Digits.nonnegative``).  The field width and B are fixed for a
 height capacity H; a batch with a taller argument gets a wider packing,
 so a field never overflows into its neighbour, and a held value from a
 narrower one is repacked when that batch reads it.
@@ -81,55 +76,14 @@ PARTITION_CACHE_SCHEMA = 3
 _MAGIC = "nilcone-partition-cache"
 
 
-class _Packing:
-    """The partition DP at one width: packed keys, Kronecker values.
+class _Digits:
+    """Values packed at q = 2^bits, one field per digit, read back and
+    sign-tested digit by digit."""
 
-    Each coordinate of a key gets `span` bits, enough for any coordinate
-    of a cone point up to the height capacity and of every root, and a
-    guard bit above them.  Values are P_j(x; 2^bits), or with a degree,
-    P_j(x; 2^bits) mod 2^(bits (degree + 1)): the digits of q^0, ...,
-    q^degree alone, in the `low` fields.  Each fill owns its levels and
-    a packing never changes once built, so a table swaps in a wider
-    packing without disturbing a DP running on this one.
-    """
-
-    def __init__(self, roots, rank: int, height: int, degree: int | None = None):
-        self.rank = rank
-        self.height = height
-        self.degree = degree
-        # No coefficient of a value, nor of a signed sum of values of
-        # distinct x, exceeds this (in the degrees kept); one more bit
-        # holds the sign.
-        self.bound = _coefficient_bound([sum(r) for r in roots], height, degree)
-        self.bits = self.bound.bit_length() + 1
-        span = max(height, *map(max, roots)).bit_length()
-        self.shifts = tuple((span + 1) * i for i in range(rank))
-        self.guards = sum(1 << (s + span) for s in self.shifts)
-        # A 1 in every field, and one field's mask: (key * ones >> shifts[-1])
-        # & field is the height of a cone point no taller than `height`.
-        self.ones = sum(1 << s for s in self.shifts)
-        self.field = (1 << (span + 1)) - 1
-        self.roots = [self.key(r) for r in roots]
-        if degree is None:
-            self.low, self.caps = -1, None  # x & -1 == x: nothing is cut
-        else:
-            # The fields of q^0, ..., q^degree; and, for each j, the key
-            # (guard bits set) of the coordinatewise largest y at which a
-            # digit kept of P_j(y) can be nonzero: n <= degree of the first
-            # j roots have each coordinate at most n times its largest
-            # value among them.  No key is taller than `height` anyway.
-            self.low = (1 << (self.bits * (degree + 1))) - 1
-            self.caps, largest = [], [0] * rank
-            for r in roots:
-                largest = list(map(max, largest, r))
-                self.caps.append(self.key([min(degree * c, height) for c in largest])
-                                 | self.guards)
+    def __init__(self, bits: int):
+        self.bits = bits
         # fields -> tops(fields).
         self._tops: dict[int, int] = {}
-
-    def key(self, x) -> int:
-        """x, whose coordinates fit in their fields, packed into one int."""
-        return sum(map(lshift, x, self.shifts))
 
     def pack(self, coeffs) -> int:
         """sum_n c_n 2^(bits n)."""
@@ -174,6 +128,37 @@ class _Packing:
         tops = self.tops(fields)
         return (value + tops) & tops == tops
 
+
+class _Packing(_Digits):
+    """The partition DP at one width: packed keys, Kronecker values.
+
+    Each coordinate of a key gets `span` bits, enough for any coordinate
+    of a cone point up to the height capacity and of every root, and a
+    guard bit above them.  Values are P_j(x; 2^bits).  Each fill owns
+    its levels and a packing never changes once built, so a table swaps
+    in a wider packing without disturbing a DP running on this one.
+    """
+
+    def __init__(self, roots, rank: int, height: int):
+        self.rank = rank
+        self.height = height
+        # No coefficient of a value, nor of a signed sum of values of
+        # distinct x, exceeds this; one more bit holds the sign.
+        self.bound = _coefficient_bound([sum(r) for r in roots], height)
+        super().__init__(self.bound.bit_length() + 1)
+        span = max(height, *map(max, roots)).bit_length()
+        self.shifts = tuple((span + 1) * i for i in range(rank))
+        self.guards = sum(1 << (s + span) for s in self.shifts)
+        # A 1 in every field, and one field's mask: (key * ones >> shifts[-1])
+        # & field is the height of a cone point no taller than `height`.
+        self.ones = sum(1 << s for s in self.shifts)
+        self.field = (1 << (span + 1)) - 1
+        self.roots = [self.key(r) for r in roots]
+
+    def key(self, x) -> int:
+        """x, whose coordinates fit in their fields, packed into one int."""
+        return sum(map(lshift, x, self.shifts))
+
     def levels(self, keys) -> list[list[int]]:
         """The keys each level j = N, ..., rank + 1 needs to give P_N(x;
         2^bits) at the given keys of cone points, one list per level,
@@ -186,19 +171,10 @@ class _Packing:
         needs P_{j-1}, so they are what level j - 1 is asked for.  A
         chain goes in bottom-up, after the chain it rests on, so each
         list is in the order ``fill`` computes it.
-
-        A truncated packing asks level j only for the keys y below its
-        cap, coordinate by coordinate (one subtraction and one mask, as
-        for the cone): n of the first j roots sum to no more than n times
-        their largest value in each coordinate, so every digit n <=
-        degree of P_j at any other y is 0.  A key left out reads as 0.
         """
-        guards, caps, levels = self.guards, self.caps, []
-        for j in reversed(range(self.rank, len(self.roots))):
-            if caps:
-                cap = caps[j]
-                keys = [y for y in keys if (cap - y) & guards == guards]
-            alpha, lacking = self.roots[j], {}
+        guards, levels = self.guards, []
+        for alpha in reversed(self.roots[self.rank:]):
+            lacking: dict[int, None] = {}
             for y in keys:
                 chain = []
                 while y not in lacking:
@@ -215,34 +191,30 @@ class _Packing:
         return levels
 
     def fill(self, keys) -> dict[int, int]:
-        """{y: P_N(y; 2^bits)} over the keys asked for, truncated to the
-        fields of q^0, ..., q^degree when the packing has a degree; a key
-        the truncation left out reads as 0, and the dict may hold other
-        keys too.
+        """{y: P_N(y; 2^bits)} over the keys asked for; the dict holds
+        the other keys of the levels too.
 
         One dict holds the values and is updated in place, level by
         level from j = rank + 1 up, each list in order, so y - alpha_j
         holds P_j before y is read: P_j(y) = P_{j-1}(y) + q P_j(y -
-        alpha_j), one shift and one add (and, truncated, one mask) per
-        entry whose chain goes on, and no recursion.  A key whose
-        alpha_j chain ends keeps P_{j-1}(y) = P_j(y).  Level rank counts
-        only simple roots, so it is q^height(y) for every cone point y,
-        and it is the top level when N = rank.
+        alpha_j), one shift and one add per entry whose chain goes on,
+        and no recursion.  A key whose alpha_j chain ends keeps P_{j-1}(y)
+        = P_j(y).  Level rank counts only simple roots, so it is
+        q^height(y) for every cone point y, and it is the top level when
+        N = rank.
         """
         levels = self.levels(keys)
-        bits, guards, low, ones, top_field, field = (
-            self.bits, self.guards, self.low, self.ones, self.shifts[-1], self.field)
-        cap = self.height if self.degree is None else self.degree
+        bits, guards, ones, top_field, field = (
+            self.bits, self.guards, self.ones, self.shifts[-1], self.field)
         # y * ones sums y's fields into its top field without a carry.
-        values = {y: 1 << (bits * h) for y in (levels[-1] if levels else keys)
-                  if (h := (y * ones >> top_field) & field) <= cap}
-        get = values.get
+        values = {y: 1 << (bits * ((y * ones >> top_field) & field))
+                  for y in (levels[-1] if levels else keys)}
         for alpha in self.roots[self.rank:]:
             # Popped, so each level's key list is freed once it is filled.
             for y in levels.pop():
                 t = (y | guards) - alpha
                 if t & guards == guards:
-                    values[y] = get(y, 0) + ((get(t ^ guards, 0) << bits) & low)
+                    values[y] += values[t ^ guards] << bits
         return values
 
 
@@ -304,8 +276,7 @@ class PartitionTable:
         """Ungraded count: P(x; 1), the sum of p(x, n) over all n."""
         return sum(self.poly(x))
 
-    def packed_sums(self, term_lists, degree: int | None = None
-                    ) -> list[tuple[_Packing, int]]:
+    def packed_sums(self, term_lists) -> list[tuple[_Packing, int]]:
         """(packing, sum of sign * P(x; 2^B)) for each list of (sign, x)
         terms with distinct x of rank coordinates, each in the nonnegative
         cone: the one alternating kernel, before any unpacking, over a
@@ -320,14 +291,6 @@ class PartitionTable:
         list had before are filled by one ``_Packing.fill``.  A list in
         which an argument occurs twice, or an argument of the wrong
         length, raises ValueError.
-
-        With a degree m, each term is P(x; 2^B) mod 2^(B (m + 1)): a
-        total is exact in its digits n <= m only, which is all the
-        balanced and sign reads of m + 1 fields look at, and B is sized
-        for those digits alone.  Such a batch runs in a packing of its
-        own, reads held values truncated, and stores nothing: a value it
-        fills is not the whole polynomial, so it never reaches the table,
-        ``unsaved`` or a cache file.
         """
         term_lists = list(term_lists)
         args: set[RootVector] = set()
@@ -339,11 +302,7 @@ class PartitionTable:
         rank = self.rs.rank
         if any(len(x) != rank for x in args):
             raise ValueError(f"an argument does not have {rank} coordinates")
-        height = max(map(sum, args), default=0)
-        if degree is None:
-            packing = self.reserve(height)
-        else:
-            packing = _Packing(self._roots, rank, height, degree)
+        packing = self.reserve(max(map(sum, args), default=0))
         values, bits = self._values, packing.bits
         value_of: dict[RootVector, int] = {}
         new = []
@@ -353,9 +312,7 @@ class PartitionTable:
                 new.append(x)
                 continue
             old, value = held
-            if degree is not None:
-                value = packing.pack(old.unpack(value, min(sum(x), degree)))
-            elif old.bits != bits:  # a value depends on its packing's bits alone
+            if old.bits != bits:  # a value depends on its packing's bits alone
                 value = packing.pack(old.unpack(value, sum(x)))
                 values[x] = packing, value
             value_of[x] = value
@@ -363,10 +320,9 @@ class PartitionTable:
             keys = [packing.key(x) for x in new]
             top = packing.fill(keys)
             for x, k in zip(new, keys):
-                value_of[x] = top.get(k, 0)
-            if degree is None:
-                values.update((x, (packing, value_of[x])) for x in new)
-                self.unsaved = True
+                value = value_of[x] = top[k]
+                values[x] = packing, value
+            self.unsaved = True
         sums = []
         for terms in term_lists:
             total = 0
@@ -524,24 +480,57 @@ class PartitionTable:
         return loaded if len(loaded) == len(lines) else None
 
 
-def _coefficient_bound(heights, height: int, degree: int | None = None) -> int:
+def _coefficient_bound(heights, height: int) -> int:
     """A bound on every coefficient of P(x; q) with height(x) <= height,
     and on every coefficient of a signed sum of such P over distinct x,
-    for positive roots of the given heights; with a degree, on the
-    coefficients of q^n, n <= degree, alone.
+    for positive roots of the given heights.
 
     p(x, n) counts multisets of n of the N roots summing to x, so the
     p(x, n) of distinct x count disjoint multisets.  Those are multisets
-    of n <= min(height, degree) roots, at most C(N + n - 1, n) of them,
-    and multisets of total height <= height, counted here as coin change
-    over the root heights; the smaller count bounds both.
+    of n <= height roots, at most C(N + height - 1, height) of them, and
+    multisets of total height <= height, counted here as coin change over
+    the root heights; the smaller count bounds both.
     """
     counts = [1] + [0] * height  # multisets by total height
     for a in heights:
         for h in range(a, height + 1):
             counts[h] += counts[h - a]
-    n = height if degree is None else min(height, degree)
-    return min(comb(len(heights) + n - 1, n), sum(counts))
+    return min(comb(len(heights) + height - 1, height), sum(counts))
+
+
+def low_degrees(rs: RootSystem, m: int) -> tuple[_Digits, dict[RootVector, int]]:
+    """(digits, {x: P(x; 2^B) mod 2^(B (m + 1))}) over every x with a
+    nonzero digit n <= m: the sums of at most m positive roots.
+
+    B = bits(C(N + m - 1, m)) + 1: digit n of a signed sum over distinct
+    x counts disjoint multisets of n roots, and one bit holds the sign.
+
+    Built forward from P = 1 at 0, root by root, with no targets:
+    P_j(y) = P_{j-1}(y) + q P_j(y - alpha_j), cut to m + 1 fields.  Keys
+    pack y (fields wide enough for m roots, and a guard bit), so they
+    ascend along each alpha_j-line, and only a value with a digit n < m
+    moves up it.  In ascending order, each moving y whose y - alpha_j is
+    not moving (a borrow sets a guard bit and names no key) starts a
+    walk, up to the first value of digit m alone.
+    """
+    roots = rs.positive_root_coords
+    digits = _Digits(comb(len(roots) + m - 1, m).bit_length() + 1)
+    bits, low = digits.bits, (1 << (digits.bits * (m + 1))) - 1
+    span = (max(m, 1) * max(map(max, roots))).bit_length() + 1
+    shifts = [span * i for i in range(rs.rank)]
+    moving, still = ({0: 1}, {}) if m else ({}, {0: 1})
+    for r in roots:
+        alpha = sum(map(lshift, r, shifts))
+        for y in sorted(moving):
+            w = (moving[y] << bits) & low if y - alpha not in moving else 0
+            while w:  # q P_j(y), cut
+                y += alpha
+                v = moving.get(y, 0) + still.pop(y, 0) + w
+                w = (v << bits) & low
+                (moving if w else still)[y] = v
+    field = (1 << span) - 1
+    return digits, {tuple([(y >> s) & field for s in shifts]): v
+                    for part in (moving, still) for y, v in part.items()}
 
 
 def _sha256(data: bytes):

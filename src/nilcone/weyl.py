@@ -109,19 +109,25 @@ def euler_induced(rs: RootSystem, mu) -> tuple[int, Weight] | None:
     (-1)^length(w).
     """
     nu = list(vadd(mu, rs.rho))
-    rank = rs.rank
-    sign = 1
-    while True:
-        neg = None
-        for i in range(rank):
-            if nu[i] == 0:
-                return None
-            if nu[i] < 0 and neg is None:
-                neg = i
-        if neg is None:
-            return sign, vsub(tuple(nu), rs.rho)
-        c = nu[neg]
-        row = rs.cartan[neg]
-        for j in range(rank):
-            nu[j] -= c * row[j]
-        sign = -sign
+    [sign] = chamber_signs(rs, [nu])
+    return (sign, vsub(tuple(nu), rs.rho)) if sign else None
+
+
+def chamber_signs(rs: RootSystem, points) -> list[int]:
+    """Move each point, a list of weight coordinates, into the dominant
+    chamber in place by s_i(nu) = nu - nu_i alpha_i at a negative nu_i,
+    and give (-1)^length(w) for the w that moves it there, or 0 once a
+    coordinate is 0 (a wall).  A whole batch is one call: a call per
+    point would cost about as much again as its walk.
+    """
+    # Row i of the Cartan matrix is alpha_i; its nonzero entries move nu.
+    rows = [[(j, a) for j, a in enumerate(row) if a] for row in rs.cartan]
+    signs = []
+    for nu in points:
+        sign, c = 1, 0
+        while 0 not in nu and (c := min(nu)) < 0:
+            for j, a in rows[nu.index(c)]:
+                nu[j] -= c * a
+            sign = -sign
+        signs.append(sign if c > 0 else 0)
+    return signs

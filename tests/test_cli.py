@@ -136,15 +136,25 @@ def test_graded_sweep_with_check():
     assert result.exit_code == 0
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_jobs_is_no_longer_an_option(jobs):
+@pytest.mark.parametrize("command,option,value", [
+    ("graded", "--jobs", "1"),
+    ("graded", "--jobs", "2"),
+    # hilbert reads no partition value from a cache file and writes none.
+    ("hilbert", "--cache-dir", "DIR"),
+], ids=["1", "2", "hilbert-cache-dir"])
+def test_jobs_is_no_longer_an_option(tmp_path, command, option, value):
+    # Options that commands no longer take.
+    directory = tmp_path / "cache"
+    directory.mkdir()
+    value = str(directory) if value == "DIR" else value
     result = invoke([
-        "graded", "-f", "A", "-r", "2", "--variety", "nilcone",
-        "--sweep", "2", "--jobs", jobs,
+        command, "-f", "A", "-r", "2", "--variety", "nilcone",
+        *(["--sweep", "2"] if command == "graded" else []), option, value,
     ])
     assert result.exit_code == EXIT_USAGE
-    assert "unrecognized arguments" in result.output and "--jobs" in result.output
-    assert result.stderr.startswith("usage: nilcone graded")
+    assert "unrecognized arguments" in result.output and option in result.output
+    assert result.stderr.startswith(f"usage: nilcone {command}")
+    assert list(directory.iterdir()) == []
 
 
 def test_import_loads_no_process_pool():
@@ -260,7 +270,8 @@ def test_graded_needs_lambda_xor_sweep():
 ], ids=["cohomology-sweep", "cohomology-max-i", "graded-max-degree",
         "graded-sweep", "hilbert-max-degree"])
 def test_negative_counts_are_usage_errors(tmp_path, args):
-    result = invoke([*args, "-f", "A", "-r", "2", "--cache-dir", str(tmp_path)])
+    cache = [] if args[0] == "hilbert" else ["--cache-dir", str(tmp_path)]
+    result = invoke([*args, "-f", "A", "-r", "2", *cache])
     assert result.exit_code == EXIT_USAGE
     assert "-1 is not in the range" in result.output
     assert list(tmp_path.iterdir()) == []
@@ -633,49 +644,6 @@ def test_compute_commands_honour_cache_env(tmp_path, monkeypatch):
     ])
     assert result.exit_code == 0
     assert (tmp_path / "partition_A1.txt").exists()
-
-
-def _snapshot(directory):
-    """{name: bytes} of every file under directory."""
-    return {p.relative_to(directory): p.read_bytes()
-            for p in directory.rglob("*") if p.is_file()}
-
-
-@pytest.mark.parametrize("variety", ["nilcone", "subregular"])
-def test_hilbert_reads_the_cache_but_never_adds_records(tmp_path, variety):
-    # hilbert's partition values are truncated to --max-degree, so none of
-    # them may reach the cache file: an absent file stays absent, and a
-    # warm one, here from a graded sweep, stays byte-identical, while its
-    # records still give the cache-less output.
-    args = ["hilbert", "-f", "G", "-r", "2", "--variety", variety,
-            "--max-degree", "6", "--check"]
-    plain = invoke(args)
-    assert plain.exit_code == 0, plain.output
-    cached = [*args, "--cache-dir", str(tmp_path)]
-    result = invoke(cached)
-    assert (result.exit_code, result.stdout, result.stderr) == (0, plain.stdout, "")
-    assert _snapshot(tmp_path) == {}
-    warm = invoke(["graded", "-f", "G", "-r", "2", "--variety", "subregular",
-                   "--sweep", "3", "--cache-dir", str(tmp_path)])
-    assert warm.exit_code == 0
-    before = _snapshot(tmp_path)
-    assert list(before) == [Path("partition_G2.txt")]
-    result = invoke(cached)
-    assert (result.exit_code, result.stdout, result.stderr) == (0, plain.stdout, "")
-    assert _snapshot(tmp_path) == before
-
-
-def test_hilbert_still_rewrites_a_stale_cache_file(tmp_path):
-    args = ["hilbert", "-f", "G", "-r", "2", "--variety", "nilcone",
-            "--max-degree", "6", "--cache-dir", str(tmp_path)]
-    path = tmp_path / "partition_G2.txt"
-    path.write_text("not a cache file\n")
-    result = invoke(args)
-    assert result.exit_code == 0
-    assert result.stderr.startswith("warning: ") and len(result.stderr.splitlines()) == 1
-    header, records = split(path)
-    assert header[0] == "nilcone-partition-cache" and records == []
-    assert invoke(args).stderr == ""
 
 
 def test_unknown_option_rejected():

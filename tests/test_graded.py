@@ -492,9 +492,8 @@ def test_negative_coefficient_from_the_packed_kernel_is_a_hard_error(
                                                     ("G", 2, 24)])
 def test_hilbert_series_is_the_per_weight_sum(calculators, family, rank,
                                               max_degree, variety):
-    # hilbert_series sums packed profiles in digit classes (s = 1 for F4
-    # to degree 3, 2 for G2 to degree 24, 7 for A1 to degree 24);
-    # series_batch() is the dict path.
+    # hilbert_series sums the fold's low digits; series_batch() reads the
+    # full series of the partition table.
     calc = calculators(family, rank)
     expected = [0] * (max_degree + 1)
     lams = calc.sweep_domain(max_degree)
@@ -512,9 +511,9 @@ def count_batches(monkeypatch):
 
     real, calls = PartitionTable.packed_sums, []
 
-    def counted(self, term_lists, degree=None):
+    def counted(self, term_lists):
         calls.append(1)
-        return real(self, term_lists, degree=degree)
+        return real(self, term_lists)
 
     monkeypatch.setattr(PartitionTable, "packed_sums", counted)
     return calls
@@ -526,7 +525,7 @@ def test_each_domain_is_one_batch(monkeypatch, family, rank):
     for variety in Variety:
         calls.clear()
         fresh_calculator(family, rank).hilbert_series(variety, 4)
-        assert len(calls) == 1
+        assert len(calls) == 0  # the fold reads no partition table
         calc = fresh_calculator(family, rank)
         calls.clear()
         calc.series_batch(variety, calc.sweep_domain(2))
@@ -545,16 +544,17 @@ def test_each_domain_is_one_batch(monkeypatch, family, rank):
         query(fresh_calculator(family, rank))
         assert len(calls) == 1
     # cohomology --check reads its totals from the rows' own batch.
-    for args in (["graded", "--variety", "subregular", "--sweep", "2", "--check"],
-                 ["graded", "--variety", "nilcone", "--lambda", ",".join(["1"] * rank)],
-                 ["cohomology", "--kind", "tilting", "--sweep", "2"],
-                 *(["cohomology", "--kind", kind.value, "--sweep", "2", "--check"]
-                   for kind in ModuleKind),
-                 ["hilbert", "--variety", "subregular", "--max-degree", "3"]):
+    for args, batches in (
+            (["graded", "--variety", "subregular", "--sweep", "2", "--check"], 1),
+            (["graded", "--variety", "nilcone", "--lambda", ",".join(["1"] * rank)], 1),
+            (["cohomology", "--kind", "tilting", "--sweep", "2"], 1),
+            *((["cohomology", "--kind", kind.value, "--sweep", "2", "--check"], 1)
+              for kind in ModuleKind),
+            (["hilbert", "--variety", "subregular", "--max-degree", "3"], 0)):
         calls.clear()
         result = invoke([*args, "-f", family, "-r", str(rank)])
         assert result.exit_code == 0, result.output
-        assert len(calls) == 1, args
+        assert len(calls) == batches, args
 
 
 @pytest.mark.parametrize("variety", list(Variety))
@@ -569,12 +569,14 @@ def test_series_batch_is_the_per_weight_series(calculators, family, rank, sweep,
 
 
 def skew_packed_kernel(monkeypatch, lam, mu, by):
-    """Make PartitionTable.packed_sums return E(lam, mu; 2^B) - by, which
-    lowers its degree-0 digit by `by`, for every path that reads it.  The
-    term walk tags its lists with their (lam, mu) so the kernel knows."""
+    """Make PartitionTable.packed_sums and graded.fold return E(lam, mu;
+    2^B) - by, which lowers its degree-0 digit by `by`, for every path
+    that reads it.  The term walk tags its lists with their (lam, mu) so
+    the kernel knows; the fold gives a profile per (lam, mu) anyway."""
     from nilcone import PartitionTable, graded
 
-    real_terms, real_sums = graded.dot_terms, PartitionTable.packed_sums
+    real_terms, real_sums, real_fold = (graded.dot_terms, PartitionTable.packed_sums,
+                                        graded.fold)
 
     class Terms(list):
         pass
@@ -584,15 +586,23 @@ def skew_packed_kernel(monkeypatch, lam, mu, by):
         terms.query = (tuple(lam_), tuple(mu_))
         return terms
 
-    def skewed(self, term_lists, degree=None):
+    def skewed(self, term_lists):
         term_lists = list(term_lists)
         return [(packing, value - by if getattr(terms, "query", None) == (lam, mu)
                  else value)
                 for terms, (packing, value) in zip(
-                    term_lists, real_sums(self, term_lists, degree=degree))]
+                    term_lists, real_sums(self, term_lists))]
+
+    def skewed_fold(rs, m, mus):
+        digits, folded = real_fold(rs, m, mus)
+        for mu_, profiles in zip(mus, folded):
+            if tuple(mu_) == mu:
+                profiles[lam] = profiles.get(lam, 0) - by
+        return digits, folded
 
     monkeypatch.setattr(graded, "dot_terms", tagged)
     monkeypatch.setattr(PartitionTable, "packed_sums", skewed)
+    monkeypatch.setattr(graded, "fold", skewed_fold)
 
 
 def fresh_calculator(family, rank):
@@ -644,6 +654,27 @@ def test_hilbert_subregular_negativity_is_a_hard_error(monkeypatch, family, rank
     with pytest.raises(PositivityViolationError) as exc:
         calc.hilbert_series(Variety.SUBREGULAR, 3)
     assert (exc.value.weight, exc.value.degree) == (theta_s, k)
+
+
+@pytest.mark.parametrize("mu", ["zero", "theta_s"])
+def test_hilbert_profile_outside_the_domain_is_a_hard_error(monkeypatch, mu):
+    # One more unit of d_0, or of a_k (k = 3 <= m), at 4 theta, beyond the
+    # weights below 3 theta whose profiles hilbert sums: every digit stays
+    # nonnegative, so only the domain check sees it, and it is never
+    # dropped silently.
+    from nilcone import InternalInconsistencyError
+
+    calc = fresh_calculator("G", 2)
+    lam = tuple(4 * c for c in calc.rs.theta_long)
+    assert lam not in calc.sweep_domain(3)
+    mu = (0, 0) if mu == "zero" else calc.rs.theta_short
+    skew_packed_kernel(monkeypatch, lam, mu, -1)
+    name = "a" if any(mu) else "d"
+    message = (rf"^{name} profile of {re.escape(str(lam))} is nonzero "
+               r"outside sweep_domain\(3\)$")
+    for variety in (Variety if name == "d" else [Variety.SUBREGULAR]):
+        with pytest.raises(InternalInconsistencyError, match=message):
+            calc.hilbert_series(variety, 3)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("G", 2)])

@@ -12,16 +12,19 @@ from nilcone import (
     GradedCalculator,
     PartitionTable,
     StaleCacheError,
+    Variety,
     build,
     dot_terms,
     kostant_mult,
 )
+from nilcone.graded import fold
 from nilcone.partition import (
     PARTITION_CACHE_SCHEMA,
     _coefficient_bound,
     _Packing,
     cache_path,
     load_table,
+    low_degrees,
 )
 from cache_file import digest, rewrite
 from tuple_dp import TupleDP
@@ -317,14 +320,34 @@ def test_batch_fill_matches_one_at_a_time(family, rank, sweep):
     assert held(batch) == held(single)
 
 
-def kostant_term_lists(rs, top):
-    """The dot_terms lists of every (lam, mu), lam dominant below top and
-    mu any weight of the W-orbits below lam: most mu are not dominant,
-    so some digits of the sums are negative."""
+def kostant_pairs(rs, top):
+    """(lam, mu) for every lam dominant below top and mu any weight of the
+    W-orbits below lam: most mu are not dominant, so some digits of
+    E(lam, mu; q) are negative."""
     lams = rs.dominant_below(top)
-    return [dot_terms(rs, lam, mu) for lam in lams
+    return [(lam, mu) for lam in lams
             for nu in lams if rs.dominance_le(nu, lam)
             for mu in rs.weight_orbit(nu)]
+
+
+def low_digits_of_full_sums(rs, pairs, m):
+    """The balanced digits n <= m of E(lam, mu; q) for each (lam, mu),
+    from one full packed_sums batch of their dot_terms lists."""
+    lists = [dot_terms(rs, lam, mu) for lam, mu in pairs]
+    height = max((sum(x) for terms in lists for _, x in terms), default=0)
+    full = PartitionTable(rs).packed_sums(lists)
+    digits = [{n: c for n, c in p.balanced(total, height).items() if n <= m}
+              for p, total in full]
+    return digits, full[0][0]
+
+
+def fold_digits(rs, pairs, m):
+    """The balanced digits n <= m of E(lam, mu; q) for each (lam, mu),
+    read off graded.fold, and the fold's digit packing."""
+    mus = sorted({mu for _, mu in pairs})
+    digits, folded = fold(rs, m, mus)
+    profiles = dict(zip(mus, folded))
+    return [digits.balanced(profiles[mu].get(lam, 0), m) for lam, mu in pairs], digits
 
 
 @pytest.mark.parametrize("family,rank,degrees", [
@@ -332,82 +355,88 @@ def kostant_term_lists(rs, top):
     ("B", 3, range(5)), ("G", 2, range(13)), ("F", 4, [4]), ("E", 6, [3]),
 ])
 def test_truncated_sums_are_the_low_digits_of_the_full_sums(family, rank, degrees):
-    # A batch truncated to q^m gives, in its digits 0..m, the balanced
-    # digits 0..m of the full batch: over the Hilbert domain below m * theta
-    # (both mus) and over Kostant lists with non-dominant mu, where digits
-    # go negative.
+    # The fold's profile of each lam gives, in its digits 0..m, the
+    # balanced digits 0..m of the full batch: over the Hilbert domain below
+    # m * theta (both mus) and over Kostant pairs with non-dominant mu,
+    # where digits go negative.  No folded lam outside the domain has a
+    # nonzero d digit, or a nonzero a_i = digit i - k of E(lam, theta_s)
+    # with i <= m.
     rs = build(family, rank)
+    zero, k = (0,) * rank, GradedCalculator(rs).k
     for m in degrees:
-        lists, height = domain_term_lists(rs, m)
+        top = tuple(m * c for c in rs.theta_long)
+        domain = rs.dominant_below(top)
+        pairs = [(lam, mu) for lam in domain for mu in (zero, rs.theta_short)]
         if m <= 2:
-            lists += kostant_term_lists(rs, tuple(m * c for c in rs.theta_long))
-        full = PartitionTable(rs).packed_sums(lists)
-        cut = PartitionTable(rs).packed_sums(lists, degree=m)
-        want = [{n: c for n, c in p.balanced(total, height).items() if n <= m}
-                for p, total in full]
-        got = [p.balanced(total, m) for p, total in cut]
+            pairs += kostant_pairs(rs, top)
+        want, packing = low_digits_of_full_sums(rs, pairs, m)
+        got, digits = fold_digits(rs, pairs, m)
         assert got == want, m
-        [packing] = {p for p, _ in cut}
-        assert packing.degree == m and packing.bits <= full[0][0].bits
+        assert digits.bits <= packing.bits
         if 1 <= m <= 2 and rank > 1:  # e.g. A2: E((1, 1), (-2, 1); q) = -q
-            assert min(c for digits in want for c in digits.values()) < 0
+            assert min(c for d in want for c in d.values()) < 0
+        _, (d, e) = fold(rs, m, [zero, rs.theta_short])
+        assert set(d) <= set(domain)
+        assert {lam for lam, v in e.items()
+                if any(n + k <= m for n in digits.balanced(v, m))} <= set(domain)
 
 
 def test_truncated_fill_is_narrower_and_smaller():
     # G2 to degree 24: 25 fields of bits(C(6 + 23, 24)) + 1 = 18 bits,
-    # where the full batch needs 121 fields of 27 bits; and each level
-    # keeps only keys the full fill has, within its coordinate caps:
-    # 5519 entries instead of 9301.
-    rs = build("G", 2)
-    lists, height = domain_term_lists(rs, 24)
-    [(full, _), *_] = PartitionTable(rs).packed_sums(lists)
-    [(cut, _), *_] = PartitionTable(rs).packed_sums(lists, degree=24)
+    # where the full batch needs 121 fields of 27 bits; and the forward
+    # pass holds only the sums of at most 24 roots, fewer entries than
+    # the full fill of the domain reaches, each the low digits of its
+    # full value.  Every other x up to height 120 has no digit n <= 24.
+    rs, m = build("G", 2), 24
+    lists, height = domain_term_lists(rs, m)
+    table = PartitionTable(rs)
+    [(full, _), *_] = table.packed_sums(lists)
+    digits, values = low_degrees(rs, m)
     assert (height, full.bits) == (120, 27)
-    assert cut.bits == math.comb(6 + 23, 24).bit_length() + 1 == 18
-    assert cut.low == (1 << (18 * 25)) - 1
-    args = {x for terms in lists for _, x in terms}
-    full_levels = level_keys(full, [full.key(x) for x in args])
-    cut_levels = level_keys(cut, [cut.key(x) for x in args])
-    assert full.shifts == cut.shifts  # one key layout: the sets compare
-    assert all(cut_levels[j] <= full_levels[j] for j in full_levels)
-    assert (sum(map(len, cut_levels.values())),
-            sum(map(len, full_levels.values()))) == (5519, 9301)
-    # Every coordinate of every kept key is within 24 times its largest
-    # value among the roots of its level and below.
-    roots = rs.positive_root_coords
-    for j, level in cut_levels.items():
-        caps = [24 * max(r[i] for r in roots[:j]) for i in range(2)]
-        assert all(y & cut.field <= caps[0] and y >> cut.shifts[1] <= caps[1]
-                   for y in level), j
+    assert digits.bits == math.comb(6 + 23, 24).bit_length() + 1 == 18
+    reached = full.fill([full.key(x) for terms in lists for _, x in terms])
+    assert (len(values), len(reached)) == (2077, 2425)
+    assert all(values.values())
+    # Every x that m roots reach: each coordinate is at most m times
+    # theta's, (3, 2).
+    cone = [x for x in itertools.product(range(3 * m + 1), range(2 * m + 1))
+            if sum(x) <= height]
+    assert set(values) <= set(cone)
+    exact = table.packed_sums([[(1, x)] for x in cone])
+    for x, (packing, value) in zip(cone, exact):
+        assert digits.unpack(values.get(x, 0), m) == packing.unpack(value, m), x
 
 
 @pytest.mark.parametrize("held_from", ["narrower", "wider", "file"])
 def test_truncated_batch_reads_held_values_and_stores_nothing(tmp_path, held_from):
-    # Values held at another width, or loaded from a cache file, are read
-    # back truncated: the same sums as a table that holds nothing.  The
-    # truncated batch leaves the table's values, packing, unsaved flag and
-    # cache file as they were.
+    # Whatever the table holds, at another width or loaded from a cache
+    # file, the fold's profiles are the low digits of the table's own full
+    # sums, and hilbert_series reads the table not at all: it leaves the
+    # table's values, packing, unsaved flag and cache file as they were.
     rs, m = build("B", 3), 3
-    lists, _ = domain_term_lists(rs, m)
-    want = PartitionTable(rs).packed_sums(lists, degree=m)
     table = PartitionTable(rs)
     table.packed_sums(domain_term_lists(rs, {"narrower": 1, "wider": m + 1,
                                              "file": 2}[held_from])[0])
     if held_from == "file":
         table.save(cache_path(rs.id, tmp_path))
         table = load_table(rs, tmp_path)
-    args = {x for terms in lists for _, x in terms}
     before = dict(table._values)
-    assert args & set(before) and (held_from == "wider") == (args <= set(before))
     packing, unsaved = table._packing, table.unsaved
     files = {f: f.read_bytes() for f in tmp_path.iterdir()}
-    got = table.packed_sums(lists, degree=m)
-    assert [t for _, t in got] == [t for _, t in want]
-    assert got[0][0] is not packing
+    calc = GradedCalculator(rs, table=table)
+    fresh = GradedCalculator(rs)
+    for variety in Variety:
+        assert calc.hilbert_series(variety, m) == fresh.hilbert_series(variety, m)
     assert table._values == before and table._packing is packing
     assert table.unsaved == unsaved == (held_from != "file")
     table.persist()
     assert {f: f.read_bytes() for f in tmp_path.iterdir()} == files
+    lists, height = domain_term_lists(rs, m)
+    want = [{n: c for n, c in p.balanced(total, height).items() if n <= m}
+            for p, total in table.packed_sums(lists)]
+    pairs = [(lam, mu) for lam in calc.sweep_domain(m)
+             for mu in ((0,) * rs.rank, rs.theta_short)]
+    assert fold_digits(rs, pairs, m)[0] == want
 
 
 @pytest.mark.parametrize("loaded", [False, True], ids=["computed", "loaded"])
