@@ -1,10 +1,11 @@
 """Graded multiplicities for the nilpotent cone and subregular orbit closure.
 
 Everything here is one alternating Weyl sum of the graded partition
-polynomials of ``PartitionTable.poly``, Lusztig's q-analogue of Kostant's
-formula E(lam, mu; q) = sum_w (-1)^w P(w.lam - mu; q), with the contributing
-w found by the pruned dot-orbit walk of ``weyl.dot_terms``.  Writing
-E(lam, mu, n) for its q^n coefficient:
+polynomials, taken by ``PartitionTable.packed_sums`` (or, for
+``hilbert_series``, by ``fold``): Lusztig's q-analogue of Kostant's
+formula E(lam, mu; q) = sum_w (-1)^w P(w.lam - mu; q), with the
+contributing w found by the pruned dot-orbit walk of ``weyl.dot_terms``.
+Writing E(lam, mu, n) for its q^n coefficient:
 
 * nilcone multiplicity   d_n(lam) = E(lam, 0, n)        (Hesselink)
 * induced-wall odd part  a_i(lam) = E(lam, theta, i - k) (Andersen-Jantzen)
@@ -94,10 +95,9 @@ class GradedCalculator:
         dot-orbit argument of every (lam, mu) in one ``packed_sums`` batch
         before any DP work; mus is [0], [theta_s] or [0, theta_s]."""
         rs, lams = self.rs, list(lams)
-        sums = self.table.packed_sums(
+        packing, totals = self.table.packed_sums(
             [dot_terms(rs, lam, mu) for lam in lams for mu in mus])
-        packing = sums[0][0] if sums else self.table.reserve(0)  # one batch
-        values = iter([value for _, value in sums])
+        values = iter(totals)
         rows = zip(lams, zip(*[values] * len(mus)))  # len(mus) values a lam
         return packing, self._checked(rows, mus, packing, packing.height + self.k + 1)
 

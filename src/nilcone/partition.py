@@ -8,12 +8,12 @@ sum of these polynomials, taken by ``packed_sums`` as one int per sum,
 for a whole batch of sums at once, and read by a mask test and a plain
 unpack (the graded queries) or by ``signed_sum``, a balanced unpack
 (Kostant's formula, where a non-dominant mu can give a negative digit).
-The table keeps each polynomial it was asked for once, packed, with the
-packing it was computed in, and can persist them.  This module is the
-only one that knows the cache file: ``load_table`` ties a table to its
-file in a cache directory, ``PartitionTable.persist`` rewrites that file
-only when the table has changed, and ``cache_files`` and
-``cache_summary`` give what ``cache list`` and ``cache clear`` show.
+The table keeps each polynomial it was asked for once, as the
+coefficient tuple a cache record holds, and can persist them.  This
+module is the only one that knows the cache file: ``load_table`` ties a
+table to its file in a cache directory, ``PartitionTable.persist``
+rewrites that file only when the table has changed, and ``cache_files``
+and ``cache_summary`` give what ``cache list`` and ``cache clear`` show.
 The file, ``partition_<TYPE>.txt``, is ASCII lines: a header (schema,
 family, rank, root-order hash, and the SHA-256 of the record lines as
 written), then one record per line, the coordinates of x and then the
@@ -54,10 +54,10 @@ coefficient of a signed sum over distinct arguments (a sum in which an
 argument occurs twice is refused); B = bits(M) + 1 leaves a sign bit
 for the balanced unpack of such a sum, and makes the test that every
 digit of it is >= 0 one add and one mask over the top bit of each
-field (``_Digits.nonnegative``).  The field width and B are fixed for a
-height capacity H; a batch with a taller argument gets a wider packing,
-so a field never overflows into its neighbour, and a held value from a
-narrower one is repacked when that batch reads it.
+field (``_Digits.nonnegative``).  Each batch builds one packing, its
+field width and B fixed by its tallest argument, so no field overflows
+into its neighbour; it packs the held values it reads and stores the
+values it fills unpacked.
 """
 
 from __future__ import annotations
@@ -134,9 +134,7 @@ class _Packing(_Digits):
 
     Each coordinate of a key gets `span` bits, enough for any coordinate
     of a cone point up to the height capacity and of every root, and a
-    guard bit above them.  Values are P_j(x; 2^bits).  Each fill owns
-    its levels and a packing never changes once built, so a table swaps
-    in a wider packing without disturbing a DP running on this one.
+    guard bit above them.  Values are P_j(x; 2^bits).
     """
 
     def __init__(self, roots, rank: int, height: int):
@@ -221,12 +219,10 @@ class _Packing(_Digits):
 class PartitionTable:
     """Partition polynomials for one root system.
 
-    Readers may share a table across threads: each DP fill runs on its
-    own levels, values are deterministic, and every held value carries
-    the packing it is written in, so two threads that store the same
-    argument store equal polynomials, in whichever width (last write wins
-    under the GIL's atomic dict stores), and a wider packing replaces the
-    old one whole.
+    Readers may share a table across threads: each batch owns its
+    packing and levels, and the held values are immutable coefficient
+    tuples, so two threads that store the same argument store equal
+    tuples (last write wins under the GIL's atomic dict stores).
     """
 
     def __init__(self, rs: RootSystem):
@@ -234,24 +230,15 @@ class PartitionTable:
         # DP order is the build order: by height, then lexicographic, so the
         # first rank roots are the simple ones.
         self._roots = rs.positive_root_coords
-        self._packing = _Packing(self._roots, rs.rank, 0)
-        # x -> (packing, P(x; 2^packing.bits)): every value the table holds.
-        self._values: dict[RootVector, tuple[_Packing, int]] = {}
+        # x -> (p(x, 0), ..., p(x, height x)): every value the table holds,
+        # as its cache record has it.
+        self._values: dict[RootVector, tuple[int, ...]] = {}
         # The cache file persist() writes, set by load_table; None
         # persists nothing.
         self.path: Path | None = None
         # True when the table holds values its cache file lacks, or that
         # file is stale; save() clears it.
         self.unsaved = False
-
-    def reserve(self, height: int) -> _Packing:
-        """The packing, rebuilt wider if needed, for signed sums of
-        distinct arguments up to `height`."""
-        packing = self._packing
-        if height > packing.height:
-            packing = _Packing(self._roots, self.rs.rank, height)
-            self._packing = packing
-        return packing
 
     def poly(self, x) -> tuple[int, ...]:
         """Coefficients (p(x, 0), ..., p(x, height x)) of P(x; q); empty
@@ -260,8 +247,8 @@ class PartitionTable:
         x = tuple(x)
         if len(x) == self.rs.rank and min(x) < 0:
             return ()
-        [(packing, value)] = self.packed_sums([[(1, x)]])
-        return packing.unpack(value, sum(x))
+        self.packed_sums([[(1, x)]])
+        return self._values[x]
 
     def p(self, x, n: int) -> int:
         """Number of n-element positive-root multisets summing to x.
@@ -276,21 +263,21 @@ class PartitionTable:
         """Ungraded count: P(x; 1), the sum of p(x, n) over all n."""
         return sum(self.poly(x))
 
-    def packed_sums(self, term_lists) -> list[tuple[_Packing, int]]:
-        """(packing, sum of sign * P(x; 2^B)) for each list of (sign, x)
-        terms with distinct x of rank coordinates, each in the nonnegative
-        cone: the one alternating kernel, before any unpacking, over a
-        whole batch of sums.
+    def packed_sums(self, term_lists) -> tuple[_Packing, list[int]]:
+        """(packing, [sum of sign * P(x; 2^B) for each list]) for lists of
+        (sign, x) terms with distinct x of rank coordinates, each in the
+        nonnegative cone: the one alternating kernel, before any
+        unpacking, over a whole batch of sums.
 
-        Each term adds or subtracts P(x; 2^B) into one int.  B, the
-        packing's bits, is sized for the tallest x of the batch, so every
+        The batch builds one packing, sized for its tallest x, so every
         balanced digit c_n of a total has |c_n| < 2^(B - 1) and n <= the
-        tallest height.  ``_Packing.balanced`` reads the digits and
-        ``_Packing.nonnegative`` tests their signs.  A held value from
-        another width is repacked, once, and stored back; the values no
-        list had before are filled by one ``_Packing.fill``.  A list in
-        which an argument occurs twice, or an argument of the wrong
-        length, raises ValueError.
+        packing's height.  ``_Packing.balanced`` reads the digits and
+        ``_Packing.nonnegative`` tests their signs.  Each term adds or
+        subtracts P(x; 2^B) into one int: a held x is packed from its
+        coefficients, and the x no batch had before are filled by one
+        ``_Packing.fill`` and held unpacked.  A list in which an argument
+        occurs twice, or an argument of the wrong length, raises
+        ValueError.
         """
         term_lists = list(term_lists)
         args: set[RootVector] = set()
@@ -302,28 +289,24 @@ class PartitionTable:
         rank = self.rs.rank
         if any(len(x) != rank for x in args):
             raise ValueError(f"an argument does not have {rank} coordinates")
-        packing = self.reserve(max(map(sum, args), default=0))
-        values, bits = self._values, packing.bits
+        packing = _Packing(self._roots, rank, max(map(sum, args), default=0))
+        values = self._values
         value_of: dict[RootVector, int] = {}
         new = []
         for x in args:
-            held = values.get(x)
-            if held is None:
+            coeffs = values.get(x)
+            if coeffs is None:
                 new.append(x)
-                continue
-            old, value = held
-            if old.bits != bits:  # a value depends on its packing's bits alone
-                value = packing.pack(old.unpack(value, sum(x)))
-                values[x] = packing, value
-            value_of[x] = value
+            else:
+                value_of[x] = packing.pack(coeffs)
         if new:
             keys = [packing.key(x) for x in new]
             top = packing.fill(keys)
             for x, k in zip(new, keys):
                 value = value_of[x] = top[k]
-                values[x] = packing, value
+                values[x] = packing.unpack(value, sum(x))
             self.unsaved = True
-        sums = []
+        totals = []
         for terms in term_lists:
             total = 0
             for sign, x in terms:
@@ -331,16 +314,16 @@ class PartitionTable:
                     total += value_of[x]
                 else:
                     total -= value_of[x]
-            sums.append((packing, total))
-        return sums
+            totals.append(total)
+        return packing, totals
 
     def signed_sum(self, terms) -> dict[int, int]:
         """{n: sum of sign * p(x, n)}, zeros dropped, for a list of
         (sign, x) terms with distinct x in the nonnegative cone: the
         ``packed_sums`` total, unpacked once in balanced base 2^B, so a
         negative coefficient comes back negative."""
-        [(packing, total)] = self.packed_sums([terms])
-        return packing.balanced(total, max((sum(x) for _, x in terms), default=0))
+        packing, [total] = self.packed_sums([terms])
+        return packing.balanced(total, packing.height)
 
     # -- persistence -----------------------------------------------------
 
@@ -366,8 +349,7 @@ class PartitionTable:
 
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        records = sorted(x + packing.unpack(value, sum(x))
-                         for x, (packing, value) in self._values.items())
+        records = sorted(x + coeffs for x, coeffs in self._values.items())
         body = "".join(" ".join(map(str, r)) + "\n" for r in records).encode()
         header = (f"{_MAGIC} {PARTITION_CACHE_SCHEMA} {self.rs.family} "
                   f"{self.rs.rank} {self.root_order_hash()} "
@@ -405,13 +387,12 @@ class PartitionTable:
         """Merge records from a cache file; returns the number loaded.
 
         Partial tables are extendable: existing entries must agree with
-        the file (both are reproducible by the DP), new ones are added,
-        packed once at the width of the tallest record.  The checks, in
-        order: a schema-3 header line, the family and rank, the root-order
-        hash, the SHA-256 of the record bytes as read, before any parsing,
-        each record's shape (``_parse_records``), and agreement with held
-        values.  A file that fails any of them raises StaleCacheError and
-        merges nothing.
+        the file (both are reproducible by the DP), new ones are added as
+        they are.  The checks, in order: a schema-3 header line, the
+        family and rank, the root-order hash, the SHA-256 of the record
+        bytes as read, before any parsing, each record's shape
+        (``_parse_records``), and agreement with held values.  A file
+        that fails any of them raises StaleCacheError and merges nothing.
         """
         path = Path(path)
         try:
@@ -443,23 +424,19 @@ class PartitionTable:
         if loaded is None:
             raise StaleCacheError(f"partition cache {path} holds a malformed record")
         for x, coeffs in loaded.items():
-            if x in self._values:
-                packing, value = self._values[x]
-                held = packing.unpack(value, sum(x))
-                if held != coeffs:
-                    raise StaleCacheError(f"partition cache {path} disagrees at "
-                                          f"{x}: {list(coeffs)} != {list(held)}")
-        packing = self.reserve(max(map(sum, loaded), default=0))
-        self._values.update((x, (packing, packing.pack(coeffs)))
-                            for x, coeffs in loaded.items())
+            held = self._values.get(x, coeffs)
+            if held != coeffs:
+                raise StaleCacheError(f"partition cache {path} disagrees at "
+                                      f"{x}: {list(coeffs)} != {list(held)}")
+        self._values.update(loaded)
         return len(loaded)
 
     def _parse_records(self, body: bytes) -> dict | None:
         """{x: coefficients} from the record lines as ``save`` writes
         them, or None unless every line is rank naturals, then exactly
         height(x) + 1 naturals, single spaces between them, and no x
-        comes twice.  So no record is taller than its own line, and the
-        packing a file asks for is bounded by the file's size."""
+        comes twice.  So no record is taller than its own line, and what
+        a load holds is bounded by the file's size."""
         # Digits, spaces and newlines only: no sign, underscore, other
         # whitespace or other text that int() would accept.
         if body.translate(None, b"0123456789 \n"):

@@ -491,17 +491,30 @@ def test_cache_commands_need_a_cache_dir(tmp_path, monkeypatch, command):
     assert (tmp_path / ".cache" / "nilcone" / "partition_A2.txt").exists()
 
 
-def test_graded_persists_and_reuses_caches(tmp_path):
-    args = ["graded", "-f", "B", "-r", "2", "--variety", "nilcone",
-            "--sweep", "1", "--format", "json", "--cache-dir", str(tmp_path)]
-    first = invoke(args)
-    assert first.exit_code == 0
-    assert [p.name for p in tmp_path.iterdir()] == ["partition_B2.txt"]
-    second = invoke(args)
-    assert second.output == first.output
+@pytest.mark.parametrize("command,first,second", [
+    (["graded", "-f", "B", "-r", "2", "--variety", "nilcone", "--format", "json"],
+     "1", "1"),
+    (["graded", "-f", "B", "-r", "3", "--variety", "subregular", "--check"], "1", "2"),
+    (["cohomology", "-f", "B", "-r", "3", "--kind", "weyl", "--check"], "1", "2"),
+], ids=["graded-B2-warm", "graded-B3-taller", "cohomology-B3-taller"])
+def test_graded_persists_and_reuses_caches(tmp_path, command, first, second):
+    # A second run on the cache a first run wrote, at the same sweep or a
+    # taller one (whose batch reads the narrower records), prints what a
+    # run without a cache prints and leaves the file a cold run writes.
+    cache, cold = tmp_path / "cache", tmp_path / "cold"
+    name = f"partition_{command[2]}{command[4]}.txt"
+    result = invoke([*command, "--sweep", first, "--cache-dir", str(cache)])
+    assert result.exit_code == 0, result.output
+    assert [p.name for p in cache.iterdir()] == [name]
+    args = [*command, "--sweep", second]
+    result = invoke([*args, "--cache-dir", str(cache)])
+    assert result.exit_code == 0, result.output
+    assert result.output == invoke(args).output
+    assert invoke([*args, "--cache-dir", str(cold)]).exit_code == 0
+    assert (cache / name).read_bytes() == (cold / name).read_bytes()
 
-    listing = invoke(["cache", "list", "--cache-dir", str(tmp_path)])
-    assert "partition_B2.txt" in listing.output
+    listing = invoke(["cache", "list", "--cache-dir", str(cache)])
+    assert name in listing.output
 
 
 def test_warm_run_leaves_the_cache_file_alone(tmp_path):

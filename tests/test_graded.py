@@ -588,10 +588,9 @@ def skew_packed_kernel(monkeypatch, lam, mu, by):
 
     def skewed(self, term_lists):
         term_lists = list(term_lists)
-        return [(packing, value - by if getattr(terms, "query", None) == (lam, mu)
-                 else value)
-                for terms, (packing, value) in zip(
-                    term_lists, real_sums(self, term_lists))]
+        packing, totals = real_sums(self, term_lists)
+        return packing, [total - by if getattr(terms, "query", None) == (lam, mu)
+                         else total for terms, total in zip(term_lists, totals)]
 
     def skewed_fold(rs, m, mus):
         digits, folded = real_fold(rs, m, mus)

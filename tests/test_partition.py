@@ -203,7 +203,7 @@ def test_closed_form_levels_are_not_memoized():
     # The backward pass collects keys for the levels j > rank only.
     rs = build("E", 7)
     zero = (0,) * rs.rank
-    packing = PartitionTable(rs).reserve(sum(rs.theta_long_coords))
+    packing = _Packing(rs.positive_root_coords, rs.rank, sum(rs.theta_long_coords))
     keys = [packing.key(x) for mu in (zero, rs.theta_short)
             for _, x in dot_terms(rs, rs.theta_long, mu)]
     levels = packing.levels(keys)
@@ -247,11 +247,11 @@ def test_packed_levels_match_the_tuple_dp_and_brute_force(family, rank):
     targets = sorted({x for lam in lams for mu in ((0,) * rank, rs.theta_short)
                       for _, x in dot_terms(rs, lam, mu)})
     assert len(targets) >= 3
-    packing = table.reserve(sum(rs.theta_long_coords))
+    height = sum(rs.theta_long_coords)
     reference = TupleDP(rs)
     counts = {x: multiset_counts(roots, x) for x in targets}
     for j in range(len(roots) + 1):
-        got = packed_level(roots, rank, j, packing.height, targets) if j >= rank else {}
+        got = packed_level(roots, rank, j, height, targets) if j >= rank else {}
         for x in targets:
             coeffs = [counts[x][j, n] for n in range(sum(x) + 1)]
             expected = coeffs if any(coeffs) else []
@@ -260,7 +260,7 @@ def test_packed_levels_match_the_tuple_dp_and_brute_force(family, rank):
                 assert got[x] == expected, (j, x)
             if j == len(roots):
                 assert list(table.poly(x)) == expected, x
-    assert table._packing is packing  # no argument is taller than theta
+    assert table.height_cutoff() == height  # no argument is taller than theta
 
 
 def domain_term_lists(rs, sweep):
@@ -275,8 +275,7 @@ def domain_term_lists(rs, sweep):
 
 def held(table):
     """{x: P(x) coefficients} of every value the table holds."""
-    return {x: packing.unpack(value, sum(x))
-            for x, (packing, value) in table._values.items()}
+    return dict(table._values)
 
 
 def level_keys(packing, keys):
@@ -295,19 +294,19 @@ def test_batch_fill_matches_one_at_a_time(family, rank, sweep):
     rs = build(family, rank)
     lists, height = domain_term_lists(rs, sweep)
     batch, single = PartitionTable(rs), PartitionTable(rs)
-    batch.reserve(height)
-    single.reserve(height)
-    got = batch.packed_sums(lists)
-    want = [single.packed_sums([terms])[0] for terms in lists]
-    assert [total for _, total in got] == [total for _, total in want]
-    assert {packing for packing, _ in got} == {batch._packing}
-    assert batch._packing.bits == single._packing.bits
+    packing, got = batch.packed_sums(lists)
+    want = [single.packed_sums([terms]) for terms in lists]
+    # One packing for the batch: the one its tallest list takes alone.
+    assert packing.height == height
+    assert packing.bits == max(p.bits for p, _ in want)
+    assert [packing.balanced(total, height) for total in got] == \
+        [p.balanced(total, p.height) for p, [total] in want]
     args = {x for terms in lists for _, x in terms}
-    key = batch._packing.key
-    keys = level_keys(batch._packing, [key(x) for x in args])
+    key = packing.key
+    keys = level_keys(packing, [key(x) for x in args])
     union = {j: set() for j in keys}
     for x in args:
-        for j, level in level_keys(single._packing, [key(x)]).items():
+        for j, level in level_keys(packing, [key(x)]).items():
             union[j] |= level
     assert keys == union
     reference = TupleDP(rs)
@@ -334,11 +333,10 @@ def low_digits_of_full_sums(rs, pairs, m):
     """The balanced digits n <= m of E(lam, mu; q) for each (lam, mu),
     from one full packed_sums batch of their dot_terms lists."""
     lists = [dot_terms(rs, lam, mu) for lam, mu in pairs]
-    height = max((sum(x) for terms in lists for _, x in terms), default=0)
-    full = PartitionTable(rs).packed_sums(lists)
-    digits = [{n: c for n, c in p.balanced(total, height).items() if n <= m}
-              for p, total in full]
-    return digits, full[0][0]
+    packing, totals = PartitionTable(rs).packed_sums(lists)
+    digits = [{n: c for n, c in packing.balanced(total, packing.height).items()
+               if n <= m} for total in totals]
+    return digits, packing
 
 
 def fold_digits(rs, pairs, m):
@@ -390,7 +388,7 @@ def test_truncated_fill_is_narrower_and_smaller():
     rs, m = build("G", 2), 24
     lists, height = domain_term_lists(rs, m)
     table = PartitionTable(rs)
-    [(full, _), *_] = table.packed_sums(lists)
+    full, _ = table.packed_sums(lists)
     digits, values = low_degrees(rs, m)
     assert (height, full.bits) == (120, 27)
     assert digits.bits == math.comb(6 + 23, 24).bit_length() + 1 == 18
@@ -402,17 +400,17 @@ def test_truncated_fill_is_narrower_and_smaller():
     cone = [x for x in itertools.product(range(3 * m + 1), range(2 * m + 1))
             if sum(x) <= height]
     assert set(values) <= set(cone)
-    exact = table.packed_sums([[(1, x)] for x in cone])
-    for x, (packing, value) in zip(cone, exact):
+    packing, exact = table.packed_sums([[(1, x)] for x in cone])
+    for x, value in zip(cone, exact):
         assert digits.unpack(values.get(x, 0), m) == packing.unpack(value, m), x
 
 
 @pytest.mark.parametrize("held_from", ["narrower", "wider", "file"])
 def test_truncated_batch_reads_held_values_and_stores_nothing(tmp_path, held_from):
-    # Whatever the table holds, at another width or loaded from a cache
-    # file, the fold's profiles are the low digits of the table's own full
-    # sums, and hilbert_series reads the table not at all: it leaves the
-    # table's values, packing, unsaved flag and cache file as they were.
+    # Whatever the table holds, from a narrower or a wider batch or loaded
+    # from a cache file, the fold's profiles are the low digits of the
+    # table's own full sums, and hilbert_series reads the table not at all:
+    # it leaves the table's values, unsaved flag and cache file as they were.
     rs, m = build("B", 3), 3
     table = PartitionTable(rs)
     table.packed_sums(domain_term_lists(rs, {"narrower": 1, "wider": m + 1,
@@ -421,19 +419,20 @@ def test_truncated_batch_reads_held_values_and_stores_nothing(tmp_path, held_fro
         table.save(cache_path(rs.id, tmp_path))
         table = load_table(rs, tmp_path)
     before = dict(table._values)
-    packing, unsaved = table._packing, table.unsaved
+    unsaved = table.unsaved
     files = {f: f.read_bytes() for f in tmp_path.iterdir()}
     calc = GradedCalculator(rs, table=table)
     fresh = GradedCalculator(rs)
     for variety in Variety:
         assert calc.hilbert_series(variety, m) == fresh.hilbert_series(variety, m)
-    assert table._values == before and table._packing is packing
+    assert table._values == before
     assert table.unsaved == unsaved == (held_from != "file")
     table.persist()
     assert {f: f.read_bytes() for f in tmp_path.iterdir()} == files
     lists, height = domain_term_lists(rs, m)
-    want = [{n: c for n, c in p.balanced(total, height).items() if n <= m}
-            for p, total in table.packed_sums(lists)]
+    packing, totals = table.packed_sums(lists)
+    want = [{n: c for n, c in packing.balanced(total, height).items() if n <= m}
+            for total in totals]
     pairs = [(lam, mu) for lam in calc.sweep_domain(m)
              for mu in ((0,) * rs.rank, rs.theta_short)]
     assert fold_digits(rs, pairs, m)[0] == want
@@ -442,27 +441,24 @@ def test_truncated_batch_reads_held_values_and_stores_nothing(tmp_path, held_fro
 @pytest.mark.parametrize("loaded", [False, True], ids=["computed", "loaded"])
 def test_widening_keeps_older_values_right(tmp_path, loaded):
     # A batch over the --sweep 1 domain, computed here or loaded from its
-    # cache file, then the --sweep 2 batch, which reuses every one of its
+    # cache file, then the --sweep 2 batch, which reads every one of its
     # arguments at a wider width: the same totals and cache records as a
     # table that only ever saw the taller batch.
     rs = build("B", 3)
     short_lists, short_height = domain_term_lists(rs, 1)
     tall_lists, tall_height = domain_term_lists(rs, 2)
     table = PartitionTable(rs)
-    table.packed_sums(short_lists)
+    narrow, _ = table.packed_sums(short_lists)
     if loaded:
         table.save(cache_path(rs.id, tmp_path))
         table = load_table(rs, tmp_path)
-    narrow = table._packing
-    assert narrow.height == short_height  # a load packs at its tallest record
-    got = table.packed_sums(tall_lists)
-    wide = table._packing
+    assert narrow.height == table.height_cutoff() == short_height
+    wide, got = table.packed_sums(tall_lists)
     assert wide.height == tall_height and wide.bits > narrow.bits
     reused = {x for terms in short_lists for _, x in terms}
     assert reused <= {x for terms in tall_lists for _, x in terms}
-    assert all(table._values[x][0] is wide for x in reused)  # stored back
     fresh = PartitionTable(rs)
-    assert [t for _, t in got] == [t for _, t in fresh.packed_sums(tall_lists)]
+    assert got == fresh.packed_sums(tall_lists)[1]
     assert table.save(tmp_path / "widened.txt").read_text() == \
         fresh.save(tmp_path / "fresh.txt").read_text()
 
@@ -470,9 +466,8 @@ def test_widening_keeps_older_values_right(tmp_path, loaded):
 def test_sweep_domain_leaves_the_table_alone():
     rs = build("E", 6)
     table = PartitionTable(rs)
-    packing = table._packing
     assert len(GradedCalculator(rs, table=table).sweep_domain(2)) > 1
-    assert table._packing is packing and table._values == {}
+    assert table._values == {} and not table.unsaved
 
 
 def test_batch_fill_needs_no_stack_headroom():
@@ -481,25 +476,23 @@ def test_batch_fill_needs_no_stack_headroom():
     rs = build("E", 7)
     lists, height = domain_term_lists(rs, 1)
     table = PartitionTable(rs)
-    table.reserve(height)
     frame, depth = sys._getframe(), 0
     while frame is not None:
         frame, depth = frame.f_back, depth + 1
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(depth + 20)
     try:
-        sums = table.packed_sums(lists)
+        packing, sums = table.packed_sums(lists)
     finally:
         sys.setrecursionlimit(limit)
-    packing = table._packing
     keys = [packing.key(x) for terms in lists for _, x in terms]
     levels = packing.levels(keys)
     assert len(levels) == len(rs.positive_root_coords) - rs.rank
     assert set(keys) <= set(levels[0])
     reference = PartitionTable(rs)
-    reference.reserve(height)
-    assert [total for _, total in sums] == [reference.packed_sums([terms])[0][1]
-                                           for terms in lists]
+    want = [reference.packed_sums([terms]) for terms in lists]
+    assert [packing.balanced(total, height) for total in sums] == \
+        [p.balanced(total, p.height) for p, [total] in want]
 
 
 def test_a_batch_keeps_only_its_top_values():
@@ -510,10 +503,9 @@ def test_a_batch_keeps_only_its_top_values():
     rs = build("E", 7)
     lists, height = domain_term_lists(rs, 1)
     table = PartitionTable(rs)
-    table.reserve(height)
     tracemalloc.start()
     try:
-        sums = table.packed_sums(lists)
+        _, sums = table.packed_sums(lists)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -527,15 +519,14 @@ def test_width_covers_every_coefficient_reached(family, rank, sweep):
     table = PartitionTable(rs)
     lams = GradedCalculator(rs, table=table).sweep_domain(sweep)
     lists = [dot_terms(rs, lam, mu) for lam in lams for mu in ((0,) * rank, rs.theta_short)]
-    sums = table.packed_sums(lists)
-    packing = table._packing
-    assert {p for p, _ in sums} == {packing}  # one width for the whole sweep
+    packing, sums = table.packed_sums(lists)  # one width for the whole sweep
+    assert len(sums) == len(lists)
     n_roots = len(rs.positive_root_coords)
     height = sweep * sum(rs.theta_long_coords)
     assert packing.height == height  # the top weight's own argument
     # never wider than the bound by the number of roots alone
     assert packing.bits <= math.comb(n_roots + height - 1, height).bit_length() + 1
-    profiles = [packing.balanced(total, height) for _, total in sums]
+    profiles = [packing.balanced(total, height) for total in sums]
     largest_e = max(abs(v) for profile in profiles for v in profile.values())
     # Every top value the fill of the domain reaches, not only the targets.
     top = packing.fill([packing.key(x) for terms in lists for _, x in terms])
@@ -564,7 +555,7 @@ def test_balanced_unpack_round_trips_the_extremes(family, rank, height):
     # The largest coefficient the width allows and the bound it was sized
     # from, with both signs; a width without its sign bit fails on the bound.
     rs = build(family, rank)
-    packing = PartitionTable(rs).reserve(height)
+    packing = _Packing(rs.positive_root_coords, rs.rank, height)
     top = 2 ** (packing.bits - 1) - 1
     bound = packing.bound
     assert 0 < bound <= math.comb(len(rs.positive_root_coords) + height - 1, height)
@@ -587,7 +578,8 @@ def test_mask_sign_test_is_exact(family, rank, height, data):
     # up by k fields (as q^k A is) and masks wider than the value.
     key = (family, rank, height)
     if key not in _mask_packings:
-        _mask_packings[key] = PartitionTable(build(family, rank)).reserve(height)
+        rs = build(family, rank)
+        _mask_packings[key] = _Packing(rs.positive_root_coords, rank, height)
     packing = _mask_packings[key]
     top = 2 ** (packing.bits - 1) - 1
     digit = st.one_of(st.sampled_from([0, 1, -1, top, -top]),
@@ -604,26 +596,30 @@ def test_mask_sign_test_is_exact(family, rank, height, data):
 def test_taller_argument_widens_the_fields():
     # P(a alpha_1 + b alpha_2) in A2 is sum_{c <= min(a, b)} q^(a + b - c).
     table = PartitionTable(build("A", 2))
+    narrow, _ = table.packed_sums([[(1, (2, 1))]])
     assert table.poly((2, 1)) == (0, 0, 1, 1)
-    narrow = table._packing
     assert 300 >= 2 ** (narrow.shifts[1] - 1)  # would overflow its field
     assert table.poly((300, 1)) == (0,) * 300 + (1, 1)
-    assert table._packing.shifts[1] > narrow.shifts[1]
+    # A held narrow value read by a taller batch, packed at its width.
+    wide, [total] = table.packed_sums([[(1, (300, 1)), (-1, (2, 1))]])
+    assert wide.shifts[1] > narrow.shifts[1]
+    assert wide.balanced(total, 301) == {2: -1, 3: -1, 300: 1, 301: 1}
     assert table.poly((1, 300)) == (0,) * 300 + (1, 1)
     assert table.poly((2, 2)) == (0, 0, 1, 1, 1)
-    assert table.poly((2, 1)) == (0, 0, 1, 1)  # repacked at the new width
-    assert table._values[(2, 1)][0] is table._packing
+    assert table.poly((2, 1)) == (0, 0, 1, 1)
 
 
 def test_field_widens_even_when_the_value_width_does_not():
     # C(N + H - 1, H) for A2 is 10 at H = 3 and 15 at H = 4: the same value
     # width, but a coordinate of 4 needs a third bit below its guard.
-    table = PartitionTable(build("A", 2))
-    narrow = table.reserve(3)
+    rs = build("A", 2)
+    table = PartitionTable(rs)
+    narrow = _Packing(rs.positive_root_coords, rs.rank, 3)
+    wide, _ = table.packed_sums([[(1, (4, 0))], [(1, (2, 2))]])
     assert table.poly((4, 0)) == (0, 0, 0, 0, 1)
     assert table.poly((2, 2)) == (0, 0, 1, 1, 1)
-    assert table._packing.bits == narrow.bits
-    assert table._packing.shifts[1] > narrow.shifts[1]
+    assert wide.bits == narrow.bits
+    assert wide.shifts[1] > narrow.shifts[1]
 
 
 def test_repeated_arguments_are_refused():
@@ -700,10 +696,9 @@ def test_concurrent_batches_are_consistent():
     rs = build("F", 4)
     lists, height = domain_term_lists(rs, 1)
     reference = PartitionTable(rs)
-    reference.reserve(height)
-    expected = [total for _, total in reference.packed_sums(lists)]
+    packing, totals = reference.packed_sums(lists)
+    expected = [packing.balanced(total, height) for total in totals]
     shared = PartitionTable(rs)
-    shared.reserve(height)
     batches = [lists[i::3] + lists[:i] for i in range(6)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -715,7 +710,8 @@ def test_concurrent_batches_are_consistent():
         sys.setswitchinterval(interval)
     for i, result in enumerate(results):
         want = [expected[k] for k in range(i, len(lists), 3)] + expected[:i]
-        assert [total for _, total in result] == want
+        packing, totals = result
+        assert [packing.balanced(total, packing.height) for total in totals] == want
     assert shared.height_cutoff() == reference.height_cutoff()
     assert held(shared) == held(reference)
 
