@@ -31,7 +31,10 @@ their values in one pass, and every value lands in the calculator's
 table, which a cache file persists.  ``hilbert_series`` is the one query
 off ``packed_sums``: it prints the degrees n <= max_degree alone, and
 ``fold`` gives their digits for every weight at once, from the few
-partition values those degrees reach, with no table and no cache.
+partition values those degrees reach, with no table and no cache.  The
+weights it folds are its domain: no weight it leaves out has a nonzero
+digit, so ``hilbert_series`` sorts the folded weights below m *
+theta_long into ``sweep_domain``'s order rather than enumerate it.
 Each profile stays packed as one int, E(lam, mu; 2^B), and every
 profile of both paths is checked by ``GradedCalculator._checked``,
 weight by weight, in order, with one mask per profile; a checked
@@ -41,7 +44,6 @@ profile is read as plain base-2^B digits.
 from __future__ import annotations
 
 from enum import Enum
-from operator import add, mul
 
 from . import partition
 from .errors import (
@@ -226,24 +228,40 @@ class GradedCalculator:
         Coefficient n sums mult_n(lam) * dim L(lam) over dominant lam; as
         d_n(lam) = 0 unless lam <= n * theta_long, the lam below m *
         theta_long, m = max_degree, cover every degree.  Their profiles
-        come from ``fold``, not from the table, and are checked by
-        ``_checked`` in domain order; a folded lam outside the domain whose
-        profile, A shifted and cut, is not 0 is an internal inconsistency.
+        come from ``fold``, not from the table.  The folded lam whose m *
+        theta_long - lam has nonnegative root coordinates are in that
+        domain, and ``_checked`` checks them in ``sweep_domain``'s order;
+        every other lam of the domain has a zero profile, which passes.
+        A folded lam outside the domain whose profile, A shifted and cut,
+        is not 0 is an internal inconsistency.
         """
         m, mus = max_degree, self._mus(variety)
         digits, folded = fold(self.rs, m, mus)
+        top = vscale(m, self.rs.theta_long)
+        depth: dict[Weight, int] = {}  # lam in the domain -> height(top - lam)
+        for lam in set().union(*folded):
+            r = self.rs.root_coords_int(vsub(top, lam))
+            if r is not None and min(r) >= 0:
+                depth[lam] = sum(r)
         rows = ((lam, [profiles.pop(lam, 0) for profiles in folded])
-                for lam in self.sweep_domain(m))
+                for lam in sorted(depth, key=lambda lam: (-depth[lam], lam)))
         coeffs = [0] * (m + 1)
+        bits, mask = digits.bits, (1 << digits.bits) - 1
         for lam, profiles in self._checked(rows, mus, digits, m + 1):
-            if profiles[-1]:
+            value = profiles[-1]
+            if value:
                 dim = weyl_dim(self.rs, lam)
-                for n, c in enumerate(digits.unpack(profiles[-1], m)):
-                    coeffs[n] += dim * c
+                # From the lowest nonzero digit to the top one.
+                n = ((value & -value).bit_length() - 1) // bits
+                value >>= bits * n
+                while value:
+                    coeffs[n] += dim * (value & mask)
+                    value >>= bits
+                    n += 1
         # What is left is outside the domain (mus is [0] or [0, theta_s]):
         # the digits D keeps, and A keeps once shifted and cut, must be 0.
-        low = (1 << (digits.bits * (m + 1))) - 1
-        for name, keep, rest in zip("da", [low, low >> digits.bits * self.k], folded):
+        low = (1 << (bits * (m + 1))) - 1
+        for name, keep, rest in zip("da", [low, low >> bits * self.k], folded):
             stray = sorted(lam for lam, value in rest.items() if value & keep)
             if stray:
                 raise InternalInconsistencyError(
@@ -261,19 +279,18 @@ def fold(rs: RootSystem, m: int, mus) -> tuple[partition._Digits, list[dict]]:
     the sign of w, to the one lam with lam + rho dominant in that orbit
     (``weyl.chamber_signs``), and the others add nothing: the
     Racah-Speiser (Brauer-Klimyk) fold of the q-partition function.
+    Each key is read once per mu, straight into x + mu + rho.
     """
-    digits, values = partition.low_degrees(rs, m)
-    columns = list(zip(*rs.cartan))  # x in weight coordinates: x . cartan
-    weights = [[sum(map(mul, x, column)) for column in columns] for x in values]
+    digits, keys, values = partition.low_degrees(rs, m)
     folded = []
     for mu in mus:
-        shift = vadd(mu, rs.rho)
-        points = [list(map(add, w, shift)) for w in weights]
+        points = keys.points(values, vadd(mu, rs.rho))
         profile: dict[Weight, int] = {}
         for sign, nu, value in zip(chamber_signs(rs, points), points, values.values()):
             if sign:
                 top = tuple(nu)
                 profile[top] = profile.get(top, 0) + sign * value
+        del points  # before the next mu's are built
         folded.append({vsub(top, rs.rho): v for top, v in profile.items() if v})
     return digits, folded
 

@@ -37,7 +37,10 @@ fill; only the top values P_N = P outlive it.
 
 ``hilbert`` is the one query off ``packed_sums``: ``low_degrees``
 builds the digits n <= m of every P(x; q) forward from 0, over the few
-x that at most m roots reach; no table holds such residues.
+x that at most m roots reach; no table holds such residues.  Its keys
+pack the weight coordinates of x, not its root coordinates, each biased
+to be nonnegative (``_WeightKeys``), because the fold that reads them
+works in weight coordinates: one read of each field gives x + mu + rho.
 
 The DP runs on Python ints (``_Packing``).  A key packs x into one int,
 a fixed-width field per coordinate with a guard bit on top, so x - alpha
@@ -65,7 +68,7 @@ from __future__ import annotations
 import os
 import sys
 from math import comb
-from operator import lshift
+from operator import lshift, sub
 from pathlib import Path
 
 from .errors import StaleCacheError
@@ -475,39 +478,74 @@ def _coefficient_bound(heights, height: int) -> int:
     return min(comb(len(heights) + height - 1, height), sum(counts))
 
 
-def low_degrees(rs: RootSystem, m: int) -> tuple[_Digits, dict[RootVector, int]]:
-    """(digits, {x: P(x; 2^B) mod 2^(B (m + 1))}) over every x with a
-    nonzero digit n <= m: the sums of at most m positive roots.
+class _WeightKeys:
+    """The weights of the sums of at most m roots packed into one int,
+    one field of `span` bits per weight coordinate, its top bit a guard.
+
+    Coordinate j of such a sum lies between m times the least and m times
+    the largest coordinate j of a root, or 0, so field j holds it plus
+    bias_j = -m times that least value, and one more bit than that range
+    needs makes the guard.  ``pack`` leaves the bias out, so it packs a
+    step too: the key of y + alpha is key(y) + pack(alpha) whatever the
+    signs of alpha's coordinates, and below key(y) when its last nonzero
+    coordinate is negative.  Each field of key(y) - pack(alpha), for a
+    root alpha, is less than 2^span from the same field of any key, so
+    it names a key only when that key is the point y - alpha.
+    """
+
+    def __init__(self, roots, m: int):
+        ranges = [(min(0, *c), max(c)) for c in zip(*roots)]
+        span = max(m * (hi - lo) for lo, hi in ranges).bit_length() + 1
+        self.shifts = [span * j for j in range(len(ranges))]
+        self.bias = [-m * lo for lo, _ in ranges]
+        self.field = (1 << span) - 1
+
+    def pack(self, w) -> int:
+        """sum_j w_j 2^(span j), for coordinates of either sign."""
+        return sum(map(lshift, w, self.shifts))
+
+    def points(self, keys, offset) -> list[list[int]]:
+        """[the weight of each key plus offset, as a list], in order: each
+        field read once, its bias taken out and offset put in."""
+        field = self.field
+        columns = [[(key >> s & field) + c for key in keys]
+                   for s, c in zip(self.shifts, map(sub, offset, self.bias))]
+        return list(map(list, zip(*columns)))
+
+
+def low_degrees(rs: RootSystem, m: int) -> tuple[_Digits, _WeightKeys, dict[int, int]]:
+    """(digits, keys, {key of x: P(x; 2^B) mod 2^(B (m + 1))}) over every
+    x with a nonzero digit n <= m: the sums of at most m positive roots,
+    keyed by their weight coordinates, which ``keys.points`` reads.
 
     B = bits(C(N + m - 1, m)) + 1: digit n of a signed sum over distinct
     x counts disjoint multisets of n roots, and one bit holds the sign.
 
     Built forward from P = 1 at 0, root by root, with no targets:
-    P_j(y) = P_{j-1}(y) + q P_j(y - alpha_j), cut to m + 1 fields.  Keys
-    pack y (fields wide enough for m roots, and a guard bit), so they
-    ascend along each alpha_j-line, and only a value with a digit n < m
-    moves up it.  In ascending order, each moving y whose y - alpha_j is
-    not moving (a borrow sets a guard bit and names no key) starts a
-    walk, up to the first value of digit m alone.
+    P_j(y) = P_{j-1}(y) + q P_j(y - alpha_j), cut to m + 1 fields.
+    Adding pack(alpha_j) moves a key one step up its alpha_j-line, so
+    the keys ascend along the line, or descend when pack(alpha_j) < 0,
+    and only a value with a digit n < m moves up it.  In that order, each
+    moving y whose y - alpha_j is not moving starts a walk, up to the
+    first value of digit m alone.
     """
-    roots = rs.positive_root_coords
+    roots = rs.positive_roots
     digits = _Digits(comb(len(roots) + m - 1, m).bit_length() + 1)
     bits, low = digits.bits, (1 << (digits.bits * (m + 1))) - 1
-    span = (max(m, 1) * max(map(max, roots))).bit_length() + 1
-    shifts = [span * i for i in range(rs.rank)]
-    moving, still = ({0: 1}, {}) if m else ({}, {0: 1})
+    keys = _WeightKeys(roots, m)
+    origin = keys.pack(keys.bias)
+    moving, still = ({origin: 1}, {}) if m else ({}, {origin: 1})
     for r in roots:
-        alpha = sum(map(lshift, r, shifts))
-        for y in sorted(moving):
+        alpha = keys.pack(r)
+        for y in sorted(moving, reverse=alpha < 0):
             w = (moving[y] << bits) & low if y - alpha not in moving else 0
             while w:  # q P_j(y), cut
                 y += alpha
                 v = moving.get(y, 0) + still.pop(y, 0) + w
                 w = (v << bits) & low
                 (moving if w else still)[y] = v
-    field = (1 << span) - 1
-    return digits, {tuple([(y >> s) & field for s in shifts]): v
-                    for part in (moving, still) for y, v in part.items()}
+    moving.update(still)
+    return digits, keys, moving
 
 
 def _sha256(data: bytes):

@@ -676,6 +676,31 @@ def test_hilbert_profile_outside_the_domain_is_a_hard_error(monkeypatch, mu):
             calc.hilbert_series(variety, 3)
 
 
+@pytest.mark.parametrize("variety", list(Variety))
+def test_hilbert_reports_the_first_failure_in_sweep_order(monkeypatch, variety):
+    # d_0 lowered to -1 at (4, 0) and at (1, 2), two weights of the G2
+    # domain below 3 theta whose profiles are 0 to degree 3, and raised
+    # by 1 at 4 theta = (0, 4), outside it.  sweep_domain(3) lists (4, 0)
+    # first, though (1, 2) and (0, 4) sort before it, so that is the
+    # error; with (1, 2) and the stray alone, the in-domain (1, 2).
+    from nilcone import InternalInconsistencyError
+
+    calc = fresh_calculator("G", 2)
+    first, second, stray = (4, 0), (1, 2), (0, 4)
+    domain = calc.sweep_domain(3)
+    assert domain.index(first) < domain.index(second) and stray not in domain
+    assert stray < second < first
+    skew_packed_kernel(monkeypatch, stray, (0, 0), -1)
+    skew_packed_kernel(monkeypatch, second, (0, 0), 1)
+    with pytest.raises(InternalInconsistencyError,
+                       match=rf"^nilcone multiplicity d_0\({re.escape(str(second))}\) = -1 < 0$"):
+        calc.hilbert_series(variety, 3)
+    skew_packed_kernel(monkeypatch, first, (0, 0), 1)
+    with pytest.raises(InternalInconsistencyError,
+                       match=rf"^nilcone multiplicity d_0\({re.escape(str(first))}\) = -1 < 0$"):
+        calc.hilbert_series(variety, 3)
+
+
 @pytest.mark.parametrize("family,rank", [("A", 2), ("G", 2)])
 def test_sweep_negativity_is_the_serial_loops_error(monkeypatch, family, rank):
     # A batch checks its series weight by weight, in sweep order.

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 import sys
 
 import pytest
@@ -16,6 +17,7 @@ from nilcone import (
     build,
     dot_terms,
     kostant_mult,
+    weyl_dim,
 )
 from nilcone.graded import fold
 from nilcone.partition import (
@@ -26,6 +28,7 @@ from nilcone.partition import (
     load_table,
     low_degrees,
 )
+from nilcone.rootsys import vadd
 from cache_file import digest, rewrite
 from tuple_dp import TupleDP
 
@@ -379,6 +382,32 @@ def test_truncated_sums_are_the_low_digits_of_the_full_sums(family, rank, degree
                 if any(n + k <= m for n in digits.balanced(v, m))} <= set(domain)
 
 
+@pytest.mark.parametrize("family,rank,m", [
+    ("A", 1, 8), ("A", 2, 5), ("B", 3, 4), ("G", 2, 12), ("F", 4, 3), ("E", 6, 3),
+])
+def test_fold_keeps_the_weyl_denominator_sum(family, rank, m):
+    # D(nu), the product of (nu, alpha) over the positive roots, is 0 on
+    # every wall and changes sign under each simple reflection, so the
+    # fold, which moves x + mu + rho to lam + rho by a w of sign (-1)^w,
+    # keeps sum D(nu) P(x) with D(lam + rho) = dim L(lam) D(rho): an
+    # exact integer identity that takes no chamber walk.
+    rs = build(family, rank)
+
+    def denominator(nu):
+        return math.prod(sum(map(operator.mul, row, nu)) for row in rs.pairing_rows)
+
+    assert denominator(rs.rho) == rs.rho_pairing_product
+    _, keys, values = low_degrees(rs, m)
+    mus = [(0,) * rank, rs.theta_short]
+    _, folded = fold(rs, m, mus)
+    for mu, profile in zip(mus, folded):
+        points = keys.points(values, vadd(mu, rs.rho))
+        unfolded = sum(denominator(nu) * v for nu, v in zip(points, values.values()))
+        quotient, rest = divmod(unfolded, rs.rho_pairing_product)
+        assert rest == 0
+        assert sum(weyl_dim(rs, lam) * v for lam, v in profile.items()) == quotient
+
+
 def test_truncated_fill_is_narrower_and_smaller():
     # G2 to degree 24: 25 fields of bits(C(6 + 23, 24)) + 1 = 18 bits,
     # where the full batch needs 121 fields of 27 bits; and the forward
@@ -389,11 +418,14 @@ def test_truncated_fill_is_narrower_and_smaller():
     lists, height = domain_term_lists(rs, m)
     table = PartitionTable(rs)
     full, _ = table.packed_sums(lists)
-    digits, values = low_degrees(rs, m)
+    digits, keys, packed = low_degrees(rs, m)
+    # Keyed by weight coordinates: read back in root coordinates.
+    values = {rs.root_coords_int(w): v
+              for w, v in zip(keys.points(packed, (0, 0)), packed.values())}
     assert (height, full.bits) == (120, 27)
     assert digits.bits == math.comb(6 + 23, 24).bit_length() + 1 == 18
     reached = full.fill([full.key(x) for terms in lists for _, x in terms])
-    assert (len(values), len(reached)) == (2077, 2425)
+    assert (len(values), len(reached)) == (len(packed), 2425) == (2077, 2425)
     assert all(values.values())
     # Every x that m roots reach: each coordinate is at most m times
     # theta's, (3, 2).
