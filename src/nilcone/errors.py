@@ -30,10 +30,6 @@ class NonDominantWeightError(NilconeError, ValueError):
         super().__init__(f"weight {self.weight} is not dominant")
 
 
-class WrongRootSystemError(NilconeError, ValueError):
-    """An operation restricted to one root system type got another."""
-
-
 class PositivityViolationError(NilconeError):
     """A subregular graded multiplicity came out negative.
 

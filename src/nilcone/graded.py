@@ -19,7 +19,11 @@ Degrees are polynomial degrees throughout; cohomological degree 2n (even
 parts) or 2n - 1 (odd parts) is presentation only, spelled out by the
 command line.  The queries return plain values: a series is {n: c_n},
 ``cohomology_table`` is {i: {lam: mult}}, ``hilbert_series`` a list;
-one degree of a series is ``series.get(n, 0)``.
+one degree of a series is ``series.get(n, 0)``.  Each kind of
+``cohomology_table`` writes its rows in one parity (weyl in both), so
+parity vanishing holds there by construction; the A_2 tilting module
+where it fails is a sum of three weight multiplicities, which the
+``tilting-example`` command takes itself.
 
 Every query but ``hilbert_series`` reads its profiles from
 ``GradedCalculator._profiles``: it gathers the dot-orbit terms of every
@@ -46,12 +50,8 @@ from __future__ import annotations
 from enum import Enum
 
 from . import partition
-from .errors import (
-    InternalInconsistencyError,
-    PositivityViolationError,
-    WrongRootSystemError,
-)
-from .multiplicity import WeightMultiplicities, weyl_dim
+from .errors import InternalInconsistencyError, PositivityViolationError
+from .multiplicity import weyl_dim
 from .rootsys import RootSystem, Weight, vadd, vscale, vsub
 from .weyl import chamber_signs, dot_terms, shift_constant
 
@@ -312,20 +312,4 @@ def _negative(name, lam, digits) -> Exception:
     kind = "nilcone" if name == "d" else "induced-wall"
     return InternalInconsistencyError(
         f"{kind} multiplicity {name}_{n}({tuple(lam)}) = {v} < 0")
-
-
-def a2_tilting_euler(rs: RootSystem, lam) -> int:
-    """Signed multiplicity of L(lam) in the Euler characteristic of the
-    cohomology of the A_2 tilting module with highest weight 3*omega_2:
-    m_lam(3 omega_2) + m_lam(0) - 2 m_lam(omega_1 + omega_2).
-
-    Only defined for A_2; can be negative, which is exactly the failure
-    of parity vanishing this module exhibits.
-    """
-    if (rs.family, rs.rank) != ("A", 2):
-        raise WrongRootSystemError(
-            f"the tilting example is specific to A_2, got {rs.id}"
-        )
-    table = WeightMultiplicities(rs, lam)
-    return table.at((0, 3)) + table.at((0, 0)) - 2 * table.at((1, 1))
 

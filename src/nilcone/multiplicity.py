@@ -1,10 +1,11 @@
 """Weight multiplicities of irreducible highest-weight modules.
 
-Two independent routes are kept side by side: Freudenthal's recursion is
-the production path, the alternating Kostant sum over the dot-orbit terms,
-taken by the partition table's one signed-sum kernel, is retained as a
-verification oracle.  They must agree everywhere; the
-test suite enforces this on full weight saturations.
+Two independent routes are kept side by side: Freudenthal's recursion
+(``WeightMultiplicities.at``) is the production path; the alternating
+Kostant sum over the dot-orbit terms (``kostant_mult``), taken by the
+partition table's one kernel, ``packed_sums``, is retained as a
+verification oracle.  They must agree everywhere; the test suite
+enforces this on full weight saturations.
 """
 
 from __future__ import annotations
@@ -37,20 +38,18 @@ class WeightMultiplicities:
         self._lam_shift = vadd(lam, rs.rho)
 
     def at(self, mu) -> int:
-        """Multiplicity of the weight mu in L(lam)."""
-        mu = tuple(mu)
-        rs = self.rs
-        if rs.root_coords_int(vsub(self.lam, mu)) is None:
+        """Multiplicity of the weight mu in L(lam): 0 unless the dominant
+        representative of mu is below lam."""
+        mu = self.rs.dominant_representative(mu)
+        if not self.rs.dominance_le(mu, self.lam):
             return 0
-        mu = rs.dominant_representative(mu)
         if mu not in self._memo:
             self._fill(mu)
         return self._memo[mu]
 
     def _fill(self, mu: Weight) -> None:
-        """Memoize m(nu) for every dominant nu with mu <= nu <= lam, mu
-        dominant and in the root-lattice coset of lam; m(mu) = 0 when mu
-        is not below lam.
+        """Memoize m(nu) for every dominant nu with mu <= nu <= lam, for
+        a dominant mu below lam.
 
         Freudenthal's formula at nu reads m at the dominant representative
         of each nu + j alpha (alpha > 0, j >= 1, up to lam), and that
@@ -60,9 +59,6 @@ class WeightMultiplicities:
         representative not below lam is no weight of L(lam) and reads 0.
         """
         rs, memo = self.rs, self._memo
-        if not rs.dominance_le(mu, self.lam):
-            memo[mu] = 0
-            return
         for nu in reversed(rs.dominant_below(self.lam)):
             if nu not in memo and rs.dominance_le(mu, nu):
                 memo[nu] = self._freudenthal(nu)
@@ -106,11 +102,6 @@ class WeightMultiplicities:
         return tuple(sorted(weights))
 
 
-def freudenthal_mult(rs: RootSystem, lam, mu) -> int:
-    """Multiplicity of mu in L(lam) by the Freudenthal recursion."""
-    return WeightMultiplicities(rs, lam).at(mu)
-
-
 def kostant_mult(
     rs: RootSystem,
     lam,
@@ -122,16 +113,18 @@ def kostant_mult(
 
     sum_w (-1)^w P(w.lam - mu; 1), over the contributing w that
     ``weyl.dot_terms`` walks to: the q = 1 value of the graded profile,
-    summed from the same ``PartitionTable.signed_sum`` kernel the graded
-    multiplicities use.  Agreement with freudenthal_mult is an invariant
-    of the package.
+    from the same ``PartitionTable.packed_sums`` kernel the graded
+    multiplicities use.  Its digits are read balanced, since a
+    non-dominant mu can make one negative.  Agreement with
+    ``WeightMultiplicities.at`` is an invariant of the package.
     """
     lam, mu = tuple(lam), tuple(mu)
     if not rs.is_dominant(lam):
         raise NonDominantWeightError(lam)
     if table is None:
         table = partition.PartitionTable(rs)
-    total = sum(table.signed_sum(dot_terms(rs, lam, mu)).values())
+    packing, [value] = table.packed_sums([dot_terms(rs, lam, mu)])
+    total = sum(packing.balanced(value, packing.height).values())
     if total < 0:
         raise InternalInconsistencyError(
             f"Kostant sum for lam={lam}, mu={mu} is negative: {total}"

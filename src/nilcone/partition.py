@@ -2,12 +2,12 @@
 
 ``poly(x)`` is the coefficient tuple of P(x; q) = sum_n p(x, n) q^n, with
 p(x, n) the number of multisets of exactly n positive roots (repetitions
-allowed) summing to the root-lattice vector x; ``p`` reads one coefficient
-and ``big_p`` their sum.  Every alternating Weyl sum downstream is a signed
-sum of these polynomials, taken by ``packed_sums`` as one int per sum,
-for a whole batch of sums at once, and read by a mask test and a plain
-unpack (the graded queries) or by ``signed_sum``, a balanced unpack
-(Kostant's formula, where a non-dominant mu can give a negative digit).
+allowed) summing to the root-lattice vector x.  Every alternating Weyl
+sum downstream is a signed sum of these polynomials, taken by
+``packed_sums`` as one int per sum, for a whole batch of sums at once,
+and read by a mask test and a plain unpack (the graded queries) or by
+``_Digits.balanced`` (Kostant's formula, where a non-dominant mu can give
+a negative digit).
 The table keeps each polynomial it was asked for once, as the
 coefficient tuple a cache record holds, and can persist them.  This
 module is the only one that knows the cache file: ``load_table`` ties a
@@ -253,19 +253,6 @@ class PartitionTable:
         self.packed_sums([[(1, x)]])
         return self._values[x]
 
-    def p(self, x, n: int) -> int:
-        """Number of n-element positive-root multisets summing to x.
-
-        Zero for any x outside the nonnegative root cone, for n < 0 and
-        for n > height(x): every positive root has height >= 1.
-        """
-        coeffs = self.poly(x)
-        return coeffs[n] if 0 <= n < len(coeffs) else 0
-
-    def big_p(self, x) -> int:
-        """Ungraded count: P(x; 1), the sum of p(x, n) over all n."""
-        return sum(self.poly(x))
-
     def packed_sums(self, term_lists) -> tuple[_Packing, list[int]]:
         """(packing, [sum of sign * P(x; 2^B) for each list]) for lists of
         (sign, x) terms with distinct x of rank coordinates, each in the
@@ -319,14 +306,6 @@ class PartitionTable:
                     total -= value_of[x]
             totals.append(total)
         return packing, totals
-
-    def signed_sum(self, terms) -> dict[int, int]:
-        """{n: sum of sign * p(x, n)}, zeros dropped, for a list of
-        (sign, x) terms with distinct x in the nonnegative cone: the
-        ``packed_sums`` total, unpacked once in balanced base 2^B, so a
-        negative coefficient comes back negative."""
-        packing, [total] = self.packed_sums([terms])
-        return packing.balanced(total, packing.height)
 
     # -- persistence -----------------------------------------------------
 

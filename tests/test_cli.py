@@ -16,7 +16,6 @@ from nilcone.errors import (
     InternalInconsistencyError,
     NonDominantWeightError,
     PositivityViolationError,
-    WrongRootSystemError,
 )
 from nilcone.partition import PARTITION_CACHE_SCHEMA
 
@@ -27,7 +26,6 @@ def test_exit_code_mapping():
     assert exit_code_for(CheckFailure("x")) == EXIT_VIOLATION
     assert exit_code_for(InadmissibleTypeError("E", 9)) == EXIT_USAGE
     assert exit_code_for(NonDominantWeightError((-1,))) == EXIT_USAGE
-    assert exit_code_for(WrongRootSystemError("x")) == EXIT_USAGE
 
 
 def test_kconst_all_table():
@@ -422,7 +420,7 @@ def test_cache_list_and_clear(tmp_path):
 
     rs = build("A", 2)
     table = PartitionTable(rs)
-    table.p((1, 1), 1)
+    table.poly((1, 1))
     table.save(cache_path(rs.id, tmp_path))
 
     result = invoke(["cache", "list", "--cache-dir", str(tmp_path)])

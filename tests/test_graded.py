@@ -11,8 +11,6 @@ from nilcone import (
     ModuleKind,
     Variety,
     WeightMultiplicities,
-    WrongRootSystemError,
-    a2_tilting_euler,
     build,
     dot_terms,
     euler_induced,
@@ -48,7 +46,8 @@ def symmetric_power_oracle(rs, n):
 
 def euler_profile(calc, lam, mu):
     """{n: q^n coefficient of E(lam, mu; q)}, zeros dropped."""
-    return calc.table.signed_sum(dot_terms(calc.rs, lam, mu))
+    packing, [value] = calc.table.packed_sums([dot_terms(calc.rs, lam, mu)])
+    return packing.balanced(value, packing.height)
 
 
 def test_euler_mult_trivial(calculators):
@@ -269,18 +268,13 @@ def test_table_json_and_csv_shape():
 
 # -- the A_2 tilting example ----------------------------------------------------
 
-def test_tilting_euler_values(systems):
-    rs = systems("A", 2)
-    assert a2_tilting_euler(rs, (0, 0)) == 1
-    assert a2_tilting_euler(rs, (3, 0)) == -1
-    assert a2_tilting_euler(rs, (0, 3)) == 0
-
-
-def test_tilting_euler_wrong_type(systems):
-    with pytest.raises(WrongRootSystemError):
-        a2_tilting_euler(systems("B", 2), (0, 0))
-    with pytest.raises(WrongRootSystemError):
-        a2_tilting_euler(build("A", 3), (0, 0, 0))
+def test_tilting_euler_values():
+    # The table rows: L(lambda), then its Euler multiplicity.
+    lines = invoke(["tilting-example"]).stdout.splitlines()
+    rows = {line.split()[0]: int(line.split()[1]) for line in lines[1:-1]}
+    assert rows["L(0,0)"] == 1
+    assert rows["L(3,0)"] == -1
+    assert rows["L(0,3)"] == 0
 
 
 # -- Hilbert series ---------------------------------------------------------------
@@ -474,7 +468,8 @@ def test_negative_coefficient_from_the_packed_kernel_is_a_hard_error(
     rs = build("A", 2)
     calc = graded.GradedCalculator(rs, table=PartitionTable(rs))
     terms = graded.dot_terms(rs, (1, 1), (0, 0))
-    assert calc.table.signed_sum(terms) == {0: 1, 1: -1, 2: -1}
+    packing, [value] = calc.table.packed_sums([terms])
+    assert packing.balanced(value, packing.height) == {0: 1, 1: -1, 2: -1}
     # The error names the lowest negative degree: d_1, and a_{1 + k}.
     with pytest.raises(InternalInconsistencyError, match=r"d_1\(\(1, 1\)\) = -1 < 0"):
         calc.nilcone_series((1, 1))

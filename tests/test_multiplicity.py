@@ -9,7 +9,6 @@ from nilcone import (
     NonDominantWeightError,
     PartitionTable,
     WeightMultiplicities,
-    freudenthal_mult,
     kostant_mult,
     weyl_dim,
 )
@@ -20,21 +19,22 @@ def test_highest_weight_has_multiplicity_one(systems):
     for family, rank in [("A", 2), ("B", 2), ("G", 2)]:
         rs = systems(family, rank)
         for lam in [(0,) * rank, (1, 0), (2, 1)]:
-            assert freudenthal_mult(rs, lam, lam) == 1
+            assert WeightMultiplicities(rs, lam).at(lam) == 1
 
 
 def test_adjoint_zero_weight_space_is_rank(systems):
     # the zero weight space of the adjoint module is the Cartan subalgebra
     for family, rank in [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("G", 2)]:
         rs = systems(family, rank)
-        assert freudenthal_mult(rs, rs.theta_long, (0,) * rank) == rank
+        assert WeightMultiplicities(rs, rs.theta_long).at((0,) * rank) == rank
 
 
 def test_a2_values_for_tilting_example(systems):
     rs = systems("A", 2)
-    assert freudenthal_mult(rs, (3, 0), (0, 0)) == 1
-    assert freudenthal_mult(rs, (3, 0), (1, 1)) == 1
-    assert freudenthal_mult(rs, (3, 0), (0, 3)) == 0
+    mults = WeightMultiplicities(rs, (3, 0))
+    assert mults.at((0, 0)) == 1
+    assert mults.at((1, 1)) == 1
+    assert mults.at((0, 3)) == 0
 
 
 def test_kostant_examples(systems):
@@ -46,11 +46,13 @@ def test_kostant_examples(systems):
 
 
 def test_kostant_sum_is_the_shared_kernel_and_checked(systems, monkeypatch):
-    # kostant_mult sums the profile of PartitionTable.signed_sum, the kernel
-    # of the graded sums, and refuses a negative total.
+    # kostant_mult sums the balanced digits of PartitionTable.packed_sums,
+    # the kernel of the graded sums, and refuses a negative total.
     rs = systems("A", 2)
-    monkeypatch.setattr(PartitionTable, "signed_sum",
-                        lambda self, terms: {0: 1, 1: -3})
+    packing, _ = PartitionTable(rs).packed_sums([[(1, (1, 1))]])
+    value = 1 - (3 << packing.bits)  # the profile 1 - 3q
+    monkeypatch.setattr(PartitionTable, "packed_sums",
+                        lambda self, term_lists: (packing, [value]))
     with pytest.raises(InternalInconsistencyError, match="negative: -2"):
         kostant_mult(rs, (1, 1), (0, 0), table=PartitionTable(rs))
 
@@ -58,7 +60,7 @@ def test_kostant_sum_is_the_shared_kernel_and_checked(systems, monkeypatch):
 def test_non_dominant_highest_weight_rejected(systems):
     rs = systems("A", 2)
     with pytest.raises(NonDominantWeightError):
-        freudenthal_mult(rs, (-1, 0), (0, 0))
+        WeightMultiplicities(rs, (-1, 0))
     with pytest.raises(NonDominantWeightError):
         kostant_mult(rs, (0, -2), (0, 0))
     with pytest.raises(NonDominantWeightError):
@@ -115,9 +117,12 @@ def test_saturation_sums_to_dimension(systems):
 
 def test_zero_off_the_coset(systems):
     rs = systems("A", 2)
-    # lam - mu not in the root lattice forces multiplicity zero
-    assert freudenthal_mult(rs, (1, 0), (0, 0)) == 0
-    assert kostant_mult(rs, (1, 0), (0, 0)) == 0
+    # lam - mu not in the root lattice forces multiplicity zero, as does a
+    # mu whose dominant representative is not below lam: (2, 2) above
+    # (1, 1), and (-2, 4), whose representative is (2, 2).
+    for lam, mu in [((1, 0), (0, 0)), ((1, 1), (2, 2)), ((1, 1), (-2, 4))]:
+        assert WeightMultiplicities(rs, lam).at(mu) == 0
+        assert kostant_mult(rs, lam, mu) == 0
 
 
 @pytest.mark.parametrize("family,rank", [("A", 1), ("A", 2), ("B", 2), ("G", 2)])

@@ -50,14 +50,13 @@ def brute_force_counts(rs, n):
 def test_trivial_values():
     rs = build("A", 2)
     table = PartitionTable(rs)
-    assert table.p((0, 0), 0) == 1
-    assert table.p((1, 1), 1) == 1     # theta itself
-    assert table.p((1, 1), 2) == 1     # {alpha_1, alpha_2}
-    assert table.p((-1, 0), 1) == 0
-    assert table.p((2, 2), -1) == 0
-    assert table.big_p((0, 0)) == 1
-    assert table.big_p((1, 1)) == 2
-    assert table.big_p((1, 0)) == 1
+    assert table.poly((0, 0)) == (1,)
+    # n = 1: theta itself; n = 2: {alpha_1, alpha_2}.
+    assert table.poly((1, 1)) == (0, 1, 1)
+    assert table.poly((-1, 0)) == ()
+    assert sum(table.poly((0, 0))) == 1
+    assert sum(table.poly((1, 1))) == 2
+    assert sum(table.poly((1, 0))) == 1
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("G", 2)])
@@ -71,8 +70,10 @@ def test_brute_force_equivalence_height_6(family, rank):
     for x in itertools.product(box, repeat=rank):
         if sum(x) > max_h:
             continue
-        for n in range(max_h + 1):
-            assert table.p(x, n) == by_n[n].get(x, 0), (x, n)
+        coeffs = table.poly(x)
+        assert coeffs == tuple(by_n[n].get(x, 0) for n in range(sum(x) + 1)), x
+        # No multiset of more than height(x) roots sums to x.
+        assert all(x not in by_n[n] for n in range(sum(x) + 1, max_h + 1)), x
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("G", 2)])
@@ -97,8 +98,10 @@ def test_generating_function_identity_height_8(family, rank):
     for x in itertools.product(box, repeat=rank):
         if sum(x) > max_h:
             continue
+        coeffs = table.poly(x)
         for n in range(max_h + 1):
-            assert table.p(x, n) == series.get((x, n), 0), (x, n)
+            expected = series.get((x, n), 0)
+            assert (coeffs[n] if n < len(coeffs) else 0) == expected, (x, n)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("G", 2)])
@@ -107,8 +110,8 @@ def test_monotone_support(family, rank):
     table = PartitionTable(rs)
     h_theta = sum(rs.theta_long_coords)
     for x in itertools.product(range(0, 7), repeat=rank):
-        for n in range(0, 9):
-            if table.p(x, n) > 0:
+        for n, c in enumerate(table.poly(x)):
+            if c > 0:
                 assert math.ceil(sum(x) / h_theta) <= n <= sum(x)
 
 
@@ -124,8 +127,6 @@ def test_poly_is_the_graded_counts(family, rank):
             continue
         coeffs = list(table.poly(x))
         assert coeffs == [by_n[n].get(x, 0) for n in range(sum(x) + 1)], x
-        assert coeffs == [table.p(x, n) for n in range(sum(x) + 1)], x
-        assert sum(coeffs) == table.big_p(x)
     assert table.poly((-1,) + (2,) * (rank - 1)) == ()
 
 
@@ -659,7 +660,7 @@ def test_repeated_arguments_are_refused():
     # are, so a list in which one occurs twice is refused before any work.
     table = PartitionTable(build("A", 2))
     with pytest.raises(ValueError, match="twice"):
-        table.signed_sum([(1, (1, 1))] * 10)
+        table.packed_sums([[(1, (1, 1))] * 10])
     with pytest.raises(ValueError, match="twice"):
         table.packed_sums([[(1, (0, 0))], [(-1, (1, 1)), (1, (0, 0)), (1, (1, 1))]])
     assert table._values == {} and not table.unsaved
@@ -672,7 +673,7 @@ def test_vectors_of_the_wrong_length_are_refused():
         with pytest.raises(ValueError, match="coordinates"):
             table.poly(x)
     with pytest.raises(ValueError, match="coordinates"):
-        table.signed_sum([(1, (1,))])
+        table.packed_sums([[(1, (1,))]])
     assert table._values == {}  # nothing a save would write
     with pytest.raises(ValueError, match="coordinates"):
         GradedCalculator(rs, table=table).nilcone_series((1, 1, 1))
@@ -685,9 +686,7 @@ def test_a1_counts_are_delta():
     rs = build("A", 1)
     table = PartitionTable(rs)
     for m in range(8):
-        for n in range(8):
-            assert table.p((m,), n) == (1 if n == m else 0)
-        assert table.big_p((m,)) == 1
+        assert table.poly((m,)) == (0,) * m + (1,)
 
 
 def test_calculators_build_their_own_tables():
@@ -706,16 +705,12 @@ def test_concurrent_reads_are_consistent():
 
     rs = build("B", 2)
     reference = PartitionTable(rs)
-    queries = [
-        (x, n)
-        for x in itertools.product(range(5), repeat=2)
-        for n in range(sum((4, 4)) + 1)
-    ]
-    expected = [reference.p(x, n) for x, n in queries]
+    queries = list(itertools.product(range(5), repeat=2))
+    expected = [reference.poly(x) for x in queries]
 
     shared = PartitionTable(rs)
     with ThreadPoolExecutor(max_workers=4) as pool:
-        results = list(pool.map(lambda q: shared.p(*q), queries * 3))
+        results = list(pool.map(shared.poly, queries * 3))
     assert results == expected * 3
 
 
@@ -753,15 +748,15 @@ def test_concurrent_batches_are_consistent():
 def test_cache_round_trip(tmp_path):
     rs = build("B", 2)
     table = PartitionTable(rs)
-    queries = [((2, 2), 2), ((1, 2), 1), ((3, 4), 3), ((0, 0), 0)]
-    values = {q: table.p(*q) for q in queries}
+    queries = [(2, 2), (1, 2), (3, 4), (0, 0)]
+    values = {x: table.poly(x) for x in queries}
     path = cache_path(rs.id, tmp_path)
     table.save(path)
 
     fresh = load_table(rs, tmp_path)
-    assert held(fresh) == {x: table.poly(x) for x, _ in queries}
-    for q, v in values.items():
-        assert fresh.p(*q) == v
+    assert held(fresh) == values
+    for x, v in values.items():
+        assert fresh.poly(x) == v
 
 
 def test_cache_is_extendable(tmp_path):
@@ -769,13 +764,13 @@ def test_cache_is_extendable(tmp_path):
     path = cache_path(rs.id, tmp_path)
 
     first = PartitionTable(rs)
-    first.p((1, 1), 1)
+    first.poly((1, 1))
     first.save(path)
 
     second = PartitionTable(rs)
-    second.p((2, 2), 2)
+    second.poly((2, 2))
     second.extend_from(path)
-    assert second.p((1, 1), 1) == 1
+    assert second.poly((1, 1))[1] == 1
     second.save(path)
 
     merged = load_table(rs, tmp_path)
@@ -808,7 +803,7 @@ def test_cache_rejects_wrong_type(tmp_path):
     rs_a = build("A", 2)
     rs_b = build("B", 2)
     table = PartitionTable(rs_a)
-    table.p((1, 1), 1)
+    table.poly((1, 1))
     path = tmp_path / "cache.txt"
     table.save(path)
     with pytest.raises(StaleCacheError):
@@ -818,7 +813,7 @@ def test_cache_rejects_wrong_type(tmp_path):
 def test_cache_rejects_schema_bump(tmp_path):
     rs = build("A", 2)
     table = PartitionTable(rs)
-    table.p((1, 1), 1)
+    table.poly((1, 1))
     path = tmp_path / "cache.txt"
     table.save(path)
 
@@ -841,7 +836,7 @@ def test_cache_rejects_garbage(tmp_path):
 def test_malformed_record_merges_nothing(tmp_path):
     rs = build("A", 2)
     table = PartitionTable(rs)
-    table.p((2, 2), 2)
+    table.poly((2, 2))
     path = table.save(tmp_path / "cache.txt")
     rewrite(path, lambda header, records: records.append("1 0 0 -1"))
     fresh = PartitionTable(rs)
@@ -853,7 +848,7 @@ def test_malformed_record_merges_nothing(tmp_path):
 def test_repeated_record_merges_nothing(tmp_path):
     rs = build("A", 2)
     table = PartitionTable(rs)
-    table.p((2, 2), 2)
+    table.poly((2, 2))
     path = table.save(tmp_path / "cache.txt")
     # The same x twice, each record well formed and true.
     rewrite(path, lambda header, records: records.append(records[0]))
@@ -866,7 +861,7 @@ def test_repeated_record_merges_nothing(tmp_path):
 def test_cache_disagreeing_with_table_is_refused(tmp_path):
     rs = build("A", 2)
     table = PartitionTable(rs)
-    table.p((1, 1), 1)
+    table.poly((1, 1))
     path = table.save(tmp_path / "cache.txt")
 
     def tamper(header, records):
@@ -881,7 +876,7 @@ def test_cache_disagreeing_with_table_is_refused(tmp_path):
 def test_cache_header_records_ordering_hash(tmp_path):
     rs = build("G", 2)
     table = PartitionTable(rs)
-    table.p((1, 1), 1)
+    table.poly((1, 1))
     path = table.save(tmp_path / "g2.txt")
     # The digest is the SHA-256 of the record bytes after the header line.
     head, body = path.read_bytes().split(b"\n", 1)
@@ -907,7 +902,7 @@ def test_failed_save_keeps_previous_cache(tmp_path, monkeypatch):
     rs = build("A", 2)
     path = cache_path(rs.id, tmp_path)
     first = PartitionTable(rs)
-    first.p((1, 1), 1)
+    first.poly((1, 1))
     first.save(path)
 
     class TornFile:
@@ -931,7 +926,7 @@ def test_failed_save_keeps_previous_cache(tmp_path, monkeypatch):
     monkeypatch.setattr(partition.os, "fdopen",
                         lambda *a, **k: TornFile(real_fdopen(*a, **k)))
     second = PartitionTable(rs)
-    second.p((2, 2), 2)
+    second.poly((2, 2))
     with pytest.raises(OSError):
         second.save(path)
     monkeypatch.undo()
@@ -951,7 +946,7 @@ def test_saved_cache_file_honours_the_umask(tmp_path, umask, mode):
 
     rs = build("A", 2)
     table = PartitionTable(rs)
-    table.p((1, 1), 1)
+    table.poly((1, 1))
     saved = os.umask(umask)
     try:
         path = table.save(cache_path(rs.id, tmp_path))
@@ -969,7 +964,7 @@ def test_save_replaces_a_temporary_file_left_by_a_killed_writer(tmp_path):
 
     rs = build("A", 2)
     table = PartitionTable(rs)
-    table.p((1, 1), 1)
+    table.poly((1, 1))
     path = cache_path(rs.id, tmp_path)
     left = tmp_path / f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
     left.write_bytes(b"half a file")
