@@ -618,7 +618,7 @@ def mult(family, rank, lam_text, mu_text, algorithm, fmt):
                    "algorithms": sorted(values)})
     elif fmt == "csv":
         print("lambda,mu,mult")
-        print(f"\"{lam_text}\",\"{mu_text}\",{value}")
+        print(f"\"{','.join(map(str, lam))}\",\"{','.join(map(str, mu))}\",{value}")
     else:
         print(f"m_{fmt_weight(lam)}{fmt_weight(mu)} = {value}")
 

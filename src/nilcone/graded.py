@@ -19,11 +19,13 @@ Degrees are polynomial degrees throughout; cohomological degree 2n (even
 parts) or 2n - 1 (odd parts) is presentation only, spelled out by the
 command line.  The queries return plain values: a series is {n: c_n},
 ``cohomology_table`` is {i: {lam: mult}}, ``hilbert_series`` a list;
-one degree of a series is ``series.get(n, 0)``.  Each kind of
-``cohomology_table`` writes its rows in one parity (weyl in both), so
-parity vanishing holds there by construction; the A_2 tilting module
-where it fails is a sum of three weight multiplicities, which the
-``tilting-example`` command takes itself.
+one degree of a series is ``series.get(n, 0)``.  A series is the digits
+of one profile, named d, a or t as above (``PROFILE``).
+``cohomology_table`` adds digit n of each (offset, name) part of its kind
+(``KIND_ROWS``) into row 2n + offset, so each kind writes its rows in one
+parity (weyl in both) and parity vanishing holds there by construction;
+the A_2 tilting module where it fails is a sum of three weight
+multiplicities, which the ``tilting-example`` command takes itself.
 
 Every query but ``hilbert_series`` reads its profiles from
 ``GradedCalculator._profiles``: it gathers the dot-orbit terms of every
@@ -39,10 +41,9 @@ partition values those degrees reach, with no table and no cache.  The
 weights it folds are its domain: no weight it leaves out has a nonzero
 digit, so ``hilbert_series`` sorts the folded weights below m *
 theta_long into ``sweep_domain``'s order rather than enumerate it.
-Each profile stays packed as one int, E(lam, mu; 2^B), and every
-profile of both paths is checked by ``GradedCalculator._checked``,
-weight by weight, in order, with one mask per profile; a checked
-profile is read as plain base-2^B digits.
+Each profile stays packed as one int, and ``GradedCalculator._checked``
+checks every profile of both paths, weight by weight, in order, with one
+mask each; ``_Digits.digits`` reads a checked one.
 """
 
 from __future__ import annotations
@@ -69,6 +70,19 @@ class Variety(str, Enum):
     SUBREGULAR = "subregular"
 
 
+# The profile each variety's series reads.
+PROFILE = {Variety.NILCONE: "d", Variety.SUBREGULAR: "t"}
+
+# Each kind's (offset, name) parts: digit n of a profile adds into row 2n + offset.
+KIND_ROWS = {
+    ModuleKind.TRIVIAL: [(0, "d")],
+    ModuleKind.TILTING: [(0, "t")],
+    ModuleKind.INDUCED_WALL: [(-1, "a")],
+    ModuleKind.WEYL: [(0, "t"), (1, "d")],
+    ModuleKind.SIMPLE: [(1, "d"), (-1, "a")],
+}
+
+
 class GradedCalculator:
     """Bundles a root system with its partition table: the one given,
     or a new one of its own.
@@ -92,59 +106,53 @@ class GradedCalculator:
 
     # -- the one checked kernel ----------------------------------------------
 
-    def _profiles(self, lams, mus):
-        """(packing, ``_checked`` profiles of each lam, in order), every
-        dot-orbit argument of every (lam, mu) in one ``packed_sums`` batch
-        before any DP work; mus is [0], [theta_s] or [0, theta_s]."""
-        rs, lams = self.rs, list(lams)
+    def _profiles(self, lams, names):
+        """(packing, ``_checked`` profiles of each lam, in order): the
+        dot-orbit terms of every (lam, mu) the names need (``_sources``),
+        in one ``packed_sums`` batch before any DP work."""
+        rs, lams, mus = self.rs, list(lams), self._sources(names)
         packing, totals = self.table.packed_sums(
-            [dot_terms(rs, lam, mu) for lam in lams for mu in mus])
+            [dot_terms(rs, lam, mu) for lam in lams for mu in mus.values()])
         values = iter(totals)
         rows = zip(lams, zip(*[values] * len(mus)))  # len(mus) values a lam
         return packing, self._checked(rows, mus, packing, packing.height + self.k + 1)
 
+    def _sources(self, names) -> dict[str, Weight]:
+        """{name: mu} of each E(lam, mu; q) the names need, d then a."""
+        zero, theta_s = (0,) * self.rs.rank, self.rs.theta_short
+        return {name: mu for name, mu in [("d", zero), ("a", theta_s)]
+                if name in names or "t" in names}
+
     def _checked(self, rows, mus, digits, fields):
-        """Yield (lam, profiles) for each (lam, values) of rows, in order,
-        with every profile checked digit by digit.
+        """Yield (lam, {name: profile}) for each (lam, values) of rows, in
+        order, with every profile checked digit by digit.
 
-        values[i] is E(lam, mus[i]; 2^B), exact at least modulo 2^(B
-        fields).  The profiles are D = E(lam, 0; 2^B), whose digit n is
-        d_n(lam), and A = q^k E(lam, theta_s; 2^B), whose digit i is
-        a_i(lam), in the order of mus, each cut to `fields` fields; when
-        both are asked for, T = D - A follows, whose digit n is t_n(lam).
+        values holds E(lam, mu; 2^B) for each {name: mu} of mus, exact at
+        least modulo 2^(B fields).  The profiles, in this order, each cut
+        to `fields` fields:
 
-        One mask (``_Digits.nonnegative``) checks each profile, in the
-        order D, A, T; once D and A pass, every digit of T lies in [-M,
-        M], so its mask is sound too.  The masks and balanced reads see
-        the `fields` fields alone, so a residue is checked exactly.  A lam
-        that fails raises the error for the lowest negative degree of its
-        first failing profile before any later lam is read.  A profile
-        that passes is a plain base-2^B number: its digits are its fields.
+          d  D = E(lam, 0; 2^B)              digit n is d_n(lam)
+          a  A = q^k E(lam, theta_s; 2^B)    digit i is a_i(lam)
+          t  T = D - A, when both are read   digit n is t_n(lam)
+
+        One mask (``_Digits.nonnegative``) checks each profile in turn;
+        once D and A pass, every digit of T lies in [-M, M], so its mask
+        is sound too.  The masks and balanced reads see the `fields`
+        fields alone, so a residue is checked exactly.  A lam that fails
+        raises the error for the lowest negative degree of its first
+        failing profile before any later lam is read.  A profile that
+        passes is a plain base-2^B number, which ``_Digits.digits`` reads.
         """
         bits, cut = digits.bits, (1 << (digits.bits * fields)) - 1
-        shifts = [bits * self.k if any(mu) else 0 for mu in mus]
-        names = ["a" if any(mu) else "d" for mu in mus] + ["t"] * (len(mus) == 2)
         for lam, values in rows:
-            profiles = [(value << shift) & cut for value, shift in zip(values, shifts)]
-            if len(mus) == 2:
-                profiles.append(profiles[0] - profiles[1])
-            for name, value in zip(names, profiles):
+            profiles = {name: (value << bits * self.k if name == "a" else value) & cut
+                        for name, value in zip(mus, values)}
+            if len(profiles) == 2:
+                profiles["t"] = profiles["d"] - profiles["a"]
+            for name, value in profiles.items():
                 if not digits.nonnegative(value, fields):
                     raise _negative(name, lam, digits.balanced(value, fields - 1))
             yield lam, profiles
-
-    def _series(self, lams, mus) -> list[dict[int, int]]:
-        """{n: c_n} of the last profile of ``_profiles`` for each lam:
-        d for [0], a for [theta_s], t for [0, theta_s]."""
-        packing, checked = self._profiles(lams, mus)
-        return [_digits(packing, profiles[-1]) for _, profiles in checked]
-
-    def _mus(self, variety) -> list[Weight]:
-        """The mus whose last profile is the variety's: d or t."""
-        zero = (0,) * self.rs.rank
-        if Variety(variety) == Variety.NILCONE:
-            return [zero]
-        return [zero, self.rs.theta_short]
 
     # -- whole series --------------------------------------------------------
 
@@ -154,7 +162,8 @@ class GradedCalculator:
 
     def induced_series(self, lam) -> dict[int, int]:
         """{i: a_i(lam)} with the shift by k applied; a_i = 0 for i < k."""
-        return self._series([lam], [self.rs.theta_short])[0]
+        packing, checked = self._profiles([lam], "a")
+        return next(packing.digits(profiles["a"]) for _, profiles in checked)
 
     def subregular_series(self, lam) -> dict[int, int]:
         """{n: t_n(lam)}, t_n = d_n - a_n, guaranteed nonnegative."""
@@ -163,7 +172,9 @@ class GradedCalculator:
     def series_batch(self, variety: Variety, lams) -> list[dict[int, int]]:
         """[series(variety, lam) for lam in lams], with every partition
         value from one batch, checked weight by weight in order."""
-        return self._series(lams, self._mus(variety))
+        name = PROFILE[Variety(variety)]
+        packing, checked = self._profiles(lams, name)
+        return [packing.digits(profiles[name]) for _, profiles in checked]
 
     # -- assembled tables ------------------------------------------------------
 
@@ -188,38 +199,20 @@ class GradedCalculator:
         from the same batch as the rows, which then holds the profiles of
         both mus whatever the kind.
         """
-        kind = ModuleKind(kind)
+        parts = KIND_ROWS[ModuleKind(kind)]
+        names = {name for _, name in parts} | set("dt" if totals else "")
         rows: dict[int, dict[Weight, int]] = {i: {} for i in range(max_i + 1)}
         sums: dict[Weight, dict[Variety, int]] = {}
-        zero, theta_s = (0,) * self.rs.rank, self.rs.theta_short
-        mus = [zero, theta_s]
-        if not totals and kind in (ModuleKind.TRIVIAL, ModuleKind.INDUCED_WALL):
-            mus = [zero] if kind == ModuleKind.TRIVIAL else [theta_s]
-        packing, checked = self._profiles(self.sweep_domain(sweep), mus)
+        packing, checked = self._profiles(self.sweep_domain(sweep), names)
         for lam, profiles in checked:
-            if len(profiles) == 3:
-                d, a, t = profiles
-            elif kind == ModuleKind.TRIVIAL:
-                [d] = profiles
-            else:
-                [a] = profiles
-            if kind == ModuleKind.SIMPLE:
-                # A's digit 0 is 0 (k >= 1), and digit i of the sum is
-                # d_i + a_{i+1} <= 2M < 2^bits: no carry.
-                parts = [(1, d + (a >> packing.bits))]
-            elif kind == ModuleKind.WEYL:
-                parts = [(0, t), (1, d)]
-            elif kind == ModuleKind.INDUCED_WALL:
-                parts = [(-1, a)]
-            else:
-                parts = [(0, d if kind == ModuleKind.TRIVIAL else t)]
-            for offset, value in parts:  # each part fills rows of one parity
-                for n, v in _digits(packing, value).items():
+            for offset, name in parts:
+                for n, v in packing.digits(profiles[name]).items():
                     if 0 <= 2 * n + offset <= max_i:
-                        rows[2 * n + offset][lam] = v
+                        row = rows[2 * n + offset]
+                        row[lam] = row.get(lam, 0) + v
             if totals:
-                sums[lam] = {Variety.NILCONE: sum(_digits(packing, d).values()),
-                             Variety.SUBREGULAR: sum(_digits(packing, t).values())}
+                sums[lam] = {variety: sum(packing.digits(profiles[name]).values())
+                             for variety, name in PROFILE.items()}
         return (rows, sums) if totals else rows
 
     def hilbert_series(self, variety: Variety, max_degree: int) -> list[int]:
@@ -235,8 +228,9 @@ class GradedCalculator:
         A folded lam outside the domain whose profile, A shifted and cut,
         is not 0 is an internal inconsistency.
         """
-        m, mus = max_degree, self._mus(variety)
-        digits, folded = fold(self.rs, m, mus)
+        m, name = max_degree, PROFILE[Variety(variety)]
+        mus = self._sources(name)
+        digits, folded = fold(self.rs, m, mus.values())
         top = vscale(m, self.rs.theta_long)
         depth: dict[Weight, int] = {}  # lam in the domain -> height(top - lam)
         for lam in set().union(*folded):
@@ -246,22 +240,15 @@ class GradedCalculator:
         rows = ((lam, [profiles.pop(lam, 0) for profiles in folded])
                 for lam in sorted(depth, key=lambda lam: (-depth[lam], lam)))
         coeffs = [0] * (m + 1)
-        bits, mask = digits.bits, (1 << digits.bits) - 1
         for lam, profiles in self._checked(rows, mus, digits, m + 1):
-            value = profiles[-1]
-            if value:
+            if profiles[name]:
                 dim = weyl_dim(self.rs, lam)
-                # From the lowest nonzero digit to the top one.
-                n = ((value & -value).bit_length() - 1) // bits
-                value >>= bits * n
-                while value:
-                    coeffs[n] += dim * (value & mask)
-                    value >>= bits
-                    n += 1
+                for n, c in digits.digits(profiles[name]).items():
+                    coeffs[n] += dim * c
         # What is left is outside the domain (mus is [0] or [0, theta_s]):
         # the digits D keeps, and A keeps once shifted and cut, must be 0.
-        low = (1 << (bits * (m + 1))) - 1
-        for name, keep, rest in zip("da", [low, low >> bits * self.k], folded):
+        low = (1 << (digits.bits * (m + 1))) - 1
+        for name, keep, rest in zip("da", [low, low >> digits.bits * self.k], folded):
             stray = sorted(lam for lam, value in rest.items() if value & keep)
             if stray:
                 raise InternalInconsistencyError(
@@ -293,13 +280,6 @@ def fold(rs: RootSystem, m: int, mus) -> tuple[partition._Digits, list[dict]]:
         del points  # before the next mu's are built
         folded.append({vsub(top, rs.rho): v for top, v in profile.items() if v})
     return digits, folded
-
-
-def _digits(packing, value) -> dict[int, int]:
-    """{n: c_n}, zeros dropped, for value = sum_n c_n 2^(bits n) with
-    every c_n in [0, 2^bits): a profile that passed its check."""
-    top = (value.bit_length() - 1) // packing.bits
-    return {n: c for n, c in enumerate(packing.unpack(value, top)) if c}
 
 
 def _negative(name, lam, digits) -> Exception:

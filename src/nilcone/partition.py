@@ -5,7 +5,7 @@ p(x, n) the number of multisets of exactly n positive roots (repetitions
 allowed) summing to the root-lattice vector x.  Every alternating Weyl
 sum downstream is a signed sum of these polynomials, taken by
 ``packed_sums`` as one int per sum, for a whole batch of sums at once,
-and read by a mask test and a plain unpack (the graded queries) or by
+and read by a mask test and ``_Digits.digits`` (the graded queries) or by
 ``_Digits.balanced`` (Kostant's formula, where a non-dominant mu can give
 a negative digit).
 The table keeps each polynomial it was asked for once, as the
@@ -99,6 +99,18 @@ class _Digits:
         """The height + 1 coefficients of a value with none negative."""
         bits, mask = self.bits, (1 << self.bits) - 1
         return tuple((value >> (bits * n)) & mask for n in range(height + 1))
+
+    def digits(self, value: int) -> dict[int, int]:
+        """{n: c_n}, zeros dropped, of a value = sum_n c_n 2^(bits n) that
+        passed its sign test, read from the lowest nonzero digit up."""
+        bits, mask, found = self.bits, (1 << self.bits) - 1, {}
+        n = ((value & -value).bit_length() - 1) // bits if value else 0
+        value >>= bits * n
+        while value:
+            if value & mask:
+                found[n] = value & mask
+            value, n = value >> bits, n + 1
+        return found
 
     def tops(self, fields: int) -> int:
         """The top bit of each of the lowest `fields` fields: 2^(bits - 1)

@@ -699,6 +699,19 @@ def test_option_values_may_start_with_a_dash(fmt, line):
     assert result.stdout.splitlines()[-1] == line
 
 
+@pytest.mark.parametrize("fmt,line", [
+    ("table", "m_(1,1)(0,0) = 2"),
+    ("csv", '"1,1","0,0",2'),
+])
+def test_mult_prints_the_parsed_weights(fmt, line):
+    # Weight text with signs, spaces and leading zeros is printed as the
+    # weight it parses to, as the JSON format and every other CSV do.
+    result = invoke(["mult", "-f", "A", "-r", "2", "--lambda", "+1, 01",
+                     "--mu", " 0,0", "--format", fmt])
+    assert result.exit_code == 0, result.output
+    assert result.stdout.splitlines()[-1] == line
+
+
 def test_kconst_all_refuses_a_type():
     for extra in (["-f", "G", "-r", "2"], ["-f", "G"], ["-r", "2"]):
         result = invoke(["kconst", "--all", *extra])

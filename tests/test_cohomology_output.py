@@ -1,6 +1,9 @@
-"""The cohomology command prints exactly what it printed before its rows
-moved out of a result class: the sha256 of stdout for A2 and G2, every
-module kind, every format, sweeps 1 and 2, at the default --max-i."""
+"""The cohomology command prints exactly what it printed when these
+hashes were taken: the sha256 of stdout for A2 and G2, every module kind,
+every format, sweeps 1 and 2, at the default --max-i; and for B3 (k = 3),
+C3 (k = 4) and F4 (k = 8), every kind, sweeps 1 and 2, as a table with
+--max-i 20 --check, so that the a_i rows of F4 (0 for i < 8) are reached
+and the totals of the d and t series are checked."""
 
 import hashlib
 
@@ -71,6 +74,39 @@ PINNED = {
     "G2 simple csv 2": "f094956f116031afb4e1e346f91e281f3160c60df48942fe2822475576b84255",
 }
 
+PINNED_CHECKED = {
+    "B3 trivial 1": "63465f4da1fee3081034e458c7200cbefb2e53c6081d3ca8522770f4f088210b",
+    "B3 trivial 2": "5f0cafa8b049127f5da9ff45bee1142bfc9b541ede7c5e678a9cd600ac359a81",
+    "B3 induced_wall 1": "5512b2c36e2870df20e1028ae7464e334f83108551aeda5742c1111ed18efc4a",
+    "B3 induced_wall 2": "84e5064fbd1634c6bb7c44e710ecf3a95d4d47ba04fe642472d12dd5cd3e0810",
+    "B3 tilting 1": "2c27d17a2b3099166fdec5f3a9c34f7b9cb68f1ef2edd760cdd4fdfb0e69a363",
+    "B3 tilting 2": "c80cdc2eb89dd48d7b38e972d67e6ea57719ff44410f7f2e376cac639da03897",
+    "B3 weyl 1": "9166cdb6fc5f2aa72c77167b949cf03df86c9505a4f2f9ceb5c37e7a6ea1d1d3",
+    "B3 weyl 2": "c72def903bed0b8086303f4d18c434f6c2c50b5f8cfa59ea004cfa47fa0248b6",
+    "B3 simple 1": "83af14842510122e9fd7884dd347786d63bc5f5a4b795119544905a96ad4a44a",
+    "B3 simple 2": "bbfa030ff88c4de1ad167cad2b2e1a43ac58ef4284b7da0c63ef9cece7e0b7ae",
+    "C3 trivial 1": "3563091eecc816251f81cbfdeae4a5d92d3a100ae51f2a122e41ffd7c3af17d5",
+    "C3 trivial 2": "c6677b162d73124033242b64ee776c93c39086bd3f2f21ba803d295a0d06444c",
+    "C3 induced_wall 1": "088dc9c2ab57fe8269f562e4a1c8d7199dbc61a14216b47f5e0260ab10c64480",
+    "C3 induced_wall 2": "4b6d4d5978cd4fcac8fd210d2e72dfed955ed7bdefcd9c5155b290dfe7e1a7c0",
+    "C3 tilting 1": "02467d829424dd5d60155480aba48d1aa216a360afaa5083aa140aabeab243ba",
+    "C3 tilting 2": "50ec83dd979a78aa10e06be3a37beb7fdd7a4444d38679ad624e1310f220ac35",
+    "C3 weyl 1": "b61ab37feb986dd915b8dfa04e787339d0740b67ffe996cbc89ec56813ee6d18",
+    "C3 weyl 2": "a14d35824ee2f81db7f349abe2f2fc9b33ce3764a9e6c610ecd3df1bf02e2625",
+    "C3 simple 1": "053181ca8169c088867b9997237e3b78c1d58634f19b225c1ea6fed9605cca9c",
+    "C3 simple 2": "2a89cde397248e62d374eccd2a1b65ba4d4f3f94518ce084d093e928cbaa5ffe",
+    "F4 trivial 1": "de95a3e5d7e931954fec19c0421ed9520278ede2940752551c3719dc1219b644",
+    "F4 trivial 2": "6119b022f22dfca7ab2c46e61bafb76ab34a7725049f6adf83f42a43da2f0cbc",
+    "F4 induced_wall 1": "93a867bb3c60b618c61f518acbfa861e0cc1e6bea2d4883049aa4da99e24d817",
+    "F4 induced_wall 2": "a400ab34485f9f797eabe8ec3acc65003ea77c42a27541222b5822afc08521c2",
+    "F4 tilting 1": "264bb25ecd2e197e2ddab614adc5d4ef440cfa672a3c87471609b8a04c32ffb2",
+    "F4 tilting 2": "9c68dba57dab1922d5bee472ca7cb99d1cb701a2c0934c0a22f7236a7c3cee5b",
+    "F4 weyl 1": "860ab6485051df7c020271d5590866eaa96b09c3fc6d691c9691272d68f34fb7",
+    "F4 weyl 2": "a55b0ca4221cdbfd374fc07d217f61080994cabd22b0c4f0c6514b1cb4c3dade",
+    "F4 simple 1": "e5a8667b03d43c87b874df8c95dcf32f100bc8ed86cdd790bd58806ba0742bee",
+    "F4 simple 2": "197246776d73986536e5486ae0ada09c6c4b51b7e677e1f832a2af37d74b5d87",
+}
+
 
 @pytest.mark.parametrize("case", sorted(PINNED))
 def test_cohomology_stdout_is_pinned(case):
@@ -79,3 +115,12 @@ def test_cohomology_stdout_is_pinned(case):
                      "--kind", kind, "--format", fmt, "--sweep", sweep])
     assert result.exit_code == 0, result.output
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == PINNED[case]
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_CHECKED))
+def test_checked_cohomology_stdout_is_pinned(case):
+    family_rank, kind, sweep = case.split()
+    result = invoke(["cohomology", "-f", family_rank[0], "-r", family_rank[1:],
+                     "--kind", kind, "--sweep", sweep, "--max-i", "20", "--check"])
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == PINNED_CHECKED[case]

@@ -23,6 +23,7 @@ from nilcone.graded import fold
 from nilcone.partition import (
     PARTITION_CACHE_SCHEMA,
     _coefficient_bound,
+    _Digits,
     _Packing,
     cache_path,
     load_table,
@@ -624,6 +625,23 @@ def test_mask_sign_test_is_exact(family, rank, height, data):
     read = packing.balanced(value, fields - 1)
     assert read == {n + shift: c for n, c in enumerate(digits) if c}
     assert packing.nonnegative(value, fields) == all(c >= 0 for c in read.values())
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(bits=st.integers(2, 41), data=st.data())
+def test_digit_reader_is_exact(bits, data):
+    # digits() gives every nonzero coefficient of a packed vector, with
+    # zero runs at the bottom, in the middle and at the top, digits up to
+    # 2^bits - 1, and the value 0.
+    reader, top = _Digits(bits), (1 << bits) - 1
+    digit = st.one_of(st.sampled_from([0, 1, top]), st.integers(0, top))
+    zeros = st.lists(st.just(0), max_size=6)
+    coeffs = []
+    for part in (zeros, st.lists(digit, max_size=12), zeros,
+                 st.lists(digit, max_size=12), zeros):
+        coeffs += data.draw(part)
+    assert reader.digits(reader.pack(coeffs)) == {n: c for n, c in enumerate(coeffs) if c}
+    assert reader.digits(0) == {}
 
 
 def test_taller_argument_widens_the_fields():
