@@ -708,10 +708,10 @@ def cache_clear(cache_dir):
 
 
 def main(argv=None) -> None:
-    """Console entry point: run the command that argv (by default
-    sys.argv[1:]) names.  A usage error exits 2 under the usage line of
-    the command or group it was found in; a package error exits with its
-    documented code."""
+    """Run the command that argv (by default sys.argv[1:]) names, in this
+    process; the process entry point is ``run``.  A usage error exits 2
+    under the usage line of the command or group it was found in; a
+    package error exits with its documented code."""
     args = sys.argv[1:] if argv is None else list(argv)
     node, unknown = cli, []
     try:
@@ -746,5 +746,36 @@ def main(argv=None) -> None:
         sys.exit(exit_code_for(exc))
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """Process entry point (``python -m nilcone.cli`` and the ``nilcone``
+    script): ``main()``, then stdout and stderr flushed, then the end of
+    the process with ``os._exit(0)``.  That skips the interpreter's
+    finalization, a last cyclic GC and module teardown that no command
+    needs, about 7 ms of every command.
+
+    The fast exit relies on a successful command leaving nothing that
+    the normal exit would finish:
+    - no open write handle (``PartitionTable.save`` closes its file and
+      renames it before it returns);
+    - no ``atexit`` hook;
+    - no thread.
+    Anything that breaks one of these must end through the normal exit.
+
+    Everything else takes the normal exit, so its status and stderr stay
+    Python's own: a SystemExit or other exception from ``main`` (usage
+    error 2, violation 4, a traceback), and a flush that fails, such as
+    stdout on a closed pipe, which the interpreter's exit then reports
+    with status 120.  A stream that is None, as when the process started
+    with that descriptor closed, is skipped."""
     main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except OSError:
+        return
+    os._exit(0)
+
+
+if __name__ == "__main__":
+    run()

@@ -351,16 +351,27 @@ def test_exponents_helper_examples(systems):
     assert exponents(systems("E", 6)) == [1, 4, 5, 7, 8, 11]
 
 
-@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4),
-                                         ("G", 2), ("F", 4), ("E", 6)])
+@pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("A", 4), ("B", 2),
+                                         ("B", 3), ("C", 3), ("D", 4), ("G", 2),
+                                         ("F", 4), ("E", 6), ("E", 7)])
 def test_adjoint_degrees_are_the_exponents(calculators, family, rank):
     # The adjoint module occurs in C[N] exactly in the degrees given by the
-    # exponents, with their multiplicity (Kostant 1963).
+    # exponents, with their multiplicity (Kostant 1963).  Its odd part is
+    # a(theta; q) = q^k E(theta, theta_s; q) = q^(k + ht(theta - theta_s)):
+    # theta_s has multiplicity 1 in g, and the w = 1 term of the sum gives
+    # that power with coefficient 1 (Lusztig 1983).  With k = ht(theta_s)
+    # that is q^(h - 1), so t(theta; q) is d(theta; q) less q^(h - 1).
+    # CI's E8 row checks t(theta) on E8.
     calc = calculators(family, rank)
+    rs, h = calc.rs, calc.rs.coxeter_number
     expected = {}
-    for e in exponents(calc.rs):
+    for e in exponents(rs):
         expected[e] = expected.get(e, 0) + 1
-    assert calc.nilcone_series(calc.rs.theta_long) == expected
+    assert calc.nilcone_series(rs.theta_long) == expected
+    assert calc.k == sum(rs.theta_short_coords)
+    assert calc.induced_series(rs.theta_long) == {h - 1: 1}
+    del expected[h - 1]  # the largest exponent, h - 1, occurs once
+    assert calc.subregular_series(rs.theta_long) == expected
 
 
 @pytest.mark.parametrize("family,rank,max_degree", [
