@@ -3,10 +3,14 @@
 Exit codes: 0 success, 2 usage error, 4 invariant violation (including
 --check failures).  A partition cache file that cannot be used or
 written is only a warning on stderr (``partition.load_table``,
-``PartitionTable.persist``).
+``PartitionTable.persist``).  Errors and warnings go through
+``errors.report``, which drops them when stderr is closed rather than
+let them reach stdout.
 
-Output formats: human tables (default), versioned JSON, CSV.  JSON and
-CSV output is byte-deterministic for identical inputs.
+Output formats: human tables (default), versioned JSON, CSV.  Every
+command with --format hands its JSON payload, CSV rows and table lines
+to ``emit``, the one place that reads the format; JSON and CSV output
+is byte-deterministic for identical inputs.
 
 The options are read by ``Command.parse``, from the table each command
 declares, which also renders --help and the usage errors; no parsing
@@ -21,11 +25,13 @@ from __future__ import annotations
 
 import os
 import sys
+from itertools import chain
 from math import comb
 from pathlib import Path
 
 from . import __version__, partition, rootsys, weyl
-from .errors import InternalInconsistencyError, NilconeError, NonDominantWeightError
+from .errors import (InternalInconsistencyError, NilconeError, NonDominantWeightError,
+                     report)
 from .graded import GradedCalculator, ModuleKind, Variety
 from .multiplicity import WeightMultiplicities, kostant_mult
 
@@ -67,6 +73,11 @@ def parse_weight(text: str, rank: int) -> tuple[int, ...]:
 
 def fmt_weight(w) -> str:
     return "(" + ",".join(str(c) for c in w) + ")"
+
+
+def csv_weight(w) -> str:
+    """A weight as one CSV field: its coordinates, quoted."""
+    return '"' + ",".join(str(c) for c in w) + '"'
 
 
 CHECK_COLUMN = {Variety.NILCONE: "m(0)", Variety.SUBREGULAR: "m(0)-m(theta)"}
@@ -132,11 +143,20 @@ def check_hilbert(rs, variety, k, coeffs) -> None:
                 f"Hilbert coefficient {n} = {c} != closed form {e} ({forms[n]})")
 
 
-def emit_json(payload: dict) -> None:
-    import json
+def emit(fmt, payload, rows, lines) -> None:
+    """Print the one output of a command that fmt names: its JSON payload,
+    under the schema version; its CSV rows, header first, fields joined
+    by commas; or its table lines.  Only that one is iterated, so rows
+    and lines given as generators build nothing for another format."""
+    if fmt == "json":
+        import json
 
-    payload = {"schema_version": JSON_SCHEMA_VERSION, **payload}
-    print(json.dumps(payload, indent=2, sort_keys=True))
+        lines = [json.dumps({"schema_version": JSON_SCHEMA_VERSION, **payload},
+                            indent=2, sort_keys=True)]
+    elif fmt == "csv":
+        lines = (",".join(map(str, row)) for row in rows)
+    for line in lines:
+        print(line)
 
 
 _ALL_TYPES = (
@@ -384,16 +404,12 @@ def kconst(family, rank, all_types, check, fmt):
                 f"= {expected} for {fam}_{rk}")
         entries.append({"family": fam, "rank": rk, "k": k,
                         "reflection_length": length})
-    if fmt == "json":
-        emit_json({"command": "kconst", "entries": entries})
-    elif fmt == "csv":
-        print("family,rank,k,reflection_length")
-        for e in entries:
-            print(f"{e['family']},{e['rank']},{e['k']},{e['reflection_length']}")
-    else:
-        print(f"{'type':<6} {'k':>4} {'len(s_theta)':>13}")
-        for e in entries:
-            print(f"{e['family']}{e['rank']:<5} {e['k']:>4} {e['reflection_length']:>13}")
+    emit(fmt, {"command": "kconst", "entries": entries},
+         chain([("family", "rank", "k", "reflection_length")],
+               (e.values() for e in entries)),
+         chain([f"{'type':<6} {'k':>4} {'len(s_theta)':>13}"],
+               (f"{e['family']}{e['rank']:<5} {e['k']:>4} {e['reflection_length']:>13}"
+                for e in entries)))
 
 
 @cli.command(
@@ -450,31 +466,19 @@ def graded(family, rank, variety, lam_text, sweep, max_degree, check, cache_dir,
             "check": check_value,
         })
 
-    if fmt == "json":
-        emit_json({
-            "command": "graded",
-            "family": family,
-            "rank": rank,
-            "variety": variety.value,
-            "k": calc.k,
-            "degree_convention": DEGREE_CONVENTION,
-            "check_column": CHECK_COLUMN[variety],
-            "entries": entries,
-        })
-    elif fmt == "csv":
-        print("lambda,degree,mult")
-        for e in entries:
-            for n, v in e["degrees"]:
-                print(f"\"{','.join(map(str, e['lambda']))}\",{n},{v}")
-    else:
-        print(f"{variety.value} graded multiplicities for {family}_{rank} "
-              f"(k={calc.k}; {DEGREE_CONVENTION})")
-        name = CHECK_COLUMN[variety]
-        print(f"{'lambda':<14} {'degrees n:mult':<40} {'total':>6} {name:>14}")
-        for e in entries:
-            degrees = " ".join(f"{n}:{v}" for n, v in e["degrees"]) or "-"
-            print(f"{fmt_weight(e['lambda']):<14} {degrees:<40} "
-                  f"{e['total']:>6} {e['check']:>14}")
+    name = CHECK_COLUMN[variety]
+    emit(fmt, {"command": "graded", "family": family, "rank": rank,
+               "variety": variety.value, "k": calc.k,
+               "degree_convention": DEGREE_CONVENTION, "check_column": name,
+               "entries": entries},
+         chain([("lambda", "degree", "mult")],
+               ((csv_weight(e["lambda"]), n, v) for e in entries for n, v in e["degrees"])),
+         chain([f"{variety.value} graded multiplicities for {family}_{rank} "
+                f"(k={calc.k}; {DEGREE_CONVENTION})",
+                f"{'lambda':<14} {'degrees n:mult':<40} {'total':>6} {name:>14}"],
+               (f"{fmt_weight(e['lambda']):<14} "
+                f"{' '.join(f'{n}:{v}' for n, v in e['degrees']) or '-':<40} "
+                f"{e['total']:>6} {e['check']:>14}" for e in entries)))
 
 
 @cli.command(
@@ -512,27 +516,20 @@ def cohomology(family, rank, kind, sweep, max_i, check, cache_dir, fmt):
     # Parity vanishing holds by construction: each kind writes its rows in
     # one parity (``cohomology_table``), the weyl rows in both.
 
-    if fmt == "json":
-        emit_json({
-            "command": "cohomology", "parity_ok": True, "family": family,
-            "rank": rank, "kind": kind.value, "k": calc.k,
-            "degree_convention": DEGREE_CONVENTION,
-            "rows": [{"i": i, "entries": [{"lambda": list(lam), "mult": m}
-                                          for lam, m in sorted(row.items())]}
-                     for i, row in rows.items()],
-        })
-    elif fmt == "csv":
-        print("i,lambda,mult")
-        for i, row in rows.items():
-            for lam, m in sorted(row.items()):
-                print(f"{i},\"{','.join(map(str, lam))}\",{m}")
-    else:
-        print(f"cohomology of kind '{kind.value}' for {family}_{rank} "
-              f"(k={calc.k}; sweep {sweep}; {DEGREE_CONVENTION})")
-        for i, row in rows.items():
-            cells = "  ".join(f"L{fmt_weight(l)}:{m}" for l, m in sorted(row.items()))
-            print(f"H^{i:<3} {cells or 0}")
-        print("parity vanishing: OK")
+    rows = {i: sorted(row.items()) for i, row in rows.items()}
+    emit(fmt, {"command": "cohomology", "parity_ok": True, "family": family,
+               "rank": rank, "kind": kind.value, "k": calc.k,
+               "degree_convention": DEGREE_CONVENTION,
+               "rows": [{"i": i, "entries": [{"lambda": list(lam), "mult": m}
+                                             for lam, m in row]}
+                        for i, row in rows.items()]},
+         chain([("i", "lambda", "mult")],
+               ((i, csv_weight(lam), m) for i, row in rows.items() for lam, m in row)),
+         chain([f"cohomology of kind '{kind.value}' for {family}_{rank} "
+                f"(k={calc.k}; sweep {sweep}; {DEGREE_CONVENTION})"],
+               (f"H^{i:<3} {'  '.join(f'L{fmt_weight(l)}:{m}' for l, m in row) or 0}"
+                for i, row in rows.items()),
+               ["parity vanishing: OK"]))
 
 
 @cli.command(
@@ -567,23 +564,16 @@ def tilting_example(check, fmt):
         if value < 0:
             negatives.append(lam)
 
-    if fmt == "json":
-        emit_json({"command": "tilting-example", "family": "A", "rank": 2,
-                   "entries": entries,
-                   "parity_vanishing_fails": bool(negatives)})
-    elif fmt == "csv":
-        print("lambda,euler_mult")
-        for e in entries:
-            print(f"\"{','.join(map(str, e['lambda']))}\",{e['euler_mult']}")
-    else:
-        print("Euler multiplicities for the A_2 tilting module "
-              "with highest weight 3*omega_2 (untwisted)")
-        for e in entries:
-            flag = "  <- sign change" if e["euler_mult"] < 0 else ""
-            print(f"L{fmt_weight(e['lambda']):<10} {e['euler_mult']:>3}{flag}")
-        if negatives:
-            club = ", ".join(fmt_weight(l) for l in negatives)
-            print(f"parity vanishing FAILS: negative multiplicity at {club}")
+    emit(fmt, {"command": "tilting-example", "family": "A", "rank": 2,
+               "entries": entries, "parity_vanishing_fails": bool(negatives)},
+         chain([("lambda", "euler_mult")],
+               ((csv_weight(e["lambda"]), e["euler_mult"]) for e in entries)),
+         chain(["Euler multiplicities for the A_2 tilting module "
+                "with highest weight 3*omega_2 (untwisted)"],
+               (f"L{fmt_weight(e['lambda']):<10} {e['euler_mult']:>3}"
+                + ("  <- sign change" if e["euler_mult"] < 0 else "") for e in entries),
+               [f"parity vanishing FAILS: negative multiplicity at "
+                f"{', '.join(map(fmt_weight, negatives))}"] if negatives else []))
 
 
 @cli.command(
@@ -612,15 +602,11 @@ def mult(family, rank, lam_text, mu_text, algorithm, fmt):
             f"freudenthal {values['freudenthal']} != kostant {values['kostant']}"
         )
     value = next(iter(values.values()))
-    if fmt == "json":
-        emit_json({"command": "mult", "family": family, "rank": rank,
-                   "lambda": list(lam), "mu": list(mu), "mult": value,
-                   "algorithms": sorted(values)})
-    elif fmt == "csv":
-        print("lambda,mu,mult")
-        print(f"\"{','.join(map(str, lam))}\",\"{','.join(map(str, mu))}\",{value}")
-    else:
-        print(f"m_{fmt_weight(lam)}{fmt_weight(mu)} = {value}")
+    emit(fmt, {"command": "mult", "family": family, "rank": rank,
+               "lambda": list(lam), "mu": list(mu), "mult": value,
+               "algorithms": sorted(values)},
+         [("lambda", "mu", "mult"), (csv_weight(lam), csv_weight(mu), value)],
+         [f"m_{fmt_weight(lam)}{fmt_weight(mu)} = {value}"])
 
 
 @cli.command(
@@ -642,16 +628,11 @@ def hilbert(family, rank, variety, max_degree, check, fmt):
     coeffs = calc.hilbert_series(Variety(variety), max_degree)
     if check:
         check_hilbert(rs, Variety(variety), calc.k, coeffs)
-    if fmt == "json":
-        emit_json({"command": "hilbert", "family": family, "rank": rank,
-                   "variety": variety, "coefficients": coeffs})
-    elif fmt == "csv":
-        print("degree,dimension")
-        for n, c in enumerate(coeffs):
-            print(f"{n},{c}")
-    else:
-        print(f"{variety} Hilbert coefficients for {family}_{rank}: "
-              + " ".join(str(c) for c in coeffs))
+    emit(fmt, {"command": "hilbert", "family": family, "rank": rank,
+               "variety": variety, "coefficients": coeffs},
+         chain([("degree", "dimension")], enumerate(coeffs)),
+         [f"{variety} Hilbert coefficients for {family}_{rank}: "
+          + " ".join(str(c) for c in coeffs)])
 
 
 @cli.command(FAMILY, RANK)
@@ -700,7 +681,7 @@ def cache_clear(cache_dir):
     removed = 0
     for f in partition.cache_files(directory):
         if not f.is_file():
-            print(f"warning: skipping {f}: not a regular file", file=sys.stderr)
+            report(f"warning: skipping {f}: not a regular file")
             continue
         f.unlink()
         removed += 1
@@ -739,10 +720,10 @@ def main(argv=None) -> None:
             kwargs["cache_dir"] = os.environ.get("NILCONE_CACHE_DIR") or None
         node.callback(**kwargs)
     except UsageError as exc:
-        print(node.usage(), f"{node.prog}: error: {exc}", sep="\n", file=sys.stderr)
+        report(node.usage(), f"{node.prog}: error: {exc}")
         sys.exit(EXIT_USAGE)
     except NilconeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        report(f"error: {exc}")
         sys.exit(exit_code_for(exc))
 
 

@@ -3,10 +3,21 @@
 The errors of bad input are exactly the ``ValueError`` subclasses, and
 the command line exits 2 on them; it exits 4 on every other error that
 reaches it.  ``StaleCacheError`` never reaches it: a cache file that
-cannot be used is a miss.
+cannot be used is a miss.  Every error and warning the package prints
+goes through ``report``.
 """
 
 from __future__ import annotations
+
+import sys
+
+
+def report(*lines) -> None:
+    """Print lines to stderr, or nothing when sys.stderr is None (the
+    process started with descriptor 2 closed), where print would write
+    them to stdout."""
+    if sys.stderr is not None:
+        print(*lines, sep="\n", file=sys.stderr)
 
 
 class NilconeError(Exception):

@@ -71,7 +71,7 @@ from math import comb
 from operator import lshift, sub
 from pathlib import Path
 
-from .errors import StaleCacheError
+from .errors import StaleCacheError, report
 from .rootsys import RootSystem, RootSystemId, RootVector, build
 
 PARTITION_CACHE_SCHEMA = 3
@@ -374,8 +374,7 @@ class PartitionTable:
             try:
                 self.save(self.path)
             except OSError as exc:
-                print(f"warning: cannot write partition cache {self.path}: {exc}",
-                      file=sys.stderr)
+                report(f"warning: cannot write partition cache {self.path}: {exc}")
 
     def extend_from(self, path) -> int:
         """Merge records from a cache file; returns the number loaded.
@@ -518,7 +517,11 @@ def low_degrees(rs: RootSystem, m: int) -> tuple[_Digits, _WeightKeys, dict[int,
     the keys ascend along the line, or descend when pack(alpha_j) < 0,
     and only a value with a digit n < m moves up it.  In that order, each
     moving y whose y - alpha_j is not moving starts a walk, up to the
-    first value of digit m alone.
+    first value of digit m alone.  The order matters only where the
+    moving keys of a line leave a gap that a walk crosses: the walk from
+    below the gap must reach the key above it first.  The tests find one
+    run per line, so no gap, from A1 to E8; the sort stays because
+    nothing proves that for every type and m.
     """
     roots = rs.positive_roots
     digits = _Digits(comb(len(roots) + m - 1, m).bit_length() + 1)
@@ -598,7 +601,7 @@ def load_table(rs: RootSystem, cache_dir) -> PartitionTable:
         try:
             table.extend_from(path)
         except StaleCacheError as exc:
-            print(f"warning: {exc}; recomputing", file=sys.stderr)
+            report(f"warning: {exc}; recomputing")
             table.unsaved = True
     return table
 

@@ -809,6 +809,25 @@ def test_process_with_stdout_closed():
     assert result.stderr == b""
 
 
+STDERR_CLOSED = ["sh", "-c", 'exec "$0" "$@" 2>&-']
+
+
+def test_process_usage_error_with_stderr_closed():
+    # sys.stderr is None: the usage line and the error are lost, never
+    # moved to stdout.
+    result = process([*G2_HILBERT, "--max-degree", "-1"], shell_prefix=STDERR_CLOSED)
+    assert result.returncode == EXIT_USAGE
+    assert result.stdout == b""
+
+
+def test_process_stale_cache_with_stderr_closed(tmp_path):
+    args = ["graded", "-f", "A", "-r", "2", "--variety", "nilcone", "--sweep", "1"]
+    (tmp_path / "partition_A2.txt").write_text("stale")
+    result = process([*args, "--cache-dir", str(tmp_path)], shell_prefix=STDERR_CLOSED)
+    assert result.returncode == 0
+    assert result.stdout == invoke(args).stdout.encode()
+
+
 def test_process_writes_the_whole_cache_file(tmp_path):
     args = ["graded", "-f", "A", "-r", "2", "--variety", "nilcone", "--sweep", "1",
             "--cache-dir", str(tmp_path)]

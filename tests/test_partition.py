@@ -3,6 +3,7 @@
 import itertools
 import math
 import operator
+import random
 import sys
 
 import pytest
@@ -437,6 +438,46 @@ def test_truncated_fill_is_narrower_and_smaller():
     packing, exact = table.packed_sums([[(1, x)] for x in cone])
     for x, value in zip(cone, exact):
         assert digits.unpack(values.get(x, 0), m) == packing.unpack(value, m), x
+
+
+@pytest.mark.parametrize("family,rank,m", [
+    ("A", 1, 10), ("A", 2, 8), ("A", 4, 4), ("B", 2, 10), ("B", 3, 5), ("C", 3, 5),
+    ("C", 4, 3), ("D", 4, 4), ("D", 5, 3), ("G", 2, 30), ("F", 4, 5), ("E", 6, 4),
+    ("E", 7, 3), ("E", 8, 3),
+])
+def test_moving_keys_form_one_run_per_line(family, rank, m, monkeypatch):
+    # At the start of low_degrees' pass over alpha, its moving keys are
+    # the sums of fewer than m of the roots before alpha.  Counted here in
+    # root coordinates, by the fewest earlier roots that reach each sum,
+    # they form one run on every alpha-line: each line has one walk, and
+    # the order of the walks cannot change the values.
+    from nilcone import partition
+
+    rs = build(family, rank)
+    fewest = {(0,) * rank: 0}
+    for alpha in rs.positive_root_coords:
+        i = next(j for j, a in enumerate(alpha) if a)
+        lines = {}  # each moving x as base + t alpha: {base: [t, ...]}
+        for x, n in fewest.items():
+            if n < m:
+                t = x[i] // alpha[i]
+                lines.setdefault(tuple(c - t * a for c, a in zip(x, alpha)), []).append(t)
+        for steps in lines.values():
+            assert max(steps) - min(steps) + 1 == len(steps)
+        for x in sorted(fewest, key=lambda x: x[i]):  # up each line
+            y, n = x, fewest[x]
+            while n < m:
+                y, n = tuple(map(operator.add, y, alpha)), n + 1
+                if fewest.get(y, m + 1) <= n:
+                    break
+                fewest[y] = n
+    _, keys, values = low_degrees(rs, m)
+    assert {rs.root_coords_int(w) for w in keys.points(values, (0,) * rank)} == set(fewest)
+    # Walks in another order give the same values.
+    rng = random.Random(0)
+    monkeypatch.setattr(partition, "sorted", raising=False,
+                        value=lambda keys, reverse: rng.sample(list(keys), len(keys)))
+    assert low_degrees(rs, m)[2] == values
 
 
 @pytest.mark.parametrize("held_from", ["narrower", "wider", "file"])
