@@ -5,17 +5,19 @@ Two independent routes are kept side by side: Freudenthal's recursion
 Kostant sum over the dot-orbit terms (``kostant_mult``), taken by the
 partition table's one kernel, ``packed_sums``, is retained as a
 verification oracle.  They must agree everywhere; the test suite
-enforces this on full weight saturations.
+enforces this on full weight saturations.  ``weyl_dims`` gives the
+dimensions of a batch of modules at once; ``weyl_dim`` is its one-weight
+case.
 """
 
 from __future__ import annotations
 
-from math import prod
+from itertools import repeat
 from operator import mul
 
 from . import partition
 from .errors import InternalInconsistencyError, NonDominantWeightError
-from .rootsys import RootSystem, Weight, vadd, vsub
+from .rootsys import RootSystem, Weight, pair_columns, vadd, vsub
 from .weyl import dot_terms
 
 
@@ -132,15 +134,31 @@ def kostant_mult(
     return total
 
 
-def weyl_dim(rs: RootSystem, lam) -> int:
-    """Dimension of L(lam): product over positive roots of
+def weyl_dims(rs: RootSystem, lams) -> list[int]:
+    """[dim L(lam) for lam in lams]: the product over positive roots of
     (lam + rho, alpha) / (rho, alpha), evaluated exactly as one integer
-    product divided by another (the denominator fixed by ``build``)."""
-    lam = tuple(lam)
-    if not rs.is_dominant(lam):
-        raise NonDominantWeightError(lam)
-    shifted = vadd(lam, rs.rho)
-    num = prod(sum(map(mul, row, shifted)) for row in rs.pairing_rows)
-    result, rem = divmod(num, rs.rho_pairing_product)
-    assert rem == 0 and result > 0
-    return result
+    product divided by another (the denominator fixed by ``build``).
+
+    The batch is taken as columns of lam + rho, and each pairing row
+    multiplies into every numerator at once.  The first lam that is not
+    dominant raises ``NonDominantWeightError``.
+    """
+    lams = list(lams)
+    if not lams:
+        return []
+    columns = list(zip(*lams))
+    if min(map(min, columns)) < 0:
+        raise NonDominantWeightError(
+            next(tuple(lam) for lam in lams if not rs.is_dominant(lam)))
+    shifted = [[x + r for x in column] for r, column in zip(rs.rho, columns)]
+    nums = [1] * len(lams)
+    for row in rs.pairing_rows:
+        nums = list(map(mul, nums, pair_columns(row, shifted)))
+    dims = list(map(divmod, nums, repeat(rs.rho_pairing_product)))
+    assert all(result > 0 and not rem for result, rem in dims)
+    return [result for result, _ in dims]
+
+
+def weyl_dim(rs: RootSystem, lam) -> int:
+    """Dimension of L(lam), the one-weight case of ``weyl_dims``."""
+    return weyl_dims(rs, [lam])[0]

@@ -7,7 +7,8 @@ sum downstream is a signed sum of these polynomials, taken by
 ``packed_sums`` as one int per sum, for a whole batch of sums at once,
 and read by a mask test and ``_Digits.digits`` (the graded queries) or by
 ``_Digits.balanced`` (Kostant's formula, where a non-dominant mu can give
-a negative digit).
+a negative digit); ``_Digits.weighted_digits`` sums checked values digit
+by digit with weights (the Hilbert series' dimensions).
 The table keeps each polynomial it was asked for once, as the
 coefficient tuple a cache record holds, and can persist them.  This
 module is the only one that knows the cache file: ``load_table`` ties a
@@ -67,8 +68,9 @@ from __future__ import annotations
 
 import os
 import sys
+from itertools import repeat
 from math import comb
-from operator import lshift, sub
+from operator import and_, lshift, mul, sub
 from pathlib import Path
 
 from .errors import StaleCacheError, report
@@ -111,6 +113,28 @@ class _Digits:
                 found[n] = value & mask
             value, n = value >> bits, n + 1
         return found
+
+    def weighted_digits(self, weights, values, fields: int) -> list[int]:
+        """[sum over (w, value) pairs of w c_n(value), for n < fields], for
+        nonnegative weights and values that passed their sign test.
+
+        Every digit of such a value is below 2^(bits - 1), so each sum is
+        below 2^(bits - 1) sum(weights) <= 2^(bits s), s the least such.
+        The fields n = r (mod s), masked out of every value and summed
+        with their weights, lie bits s apart and never carry into each
+        other: one big-int sum per r holds digits that a reader of width
+        bits s takes apart.
+        """
+        weights, values, bits = list(weights), list(values), self.bits
+        s = -(-(bits - 1 + sum(weights).bit_length()) // bits)
+        wide, field = _Digits(bits * s), (1 << bits) - 1
+        sums = [0] * fields
+        for r in range(min(s, fields)):
+            mask = wide.pack([field] * len(range(r, fields, s))) << bits * r
+            total = sum(map(mul, weights, map(and_, values, repeat(mask))))
+            for j, c in wide.digits(total >> bits * r).items():
+                sums[r + s * j] = c
+        return sums
 
     def tops(self, fields: int) -> int:
         """The top bit of each of the lowest `fields` fields: 2^(bits - 1)

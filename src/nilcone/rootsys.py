@@ -17,13 +17,20 @@ integers only (a fraction-free adjugate, an integer symmetrizer).
 
 The symmetric bilinear form is normalised so that short roots have
 squared length 2 (``inner`` values on the weight lattice are integers).
+
+``RootSystemId`` and ``RootSystem`` are plain tuples, subclasses of
+``collections.namedtuple`` bases with empty ``__slots__``: immutable,
+compared and hashed by value.  They are not ``typing.NamedTuple``
+classes, whose field annotations, strings under ``from __future__ import
+annotations``, each cost a ``compile`` call at every import: about half
+a millisecond of every command.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import gcd, lcm, prod
 from operator import add, mul, sub
-from typing import NamedTuple
 
 from .errors import InadmissibleTypeError
 
@@ -129,6 +136,18 @@ def vscale(c, u):
     return tuple(c * a for a in u)
 
 
+def pair_columns(row, columns) -> list[int]:
+    """sum_j row_j columns[j], entry by entry: the linear form row at
+    every weight of a batch held as columns, one per coordinate.  The
+    row has a nonzero entry."""
+    total = None
+    for c, column in zip(row, columns):
+        if c:
+            term = column if c == 1 else [c * x for x in column]
+            total = term if total is None else list(map(add, total, term))
+    return total
+
+
 def _cartan_matrix(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
     """Bourbaki Cartan matrix, rows = simple roots in fw coordinates."""
     a = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
@@ -222,39 +241,40 @@ def _adjugate_of_transpose(cartan) -> tuple[tuple[tuple[int, ...], ...], int]:
     return tuple(tuple(row[n:]) for row in m), det
 
 
-class RootSystemId(NamedTuple):
-    family: str
-    rank: int
+class RootSystemId(namedtuple("RootSystemId", ["family", "rank"])):  # str, int
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
 
 
-class RootSystem(NamedTuple):
+class RootSystem(namedtuple("RootSystem", [
+    "id",                    # RootSystemId
+    "cartan",                # tuple[tuple[int, ...], ...]
+    "simple_roots",          # tuple[Weight, ...]
+    "positive_roots",        # tuple[Weight, ...]
+    "positive_root_coords",  # tuple[RootVector, ...]
+    "rho",                   # Weight
+    "theta_short",           # Weight
+    "theta_long",            # Weight
+    "theta_short_coords",    # RootVector
+    "theta_long_coords",     # RootVector
+    "num_positive_roots",    # int
+    "coxeter_number",        # int
+    "symmetrizer",           # tuple[int, ...]
+    "fw_to_root_adj",        # tuple[tuple[int, ...], ...]
+    "fw_to_root_det",        # int
+    # Per positive root alpha = sum r_j alpha_j, the row (d_j r_j)_j, so
+    # (w, alpha) = sum_j row_j w_j; and the product of (rho, alpha).
+    "pairing_rows",          # tuple[tuple[int, ...], ...]
+    "rho_pairing_product",   # int
+])):
     """Immutable combinatorial datum of an irreducible root system.
 
     Built via :func:`build`; safe to share across threads and processes.
     """
 
-    id: RootSystemId
-    cartan: tuple[tuple[int, ...], ...]
-    simple_roots: tuple[Weight, ...]
-    positive_roots: tuple[Weight, ...]
-    positive_root_coords: tuple[RootVector, ...]
-    rho: Weight
-    theta_short: Weight
-    theta_long: Weight
-    theta_short_coords: RootVector
-    theta_long_coords: RootVector
-    num_positive_roots: int
-    coxeter_number: int
-    symmetrizer: tuple[int, ...]
-    fw_to_root_adj: tuple[tuple[int, ...], ...]
-    fw_to_root_det: int
-    # Per positive root alpha = sum r_j alpha_j, the row (d_j r_j)_j, so
-    # (w, alpha) = sum_j row_j w_j; and the product of (rho, alpha).
-    pairing_rows: tuple[tuple[int, ...], ...]
-    rho_pairing_product: int
+    __slots__ = ()
 
     @property
     def family(self) -> str:

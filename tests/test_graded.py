@@ -17,7 +17,8 @@ from nilcone import (
     weyl_dim,
 )
 from nilcone.cli import little_adjoint_dim, nilcone_hilbert_closed_form
-from nilcone.rootsys import exponents
+from nilcone.graded import _depths, fold
+from nilcone.rootsys import exponents, vadd, vscale, vsub
 from root_lattice import height
 from weyl_oracle import dominant_up_to_height
 
@@ -297,6 +298,29 @@ def quadric_cone_dimensions(max_degree):
                 normal_forms.add((a2, b2, c2))
         dims.append(len(normal_forms))
     return dims
+
+
+@pytest.mark.parametrize("family,rank,m", [
+    ("A", 1, 6), ("A", 2, 4), ("B", 2, 4), ("C", 3, 3), ("D", 4, 3),
+    ("G", 2, 8), ("F", 4, 3), ("E", 6, 2), ("E", 7, 2)])
+def test_domain_depths_match_the_per_weight_test(systems, family, rank, m):
+    # the folded weights of both profiles, every fundamental weight (off the
+    # root lattice wherever det > 1), and weights not below m * theta_long
+    rs = systems(family, rank)
+    top = vscale(m, rs.theta_long)
+    _, folded = fold(rs, m, [(0,) * rank, rs.theta_short])
+    units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    above = [vadd(top, rs.theta_long), vadd(top, rs.simple_roots[0])]
+    lams = set().union(*folded, units, above)
+    expected = {}
+    for lam in lams:
+        r = rs.root_coords_int(vsub(top, lam))
+        if r is not None and min(r) >= 0:
+            expected[lam] = sum(r)
+    assert _depths(rs, top, lams) == expected
+    assert len(expected) > 1 and not expected.keys() & above
+    if rs.fw_to_root_det > 1:
+        assert any(rs.root_coords_int(unit) is None for unit in units)
 
 
 def test_hilbert_a1_nilcone_vs_quadric_oracle(calculators):

@@ -12,6 +12,8 @@ from nilcone import (
     kostant_mult,
     weyl_dim,
 )
+from nilcone.graded import fold
+from nilcone.multiplicity import weyl_dims
 from weyl_oracle import dominant_up_to_height
 
 
@@ -98,6 +100,32 @@ def test_weyl_dim_matches_the_fraction_product(systems, family, rank, sweep):
     rs = systems(family, rank)
     for lam in rs.dominant_below(tuple(sweep * c for c in rs.theta_long)):
         assert weyl_dim(rs, lam) == fraction_weyl_dim(rs, lam), lam
+
+
+FOLDED = [("A", 1, 6), ("A", 2, 4), ("A", 3, 3), ("A", 4, 3), ("B", 2, 4),
+          ("B", 3, 3), ("C", 3, 3), ("D", 4, 3), ("G", 2, 8), ("F", 4, 3),
+          ("E", 6, 2), ("E", 7, 2)]
+
+
+@pytest.mark.parametrize("family,rank,m", FOLDED)
+def test_weyl_dims_match_the_fraction_product(systems, family, rank, m):
+    # every weight the Hilbert series folds to at degree m, both profiles
+    rs = systems(family, rank)
+    _, folded = fold(rs, m, [(0,) * rank, rs.theta_short])
+    lams = sorted(set().union(*folded))
+    assert len(lams) > 1
+    assert weyl_dims(rs, lams) == [fraction_weyl_dim(rs, lam) for lam in lams]
+
+
+def test_weyl_dims_reject_the_first_non_dominant_weight(systems):
+    rs = systems("B", 2)
+    assert weyl_dims(rs, []) == []
+    with pytest.raises(NonDominantWeightError) as caught:
+        weyl_dims(rs, [(1, 0), (2, -1), (-1, 0), (0, 1)])
+    assert caught.value.weight == (2, -1)
+    with pytest.raises(NonDominantWeightError) as caught:
+        weyl_dims(rs, [[0, 0], [-3, 5]])
+    assert caught.value.weight == (-3, 5)
 
 
 def test_w_invariance(systems):

@@ -685,6 +685,26 @@ def test_digit_reader_is_exact(bits, data):
     assert reader.digits(0) == {}
 
 
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(bits=st.integers(2, 41), fields=st.integers(1, 30), data=st.data())
+def test_weighted_digit_sums_are_exact(bits, fields, data):
+    # weighted_digits() equals the weighted sum of each digit n < fields,
+    # taken digit by digit, over values whose digits pass the sign test
+    # (each up to 2^(bits - 1) - 1, zero runs included), with digits at
+    # and above `fields` ignored, weights from 0 to past 2^64, and no
+    # values at all.
+    reader, top = _Digits(bits), (1 << (bits - 1)) - 1
+    digit = st.one_of(st.sampled_from([0, 1, top]), st.integers(0, top))
+    weight = st.one_of(st.sampled_from([0, 1, 2 ** 64 + 1]), st.integers(0, 10 ** 6))
+    pairs = data.draw(st.lists(
+        st.tuples(weight, st.lists(digit, max_size=fields + 2)), max_size=40))
+    weights = [w for w, _ in pairs]
+    values = [reader.pack(coeffs) for _, coeffs in pairs]
+    expected = [sum(w * coeffs[n] for w, coeffs in pairs if n < len(coeffs))
+                for n in range(fields)]
+    assert reader.weighted_digits(weights, values, fields) == expected
+
+
 def test_taller_argument_widens_the_fields():
     # P(a alpha_1 + b alpha_2) in A2 is sum_{c <= min(a, b)} q^(a + b - c).
     table = PartitionTable(build("A", 2))

@@ -334,3 +334,18 @@ def test_coroot_pairing_is_cartan_on_simples():
         e_i = tuple(int(i == j) for j in range(rs.rank))
         for w in [(1, 0), (0, 1), (2, 3), (-1, 4)]:
             assert coroot_pairing(rs, w, e_i) == w[i]
+
+
+def test_root_system_is_an_immutable_value():
+    rs = build("G", 2)
+    with pytest.raises(AttributeError):
+        rs.rho = (2, 2)
+    with pytest.raises(AttributeError):
+        rs.extra = 1
+    with pytest.raises(AttributeError):
+        rs.id.rank = 3
+    assert rs.rho == (1, 1)
+    twin = build("G", 2)
+    assert twin == rs and twin is not rs and hash(twin) == hash(rs)
+    assert twin.id == rs.id and str(rs.id) == "G2"
+    assert build("B", 2) != build("C", 2)
