@@ -9,6 +9,10 @@ over the terms of one pruned dot-orbit walk (``dot_terms``) and is summed
 by one kernel (``PartitionTable.packed_sums``), which fills the partition
 values of a whole batch of sums in one pass, so no computation
 enumerates the Weyl group and all types through E_8 are reachable.
+The graded multiplicities of weights lams are
+``GradedCalculator(rs).series(name, lams)``, name d (nilcone), a
+(induced wall) or t (subregular); the other queries take a variety or
+module kind as a plain string, such as ``"subregular"`` or ``"weyl"``.
 The Hilbert series is the one query off that kernel: it folds the few
 low-degree partition values into the dominant chamber (``graded.fold``).
 A weight multiplicity is ``WeightMultiplicities(rs, lam).at(mu)``, by
@@ -26,7 +30,7 @@ from .errors import (
     PositivityViolationError,
     StaleCacheError,
 )
-from .graded import GradedCalculator, ModuleKind, Variety
+from .graded import GradedCalculator
 from .multiplicity import WeightMultiplicities, kostant_mult, weyl_dim
 from .partition import PartitionTable
 from .rootsys import RootSystem, RootSystemId, build
@@ -41,7 +45,6 @@ __all__ = [
     "GradedCalculator",
     "InadmissibleTypeError",
     "InternalInconsistencyError",
-    "ModuleKind",
     "NilconeError",
     "NonDominantWeightError",
     "PartitionTable",
@@ -49,7 +52,6 @@ __all__ = [
     "RootSystem",
     "RootSystemId",
     "StaleCacheError",
-    "Variety",
     "WeightMultiplicities",
     "build",
     "dot_terms",

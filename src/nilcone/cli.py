@@ -32,7 +32,7 @@ from pathlib import Path
 from . import __version__, partition, rootsys, weyl
 from .errors import (InternalInconsistencyError, NilconeError, NonDominantWeightError,
                      report)
-from .graded import GradedCalculator, ModuleKind, Variety
+from .graded import KIND_ROWS, PROFILE, GradedCalculator
 from .multiplicity import WeightMultiplicities, kostant_mult
 
 JSON_SCHEMA_VERSION = 1
@@ -80,23 +80,24 @@ def csv_weight(w) -> str:
     return '"' + ",".join(str(c) for c in w) + '"'
 
 
-CHECK_COLUMN = {Variety.NILCONE: "m(0)", Variety.SUBREGULAR: "m(0)-m(theta)"}
+CHECK_COLUMN = {"d": "m(0)", "t": "m(0)-m(theta)"}
 
 
-def freudenthal_totals(rs, lam) -> dict[Variety, int]:
-    """What each variety's series of L(lam) sums to over all degrees, by
+def freudenthal_totals(rs, lam) -> dict[str, int]:
+    """What the d and t series of L(lam) sum to over all degrees, by
     Freudenthal: m(0) for the nilcone, m(0) - m(theta) for the
     subregular closure."""
     mults = WeightMultiplicities(rs, lam)
     m0 = mults.at((0,) * rs.rank)
-    return {Variety.NILCONE: m0, Variety.SUBREGULAR: m0 - mults.at(rs.theta_short)}
+    return {"d": m0, "t": m0 - mults.at(rs.theta_short)}
 
 
-def check_total(variety, lam, total, expected) -> None:
-    """CheckFailure unless a full series' total is its Freudenthal total."""
+def check_total(name, lam, total, expected) -> None:
+    """CheckFailure unless the total of a full series, d or t, is its
+    Freudenthal total."""
     if total != expected:
         raise CheckFailure(
-            f"total {total} != {CHECK_COLUMN[variety]} = {expected} "
+            f"total {total} != {CHECK_COLUMN[name]} = {expected} "
             f"at lambda={fmt_weight(lam)}"
         )
 
@@ -106,7 +107,7 @@ def nilcone_hilbert_closed_form(rs, max_degree: int) -> list[int]:
     e_i alone: C[N] is a complete intersection, cut out by basic
     invariants of degrees e_i + 1 (Kostant 1963), so its series is
     prod_i (1 - q^(e_i + 1)) / (1 - q)^dim g."""
-    dim_g = rs.rank + 2 * rs.num_positive_roots
+    dim_g = rs.rank + 2 * len(rs.positive_roots)
     numerator = [1] + [0] * max_degree
     for e in rootsys.exponents(rs):
         numerator = [c - (numerator[n - e - 1] if n > e else 0)
@@ -124,15 +125,15 @@ def little_adjoint_dim(rs) -> int:
     return 2 * len(short) + short.count(1)
 
 
-def check_hilbert(rs, variety, k, coeffs) -> None:
-    """CheckFailure unless the series agrees with the nilcone closed form:
-    in every degree for the nilcone; for the subregular closure in the
-    degrees n < k, where t_n = d_n since a_n = 0, and in degree k, where
-    a_k(lam) = E(lam, theta_s; q) at q^0 = [lam = theta_s] takes away
-    dim L(theta_s)."""
+def check_hilbert(rs, name, k, coeffs) -> None:
+    """CheckFailure unless the series of profile name agrees with the
+    nilcone closed form: in every degree for d, the nilcone; for t, the
+    subregular closure, in the degrees n < k, where t_n = d_n since
+    a_n = 0, and in degree k, where a_k(lam) = E(lam, theta_s; q) at
+    q^0 = [lam = theta_s] takes away dim L(theta_s)."""
     expected = nilcone_hilbert_closed_form(rs, len(coeffs) - 1)
     forms = ["nilcone"] * len(expected)
-    if variety == Variety.SUBREGULAR:
+    if name == "t":
         del expected[k + 1:]
         if k < len(expected):
             expected[k] -= little_adjoint_dim(rs)
@@ -415,7 +416,7 @@ def kconst(family, rank, all_types, check, fmt):
 @cli.command(
     FAMILY,
     RANK,
-    Option("--variety", required=True, choices=[v.value for v in Variety]),
+    Option("--variety", required=True, choices=PROFILE),
     Option("--lambda", dest="lam_text", metavar="WEIGHT",
            help="One dominant weight, e.g. 1,1."),
     Option("--sweep", type=count,
@@ -435,7 +436,6 @@ def graded(family, rank, variety, lam_text, sweep, max_degree, check, cache_dir,
     m_lambda(0).  subregular: same for the subregular orbit closure;
     total equals m_lambda(0) - m_lambda(theta).
     """
-    variety = Variety(variety)
     rs = rootsys.build(family, rank)
     if (lam_text is None) == (sweep is None):
         raise UsageError("give exactly one of --lambda or --sweep")
@@ -448,14 +448,15 @@ def graded(family, rank, variety, lam_text, sweep, max_degree, check, cache_dir,
     else:
         lams = list(calc.sweep_domain(sweep))
 
-    results = list(zip(lams, calc.series_batch(variety, lams)))
+    name = PROFILE[variety]
+    results = list(zip(lams, calc.series(name, lams)))
     calc.table.persist()
 
     entries = []
     for lam, series in results:
-        check_value = freudenthal_totals(rs, lam)[variety]
+        check_value = freudenthal_totals(rs, lam)[name]
         if check:
-            check_total(variety, lam, sum(series.values()), check_value)
+            check_total(name, lam, sum(series.values()), check_value)
         if max_degree is not None:
             series = {n: v for n, v in series.items() if n <= max_degree}
         total = sum(series.values())
@@ -466,16 +467,16 @@ def graded(family, rank, variety, lam_text, sweep, max_degree, check, cache_dir,
             "check": check_value,
         })
 
-    name = CHECK_COLUMN[variety]
+    column = CHECK_COLUMN[name]
     emit(fmt, {"command": "graded", "family": family, "rank": rank,
-               "variety": variety.value, "k": calc.k,
-               "degree_convention": DEGREE_CONVENTION, "check_column": name,
+               "variety": variety, "k": calc.k,
+               "degree_convention": DEGREE_CONVENTION, "check_column": column,
                "entries": entries},
          chain([("lambda", "degree", "mult")],
                ((csv_weight(e["lambda"]), n, v) for e in entries for n, v in e["degrees"])),
-         chain([f"{variety.value} graded multiplicities for {family}_{rank} "
+         chain([f"{variety} graded multiplicities for {family}_{rank} "
                 f"(k={calc.k}; {DEGREE_CONVENTION})",
-                f"{'lambda':<14} {'degrees n:mult':<40} {'total':>6} {name:>14}"],
+                f"{'lambda':<14} {'degrees n:mult':<40} {'total':>6} {column:>14}"],
                (f"{fmt_weight(e['lambda']):<14} "
                 f"{' '.join(f'{n}:{v}' for n, v in e['degrees']) or '-':<40} "
                 f"{e['total']:>6} {e['check']:>14}" for e in entries)))
@@ -484,7 +485,7 @@ def graded(family, rank, variety, lam_text, sweep, max_degree, check, cache_dir,
 @cli.command(
     FAMILY,
     RANK,
-    Option("--kind", required=True, choices=[k.value for k in ModuleKind]),
+    Option("--kind", required=True, choices=KIND_ROWS),
     Option("--sweep", type=count, default=1,
            help="All dominant weights dominance-below SWEEP * highest root "
                 "(default: %(default)s)."),
@@ -499,7 +500,6 @@ def graded(family, rank, variety, lam_text, sweep, max_degree, check, cache_dir,
 def cohomology(family, rank, kind, sweep, max_i, check, cache_dir, fmt):
     """Cohomology tables per module kind: dominant-weight multiplicities
     in each cohomological degree, assembled from the graded data."""
-    kind = ModuleKind(kind)
     rs = rootsys.build(family, rank)
     calc = GradedCalculator(rs, table=partition.load_table(rs, cache_dir))
     # Every kind's rows are digits of d and a (so of d and t = d - a):
@@ -511,21 +511,21 @@ def cohomology(family, rank, kind, sweep, max_i, check, cache_dir, fmt):
         rows, totals = calc.cohomology_table(kind, sweep, max_i), {}
     calc.table.persist()
     for lam, sums in totals.items():
-        for variety, total in freudenthal_totals(rs, lam).items():
-            check_total(variety, lam, sums[variety], total)
+        for name, total in freudenthal_totals(rs, lam).items():
+            check_total(name, lam, sums[name], total)
     # Parity vanishing holds by construction: each kind writes its rows in
     # one parity (``cohomology_table``), the weyl rows in both.
 
     rows = {i: sorted(row.items()) for i, row in rows.items()}
     emit(fmt, {"command": "cohomology", "parity_ok": True, "family": family,
-               "rank": rank, "kind": kind.value, "k": calc.k,
+               "rank": rank, "kind": kind, "k": calc.k,
                "degree_convention": DEGREE_CONVENTION,
                "rows": [{"i": i, "entries": [{"lambda": list(lam), "mult": m}
                                              for lam, m in row]}
                         for i, row in rows.items()]},
          chain([("i", "lambda", "mult")],
                ((i, csv_weight(lam), m) for i, row in rows.items() for lam, m in row)),
-         chain([f"cohomology of kind '{kind.value}' for {family}_{rank} "
+         chain([f"cohomology of kind '{kind}' for {family}_{rank} "
                 f"(k={calc.k}; sweep {sweep}; {DEGREE_CONVENTION})"],
                (f"H^{i:<3} {'  '.join(f'L{fmt_weight(l)}:{m}' for l, m in row) or 0}"
                 for i, row in rows.items()),
@@ -612,7 +612,7 @@ def mult(family, rank, lam_text, mu_text, algorithm, fmt):
 @cli.command(
     FAMILY,
     RANK,
-    Option("--variety", required=True, choices=[v.value for v in Variety]),
+    Option("--variety", required=True, choices=PROFILE),
     Option("--max-degree", type=count, default=6,
            help="Largest degree reported (default: %(default)s)."),
     Option("--check", action="store_true",
@@ -625,9 +625,9 @@ def hilbert(family, rank, variety, max_degree, check, fmt):
     """Hilbert series coefficients (graded dimensions) of the chosen ring."""
     rs = rootsys.build(family, rank)
     calc = GradedCalculator(rs)
-    coeffs = calc.hilbert_series(Variety(variety), max_degree)
+    coeffs = calc.hilbert_series(variety, max_degree)
     if check:
-        check_hilbert(rs, Variety(variety), calc.k, coeffs)
+        check_hilbert(rs, PROFILE[variety], calc.k, coeffs)
     emit(fmt, {"command": "hilbert", "family": family, "rank": rank,
                "variety": variety, "coefficients": coeffs},
          chain([("degree", "dimension")], enumerate(coeffs)),

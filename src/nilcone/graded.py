@@ -17,24 +17,27 @@ theorem, so a negative value is reported as a hard error, never clamped.
 
 Degrees are polynomial degrees throughout; cohomological degree 2n (even
 parts) or 2n - 1 (odd parts) is presentation only, spelled out by the
-command line.  The queries return plain values: a series is {n: c_n},
-``cohomology_table`` is {i: {lam: mult}}, ``hilbert_series`` a list;
-one degree of a series is ``series.get(n, 0)``.  A series is the digits
-of one profile, named d, a or t as above (``PROFILE``).
-``cohomology_table`` adds digit n of each (offset, name) part of its kind
-(``KIND_ROWS``) into row 2n + offset, so each kind writes its rows in one
-parity (weyl in both) and parity vanishing holds there by construction;
-the A_2 tilting module where it fails is a sum of three weight
-multiplicities, which the ``tilting-example`` command takes itself.
+command line.  The queries return plain values: ``series(name, lams)``
+is a list of {n: c_n}, the digits of the profile named d, a or t as
+above at each lam, ``cohomology_table`` is {i: {lam: mult}},
+``hilbert_series`` a list; one degree of a series is ``.get(n, 0)``.
+Varieties and module kinds are plain strings, the keys of ``PROFILE``
+(the profile each variety reads) and ``KIND_ROWS``; every query raises
+ValueError for a name it does not know.  ``cohomology_table`` adds
+digit n of each (offset, name) part of its kind into row 2n + offset,
+so each kind writes its rows in one parity (weyl in both) and parity
+vanishing holds there by construction; the A_2 tilting module where it
+fails is a sum of three weight multiplicities, which the
+``tilting-example`` command takes itself.
 
 Every query but ``hilbert_series`` reads its profiles from
 ``GradedCalculator._profiles``: it gathers the dot-orbit terms of every
-weight asked for (one for ``nilcone_series`` and its kin, a whole domain
-for ``series_batch`` and ``cohomology_table``) and hands them to the
-partition table as one batch, which takes the width of its tallest
-argument (for a domain, the top weight's own), so the DP fills all of
-their values in one pass, and every value lands in the calculator's
-table, which a cache file persists.  ``hilbert_series`` is the one query
+weight asked for (those given to ``series``, a whole domain for
+``cohomology_table``) and hands them to the partition table as one
+batch, which takes the width of its tallest argument (for a domain, the
+top weight's own), so the DP fills all of their values in one pass, and
+every value lands in the calculator's table, which a cache file
+persists.  ``hilbert_series`` is the one query
 off ``packed_sums``: it prints the degrees n <= max_degree alone, and
 ``fold`` gives their digits for every weight at once, from the few
 partition values those degrees reach, with no table and no cache.  The
@@ -54,7 +57,6 @@ at a time.
 
 from __future__ import annotations
 
-from enum import Enum
 from itertools import repeat
 from operator import add, mod, or_
 
@@ -65,29 +67,17 @@ from .rootsys import RootSystem, Weight, pair_columns, vadd, vscale, vsub
 from .weyl import chamber_signs, dot_terms, shift_constant
 
 
-class ModuleKind(str, Enum):
-    TRIVIAL = "trivial"
-    INDUCED_WALL = "induced_wall"
-    TILTING = "tilting"
-    WEYL = "weyl"
-    SIMPLE = "simple"
+# The profile each variety's series reads; its keys are the varieties.
+PROFILE = {"nilcone": "d", "subregular": "t"}
 
-
-class Variety(str, Enum):
-    NILCONE = "nilcone"
-    SUBREGULAR = "subregular"
-
-
-# The profile each variety's series reads.
-PROFILE = {Variety.NILCONE: "d", Variety.SUBREGULAR: "t"}
-
-# Each kind's (offset, name) parts: digit n of a profile adds into row 2n + offset.
+# Each kind's (offset, name) parts: digit n of a profile adds into row
+# 2n + offset.  Its keys are the module kinds, in the order --help lists them.
 KIND_ROWS = {
-    ModuleKind.TRIVIAL: [(0, "d")],
-    ModuleKind.TILTING: [(0, "t")],
-    ModuleKind.INDUCED_WALL: [(-1, "a")],
-    ModuleKind.WEYL: [(0, "t"), (1, "d")],
-    ModuleKind.SIMPLE: [(1, "d"), (-1, "a")],
+    "trivial": [(0, "d")],
+    "induced_wall": [(-1, "a")],
+    "tilting": [(0, "t")],
+    "weyl": [(0, "t"), (1, "d")],
+    "simple": [(1, "d"), (-1, "a")],
 }
 
 
@@ -164,23 +154,14 @@ class GradedCalculator:
 
     # -- whole series --------------------------------------------------------
 
-    def nilcone_series(self, lam) -> dict[int, int]:
-        """{n: d_n(lam)}."""
-        return self.series_batch(Variety.NILCONE, [lam])[0]
-
-    def induced_series(self, lam) -> dict[int, int]:
-        """{i: a_i(lam)} with the shift by k applied; a_i = 0 for i < k."""
-        packing, checked = self._profiles([lam], "a")
-        return next(packing.digits(profiles["a"]) for _, profiles in checked)
-
-    def subregular_series(self, lam) -> dict[int, int]:
-        """{n: t_n(lam)}, t_n = d_n - a_n, guaranteed nonnegative."""
-        return self.series_batch(Variety.SUBREGULAR, [lam])[0]
-
-    def series_batch(self, variety: Variety, lams) -> list[dict[int, int]]:
-        """[series(variety, lam) for lam in lams], with every partition
-        value from one batch, checked weight by weight in order."""
-        name = PROFILE[Variety(variety)]
+    def series(self, name: str, lams) -> list[dict[int, int]]:
+        """[{n: digit n of profile name at lam} for lam in lams], name
+        d, a or t (``_checked``): d_n, a_i with the shift by k applied
+        (a_i = 0 for i < k), or t_n = d_n - a_n, guaranteed nonnegative.
+        Every partition value comes from one batch, checked weight by
+        weight in order."""
+        if name not in ("d", "a", "t"):
+            raise ValueError(f"{name!r} is not a profile name: d, a or t")
         packing, checked = self._profiles(lams, name)
         return [packing.digits(profiles[name]) for _, profiles in checked]
 
@@ -190,7 +171,7 @@ class GradedCalculator:
         """Dominant weights dominance-below sweep * theta_long."""
         return self.rs.dominant_below(vscale(sweep, self.rs.theta_long))
 
-    def cohomology_table(self, kind: ModuleKind, sweep: int, max_i: int,
+    def cohomology_table(self, kind: str, sweep: int, max_i: int,
                          totals: bool = False):
         """Rows {i: {lam: mult}}, i = 0..max_i, of one module kind over
         ``sweep_domain(sweep)``; zero multiplicities are left out.
@@ -202,15 +183,17 @@ class GradedCalculator:
           weyl          H^{2n}   = t_n,  H^{2n+1} = d_n
           simple        H^{2i+1} = d_i + a_{i+1} (even rows vanish)
 
-        With totals, returns (rows, {lam: {variety: total}}) instead: the
-        sum over all degrees of each weight's full d and t series, read
-        from the same batch as the rows, which then holds the profiles of
-        both mus whatever the kind.
+        With totals, returns (rows, {lam: {"d": total, "t": total}})
+        instead: the sum over all degrees of each weight's full d and t
+        series, read from the same batch as the rows, which then holds the
+        profiles of both mus whatever the kind.
         """
-        parts = KIND_ROWS[ModuleKind(kind)]
+        if kind not in KIND_ROWS:
+            raise ValueError(f"{kind!r} is not a module kind: {', '.join(KIND_ROWS)}")
+        parts = KIND_ROWS[kind]
         names = {name for _, name in parts} | set("dt" if totals else "")
         rows: dict[int, dict[Weight, int]] = {i: {} for i in range(max_i + 1)}
-        sums: dict[Weight, dict[Variety, int]] = {}
+        sums: dict[Weight, dict[str, int]] = {}
         packing, checked = self._profiles(self.sweep_domain(sweep), names)
         for lam, profiles in checked:
             for offset, name in parts:
@@ -219,11 +202,11 @@ class GradedCalculator:
                         row = rows[2 * n + offset]
                         row[lam] = row.get(lam, 0) + v
             if totals:
-                sums[lam] = {variety: sum(packing.digits(profiles[name]).values())
-                             for variety, name in PROFILE.items()}
+                sums[lam] = {name: sum(packing.digits(profiles[name]).values())
+                             for name in "dt"}
         return (rows, sums) if totals else rows
 
-    def hilbert_series(self, variety: Variety, max_degree: int) -> list[int]:
+    def hilbert_series(self, variety: str, max_degree: int) -> list[int]:
         """Dimension of each graded piece of the chosen coordinate ring.
 
         Coefficient n sums mult_n(lam) * dim L(lam) over dominant lam; as
@@ -239,7 +222,9 @@ class GradedCalculator:
         digits.  A folded lam outside the domain whose profile, A
         shifted and cut, is not 0 is an internal inconsistency.
         """
-        m, name = max_degree, PROFILE[Variety(variety)]
+        if variety not in PROFILE:
+            raise ValueError(f"{variety!r} is not a variety: {', '.join(PROFILE)}")
+        m, name = max_degree, PROFILE[variety]
         mus = self._sources(name)
         digits, folded = fold(self.rs, m, mus.values())
         depth = _depths(self.rs, vscale(m, self.rs.theta_long), set().union(*folded))

@@ -250,8 +250,7 @@ class RootSystemId(namedtuple("RootSystemId", ["family", "rank"])):  # str, int
 
 class RootSystem(namedtuple("RootSystem", [
     "id",                    # RootSystemId
-    "cartan",                # tuple[tuple[int, ...], ...]
-    "simple_roots",          # tuple[Weight, ...]
+    "cartan",                # tuple[Weight, ...]: row i is alpha_i
     "positive_roots",        # tuple[Weight, ...]
     "positive_root_coords",  # tuple[RootVector, ...]
     "rho",                   # Weight
@@ -259,8 +258,6 @@ class RootSystem(namedtuple("RootSystem", [
     "theta_long",            # Weight
     "theta_short_coords",    # RootVector
     "theta_long_coords",     # RootVector
-    "num_positive_roots",    # int
-    "coxeter_number",        # int
     "symmetrizer",           # tuple[int, ...]
     "fw_to_root_adj",        # tuple[tuple[int, ...], ...]
     "fw_to_root_det",        # int
@@ -499,7 +496,6 @@ def build(family: str, rank: int) -> RootSystem:
     return RootSystem(
         id=RootSystemId(family, rank),
         cartan=cartan,
-        simple_roots=tuple(cartan[i] for i in range(rank)),
         positive_roots=pos_fw,
         positive_root_coords=tuple(positives),
         rho=rho,
@@ -507,8 +503,6 @@ def build(family: str, rank: int) -> RootSystem:
         theta_long=theta_long,
         theta_short_coords=theta_short_coords,
         theta_long_coords=theta_long_coords,
-        num_positive_roots=len(positives),
-        coxeter_number=coxeter_number(family, rank),
         symmetrizer=d,
         fw_to_root_adj=adj,
         fw_to_root_det=det,

@@ -691,6 +691,37 @@ def test_abbreviated_options_are_refused():
         "\nnilcone graded: error: unrecognized arguments: --var nilcone\n")
 
 
+@pytest.mark.parametrize("args,stderr", [
+    (["graded", "--variety", "bogus", "--sweep", "1"],
+     "usage: nilcone graded [--help] -f {A,B,C,D,E,F,G} -r RANK\n"
+     "                      --variety {nilcone,subregular} [--lambda WEIGHT]\n"
+     "                      [--sweep SWEEP] [--max-degree MAX_DEGREE] [--check]\n"
+     "                      [--cache-dir DIR] [--format {table,json,csv}]\n"
+     "nilcone graded: error: argument --variety: invalid choice: 'bogus' "
+     "(choose from 'nilcone', 'subregular')\n"),
+    (["hilbert", "--variety", "bogus"],
+     "usage: nilcone hilbert [--help] -f {A,B,C,D,E,F,G} -r RANK\n"
+     "                       --variety {nilcone,subregular}\n"
+     "                       [--max-degree MAX_DEGREE] [--check]\n"
+     "                       [--format {table,json,csv}]\n"
+     "nilcone hilbert: error: argument --variety: invalid choice: 'bogus' "
+     "(choose from 'nilcone', 'subregular')\n"),
+    (["cohomology", "--kind", "bogus"],
+     "usage: nilcone cohomology [--help] -f {A,B,C,D,E,F,G} -r RANK\n"
+     "                          --kind {trivial,induced_wall,tilting,weyl,simple}\n"
+     "                          [--sweep SWEEP] [--max-i MAX_I] [--check]\n"
+     "                          [--cache-dir DIR] [--format {table,json,csv}]\n"
+     "nilcone cohomology: error: argument --kind: invalid choice: 'bogus' "
+     "(choose from 'trivial', 'induced_wall', 'tilting', 'weyl', 'simple')\n"),
+], ids=["graded", "hilbert", "cohomology"])
+def test_variety_and_kind_choices_are_pinned(args, stderr):
+    # The choices, in their order, in the usage line and the error.
+    result = invoke([args[0], "-f", "G", "-r", "2", *args[1:]])
+    assert result.exit_code == EXIT_USAGE
+    assert result.stdout == ""
+    assert result.stderr == stderr
+
+
 @pytest.mark.parametrize("fmt,line", [
     ("table", "m_(1,1)(-1,2) = 1"),
     ("csv", '"1,1","-1,2",1'),
@@ -729,6 +760,16 @@ def test_version():
     result = invoke(["--version"])
     assert result.exit_code == 0
     assert result.stdout == "nilcone, version 0.1.0\n"
+
+
+def test_every_name_in_all_resolves():
+    import nilcone
+
+    namespace = {}
+    exec("from nilcone import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(nilcone.__all__)
+    assert all(namespace[name] is getattr(nilcone, name) for name in nilcone.__all__)
 
 
 @pytest.mark.parametrize("command", [

@@ -14,13 +14,12 @@ from nilcone import (
     GradedCalculator,
     PartitionTable,
     StaleCacheError,
-    Variety,
     build,
     dot_terms,
     kostant_mult,
     weyl_dim,
 )
-from nilcone.graded import fold
+from nilcone.graded import PROFILE, fold
 from nilcone.partition import (
     PARTITION_CACHE_SCHEMA,
     _coefficient_bound,
@@ -498,7 +497,7 @@ def test_truncated_batch_reads_held_values_and_stores_nothing(tmp_path, held_fro
     files = {f: f.read_bytes() for f in tmp_path.iterdir()}
     calc = GradedCalculator(rs, table=table)
     fresh = GradedCalculator(rs)
-    for variety in Variety:
+    for variety in PROFILE:
         assert calc.hilbert_series(variety, m) == fresh.hilbert_series(variety, m)
     assert table._values == before
     assert table.unsaved == unsaved == (held_from != "file")
@@ -755,7 +754,7 @@ def test_vectors_of_the_wrong_length_are_refused():
         table.packed_sums([[(1, (1,))]])
     assert table._values == {}  # nothing a save would write
     with pytest.raises(ValueError, match="coordinates"):
-        GradedCalculator(rs, table=table).nilcone_series((1, 1, 1))
+        GradedCalculator(rs, table=table).series("d", [(1, 1, 1)])
     with pytest.raises(ValueError, match="coordinates"):
         kostant_mult(rs, (1, 1), (0, 0, 0), table=table)
     assert table._values == {}
@@ -774,7 +773,7 @@ def test_calculators_build_their_own_tables():
     rs = build("A", 2)
     first, second = GradedCalculator(rs), GradedCalculator(rs)
     assert first.table is not second.table
-    assert first.nilcone_series((1, 1)) == {1: 1, 2: 1}
+    assert first.series("d", [(1, 1)])[0] == {1: 1, 2: 1}
     assert kostant_mult(rs, (1, 1), (0, 0)) == 2
     assert first.table._values and second.table._values == {}
 

@@ -57,7 +57,7 @@ def test_classical_orders(systems, family, rank):
     assert W.order == weyl_group_order(family, rank)
     lengths = [e.length for e in W.elements]
     assert lengths.count(0) == 1
-    n_pos = systems(family, rank).num_positive_roots
+    n_pos = len(systems(family, rank).positive_roots)
     assert lengths.count(n_pos) == 1
     assert max(lengths) == n_pos
 
