@@ -30,8 +30,7 @@ from math import comb
 from pathlib import Path
 
 from . import __version__, partition, rootsys, weyl
-from .errors import (InternalInconsistencyError, NilconeError, NonDominantWeightError,
-                     report)
+from .errors import InternalInconsistencyError, NilconeError, report
 from .graded import KIND_ROWS, PROFILE, GradedCalculator
 from .multiplicity import WeightMultiplicities, kostant_mult
 
@@ -441,10 +440,7 @@ def graded(family, rank, variety, lam_text, sweep, max_degree, check, cache_dir,
         raise UsageError("give exactly one of --lambda or --sweep")
     calc = GradedCalculator(rs, table=partition.load_table(rs, cache_dir))
     if lam_text is not None:
-        lam = parse_weight(lam_text, rs.rank)
-        if not rs.is_dominant(lam):
-            raise NonDominantWeightError(lam)
-        lams = [lam]
+        lams = [parse_weight(lam_text, rs.rank)]
     else:
         lams = list(calc.sweep_domain(sweep))
 

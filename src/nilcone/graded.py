@@ -42,28 +42,26 @@ off ``packed_sums``: it prints the degrees n <= max_degree alone, and
 ``fold`` gives their digits for every weight at once, from the few
 partition values those degrees reach, with no table and no cache.  The
 weights it folds are its domain: no weight it leaves out has a nonzero
-digit, so ``hilbert_series`` sorts the folded weights below m *
-theta_long into ``sweep_domain``'s order rather than enumerate it.
-Each profile stays packed as one int, and ``GradedCalculator._checked``
-checks every profile of both paths, weight by weight, in order, with one
-mask each; ``_Digits.digits`` reads a checked one.  The rest of the
-Hilbert series works on columns, one linear form at a time over every
-weight (``rootsys.pair_columns``): ``_depths`` tests all folded weights
-for the domain at once, and, after every profile has passed,
-``weyl_dims`` takes the dimensions of the weights kept in one batch,
-which ``_Digits.weighted_digits`` sums with their digits, a few fields
-at a time.
+digit, so ``hilbert_series`` keeps the folded weights below m *
+theta_long rather than enumerate them.  Each profile stays packed as one
+int, and ``GradedCalculator._checked`` checks every profile of both
+paths, weight by weight, in order, with one mask each;
+``_Digits.digits`` reads a checked one.  The rest of the Hilbert series
+works on columns, one linear form at a time over every weight
+(``rootsys.pair_columns``): ``RootSystem.depths``, the domain test and
+order ``sweep_domain`` uses too, tests all folded weights at once, and,
+after every profile has passed, ``weyl_dims`` takes the dimensions of
+the weights kept in one batch, which ``_Digits.weighted_digits`` sums
+with their digits, a few fields at a time.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
-from operator import add, mod, or_
-
 from . import partition
-from .errors import InternalInconsistencyError, PositivityViolationError
+from .errors import (InternalInconsistencyError, NonDominantWeightError,
+                     PositivityViolationError)
 from .multiplicity import weyl_dims
-from .rootsys import RootSystem, Weight, pair_columns, vadd, vscale, vsub
+from .rootsys import RootSystem, Weight, vadd, vscale, vsub
 from .weyl import chamber_signs, dot_terms, shift_constant
 
 
@@ -159,9 +157,14 @@ class GradedCalculator:
         d, a or t (``_checked``): d_n, a_i with the shift by k applied
         (a_i = 0 for i < k), or t_n = d_n - a_n, guaranteed nonnegative.
         Every partition value comes from one batch, checked weight by
-        weight in order."""
+        weight in order.  The first lam that is not dominant raises
+        ``NonDominantWeightError`` before any of them is computed."""
         if name not in ("d", "a", "t"):
             raise ValueError(f"{name!r} is not a profile name: d, a or t")
+        lams = list(lams)
+        for lam in lams:
+            if not self.rs.is_dominant(lam):
+                raise NonDominantWeightError(lam)
         packing, checked = self._profiles(lams, name)
         return [packing.digits(profiles[name]) for _, profiles in checked]
 
@@ -213,10 +216,10 @@ class GradedCalculator:
         d_n(lam) = 0 unless lam <= n * theta_long, the lam below m *
         theta_long, m = max_degree, cover every degree.  Their profiles
         come from ``fold``, not from the table.  The folded lam whose m *
-        theta_long - lam has nonnegative integer root coordinates
-        (``_depths``) are in that domain, and ``_checked`` checks them in
-        ``sweep_domain``'s order; every other lam of the domain has a
-        zero profile, which passes.  The dimensions of the lam with a
+        theta_long - lam has nonnegative integer root coordinates are in
+        that domain, and ``RootSystem.depths`` gives them in
+        ``sweep_domain``'s order, in which ``_checked`` checks them; every
+        other lam of the domain has a zero profile, which passes.  The dimensions of the lam with a
         nonzero profile come in one ``weyl_dims`` batch once all have
         passed, and ``_Digits.weighted_digits`` sums them with their
         digits.  A folded lam outside the domain whose profile, A
@@ -227,9 +230,8 @@ class GradedCalculator:
         m, name = max_degree, PROFILE[variety]
         mus = self._sources(name)
         digits, folded = fold(self.rs, m, mus.values())
-        depth = _depths(self.rs, vscale(m, self.rs.theta_long), set().union(*folded))
-        rows = ((lam, [profiles.pop(lam, 0) for profiles in folded])
-                for lam in sorted(depth, key=lambda lam: (-depth[lam], lam)))
+        domain = self.rs.depths(vscale(m, self.rs.theta_long), set().union(*folded))
+        rows = ((lam, [profiles.pop(lam, 0) for profiles in folded]) for lam in domain)
         kept = {lam: profiles[name]
                 for lam, profiles in self._checked(rows, mus, digits, m + 1)
                 if profiles[name]}
@@ -269,27 +271,6 @@ def fold(rs: RootSystem, m: int, mus) -> tuple[partition._Digits, list[dict]]:
         del points  # before the next mu's are built
         folded.append({vsub(top, rs.rho): v for top, v in profile.items() if v})
     return digits, folded
-
-
-def _depths(rs: RootSystem, top: Weight, lams) -> dict[Weight, int]:
-    """{lam: height(top - lam)} for each lam of lams (not empty) with
-    top - lam a nonnegative integer root sum.
-
-    The root coordinates of top - lam are fw_to_root_adj (top - lam) /
-    det, taken one adjugate row at a time over columns of top - lam: a
-    lam is kept when every row gives a nonnegative multiple of det.
-    """
-    lams = list(lams)
-    columns = [[t - x for x in column] for t, column in zip(top, zip(*lams))]
-    det, size = rs.fw_to_root_det, len(lams)
-    low, rest, total = [0] * size, [0] * size, [0] * size
-    for row in rs.fw_to_root_adj:
-        num = pair_columns(row, columns)
-        low = list(map(min, low, num))
-        rest = list(map(or_, rest, map(mod, num, repeat(det))))
-        total = list(map(add, total, num))
-    return {lam: h // det for lam, lo, r, h in zip(lams, low, rest, total)
-            if lo >= 0 and not r}
 
 
 def _negative(name, lam, digits) -> Exception:

@@ -28,10 +28,11 @@ class WeightMultiplicities:
     memo over the dominant weights between its own and lam, from the top
     down, so every value Freudenthal's formula reads is in place before
     it is needed: no recursion, however far the weight is below lam.
+    A lam or mu without rank coordinates raises ValueError.
     """
 
     def __init__(self, rs: RootSystem, lam):
-        lam = tuple(lam)
+        lam = rs.as_weight(lam)
         if not rs.is_dominant(lam):
             raise NonDominantWeightError(lam)
         self.rs = rs
@@ -42,7 +43,7 @@ class WeightMultiplicities:
     def at(self, mu) -> int:
         """Multiplicity of the weight mu in L(lam): 0 unless the dominant
         representative of mu is below lam."""
-        mu = self.rs.dominant_representative(mu)
+        mu = self.rs.dominant_representative(self.rs.as_weight(mu))
         if not self.rs.dominance_le(mu, self.lam):
             return 0
         if mu not in self._memo:
@@ -140,16 +141,17 @@ def weyl_dims(rs: RootSystem, lams) -> list[int]:
     product divided by another (the denominator fixed by ``build``).
 
     The batch is taken as columns of lam + rho, and each pairing row
-    multiplies into every numerator at once.  The first lam that is not
-    dominant raises ``NonDominantWeightError``.
+    multiplies into every numerator at once.  The first lam without rank
+    coordinates raises ValueError, and then the first that is not
+    dominant ``NonDominantWeightError``.
     """
-    lams = list(lams)
+    lams = list(map(rs.as_weight, lams))
     if not lams:
         return []
     columns = list(zip(*lams))
     if min(map(min, columns)) < 0:
         raise NonDominantWeightError(
-            next(tuple(lam) for lam in lams if not rs.is_dominant(lam)))
+            next(lam for lam in lams if not rs.is_dominant(lam)))
     shifted = [[x + r for x in column] for r, column in zip(rs.rho, columns)]
     nums = [1] * len(lams)
     for row in rs.pairing_rows:

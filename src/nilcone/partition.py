@@ -302,8 +302,8 @@ class PartitionTable:
         subtracts P(x; 2^B) into one int: a held x is packed from its
         coefficients, and the x no batch had before are filled by one
         ``_Packing.fill`` and held unpacked.  A list in which an argument
-        occurs twice, or an argument of the wrong length, raises
-        ValueError.
+        occurs twice, or an argument of the wrong length or off the
+        nonnegative cone, raises ValueError before the table changes.
         """
         term_lists = list(term_lists)
         args: set[RootVector] = set()
@@ -313,8 +313,8 @@ class PartitionTable:
                 raise ValueError("an argument occurs twice in one term list")
             args |= xs
         rank = self.rs.rank
-        if any(len(x) != rank for x in args):
-            raise ValueError(f"an argument does not have {rank} coordinates")
+        if any(len(x) != rank or min(x) < 0 for x in args):
+            raise ValueError(f"an argument does not have {rank} nonnegative coordinates")
         packing = _Packing(self._roots, rank, max(map(sum, args), default=0))
         values = self._values
         value_of: dict[RootVector, int] = {}

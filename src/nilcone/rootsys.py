@@ -29,8 +29,9 @@ a millisecond of every command.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import repeat
 from math import gcd, lcm, prod
-from operator import add, mul, sub
+from operator import add, mod, mul, or_, sub
 
 from .errors import InadmissibleTypeError
 
@@ -296,6 +297,13 @@ class RootSystem(namedtuple("RootSystem", [
 
     # -- predicates and measures ----------------------------------------
 
+    def as_weight(self, w) -> Weight:
+        """w as a tuple; ValueError unless it has rank coordinates."""
+        w = tuple(w)
+        if len(w) != self.rank:
+            raise ValueError(f"weight {w} does not have {self.rank} coordinates")
+        return w
+
     def is_dominant(self, w) -> bool:
         return all(c >= 0 for c in w)
 
@@ -358,39 +366,50 @@ class RootSystem(namedtuple("RootSystem", [
 
         These are exactly the dominant members of the root-lattice coset
         of lam under the dominance order, the sweep domain for graded
-        tables.  Sorted by (height, fw coords); empty when lam is off the
-        nonnegative root cone.
+        tables, in ``depths`` order; empty when lam is off the nonnegative
+        root cone; ValueError for a lam without rank coordinates.
 
         Every dominant weight below a dominant top is reached from it by
         subtracting one positive root at a time without leaving the
-        dominant cone (Stembridge, Adv. Math. 136, 1998), so a
-        breadth-first search down from the dominant representative of lam
-        visits the domain at N steps per weight.  Every weight below lam
-        is below that representative, so filtering the search result by
-        the dominance order handles a non-dominant lam; a dominant lam is
-        its own representative and needs no filter.
+        dominant cone (Stembridge, Adv. Math. 136, 1998), so a search down
+        from the dominant representative of lam, in any order, visits the
+        domain at N steps per weight, and ``depths`` keeps the ones below
+        lam (every one, for a dominant lam) and orders them.
         """
-        lam = tuple(lam)
-        top = self.dominant_representative(lam)
-        roots = [(a, sum(r)) for a, r in zip(self.positive_roots,
-                                             self.positive_root_coords)]
-        depth = {top: 0}  # mu -> height(top - mu)
-        frontier = [top]
-        while frontier:
-            nxt = []
-            for mu in frontier:
-                d = depth[mu]
-                for alpha, h in roots:
-                    nu = tuple(map(sub, mu, alpha))
-                    if min(nu) >= 0 and nu not in depth:
-                        depth[nu] = d + h
-                        nxt.append(nu)
-            frontier = nxt
-        if top == lam:  # everything reached down from a dominant lam is below it
-            found = list(depth)
-        else:
-            found = [mu for mu in depth if self.dominance_le(mu, lam)]
-        return tuple(sorted(found, key=lambda m: (-depth[m], m)))
+        lam = self.as_weight(lam)
+        stack = [self.dominant_representative(lam)]
+        seen = set(stack)
+        while stack:
+            mu = stack.pop()
+            for alpha in self.positive_roots:
+                nu = tuple(map(sub, mu, alpha))
+                if min(nu) >= 0 and nu not in seen:
+                    seen.add(nu)
+                    stack.append(nu)
+        return tuple(self.depths(lam, seen))
+
+    def depths(self, top, lams) -> dict[Weight, int]:
+        """{lam: height(top - lam)} for each lam of lams with top - lam a
+        nonnegative integer root sum, deepest first and then by fw
+        coordinates (the domain order); ValueError unless top has rank
+        coordinates.
+
+        The root coordinates of top - lam are fw_to_root_adj (top - lam) /
+        det, taken one adjugate row at a time over columns of top - lam: a
+        lam is kept when every row gives a nonnegative multiple of det.
+        """
+        top, lams = self.as_weight(top), list(lams)
+        columns = [[t - lam[i] for lam in lams] for i, t in enumerate(top)]
+        det, size = self.fw_to_root_det, len(lams)
+        low, rest, total = [0] * size, [0] * size, [0] * size
+        for row in self.fw_to_root_adj:
+            num = pair_columns(row, columns)
+            low = list(map(min, low, num))
+            rest = list(map(or_, rest, map(mod, num, repeat(det))))
+            total = list(map(add, total, num))
+        kept = sorted((-(h // det), lam) for lam, lo, r, h in zip(lams, low, rest, total)
+                      if lo >= 0 and not r)
+        return {lam: -d for d, lam in kept}
 
     # -- serialisation ----------------------------------------------------
 

@@ -36,9 +36,7 @@ def dot_terms(rs: RootSystem, lam, mu) -> list[tuple[int, RootVector]]:
     lam - mu is off the root lattice or no w contributes.  A lam or mu
     without rank coordinates raises ValueError.
     """
-    if len(lam) != rs.rank or len(mu) != rs.rank:
-        raise ValueError(f"lam {tuple(lam)} and mu {tuple(mu)} need "
-                         f"{rs.rank} coordinates each")
+    lam, mu = rs.as_weight(lam), rs.as_weight(mu)
     if min(lam) >= 0:
         sign = 1
     else:

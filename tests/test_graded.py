@@ -8,6 +8,7 @@ import pytest
 
 from cli_runner import invoke
 from nilcone import (
+    NonDominantWeightError,
     WeightMultiplicities,
     build,
     dot_terms,
@@ -15,7 +16,7 @@ from nilcone import (
     weyl_dim,
 )
 from nilcone.cli import little_adjoint_dim, nilcone_hilbert_closed_form
-from nilcone.graded import KIND_ROWS, PROFILE, _depths, fold
+from nilcone.graded import KIND_ROWS, PROFILE, fold
 from nilcone.rootsys import exponents, vadd, vscale, vsub
 from root_lattice import height
 from weyl_oracle import dominant_up_to_height
@@ -315,8 +316,16 @@ def test_domain_depths_match_the_per_weight_test(systems, family, rank, m):
         r = rs.root_coords_int(vsub(top, lam))
         if r is not None and min(r) >= 0:
             expected[lam] = sum(r)
-    assert _depths(rs, top, lams) == expected
+    depths = rs.depths(top, lams)
+    assert depths == expected
     assert len(expected) > 1 and not expected.keys() & above
+    # domain order: deepest first, then by coordinates; with the whole
+    # domain among other weights, the order dominant_below gives, so
+    # hilbert_series checks its rows in sweep_domain's order (the folded
+    # weights miss some of the domain on G2 and F4, whose profiles are 0)
+    assert list(depths) == sorted(expected, key=lambda lam: (-expected[lam], lam))
+    domain = rs.dominant_below(top)
+    assert tuple(rs.depths(top, lams.union(domain))) == domain
     if rs.fw_to_root_det > 1:
         assert any(rs.root_coords_int(unit) is None for unit in units)
 
@@ -517,6 +526,20 @@ def test_unknown_names_are_value_errors(calculators):
                          (lambda: calc.hilbert_series("d", 3), "'d'")]:
         with pytest.raises(ValueError, match=value):
             query()
+
+
+def test_series_refuses_non_dominant_weights(calculators):
+    # the dot-orbit walk resolves a non-dominant lam, so unchecked, (-2, 1)
+    # fails as an internal inconsistency and (-3, 0) reads {0: 1}; the
+    # first non-dominant weight is named before any work
+    calc = calculators("A", 2)
+    before = dict(calc.table._values)
+    for lam in [(-2, 1), (-3, 0), (-1, 0)]:
+        for name in "dat":
+            with pytest.raises(NonDominantWeightError) as caught:
+                calc.series(name, [(1, 1), lam, (0, -1)])
+            assert caught.value.weight == lam
+    assert calc.table._values == before
 
 
 # -- the packed Hilbert path ---------------------------------------------------

@@ -69,6 +69,29 @@ def test_non_dominant_highest_weight_rejected(systems):
         weyl_dim(rs, (-1, -1))
 
 
+def test_weight_multiplicities_refuse_weights_of_the_wrong_length(systems):
+    # unchecked, a lam of (3,) hangs at(), whose search below lam cuts
+    # every root to one coordinate, and a mu of (0,) reads 0
+    rs = systems("A", 2)
+    for lam in [(3,), (1, 1, 1), ()]:
+        with pytest.raises(ValueError, match="2 coordinates"):
+            WeightMultiplicities(rs, lam)
+    table = WeightMultiplicities(rs, (1, 1))
+    for mu in [(0,), (0, 0, 0), ()]:
+        with pytest.raises(ValueError, match="2 coordinates"):
+            table.at(mu)
+
+
+def test_weyl_dims_refuse_weights_of_the_wrong_length(systems):
+    # unchecked, the columns of (1,) raise TypeError and (1, 1, 1) reads 8
+    rs = systems("A", 2)
+    for lam in [(1,), (1, 1, 1), ()]:
+        with pytest.raises(ValueError, match="2 coordinates"):
+            weyl_dim(rs, lam)
+    with pytest.raises(ValueError, match=r"\(1, 1, 1\) does not have 2"):
+        weyl_dims(rs, [(1, 0), (1, 1, 1), (-1, 0)])
+
+
 def test_weyl_dim_a2(systems):
     rs = systems("A", 2)
     assert weyl_dim(rs, (0, 0)) == 1

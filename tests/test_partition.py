@@ -760,6 +760,23 @@ def test_vectors_of_the_wrong_length_are_refused():
     assert table._values == {}
 
 
+def test_arguments_off_the_cone_are_refused(tmp_path):
+    # a value stored for (-1, 2) would depend on its batch, and its record
+    # would make the next load reject the whole file; (-1, -1) would raise
+    # from math.comb
+    rs = build("A", 2)
+    table = load_table(rs, tmp_path)
+    for batch in ([[(1, (-1, 2))]], [[(1, (1, 1))], [(1, (-1, 2))]],
+                  [[(1, (-1, -1))]]):
+        with pytest.raises(ValueError, match="2 nonnegative coordinates"):
+            table.packed_sums(batch)
+    assert table._values == {} and not table.unsaved
+    assert table.poly((-1, 2)) == ()
+    assert table.poly((1, 1)) == (0, 1, 1)
+    table.persist()
+    assert load_table(rs, tmp_path)._values == table._values
+
+
 def test_a1_counts_are_delta():
     rs = build("A", 1)
     table = PartitionTable(rs)

@@ -275,6 +275,26 @@ def test_dominant_top_needs_no_dominance_filter(family, rank):
     assert top not in below and below
 
 
+def test_dominant_below_refuses_weights_of_the_wrong_length():
+    # unchecked, (1,) cuts every root to one coordinate: an endless search
+    rs = build("A", 2)
+    for lam in [(1,), (1, 1, 1), ()]:
+        with pytest.raises(ValueError, match="2 coordinates"):
+            rs.dominant_below(lam)
+
+
+def test_depths_keep_the_weights_below_top_in_domain_order():
+    # height(2 theta) = 4; (3, 0) = 2 theta - alpha_2; (5, 5) is above
+    rs = build("A", 2)
+    lams = [(2, 2), (5, 5), (3, 0), (0, 0), (1, 0), (1, 1)]
+    depths = rs.depths((2, 2), lams)
+    assert list(depths.items()) == [((0, 0), 4), ((1, 1), 2), ((3, 0), 1), ((2, 2), 0)]
+    assert rs.depths((2, 2), []) == {}
+    for top in [(2,), (2, 2, 2), ()]:
+        with pytest.raises(ValueError, match="2 coordinates"):
+            rs.depths(top, lams)
+
+
 def test_dominant_below_e7_two_theta():
     rs = build("E", 7)
     omega = [tuple(int(i == j) for j in range(7)) for i in range(7)]
