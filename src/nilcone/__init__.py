@@ -34,12 +34,7 @@ from .graded import GradedCalculator
 from .multiplicity import WeightMultiplicities, kostant_mult, weyl_dim
 from .partition import PartitionTable
 from .rootsys import RootSystem, RootSystemId, build
-from .weyl import (
-    dot_terms,
-    euler_induced,
-    reflection_length_theta,
-    shift_constant,
-)
+from .weyl import dot_terms, reflection_length_theta, shift_constant
 
 __all__ = [
     "GradedCalculator",
@@ -55,7 +50,6 @@ __all__ = [
     "WeightMultiplicities",
     "build",
     "dot_terms",
-    "euler_induced",
     "kostant_mult",
     "reflection_length_theta",
     "shift_constant",

@@ -1,13 +1,13 @@
 """Weight multiplicities of irreducible highest-weight modules.
 
 Two independent routes are kept side by side: Freudenthal's recursion
-(``WeightMultiplicities.at``) is the production path; the alternating
-Kostant sum over the dot-orbit terms (``kostant_mult``), taken by the
-partition table's one kernel, ``packed_sums``, is retained as a
-verification oracle.  They must agree everywhere; the test suite
-enforces this on full weight saturations.  ``weyl_dims`` gives the
-dimensions of a batch of modules at once; ``weyl_dim`` is its one-weight
-case.
+(``WeightMultiplicities.at``, on one domain per module) is the
+production path; the alternating Kostant sum over the dot-orbit terms
+(``kostant_mult``), taken by the partition table's one kernel,
+``packed_sums``, is retained as a verification oracle.  They must agree
+everywhere; the test suite checks them on every weight of the modules
+it sweeps.  ``weyl_dims`` gives the dimensions of a batch of modules at
+once; ``weyl_dim`` is its one-weight case.
 """
 
 from __future__ import annotations
@@ -24,11 +24,14 @@ from .weyl import dot_terms
 class WeightMultiplicities:
     """Freudenthal table of all weight multiplicities of one module L(lam).
 
-    Values are memoized per dominant representative.  A query fills the
-    memo over the dominant weights between its own and lam, from the top
-    down, so every value Freudenthal's formula reads is in place before
-    it is needed: no recursion, however far the weight is below lam.
-    A lam or mu without rank coordinates raises ValueError.
+    The domain, the dominant weights below lam, is found once, in
+    ``dominant_below``'s order.  Values are memoized per dominant
+    representative and filled in the reverse of that order, shallowest
+    first, up to the weight a query asks for: Freudenthal's formula at
+    nu reads only representatives strictly shallower than nu, so each
+    is in place before it is needed, with no recursion however far the
+    weight is below lam.  A lam or mu without rank coordinates raises
+    ValueError.
     """
 
     def __init__(self, rs: RootSystem, lam):
@@ -37,6 +40,9 @@ class WeightMultiplicities:
             raise NonDominantWeightError(lam)
         self.rs = rs
         self.lam = lam
+        domain = rs.dominant_below(lam)
+        self._domain = set(domain)
+        self._pending = list(domain[:-1])  # lam, the shallowest, is last
         self._memo: dict[Weight, int] = {lam: 1}
         self._lam_shift = vadd(lam, rs.rho)
 
@@ -44,27 +50,13 @@ class WeightMultiplicities:
         """Multiplicity of the weight mu in L(lam): 0 unless the dominant
         representative of mu is below lam."""
         mu = self.rs.dominant_representative(self.rs.as_weight(mu))
-        if not self.rs.dominance_le(mu, self.lam):
+        if mu not in self._domain:
             return 0
-        if mu not in self._memo:
-            self._fill(mu)
-        return self._memo[mu]
-
-    def _fill(self, mu: Weight) -> None:
-        """Memoize m(nu) for every dominant nu with mu <= nu <= lam, for
-        a dominant mu below lam.
-
-        Freudenthal's formula at nu reads m at the dominant representative
-        of each nu + j alpha (alpha > 0, j >= 1, up to lam), and that
-        representative is above nu + j alpha, so above mu and nearer lam
-        in height: ``dominant_below`` lists nu's by height, so its
-        reverse, from lam down, computes each one after all it reads.  A
-        representative not below lam is no weight of L(lam) and reads 0.
-        """
-        rs, memo = self.rs, self._memo
-        for nu in reversed(rs.dominant_below(self.lam)):
-            if nu not in memo and rs.dominance_le(mu, nu):
-                memo[nu] = self._freudenthal(nu)
+        memo, pending = self._memo, self._pending
+        while mu not in memo:
+            nu = pending.pop()
+            memo[nu] = self._freudenthal(nu)
+        return memo[mu]
 
     def _freudenthal(self, mu: Weight) -> int:
         """m(mu) for a dominant mu below lam, from the memoized values above
@@ -95,14 +87,6 @@ class WeightMultiplicities:
             f"at mu={mu}"
         )
         return value
-
-    def saturation(self) -> tuple[Weight, ...]:
-        """All weights of L(lam): W-orbits of the dominant weights below lam."""
-        rs = self.rs
-        weights: set[Weight] = set()
-        for mu in rs.dominant_below(self.lam):
-            weights.update(rs.weight_orbit(mu))
-        return tuple(sorted(weights))
 
 
 def kostant_mult(

@@ -12,8 +12,9 @@ root-basis coordinates ``r`` are ``cartan^T r``.
 
 Root-basis coordinates of a general weight are exact rationals; they are
 integers precisely on the root lattice, where ``root_coords_int`` gives
-them.  All arithmetic is exact, never floats: ``build`` works in
-integers only (a fraction-free adjugate, an integer symmetrizer).
+them.  The dominance order is tested a batch at a time, by ``depths``.
+All arithmetic is exact, never floats: ``build`` works in integers only
+(a fraction-free adjugate, an integer symmetrizer).
 
 The symmetric bilinear form is normalised so that short roots have
 squared length 2 (``inner`` values on the weight lattice are integers).
@@ -285,8 +286,9 @@ class RootSystem(namedtuple("RootSystem", [
     # -- coordinate conversions ----------------------------------------
 
     def root_coords_int(self, w) -> RootVector | None:
-        """Integer root-basis coordinates, or None if w is off the root lattice."""
-        det = self.fw_to_root_det
+        """Integer root-basis coordinates, or None if w is off the root
+        lattice; ValueError unless w has rank coordinates."""
+        w, det = self.as_weight(w), self.fw_to_root_det
         out = []
         for row in self.fw_to_root_adj:
             num = sum(map(mul, row, w))
@@ -307,11 +309,6 @@ class RootSystem(namedtuple("RootSystem", [
     def is_dominant(self, w) -> bool:
         return all(c >= 0 for c in w)
 
-    def dominance_le(self, mu, lam) -> bool:
-        """True iff lam - mu has nonnegative integer root-basis coordinates."""
-        coords = self.root_coords_int(vsub(lam, mu))
-        return coords is not None and min(coords) >= 0
-
     # -- bilinear form ---------------------------------------------------
 
     def inner(self, w, r) -> int:
@@ -323,7 +320,7 @@ class RootSystem(namedtuple("RootSystem", [
         d = self.symmetrizer
         return sum(r[j] * d[j] * w[j] for j in range(self.rank))
 
-    # -- reflections and orbits ------------------------------------------
+    # -- reflections -----------------------------------------------------
 
     def simple_reflection(self, w, i: int) -> Weight:
         """s_i(w) = w - <w, alpha_i^vee> alpha_i, on fw coordinates."""
@@ -343,21 +340,6 @@ class RootSystem(namedtuple("RootSystem", [
                     break
             else:
                 return cur
-
-    def weight_orbit(self, w) -> tuple[Weight, ...]:
-        """The full W-orbit of a weight, sorted, without enumerating W."""
-        seen = {tuple(w)}
-        frontier = [tuple(w)]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for i in range(self.rank):
-                    u = self.simple_reflection(v, i)
-                    if u not in seen:
-                        seen.add(u)
-                        nxt.append(u)
-            frontier = nxt
-        return tuple(sorted(seen))
 
     # -- weight sweeps ----------------------------------------------------
 

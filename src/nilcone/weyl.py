@@ -1,57 +1,52 @@
-"""The alternating-sum term set and dominant resolution.
+"""The alternating-sum term set and the dominant-chamber walk.
 
 Every graded multiplicity and every Kostant multiplicity is a sum
-sum_w (-1)^w P(w.lam - mu) in which only the w with w.lam - mu in the
-nonnegative root cone contribute.  ``dot_terms`` finds exactly those w by
-a pruned walk up the weak order from the identity, so no operation of the
-package enumerates W and every type through E_8 is reachable.  The other
-operations needed for arbitrarily large types - the reflection length of
-s_theta and the dominant-chamber resolution behind Euler characteristics
-of induced modules - avoid enumeration as well.  An explicit enumeration
-of W, which shares no code with the walk, lives with the tests as their
-oracle.
+sum_w (-1)^w P(w.lam - mu), for a dominant lam, in which only the w with
+w.lam - mu in the nonnegative root cone contribute.  ``dot_terms`` finds
+exactly those w by a pruned walk up the weak order from the identity,
+so no operation of the package enumerates W and every type through E_8
+is reachable.  The reflection length of s_theta and the walk of a batch
+of points into the dominant chamber behind the Hilbert series' fold
+(``chamber_signs``) avoid enumeration as well.  An explicit enumeration
+of W, which shares no code with either walk, lives with the tests as
+their oracle.
 """
 
 from __future__ import annotations
 
-from .rootsys import RootSystem, RootVector, Weight, vadd, vsub
+from .errors import NonDominantWeightError
+from .rootsys import RootSystem, RootVector, vadd, vsub
 
 
 def dot_terms(rs: RootSystem, lam, mu) -> list[tuple[int, RootVector]]:
     """(sign, root coordinates of w.lam - mu) for every w keeping it >= 0.
 
-    These are the only nonzero terms of sum_w (-1)^w P(w.lam - mu).  For
-    dominant lam the walk starts at v = lam + rho and applies s_i only
-    where c = v[i] > 0: an ascent, so the sign flips, and w.lam - mu
-    drops by c * alpha_i.  A step that would make its alpha_i coordinate
-    negative is pruned, since every later ascent only lowers the vector
-    further; the contributing w form a lower ideal of the weak order,
-    reached from the identity through contributing w alone.  lam + rho is
-    regular, so its orbit is free and v identifies w.
+    These are the only nonzero terms of sum_w (-1)^w P(w.lam - mu).  The
+    walk starts at v = lam + rho and applies s_i only where c = v[i] > 0:
+    an ascent, so the sign flips, and w.lam - mu drops by c * alpha_i.  A
+    step that would make its alpha_i coordinate negative is pruned, since
+    every later ascent only lowers the vector further; the contributing w
+    form a lower ideal of the weak order, reached from the identity
+    through contributing w alone.  lam + rho is regular, so its orbit is
+    free and v identifies w.
 
-    A non-dominant lam is first resolved through the dominant chamber
-    (the sum changes by the sign of that resolution, and a dominant lam
-    is its own resolution, with sign 1); a singular lam + rho
-    makes the whole sum cancel, and the list is empty, as it is when
-    lam - mu is off the root lattice or no w contributes.  A lam or mu
-    without rank coordinates raises ValueError.
+    The list is empty when lam - mu is off the root lattice or no w
+    contributes.  A lam that is not dominant raises
+    NonDominantWeightError, and a lam or mu without rank coordinates
+    ValueError.
     """
     lam, mu = rs.as_weight(lam), rs.as_weight(mu)
-    if min(lam) >= 0:
-        sign = 1
-    else:
-        resolved = euler_induced(rs, lam)
-        if resolved is None:
-            return []
-        sign, lam = resolved
+    if not rs.is_dominant(lam):
+        raise NonDominantWeightError(lam)
     r = rs.root_coords_int(vsub(lam, mu))
     if r is None or min(r) < 0:
         return []
     cartan = rs.cartan
     v = vadd(lam, rs.rho)
     seen = {v}
-    terms = [(sign, r)]
+    terms = [(1, r)]
     frontier = [(v, r)]
+    sign = 1
     while frontier:
         sign = -sign
         nxt = []
@@ -96,19 +91,6 @@ def reflection_length_theta(rs: RootSystem) -> int:
 def shift_constant(rs: RootSystem) -> int:
     """The integer k with 2k - 1 = length of the reflection in theta."""
     return (reflection_length_theta(rs) + 1) // 2
-
-
-def euler_induced(rs: RootSystem, mu) -> tuple[int, Weight] | None:
-    """Resolve a weight through the dominant chamber for Euler characteristics.
-
-    Returns None when mu + rho is singular (the Euler characteristic of
-    the induced module vanishes); otherwise (sign, lam) where lam is the
-    unique dominant weight with w(mu + rho) = lam + rho and sign is
-    (-1)^length(w).
-    """
-    nu = list(vadd(mu, rs.rho))
-    [sign] = chamber_signs(rs, [nu])
-    return (sign, vsub(tuple(nu), rs.rho)) if sign else None
 
 
 def chamber_signs(rs: RootSystem, points) -> list[int]:

@@ -1,11 +1,13 @@
 """Rational root-lattice helpers that only the tests need.
 
 The package works in integers alone: ``RootSystem.root_coords_int`` gives
-root-basis coordinates on the root lattice and None off it, and
-``RootSystem.inner`` the bilinear form.  These helpers extend that to any
-weight, with ``fractions.Fraction``, map root coordinates back to fw
-coordinates, and give the squared lengths and coroot pairings the tests
-check the root data with.
+root-basis coordinates on the root lattice and None off it,
+``RootSystem.depths`` tests dominance a batch at a time, and
+``RootSystem.inner`` gives the bilinear form.  These helpers extend that
+to any weight, with ``fractions.Fraction``, map root coordinates back to
+fw coordinates, test dominance one pair of weights at a time, and give
+the squared lengths and coroot pairings the tests check the root data
+with.
 """
 
 from fractions import Fraction
@@ -20,6 +22,13 @@ def to_root_basis(rs, w) -> tuple[Fraction, ...]:
     """Root-basis coordinates of a weight, as exact rationals."""
     det = rs.fw_to_root_det
     return tuple(Fraction(sum(map(mul, row, w)), det) for row in rs.fw_to_root_adj)
+
+
+def dominance_le(rs, mu, lam) -> bool:
+    """Whether lam - mu has nonnegative integer root-basis coordinates:
+    the per-weight reference for the domain test of ``RootSystem.depths``."""
+    diff = tuple(a - b for a, b in zip(lam, mu, strict=True))
+    return all(x.denominator == 1 and x >= 0 for x in to_root_basis(rs, diff))
 
 
 def from_root_basis(rs, r):

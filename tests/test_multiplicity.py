@@ -8,13 +8,15 @@ from nilcone import (
     InternalInconsistencyError,
     NonDominantWeightError,
     PartitionTable,
+    RootSystem,
     WeightMultiplicities,
     kostant_mult,
     weyl_dim,
 )
 from nilcone.graded import fold
 from nilcone.multiplicity import weyl_dims
-from weyl_oracle import dominant_up_to_height
+from nilcone.rootsys import vadd, vscale
+from weyl_oracle import dominant_up_to_height, saturation
 
 
 def test_highest_weight_has_multiplicity_one(systems):
@@ -154,7 +156,7 @@ def test_weyl_dims_reject_the_first_non_dominant_weight(systems):
 def test_w_invariance(systems):
     rs = systems("B", 2)
     table = WeightMultiplicities(rs, (2, 2))
-    for mu in table.saturation():
+    for mu in saturation(rs, (2, 2)):
         expected = table.at(rs.dominant_representative(mu))
         assert table.at(mu) == expected
 
@@ -163,7 +165,7 @@ def test_saturation_sums_to_dimension(systems):
     rs = systems("A", 2)
     for lam in dominant_up_to_height(rs, 6):
         table = WeightMultiplicities(rs, lam)
-        assert sum(table.at(mu) for mu in table.saturation()) == weyl_dim(rs, lam)
+        assert sum(table.at(mu) for mu in saturation(rs, lam)) == weyl_dim(rs, lam)
 
 
 def test_zero_off_the_coset(systems):
@@ -181,7 +183,7 @@ def test_freudenthal_equals_kostant_height_8(systems, family, rank):
     rs = systems(family, rank)
     for lam in dominant_up_to_height(rs, 8):
         table = WeightMultiplicities(rs, lam)
-        for mu in table.saturation():
+        for mu in saturation(rs, lam):
             assert table.at(mu) == kostant_mult(rs, lam, mu), (lam, mu)
 
 
@@ -194,3 +196,28 @@ def test_deep_weight_needs_no_recursion(systems):
     assert table.at((0,)) == 1
     assert table.at((-3998,)) == table.at((2,)) == 1
     assert table.at((4002,)) == 0
+
+
+def test_one_domain_per_table(systems, monkeypatch):
+    # F4 L(3 theta) at its 17 dominant weights, top-down on one table: one
+    # domain search in all, the values of a bottom-up pass, and 0 for a
+    # weight above lam, one whose representative is, and one beside it
+    # (4 omega_4: lam - mu has root coordinates (2, 1, 0, -2)).  F4's root
+    # lattice is its weight lattice, so no weight is off the coset here;
+    # test_zero_off_the_coset checks that case on A2.
+    rs = systems("F", 4)
+    lam = vscale(3, rs.theta_long)
+    domain = rs.dominant_below(lam)
+    assert len(domain) == 17
+    bottom_up = WeightMultiplicities(rs, lam)
+    expected = [bottom_up.at(mu) for mu in domain]
+    calls = []
+    search = RootSystem.dominant_below
+    monkeypatch.setattr(RootSystem, "dominant_below",
+                        lambda self, top: calls.append(top) or search(self, top))
+    table = WeightMultiplicities(rs, lam)
+    assert [table.at(mu) for mu in reversed(domain)] == expected[::-1]
+    for mu in [vadd(lam, rs.theta_long), (-4, 0, 0, 0), (0, 0, 0, 4)]:
+        assert table.at(mu) == 0
+    assert calls == [lam]
+    assert expected[0] > 1 and expected[-1] == 1

@@ -32,6 +32,7 @@ from nilcone.partition import (
 from nilcone.rootsys import vadd
 from cache_file import digest, rewrite
 from tuple_dp import TupleDP
+from weyl_oracle import saturation
 
 
 def brute_force_counts(rs, n):
@@ -328,10 +329,7 @@ def kostant_pairs(rs, top):
     """(lam, mu) for every lam dominant below top and mu any weight of the
     W-orbits below lam: most mu are not dominant, so some digits of
     E(lam, mu; q) are negative."""
-    lams = rs.dominant_below(top)
-    return [(lam, mu) for lam in lams
-            for nu in lams if rs.dominance_le(nu, lam)
-            for mu in rs.weight_orbit(nu)]
+    return [(lam, mu) for lam in rs.dominant_below(top) for mu in saturation(rs, lam)]
 
 
 def low_digits_of_full_sums(rs, pairs, m):

@@ -19,13 +19,14 @@ from nilcone.rootsys import (
 import fraction_reference
 from root_lattice import (
     coroot_pairing,
+    dominance_le,
     from_root_basis,
     height,
     root_norm2,
     to_root_basis,
     vneg,
 )
-from weyl_oracle import dominant_up_to_height
+from weyl_oracle import dominant_up_to_height, weight_orbit
 
 ALL_TYPES = (
     [("A", l) for l in range(1, 9)]
@@ -192,12 +193,24 @@ def test_root_lattice_membership():
     assert rs.root_coords_int((1, 0)) is None
 
 
-def test_dominance_examples():
+def test_root_coords_int_refuses_weights_of_the_wrong_length():
+    # unchecked, (3,) pairs with the first column of each adjugate row
+    # alone and reads (2, 1)
     rs = build("A", 2)
-    assert rs.dominance_le((0, 0), (1, 1))            # 0 <= theta
-    assert not rs.dominance_le((0, 3), (3, 0))        # 3w2 vs 3w1: coords (1,-1)
-    assert rs.dominance_le((3, 0), (3, 0))            # reflexive
-    assert not rs.dominance_le((0, 0), (1, 0))        # off the root lattice
+    for w in [(3,), (1, 1, 1), ()]:
+        with pytest.raises(ValueError, match="2 coordinates"):
+            rs.root_coords_int(w)
+
+
+def test_dominance_examples():
+    # depths is the package's dominance test; dominance_le its reference
+    rs = build("A", 2)
+    for mu, lam, below in [((0, 0), (1, 1), True),     # 0 <= theta
+                           ((0, 3), (3, 0), False),    # 3w2 vs 3w1: coords (1,-1)
+                           ((3, 0), (3, 0), True),     # reflexive
+                           ((0, 0), (1, 0), False)]:   # off the root lattice
+        assert dominance_le(rs, mu, lam) is below
+        assert (mu in rs.depths(lam, [mu])) is below
 
 
 def test_dominant_representative_and_orbits():
@@ -205,7 +218,7 @@ def test_dominant_representative_and_orbits():
     for w in [(1, 2), (0, 0), (-1, 3), (2, -5), (-3, -1)]:
         rep = rs.dominant_representative(w)
         assert rs.is_dominant(rep)
-        orbit = rs.weight_orbit(w)
+        orbit = weight_orbit(rs, w)
         assert rep in orbit
         # every orbit member resolves to the same representative
         for v in orbit:
@@ -218,7 +231,7 @@ def test_dominant_below_a2():
     below = rs.dominant_below((3, 3))
     assert (3, 0) in below and (0, 3) in below and (1, 1) in below
     for mu in below:
-        assert rs.dominance_le(mu, (3, 3))
+        assert dominance_le(rs, mu, (3, 3))
 
 
 def box_dominant_below(rs, lam):
@@ -265,13 +278,13 @@ def test_dominant_top_needs_no_dominance_filter(family, rank):
     for k in range(3):
         top = vscale(k, rs.theta_long)
         below = rs.dominant_below(top)
-        assert below == tuple(mu for mu in below if rs.dominance_le(mu, top))
+        assert below == tuple(mu for mu in below if dominance_le(rs, mu, top))
     top = vscale(2, rs.theta_long)
     i = next(i for i, c in enumerate(top) if c > 0)
     lam = rs.simple_reflection(top, i)
     assert not rs.is_dominant(lam) and rs.dominant_representative(lam) == top
     below = rs.dominant_below(lam)
-    assert below == tuple(mu for mu in rs.dominant_below(top) if rs.dominance_le(mu, lam))
+    assert below == tuple(mu for mu in rs.dominant_below(top) if dominance_le(rs, mu, lam))
     assert top not in below and below
 
 
@@ -311,7 +324,7 @@ def test_dominant_below_e8_three_theta():
     assert len(below) == 10 and len(set(below)) == 10
     assert below[0] == (0,) * 8 and below[-1] == top
     for mu in below:
-        assert rs.is_dominant(mu) and rs.dominance_le(mu, top)
+        assert rs.is_dominant(mu) and dominance_le(rs, mu, top)
 
 
 def test_dominant_up_to_height():

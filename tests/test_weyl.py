@@ -1,20 +1,22 @@
-"""Weyl group enumeration, dot action, reflection lengths, resolution."""
+"""Weyl group enumeration, dot action, reflection lengths, chamber walk."""
 
 import itertools
 
 import pytest
 
 from nilcone import (
+    NonDominantWeightError,
     build,
     dot_terms,
-    euler_induced,
     reflection_length_theta,
     shift_constant,
 )
 from nilcone.rootsys import vadd, vsub
+from nilcone.weyl import chamber_signs
 from root_lattice import coroot_pairing
 from weyl_oracle import (
     WeylCapExceededError,
+    chamber_resolution,
     det_int,
     dot_action,
     enumerate_group,
@@ -149,28 +151,34 @@ def test_reflection_length_matches_enumerated_reflection(systems, groups):
         assert found.length == reflection_length_theta(rs)
 
 
-def test_euler_induced_examples(systems):
+def chamber_walk(rs, mus):
+    """chamber_signs on the points mu + rho of a batch: (sign, lam) with
+    the dominant point lam + rho for each mu, or None on a wall."""
+    points = [list(vadd(mu, rs.rho)) for mu in mus]
+    return [(sign, vsub(tuple(nu), rs.rho)) if sign else None
+            for sign, nu in zip(chamber_signs(rs, points), points)]
+
+
+def test_chamber_signs_examples(systems):
     rs = systems("A", 2)
-    # dominant weights resolve trivially
-    for mu in [(0, 0), (1, 0), (2, 3)]:
-        assert euler_induced(rs, mu) == (1, mu)
-    # -rho is singular
-    assert euler_induced(rs, (-1, -1)) is None
+    # dominant weights stay where they are, and -rho is singular
+    assert chamber_walk(rs, [(0, 0), (1, 0), (2, 3), (-1, -1)]) == [
+        (1, (0, 0)), (1, (1, 0)), (1, (2, 3)), None]
     rs1 = systems("A", 1)
-    assert euler_induced(rs1, (-2,)) == (-1, (0,))
-    assert euler_induced(rs1, (-1,)) is None
+    assert chamber_walk(rs1, [(-2,), (-1,)]) == [(-1, (0,)), None]
+    assert chamber_signs(rs1, []) == []
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("G", 2)])
-def test_euler_induced_resolves_dot_orbit(systems, groups, family, rank):
+def test_chamber_signs_resolve_dot_orbit(systems, groups, family, rank):
     rs = systems(family, rank)
+    elements = groups(family, rank).elements
     for lam in [(0,) * rank, (1, 0), (0, 2), (1, 1)]:
-        for e in groups(family, rank).elements:
-            mu = dot_action(rs, e, lam)
-            assert euler_induced(rs, mu) == (e.sign, lam)
+        mus = [dot_action(rs, e, lam) for e in elements]
+        assert chamber_walk(rs, mus) == [(e.sign, lam) for e in elements]
 
 
-def test_euler_induced_detects_singular_nonsimple_wall(systems):
+def test_chamber_signs_detect_singular_nonsimple_wall(systems, groups):
     # mu + rho = omega_1 - omega_2 in B_2 pairs nonzero with both simple
     # coroots but lies on the wall of the long root alpha_1 + 2 alpha_2.
     rs = systems("B", 2)
@@ -178,7 +186,20 @@ def test_euler_induced_detects_singular_nonsimple_wall(systems):
     nu = vadd(mu, rs.rho)
     assert all(c != 0 for c in nu)
     assert coroot_pairing(rs, nu, (1, 2)) == 0
-    assert euler_induced(rs, mu) is None
+    assert chamber_resolution(rs, groups("B", 2), mu) is None
+    assert chamber_signs(rs, [list(nu)]) == [0]
+
+
+@pytest.mark.parametrize("family,rank", [("B", 2), ("G", 2)])
+def test_chamber_signs_exhaustive_agreement(systems, groups, family, rank):
+    # For every weight in a box, one batch: the sign and the dominant point
+    # agree with a direct scan over the enumerated group, walls included.
+    rs = systems(family, rank)
+    W = groups(family, rank)
+    mus = list(itertools.product(range(-4, 3), repeat=rank))
+    resolved = chamber_walk(rs, mus)
+    assert resolved == [chamber_resolution(rs, W, mu) for mu in mus]
+    assert None in resolved and any(r and r[0] < 0 for r in resolved)
 
 
 def _scanned_terms(rs, W, lam, mu):
@@ -207,24 +228,16 @@ def test_dot_terms_match_group_scan(calculators, groups, family, rank, sweep):
             )
 
 
-@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("G", 2)])
-def test_dot_terms_non_dominant_lambda_keeps_the_sum(systems, groups, family, rank):
-    # A non-dominant lam is resolved through the dominant chamber first:
-    # the signed terms are the scanned ones once cancelling pairs (from a
-    # singular lam + rho) are dropped, so every alternating sum is unchanged.
-    def net(terms):
-        acc = {}
-        for sign, arg in terms:
-            acc[arg] = acc.get(arg, 0) + sign
-        return {arg: v for arg, v in acc.items() if v}
-
-    rs = systems(family, rank)
-    W = groups(family, rank)
-    for lam in itertools.product(range(-4, 3), repeat=rank):
-        for mu in [(0,) * rank, rs.theta_short]:
-            fast = dot_terms(rs, lam, mu)
-            assert net(fast) == net(_scanned_terms(rs, W, lam, mu)), (lam, mu)
-            assert len(net(fast)) == len(fast)
+def test_dot_terms_refuse_a_non_dominant_lambda(systems):
+    # the walk starts from a dominant lam only, as series, kostant_mult
+    # and WeightMultiplicities already require
+    rs = systems("B", 2)
+    for lam in [(-1, 0), (2, -1), (-1, -1)]:
+        with pytest.raises(NonDominantWeightError) as caught:
+            dot_terms(rs, lam, (0, 0))
+        assert caught.value.weight == lam
+    with pytest.raises(ValueError, match="2 coordinates"):
+        dot_terms(rs, (-1,), (0, 0))
 
 
 def test_dot_terms_e8_adjoint_without_enumeration():
@@ -233,22 +246,3 @@ def test_dot_terms_e8_adjoint_without_enumeration():
     assert len(terms) == 2318
     assert terms[0] == (1, rs.theta_long_coords)
     assert sorted(set(terms)) == sorted(terms)
-
-
-def test_euler_induced_exhaustive_agreement(systems, groups):
-    # For every weight in a box, the resolution agrees with a direct scan
-    # over the enumerated group.
-    rs = systems("G", 2)
-    W = groups("G", 2)
-    for c1 in range(-4, 3):
-        for c2 in range(-4, 3):
-            mu = (c1, c2)
-            shifted = vadd(mu, rs.rho)
-            matches = [
-                (e.sign, vsub(e.apply(shifted), rs.rho))
-                for e in W.elements
-                if rs.is_dominant(e.apply(shifted))
-                and all(c > 0 for c in e.apply(shifted))
-            ]
-            expected = matches[0] if matches else None
-            assert euler_induced(rs, mu) == expected

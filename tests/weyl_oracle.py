@@ -1,11 +1,14 @@
-"""Weyl-group enumeration and height-bounded weight lists: test oracles.
+"""Weyl-group enumeration, weight orbits and weight lists: test oracles.
 
 The package never enumerates W: every alternating sum runs over the terms
-of ``nilcone.weyl.dot_terms``.  The explicit group kept here (dense
-integer matrices on fw coordinates, a breadth-first closure under simple
-reflections, lengths as BFS depths) shares no code with that walk, so the
-tests can check the walk, the dot action and the classical orders
-against it.
+of ``nilcone.weyl.dot_terms``, and the Hilbert series' fold moves points
+into the dominant chamber with ``nilcone.weyl.chamber_signs``.  The
+explicit group kept here (dense integer matrices on fw coordinates, a
+breadth-first closure under simple reflections, lengths as BFS depths)
+shares no code with either walk, so the tests can check the walks, the
+dot action and the classical orders against it; ``chamber_resolution``
+is its scan for the dominant point of one weight.  The W-orbits and
+saturations are the weights the multiplicity tests query.
 """
 
 from __future__ import annotations
@@ -184,6 +187,44 @@ def enumerate_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> WeylGroup:
 def dot_action(rs: RootSystem, w: WeylElement, lam) -> Weight:
     """w . lam = w(lam + rho) - rho, exactly on fw coordinates."""
     return vsub(w.apply(vadd(lam, rs.rho)), rs.rho)
+
+
+def chamber_resolution(rs: RootSystem, group: WeylGroup, mu):
+    """(sign of w, lam) for the w of the group with w(mu + rho) = lam + rho
+    strictly dominant, or None when mu + rho lies on a wall: a scan of
+    every element."""
+    shifted = vadd(mu, rs.rho)
+    for e in group.elements:
+        image = e.apply(shifted)
+        if min(image) > 0:
+            return e.sign, vsub(image, rs.rho)
+    return None
+
+
+def weight_orbit(rs: RootSystem, w) -> tuple[Weight, ...]:
+    """The full W-orbit of a weight, sorted: its closure under the simple
+    reflections, without enumerating W."""
+    seen = {tuple(w)}
+    frontier = [tuple(w)]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for i in range(rs.rank):
+                u = rs.simple_reflection(v, i)
+                if u not in seen:
+                    seen.add(u)
+                    nxt.append(u)
+        frontier = nxt
+    return tuple(sorted(seen))
+
+
+def saturation(rs: RootSystem, lam) -> tuple[Weight, ...]:
+    """All weights of L(lam), sorted: the W-orbits of the dominant weights
+    below a dominant lam."""
+    weights: set[Weight] = set()
+    for mu in rs.dominant_below(lam):
+        weights.update(weight_orbit(rs, mu))
+    return tuple(sorted(weights))
 
 
 def dominant_up_to_height(rs: RootSystem, max_height) -> tuple[Weight, ...]:
