@@ -13,7 +13,7 @@ once; ``weyl_dim`` is its one-weight case.
 from __future__ import annotations
 
 from itertools import repeat
-from operator import mul
+from operator import ge, mul
 
 from . import partition
 from .errors import InternalInconsistencyError, NonDominantWeightError
@@ -25,13 +25,16 @@ class WeightMultiplicities:
     """Freudenthal table of all weight multiplicities of one module L(lam).
 
     The domain, the dominant weights below lam, is found once, in
-    ``dominant_below``'s order.  Values are memoized per dominant
-    representative and filled in the reverse of that order, shallowest
-    first, up to the weight a query asks for: Freudenthal's formula at
-    nu reads only representatives strictly shallower than nu, so each
-    is in place before it is needed, with no recursion however far the
-    weight is below lam.  A lam or mu without rank coordinates raises
-    ValueError.
+    ``dominant_below``'s order, with the root coordinates of lam - nu
+    for each nu in it.  Values are memoized per dominant representative.
+    A query fills the memo over the domain weights above its own, in
+    the reverse of that order, shallowest first: Freudenthal's formula
+    at nu reads only representatives above nu and strictly shallower,
+    so each is in place before it is needed, with no recursion however
+    far the weight is below lam.  A fill skips the values already in
+    place and stores each one only once it is computed, so a query that
+    raises part way leaves no gap for the next.  A lam or mu without
+    rank coordinates raises ValueError.
     """
 
     def __init__(self, rs: RootSystem, lam):
@@ -40,9 +43,9 @@ class WeightMultiplicities:
             raise NonDominantWeightError(lam)
         self.rs = rs
         self.lam = lam
-        domain = rs.dominant_below(lam)
-        self._domain = set(domain)
-        self._pending = list(domain[:-1])  # lam, the shallowest, is last
+        # {nu: root coordinates of lam - nu}; lam, the shallowest, is last
+        self._below = {nu: rs.root_coords_int(vsub(lam, nu))
+                       for nu in rs.dominant_below(lam)}
         self._memo: dict[Weight, int] = {lam: 1}
         self._lam_shift = vadd(lam, rs.rho)
 
@@ -50,19 +53,23 @@ class WeightMultiplicities:
         """Multiplicity of the weight mu in L(lam): 0 unless the dominant
         representative of mu is below lam."""
         mu = self.rs.dominant_representative(self.rs.as_weight(mu))
-        if mu not in self._domain:
+        memo, below = self._memo, self._below
+        if mu in memo:
+            return memo[mu]
+        if mu not in below:
             return 0
-        memo, pending = self._memo, self._pending
-        while mu not in memo:
-            nu = pending.pop()
-            memo[nu] = self._freudenthal(nu)
+        limit = below[mu]
+        for nu, diff in reversed(below.items()):
+            if nu not in memo and all(map(ge, limit, diff)):  # mu <= nu
+                memo[nu] = self._freudenthal(nu, diff)
+            if nu == mu:
+                break
         return memo[mu]
 
-    def _freudenthal(self, mu: Weight) -> int:
+    def _freudenthal(self, mu: Weight, diff) -> int:
         """m(mu) for a dominant mu below lam, from the memoized values above
-        it."""
+        it; diff is the root coordinates of lam - mu."""
         rs, memo, dominant = self.rs, self._memo, self.rs.dominant_representative
-        diff = rs.root_coords_int(vsub(self.lam, mu))
         # Freudenthal: ((lam+rho,lam+rho) - (mu+rho,mu+rho)) m(mu)
         #            = 2 sum_{alpha>0} sum_{j>=1} (mu + j alpha, alpha) m(mu + j alpha)
         numerator = 0

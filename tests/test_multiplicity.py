@@ -16,6 +16,7 @@ from nilcone import (
 from nilcone.graded import fold
 from nilcone.multiplicity import weyl_dims
 from nilcone.rootsys import vadd, vscale
+from root_lattice import dominance_le
 from weyl_oracle import dominant_up_to_height, saturation
 
 
@@ -221,3 +222,45 @@ def test_one_domain_per_table(systems, monkeypatch):
         assert table.at(mu) == 0
     assert calls == [lam]
     assert expected[0] > 1 and expected[-1] == 1
+
+
+def test_query_fills_only_the_weights_above_it(systems, monkeypatch):
+    # A query on a fresh F4 L(3 theta) table evaluates Freudenthal's
+    # formula at the domain weights above its own and nowhere else.
+    rs = systems("F", 4)
+    lam = vscale(3, rs.theta_long)
+    domain = rs.dominant_below(lam)
+    step = WeightMultiplicities._freudenthal
+    evaluated = []
+    monkeypatch.setattr(WeightMultiplicities, "_freudenthal",
+                        lambda self, mu, diff: evaluated.append(mu) or step(self, mu, diff))
+    for mu in domain:
+        evaluated.clear()
+        WeightMultiplicities(rs, lam).at(mu)
+        assert sorted(evaluated) == sorted(
+            nu for nu in domain if nu != lam and dominance_le(rs, mu, nu)), mu
+
+
+def test_fill_resumes_after_an_interrupted_query(systems, monkeypatch):
+    # Freudenthal's step raises once part way down G2 L(2 theta); the
+    # value it was computing is not stored, so the retried query fills
+    # it and the weights after it, and the whole table matches Kostant.
+    rs = systems("G", 2)
+    lam = vscale(2, rs.theta_long)
+    domain = rs.dominant_below(lam)
+    table = WeightMultiplicities(rs, lam)
+    step = WeightMultiplicities._freudenthal
+    failing = domain[len(domain) // 2]
+
+    def flaky(self, mu, diff):
+        if mu == failing:
+            monkeypatch.setattr(WeightMultiplicities, "_freudenthal", step)
+            raise KeyboardInterrupt
+        return step(self, mu, diff)
+
+    monkeypatch.setattr(WeightMultiplicities, "_freudenthal", flaky)
+    with pytest.raises(KeyboardInterrupt):
+        table.at(domain[0])
+    assert failing not in table._memo
+    assert [table.at(mu) for mu in domain] == [
+        kostant_mult(rs, lam, mu) for mu in domain]
