@@ -58,10 +58,9 @@ with their digits, a few fields at a time.
 from __future__ import annotations
 
 from . import partition
-from .errors import (InternalInconsistencyError, NonDominantWeightError,
-                     PositivityViolationError)
+from .errors import InternalInconsistencyError, PositivityViolationError
 from .multiplicity import weyl_dims
-from .rootsys import RootSystem, Weight, vadd, vscale, vsub
+from .rootsys import RootSystem, RootVector, Weight, vadd, vscale, vsub
 from .weyl import chamber_signs, dot_terms, shift_constant
 
 
@@ -161,17 +160,15 @@ class GradedCalculator:
         ``NonDominantWeightError`` before any of them is computed."""
         if name not in ("d", "a", "t"):
             raise ValueError(f"{name!r} is not a profile name: d, a or t")
-        lams = list(lams)
-        for lam in lams:
-            if not self.rs.is_dominant(lam):
-                raise NonDominantWeightError(lam)
         packing, checked = self._profiles(lams, name)
         return [packing.digits(profiles[name]) for _, profiles in checked]
 
     # -- assembled tables ------------------------------------------------------
 
-    def sweep_domain(self, sweep: int) -> tuple[Weight, ...]:
-        """Dominant weights dominance-below sweep * theta_long."""
+    def sweep_domain(self, sweep: int) -> dict[Weight, RootVector]:
+        """Dominant weights dominance-below sweep * theta_long, each with
+        the root coordinates of sweep * theta_long minus it, in domain
+        order (``RootSystem.dominant_below``)."""
         return self.rs.dominant_below(vscale(sweep, self.rs.theta_long))
 
     def cohomology_table(self, kind: str, sweep: int, max_i: int,

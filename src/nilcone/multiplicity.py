@@ -17,42 +17,39 @@ from operator import ge, mul
 
 from . import partition
 from .errors import InternalInconsistencyError, NonDominantWeightError
-from .rootsys import RootSystem, Weight, pair_columns, vadd, vsub
+from .rootsys import RootSystem, Weight, pair_columns, vadd
 from .weyl import dot_terms
 
 
 class WeightMultiplicities:
     """Freudenthal table of all weight multiplicities of one module L(lam).
 
-    The domain, the dominant weights below lam, is found once, in
-    ``dominant_below``'s order, with the root coordinates of lam - nu
-    for each nu in it.  Values are memoized per dominant representative.
-    A query fills the memo over the domain weights above its own, in
-    the reverse of that order, shallowest first: Freudenthal's formula
-    at nu reads only representatives above nu and strictly shallower,
-    so each is in place before it is needed, with no recursion however
-    far the weight is below lam.  A fill skips the values already in
-    place and stores each one only once it is computed, so a query that
-    raises part way leaves no gap for the next.  A lam or mu without
-    rank coordinates raises ValueError.
+    The domain, the dominant weights below lam, is found once by
+    ``dominant_below``, which gives each nu in it with the root
+    coordinates of lam - nu, in domain order.  Values are memoized per
+    dominant representative.  A query fills the memo over the domain
+    weights above its own, in the reverse of that order, shallowest
+    first: Freudenthal's formula at nu reads only representatives above
+    nu and strictly shallower, so each is in place before it is needed,
+    with no recursion however far the weight is below lam.  A fill skips
+    the values already in place and stores each one only once it is
+    computed, so a query that raises part way leaves no gap for the
+    next.  A lam or mu without rank coordinates raises ValueError, and
+    a lam that is not dominant NonDominantWeightError.
     """
 
     def __init__(self, rs: RootSystem, lam):
-        lam = rs.as_weight(lam)
-        if not rs.is_dominant(lam):
-            raise NonDominantWeightError(lam)
         self.rs = rs
-        self.lam = lam
+        self.lam = lam = rs.as_weight(lam)
         # {nu: root coordinates of lam - nu}; lam, the shallowest, is last
-        self._below = {nu: rs.root_coords_int(vsub(lam, nu))
-                       for nu in rs.dominant_below(lam)}
+        self._below = rs.dominant_below(lam)
         self._memo: dict[Weight, int] = {lam: 1}
         self._lam_shift = vadd(lam, rs.rho)
 
     def at(self, mu) -> int:
         """Multiplicity of the weight mu in L(lam): 0 unless the dominant
         representative of mu is below lam."""
-        mu = self.rs.dominant_representative(self.rs.as_weight(mu))
+        mu = self.rs.dominant_representative(mu)
         memo, below = self._memo, self._below
         if mu in memo:
             return memo[mu]
@@ -73,13 +70,14 @@ class WeightMultiplicities:
         # Freudenthal: ((lam+rho,lam+rho) - (mu+rho,mu+rho)) m(mu)
         #            = 2 sum_{alpha>0} sum_{j>=1} (mu + j alpha, alpha) m(mu + j alpha)
         numerator = 0
-        for c_alpha, r_alpha in zip(rs.positive_roots, rs.positive_root_coords):
+        for c_alpha, r_alpha, row in zip(rs.positive_roots, rs.positive_root_coords,
+                                         rs.pairing_rows):
             # mu + j alpha is below lam for j <= steps; (mu + j alpha, alpha)
             # is linear in j.
             steps = min(d // r for d, r in zip(diff, r_alpha) if r)
             if not steps:
                 continue
-            base, slope = rs.inner(mu, r_alpha), rs.inner(c_alpha, r_alpha)
+            base, slope = sum(map(mul, row, mu)), sum(map(mul, row, c_alpha))
             nu = mu
             for j in range(1, steps + 1):
                 nu = vadd(nu, c_alpha)
@@ -110,14 +108,14 @@ def kostant_mult(
     from the same ``PartitionTable.packed_sums`` kernel the graded
     multiplicities use.  Its digits are read balanced, since a
     non-dominant mu can make one negative.  Agreement with
-    ``WeightMultiplicities.at`` is an invariant of the package.
+    ``WeightMultiplicities.at`` is an invariant of the package.  A lam
+    that is not dominant raises ``NonDominantWeightError`` (``dot_terms``).
     """
     lam, mu = tuple(lam), tuple(mu)
-    if not rs.is_dominant(lam):
-        raise NonDominantWeightError(lam)
+    terms = dot_terms(rs, lam, mu)
     if table is None:
         table = partition.PartitionTable(rs)
-    packing, [value] = table.packed_sums([dot_terms(rs, lam, mu)])
+    packing, [value] = table.packed_sums([terms])
     total = sum(packing.balanced(value, packing.height).values())
     if total < 0:
         raise InternalInconsistencyError(

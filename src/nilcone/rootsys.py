@@ -11,8 +11,9 @@ coordinate vector of ``alpha_i`` and the fw coordinates of a vector with
 root-basis coordinates ``r`` are ``cartan^T r``.
 
 Root-basis coordinates of a general weight are exact rationals; they are
-integers precisely on the root lattice, where ``root_coords_int`` gives
-them.  The dominance order is tested a batch at a time, by ``depths``.
+integers precisely on the root lattice.  ``depths`` gives them for a
+batch of weights below one top, those that are nonnegative integers, so
+it is also the one test of the dominance order.
 All arithmetic is exact, never floats: ``build`` works in integers only
 (a fraction-free adjugate, an integer symmetrizer).
 
@@ -30,11 +31,10 @@ a millisecond of every command.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import repeat
 from math import gcd, lcm, prod
-from operator import add, mod, mul, or_, sub
+from operator import add, mul, sub
 
-from .errors import InadmissibleTypeError
+from .errors import InadmissibleTypeError, NonDominantWeightError
 
 Weight = tuple[int, ...]
 RootVector = tuple[int, ...]
@@ -283,20 +283,6 @@ class RootSystem(namedtuple("RootSystem", [
     def rank(self) -> int:
         return self.id.rank
 
-    # -- coordinate conversions ----------------------------------------
-
-    def root_coords_int(self, w) -> RootVector | None:
-        """Integer root-basis coordinates, or None if w is off the root
-        lattice; ValueError unless w has rank coordinates."""
-        w, det = self.as_weight(w), self.fw_to_root_det
-        out = []
-        for row in self.fw_to_root_adj:
-            num = sum(map(mul, row, w))
-            if num % det:
-                return None
-            out.append(num // det)
-        return tuple(out)
-
     # -- predicates and measures ----------------------------------------
 
     def as_weight(self, w) -> Weight:
@@ -315,10 +301,11 @@ class RootSystem(namedtuple("RootSystem", [
         """(w, beta) for a weight w (fw coords) and beta = sum r_j alpha_j.
 
         Integer-valued on weight-lattice w and integral r; short roots
-        have squared length 2 in this normalisation.
+        have squared length 2 in this normalisation.  ValueError unless
+        w and r have rank coordinates.
         """
-        d = self.symmetrizer
-        return sum(r[j] * d[j] * w[j] for j in range(self.rank))
+        w, r = self.as_weight(w), self.as_weight(r)
+        return sum(a * b * c for a, b, c in zip(r, self.symmetrizer, w))
 
     # -- reflections -----------------------------------------------------
 
@@ -331,36 +318,32 @@ class RootSystem(namedtuple("RootSystem", [
         return tuple(w[j] - c * row[j] for j in range(self.rank))
 
     def dominant_representative(self, w) -> Weight:
-        """The unique dominant weight in the W-orbit of w (plain action)."""
-        cur = tuple(w)
-        while True:
-            for i, c in enumerate(cur):
-                if c < 0:
-                    cur = self.simple_reflection(cur, i)
-                    break
-            else:
-                return cur
+        """The unique dominant weight in the W-orbit of w (plain action);
+        ValueError unless w has rank coordinates."""
+        cur = self.as_weight(w)
+        while (c := min(cur)) < 0:  # s_i at a c = cur[i] < 0
+            cur = tuple([a - c * b for a, b in zip(cur, self.cartan[cur.index(c)])])
+        return cur
 
     # -- weight sweeps ----------------------------------------------------
 
-    def dominant_below(self, lam) -> tuple[Weight, ...]:
-        """Dominant weights mu with lam - mu a nonnegative integer root sum.
-
-        These are exactly the dominant members of the root-lattice coset
-        of lam under the dominance order, the sweep domain for graded
-        tables, in ``depths`` order; empty when lam is off the nonnegative
-        root cone; ValueError for a lam without rank coordinates.
+    def dominant_below(self, lam) -> dict[Weight, RootVector]:
+        """{mu: root coordinates of lam - mu} for the dominant mu with lam -
+        mu a nonnegative integer root sum, in ``depths`` order: the dominant
+        members of the root-lattice coset of lam below it, the sweep domain
+        for graded tables.  ValueError for a lam without rank coordinates,
+        and NonDominantWeightError for a lam that is not dominant.
 
         Every dominant weight below a dominant top is reached from it by
         subtracting one positive root at a time without leaving the
         dominant cone (Stembridge, Adv. Math. 136, 1998), so a search down
-        from the dominant representative of lam, in any order, visits the
-        domain at N steps per weight, and ``depths`` keeps the ones below
-        lam (every one, for a dominant lam) and orders them.
+        from lam, in any order, visits the domain at N steps per weight,
+        and ``depths`` orders it.
         """
         lam = self.as_weight(lam)
-        stack = [self.dominant_representative(lam)]
-        seen = set(stack)
+        if not self.is_dominant(lam):
+            raise NonDominantWeightError(lam)
+        stack, seen = [lam], {lam}
         while stack:
             mu = stack.pop()
             for alpha in self.positive_roots:
@@ -368,30 +351,25 @@ class RootSystem(namedtuple("RootSystem", [
                 if min(nu) >= 0 and nu not in seen:
                     seen.add(nu)
                     stack.append(nu)
-        return tuple(self.depths(lam, seen))
+        return self.depths(lam, seen)
 
-    def depths(self, top, lams) -> dict[Weight, int]:
-        """{lam: height(top - lam)} for each lam of lams with top - lam a
-        nonnegative integer root sum, deepest first and then by fw
-        coordinates (the domain order); ValueError unless top has rank
-        coordinates.
+    def depths(self, top, lams) -> dict[Weight, RootVector]:
+        """{lam: root coordinates of top - lam} for each lam of lams with
+        top - lam a nonnegative integer root sum, deepest first and then by
+        fw coordinates (the domain order); ValueError unless top and every
+        lam have rank coordinates.
 
         The root coordinates of top - lam are fw_to_root_adj (top - lam) /
         det, taken one adjugate row at a time over columns of top - lam: a
         lam is kept when every row gives a nonnegative multiple of det.
         """
-        top, lams = self.as_weight(top), list(lams)
+        top, lams = self.as_weight(top), list(map(self.as_weight, lams))
         columns = [[t - lam[i] for lam in lams] for i, t in enumerate(top)]
-        det, size = self.fw_to_root_det, len(lams)
-        low, rest, total = [0] * size, [0] * size, [0] * size
-        for row in self.fw_to_root_adj:
-            num = pair_columns(row, columns)
-            low = list(map(min, low, num))
-            rest = list(map(or_, rest, map(mod, num, repeat(det))))
-            total = list(map(add, total, num))
-        kept = sorted((-(h // det), lam) for lam, lo, r, h in zip(lams, low, rest, total)
-                      if lo >= 0 and not r)
-        return {lam: -d for d, lam in kept}
+        det = self.fw_to_root_det
+        rows = [pair_columns(row, columns) for row in self.fw_to_root_adj]
+        kept = sorted((-sum(r), lam, r) for lam, r in zip(lams, zip(*rows))
+                      if min(r) >= 0 and not any(x % det for x in r))
+        return {lam: tuple(x // det for x in r) for _, lam, r in kept}
 
     # -- serialisation ----------------------------------------------------
 

@@ -15,7 +15,7 @@ their oracle.
 from __future__ import annotations
 
 from .errors import NonDominantWeightError
-from .rootsys import RootSystem, RootVector, vadd, vsub
+from .rootsys import RootSystem, RootVector, vadd
 
 
 def dot_terms(rs: RootSystem, lam, mu) -> list[tuple[int, RootVector]]:
@@ -30,16 +30,17 @@ def dot_terms(rs: RootSystem, lam, mu) -> list[tuple[int, RootVector]]:
     through contributing w alone.  lam + rho is regular, so its orbit is
     free and v identifies w.
 
-    The list is empty when lam - mu is off the root lattice or no w
-    contributes.  A lam that is not dominant raises
-    NonDominantWeightError, and a lam or mu without rank coordinates
-    ValueError.
+    The identity's term is the root coordinates of lam - mu, from
+    ``RootSystem.depths``; the list is empty when lam - mu is off the
+    root lattice or the nonnegative root cone, where no w contributes.
+    A lam that is not dominant raises NonDominantWeightError, and a lam
+    or mu without rank coordinates ValueError.
     """
     lam, mu = rs.as_weight(lam), rs.as_weight(mu)
     if not rs.is_dominant(lam):
         raise NonDominantWeightError(lam)
-    r = rs.root_coords_int(vsub(lam, mu))
-    if r is None or min(r) < 0:
+    r = rs.depths(lam, [mu]).get(mu)
+    if r is None:
         return []
     cartan = rs.cartan
     v = vadd(lam, rs.rho)

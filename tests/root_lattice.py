@@ -1,13 +1,13 @@
 """Rational root-lattice helpers that only the tests need.
 
-The package works in integers alone: ``RootSystem.root_coords_int`` gives
-root-basis coordinates on the root lattice and None off it,
-``RootSystem.depths`` tests dominance a batch at a time, and
-``RootSystem.inner`` gives the bilinear form.  These helpers extend that
-to any weight, with ``fractions.Fraction``, map root coordinates back to
-fw coordinates, test dominance one pair of weights at a time, and give
-the squared lengths and coroot pairings the tests check the root data
-with.
+The package works in integers alone: ``RootSystem.depths`` gives the
+root-basis coordinates of top - lam for a batch of lam, those that are
+nonnegative integers, and so tests dominance, and ``RootSystem.inner``
+gives the bilinear form.  These helpers give the coordinates of any
+weight, with ``fractions.Fraction``, the tests' reference for
+``depths``, map root coordinates back to fw coordinates, test dominance
+one pair of weights at a time, and give the squared lengths and coroot
+pairings the tests check the root data with.
 """
 
 from fractions import Fraction

@@ -247,7 +247,7 @@ def test_fill_resumes_after_an_interrupted_query(systems, monkeypatch):
     # it and the weights after it, and the whole table matches Kostant.
     rs = systems("G", 2)
     lam = vscale(2, rs.theta_long)
-    domain = rs.dominant_below(lam)
+    domain = list(rs.dominant_below(lam))
     table = WeightMultiplicities(rs, lam)
     step = WeightMultiplicities._freudenthal
     failing = domain[len(domain) // 2]

@@ -31,6 +31,7 @@ from nilcone.partition import (
 )
 from nilcone.rootsys import vadd
 from cache_file import digest, rewrite
+from root_lattice import to_root_basis
 from tuple_dp import TupleDP
 from weyl_oracle import saturation
 
@@ -420,7 +421,7 @@ def test_truncated_fill_is_narrower_and_smaller():
     full, _ = table.packed_sums(lists)
     digits, keys, packed = low_degrees(rs, m)
     # Keyed by weight coordinates: read back in root coordinates.
-    values = {rs.root_coords_int(w): v
+    values = {to_root_basis(rs, w): v
               for w, v in zip(keys.points(packed, (0, 0)), packed.values())}
     assert (height, full.bits) == (120, 27)
     assert digits.bits == math.comb(6 + 23, 24).bit_length() + 1 == 18
@@ -469,7 +470,7 @@ def test_moving_keys_form_one_run_per_line(family, rank, m, monkeypatch):
                     break
                 fewest[y] = n
     _, keys, values = low_degrees(rs, m)
-    assert {rs.root_coords_int(w) for w in keys.points(values, (0,) * rank)} == set(fewest)
+    assert {to_root_basis(rs, w) for w in keys.points(values, (0,) * rank)} == set(fewest)
     # Walks in another order give the same values.
     rng = random.Random(0)
     monkeypatch.setattr(partition, "sorted", raising=False,

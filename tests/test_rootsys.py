@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from nilcone import InadmissibleTypeError, build
+from nilcone import InadmissibleTypeError, NonDominantWeightError, build
 from nilcone.rootsys import (
     _adjugate_of_transpose,
     _symmetrizer,
@@ -181,25 +181,31 @@ def test_root_basis_round_trip(family, rank):
             sum(r[j] * rs.cartan[j][i] for j in range(rank)) for i in range(rank)
         )
         assert back == w
-    # and root_coords_int agrees with to_root_basis exactly on the lattice
+    # and depths agrees with to_root_basis exactly on the lattice
+    zero = (0,) * rank
     for r_alpha, c_alpha in zip(rs.positive_root_coords, rs.positive_roots):
-        assert rs.root_coords_int(c_alpha) == r_alpha
+        assert rs.depths(c_alpha, [zero]) == {zero: r_alpha}
         assert to_root_basis(rs, c_alpha) == r_alpha
 
 
 def test_root_lattice_membership():
     rs = build("A", 2)
-    assert rs.root_coords_int((1, 1)) == (1, 1)
-    assert rs.root_coords_int((1, 0)) is None
+    assert rs.depths((1, 1), [(0, 0)]) == {(0, 0): (1, 1)}
+    assert rs.depths((1, 0), [(0, 0)]) == {}
 
 
-def test_root_coords_int_refuses_weights_of_the_wrong_length():
-    # unchecked, (3,) pairs with the first column of each adjugate row
-    # alone and reads (2, 1)
+def test_representative_and_inner_refuse_weights_of_the_wrong_length():
+    # unchecked, (1, 1, 5) is dominant as it stands and pairs as (1, 1),
+    # and (-1,) is reflected with a row it is too short for
     rs = build("A", 2)
-    for w in [(3,), (1, 1, 1), ()]:
+    for w in [(1, 1, 5), (-1,), ()]:
         with pytest.raises(ValueError, match="2 coordinates"):
-            rs.root_coords_int(w)
+            rs.dominant_representative(w)
+        with pytest.raises(ValueError, match="2 coordinates"):
+            rs.inner(w, (1, 1))
+        with pytest.raises(ValueError, match="2 coordinates"):
+            rs.inner((1, 1), w)
+    assert rs.inner((1, 1), (1, 1)) == 2
 
 
 def test_dominance_examples():
@@ -227,7 +233,8 @@ def test_dominant_representative_and_orbits():
 
 def test_dominant_below_a2():
     rs = build("A", 2)
-    assert rs.dominant_below((1, 1)) == ((0, 0), (1, 1))
+    below = rs.dominant_below((1, 1))
+    assert list(below.items()) == [((0, 0), (1, 1)), ((1, 1), (0, 0))]
     below = rs.dominant_below((3, 3))
     assert (3, 0) in below and (0, 3) in below and (1, 1) in below
     for mu in below:
@@ -256,6 +263,8 @@ _SEARCH_CASES = [("A", 2, 4), ("A", 3, 3), ("A", 4, 2), ("B", 2, 4),
 
 @pytest.mark.parametrize("family,rank,kmax", _SEARCH_CASES)
 def test_dominant_below_matches_the_box(family, rank, kmax):
+    # every dominant top: the box's weights in its order, each with the
+    # root coordinates of top - mu; every other top is refused
     rs = build(family, rank)
     theta = rs.theta_long
     lams = [vscale(k, theta) for k in range(kmax + 1)]
@@ -265,27 +274,33 @@ def test_dominant_below_matches_the_box(family, rank, kmax):
     if rank <= 3:
         lams += [tuple(c) for c in itertools.product(range(-1, 3), repeat=rank)]
     for lam in lams:
-        assert rs.dominant_below(lam) == box_dominant_below(rs, lam), lam
-    assert rs.dominant_below(vneg(theta)) == ()
+        if not rs.is_dominant(lam):
+            with pytest.raises(NonDominantWeightError):
+                rs.dominant_below(lam)
+            continue
+        below = rs.dominant_below(lam)
+        assert tuple(below) == box_dominant_below(rs, lam), lam
+        for mu, r in below.items():
+            assert r == to_root_basis(rs, vsub(lam, mu)), (lam, mu)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 3), ("C", 3), ("G", 2),
                                          ("F", 4)])
 def test_dominant_top_needs_no_dominance_filter(family, rank):
-    # Everything reached down from a dominant top lies below it; below a
-    # non-dominant lam = s_i(top) the search result is still filtered.
+    # Everything reached down from a dominant top lies below it; a
+    # non-dominant lam = s_i(top) is refused, not searched from top.
     rs = build(family, rank)
     for k in range(3):
         top = vscale(k, rs.theta_long)
         below = rs.dominant_below(top)
-        assert below == tuple(mu for mu in below if dominance_le(rs, mu, top))
+        assert all(dominance_le(rs, mu, top) for mu in below)
     top = vscale(2, rs.theta_long)
     i = next(i for i, c in enumerate(top) if c > 0)
     lam = rs.simple_reflection(top, i)
     assert not rs.is_dominant(lam) and rs.dominant_representative(lam) == top
-    below = rs.dominant_below(lam)
-    assert below == tuple(mu for mu in rs.dominant_below(top) if dominance_le(rs, mu, lam))
-    assert top not in below and below
+    with pytest.raises(NonDominantWeightError) as caught:
+        rs.dominant_below(lam)
+    assert caught.value.weight == lam
 
 
 def test_dominant_below_refuses_weights_of_the_wrong_length():
@@ -301,17 +316,23 @@ def test_depths_keep_the_weights_below_top_in_domain_order():
     rs = build("A", 2)
     lams = [(2, 2), (5, 5), (3, 0), (0, 0), (1, 0), (1, 1)]
     depths = rs.depths((2, 2), lams)
-    assert list(depths.items()) == [((0, 0), 4), ((1, 1), 2), ((3, 0), 1), ((2, 2), 0)]
+    assert list(depths.items()) == [((0, 0), (2, 2)), ((1, 1), (1, 1)), ((3, 0), (0, 1)),
+                                    ((2, 2), (0, 0))]
     assert rs.depths((2, 2), []) == {}
     for top in [(2,), (2, 2, 2), ()]:
         with pytest.raises(ValueError, match="2 coordinates"):
             rs.depths(top, lams)
+    # unchecked, (1, 1, 5) is cut to (1, 1) and kept at root coordinates
+    # (2, 2) below (3, 3), and (1,) is indexed past its end
+    for lam in [(1, 1, 5), (1,), ()]:
+        with pytest.raises(ValueError, match="2 coordinates"):
+            rs.depths((3, 3), [(0, 0), lam])
 
 
 def test_dominant_below_e7_two_theta():
     rs = build("E", 7)
     omega = [tuple(int(i == j) for j in range(7)) for i in range(7)]
-    assert rs.dominant_below(vscale(2, rs.theta_long)) == (
+    assert tuple(rs.dominant_below(vscale(2, rs.theta_long))) == (
         (0,) * 7, omega[0], omega[5], omega[2], vscale(2, omega[0]),
     )
 
@@ -321,10 +342,11 @@ def test_dominant_below_e8_three_theta():
     rs = build("E", 8)
     top = vscale(3, rs.theta_long)
     below = rs.dominant_below(top)
-    assert len(below) == 10 and len(set(below)) == 10
-    assert below[0] == (0,) * 8 and below[-1] == top
-    for mu in below:
+    assert len(below) == 10
+    assert list(below)[0] == (0,) * 8 and list(below)[-1] == top
+    for mu, r in below.items():
         assert rs.is_dominant(mu) and dominance_le(rs, mu, top)
+        assert r == to_root_basis(rs, vsub(top, mu))
 
 
 def test_dominant_up_to_height():

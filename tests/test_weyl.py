@@ -13,7 +13,7 @@ from nilcone import (
 )
 from nilcone.rootsys import vadd, vsub
 from nilcone.weyl import chamber_signs
-from root_lattice import coroot_pairing
+from root_lattice import coroot_pairing, to_root_basis
 from weyl_oracle import (
     WeylCapExceededError,
     chamber_resolution,
@@ -205,11 +205,11 @@ def test_chamber_signs_exhaustive_agreement(systems, groups, family, rank):
 def _scanned_terms(rs, W, lam, mu):
     """The term list by brute force: every element of W, kept when
     w.lam - mu lies in the nonnegative root cone."""
-    if rs.root_coords_int(vsub(lam, mu)) is None:
+    if any(x.denominator > 1 for x in to_root_basis(rs, vsub(lam, mu))):
         return []
     terms = []
     for e in W.elements:
-        arg = rs.root_coords_int(vsub(dot_action(rs, e, lam), mu))
+        arg = to_root_basis(rs, vsub(dot_action(rs, e, lam), mu))
         if all(c >= 0 for c in arg):
             terms.append((e.sign, arg))
     return sorted(terms)
