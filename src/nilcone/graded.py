@@ -61,7 +61,7 @@ from . import partition
 from .errors import InternalInconsistencyError, PositivityViolationError
 from .multiplicity import weyl_dims
 from .rootsys import RootSystem, RootVector, Weight, vadd, vscale, vsub
-from .weyl import chamber_signs, dot_terms, shift_constant
+from .weyl import dot_terms, shift_constant
 
 
 # The profile each variety's series reads; its keys are the varieties.
@@ -251,21 +251,32 @@ def fold(rs: RootSystem, m: int, mus) -> tuple[partition._Digits, list[dict]]:
     In E(lam, mu; q) = sum_w (-1)^w P(w.lam - mu; q), w.lam - mu = x
     exactly when w(lam + rho) = x + mu + rho, and lam + rho is regular.
     So each x whose x + mu + rho is off every wall adds its value, with
-    the sign of w, to the one lam with lam + rho dominant in that orbit
-    (``weyl.chamber_signs``), and the others add nothing: the
-    Racah-Speiser (Brauer-Klimyk) fold of the q-partition function.
-    Each key is read once per mu, straight into x + mu + rho.
+    the sign of w, to the one lam with lam + rho dominant in that orbit,
+    and the others add nothing: the Racah-Speiser (Brauer-Klimyk) fold of
+    the q-partition function.  Each point nu = x + mu + rho, read once
+    per mu from the key columns, walks into the dominant chamber by
+    s_i(nu) = nu - nu_i alpha_i at its least coordinate while that is
+    negative, and is dropped at the first 0 (a wall).
     """
     digits, keys, values = partition.low_degrees(rs, m)
+    # Row i of the Cartan matrix is alpha_i; its nonzero entries move nu.
+    rows = [[(j, a) for j, a in enumerate(row) if a] for row in rs.cartan]
     folded = []
     for mu in mus:
-        points = keys.points(values, vadd(mu, rs.rho))
+        columns = keys.columns(values, vadd(mu, rs.rho))
         profile: dict[Weight, int] = {}
-        for sign, nu, value in zip(chamber_signs(rs, points), points, values.values()):
-            if sign:
-                top = tuple(nu)
-                profile[top] = profile.get(top, 0) + sign * value
-        del points  # before the next mu's are built
+        for nu, value in zip(zip(*columns), values.values()):
+            nu = list(nu)
+            while 0 not in nu:
+                c = min(nu)
+                if c > 0:
+                    top = tuple(nu)
+                    profile[top] = profile.get(top, 0) + value
+                    break
+                for j, a in rows[nu.index(c)]:
+                    nu[j] -= c * a
+                value = -value
+        del columns  # before the next mu's are read
         folded.append({vsub(top, rs.rho): v for top, v in profile.items() if v})
     return digits, folded
 

@@ -518,19 +518,19 @@ class _WeightKeys:
         """sum_j w_j 2^(span j), for coordinates of either sign."""
         return sum(map(lshift, w, self.shifts))
 
-    def points(self, keys, offset) -> list[list[int]]:
-        """[the weight of each key plus offset, as a list], in order: each
-        field read once, its bias taken out and offset put in."""
+    def columns(self, keys, offset) -> list[list[int]]:
+        """[coordinate j of the weight of each key plus offset, in order,
+        for each j]: each field read once, its bias taken out and offset
+        put in.  ``zip(*columns)`` gives the points one at a time."""
         field = self.field
-        columns = [[(key >> s & field) + c for key in keys]
-                   for s, c in zip(self.shifts, map(sub, offset, self.bias))]
-        return list(map(list, zip(*columns)))
+        return [[(key >> s & field) + c for key in keys]
+                for s, c in zip(self.shifts, map(sub, offset, self.bias))]
 
 
 def low_degrees(rs: RootSystem, m: int) -> tuple[_Digits, _WeightKeys, dict[int, int]]:
     """(digits, keys, {key of x: P(x; 2^B) mod 2^(B (m + 1))}) over every
     x with a nonzero digit n <= m: the sums of at most m positive roots,
-    keyed by their weight coordinates, which ``keys.points`` reads.
+    keyed by their weight coordinates, which ``keys.columns`` reads.
 
     B = bits(C(N + m - 1, m)) + 1: digit n of a signed sum over distinct
     x counts disjoint multisets of n roots, and one bit holds the sign.

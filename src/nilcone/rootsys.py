@@ -293,7 +293,9 @@ class RootSystem(namedtuple("RootSystem", [
         return w
 
     def is_dominant(self, w) -> bool:
-        return all(c >= 0 for c in w)
+        """Whether every coordinate of w is >= 0; ValueError unless w has
+        rank coordinates."""
+        return min(self.as_weight(w)) >= 0
 
     # -- bilinear form ---------------------------------------------------
 
@@ -308,14 +310,6 @@ class RootSystem(namedtuple("RootSystem", [
         return sum(a * b * c for a, b, c in zip(r, self.symmetrizer, w))
 
     # -- reflections -----------------------------------------------------
-
-    def simple_reflection(self, w, i: int) -> Weight:
-        """s_i(w) = w - <w, alpha_i^vee> alpha_i, on fw coordinates."""
-        c = w[i]
-        if c == 0:
-            return tuple(w)
-        row = self.cartan[i]
-        return tuple(w[j] - c * row[j] for j in range(self.rank))
 
     def dominant_representative(self, w) -> Weight:
         """The unique dominant weight in the W-orbit of w (plain action);

@@ -1,15 +1,15 @@
-"""The alternating-sum term set and the dominant-chamber walk.
+"""The alternating-sum term set and the reflection length of s_theta.
 
 Every graded multiplicity and every Kostant multiplicity is a sum
 sum_w (-1)^w P(w.lam - mu), for a dominant lam, in which only the w with
 w.lam - mu in the nonnegative root cone contribute.  ``dot_terms`` finds
 exactly those w by a pruned walk up the weak order from the identity,
 so no operation of the package enumerates W and every type through E_8
-is reachable.  The reflection length of s_theta and the walk of a batch
-of points into the dominant chamber behind the Hilbert series' fold
-(``chamber_signs``) avoid enumeration as well.  An explicit enumeration
-of W, which shares no code with either walk, lives with the tests as
-their oracle.
+is reachable.  The reflection length of s_theta avoids enumeration as
+well, and so does the Hilbert series' fold (``graded.fold``), which
+walks each point into the dominant chamber itself.  An explicit
+enumeration of W, which shares no code with either walk, lives with
+the tests as their oracle.
 """
 
 from __future__ import annotations
@@ -93,22 +93,3 @@ def shift_constant(rs: RootSystem) -> int:
     """The integer k with 2k - 1 = length of the reflection in theta."""
     return (reflection_length_theta(rs) + 1) // 2
 
-
-def chamber_signs(rs: RootSystem, points) -> list[int]:
-    """Move each point, a list of weight coordinates, into the dominant
-    chamber in place by s_i(nu) = nu - nu_i alpha_i at a negative nu_i,
-    and give (-1)^length(w) for the w that moves it there, or 0 once a
-    coordinate is 0 (a wall).  A whole batch is one call: a call per
-    point would cost about as much again as its walk.
-    """
-    # Row i of the Cartan matrix is alpha_i; its nonzero entries move nu.
-    rows = [[(j, a) for j, a in enumerate(row) if a] for row in rs.cartan]
-    signs = []
-    for nu in points:
-        sign, c = 1, 0
-        while 0 not in nu and (c := min(nu)) < 0:
-            for j, a in rows[nu.index(c)]:
-                nu[j] -= c * a
-            sign = -sign
-        signs.append(sign if c > 0 else 0)
-    return signs

@@ -402,7 +402,7 @@ def test_fold_keeps_the_weyl_denominator_sum(family, rank, m):
     mus = [(0,) * rank, rs.theta_short]
     _, folded = fold(rs, m, mus)
     for mu, profile in zip(mus, folded):
-        points = keys.points(values, vadd(mu, rs.rho))
+        points = zip(*keys.columns(values, vadd(mu, rs.rho)))
         unfolded = sum(denominator(nu) * v for nu, v in zip(points, values.values()))
         quotient, rest = divmod(unfolded, rs.rho_pairing_product)
         assert rest == 0
@@ -422,7 +422,7 @@ def test_truncated_fill_is_narrower_and_smaller():
     digits, keys, packed = low_degrees(rs, m)
     # Keyed by weight coordinates: read back in root coordinates.
     values = {to_root_basis(rs, w): v
-              for w, v in zip(keys.points(packed, (0, 0)), packed.values())}
+              for w, v in zip(zip(*keys.columns(packed, (0, 0))), packed.values())}
     assert (height, full.bits) == (120, 27)
     assert digits.bits == math.comb(6 + 23, 24).bit_length() + 1 == 18
     reached = full.fill([full.key(x) for terms in lists for _, x in terms])
@@ -470,7 +470,8 @@ def test_moving_keys_form_one_run_per_line(family, rank, m, monkeypatch):
                     break
                 fewest[y] = n
     _, keys, values = low_degrees(rs, m)
-    assert {to_root_basis(rs, w) for w in keys.points(values, (0,) * rank)} == set(fewest)
+    weights = zip(*keys.columns(values, (0,) * rank))
+    assert {to_root_basis(rs, w) for w in weights} == set(fewest)
     # Walks in another order give the same values.
     rng = random.Random(0)
     monkeypatch.setattr(partition, "sorted", raising=False,

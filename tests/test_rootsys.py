@@ -26,7 +26,12 @@ from root_lattice import (
     to_root_basis,
     vneg,
 )
-from weyl_oracle import dominant_up_to_height, weight_orbit
+from weyl_oracle import (
+    apply_matrix,
+    dominant_up_to_height,
+    simple_reflection_matrix,
+    weight_orbit,
+)
 
 ALL_TYPES = (
     [("A", l) for l in range(1, 9)]
@@ -129,7 +134,7 @@ def test_simple_reflections_permute_roots(family, rank):
     positive = set(rs.positive_roots)
     for alpha in rs.positive_roots:
         for i in range(rank):
-            image = rs.simple_reflection(alpha, i)
+            image = apply_matrix(simple_reflection_matrix(rs, i), alpha)
             assert image in positive or image == vneg(rs.cartan[i])
 
 
@@ -206,6 +211,16 @@ def test_representative_and_inner_refuse_weights_of_the_wrong_length():
         with pytest.raises(ValueError, match="2 coordinates"):
             rs.inner((1, 1), w)
     assert rs.inner((1, 1), (1, 1)) == 2
+
+
+def test_is_dominant_refuses_weights_of_the_wrong_length():
+    # unchecked, (1, 1, 5) and () have no negative coordinate, so both
+    # would pass as dominant
+    rs = build("A", 2)
+    for w in [(1, 1, 5), (-1,), ()]:
+        with pytest.raises(ValueError, match="2 coordinates"):
+            rs.is_dominant(w)
+    assert rs.is_dominant((0, 3)) and not rs.is_dominant((1, -1))
 
 
 def test_dominance_examples():
@@ -296,7 +311,7 @@ def test_dominant_top_needs_no_dominance_filter(family, rank):
         assert all(dominance_le(rs, mu, top) for mu in below)
     top = vscale(2, rs.theta_long)
     i = next(i for i, c in enumerate(top) if c > 0)
-    lam = rs.simple_reflection(top, i)
+    lam = apply_matrix(simple_reflection_matrix(rs, i), top)
     assert not rs.is_dominant(lam) and rs.dominant_representative(lam) == top
     with pytest.raises(NonDominantWeightError) as caught:
         rs.dominant_below(lam)

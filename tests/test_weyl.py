@@ -1,4 +1,4 @@
-"""Weyl group enumeration, dot action, reflection lengths, chamber walk."""
+"""Weyl group enumeration, dot action, reflection lengths, the fold's chamber walk."""
 
 import itertools
 
@@ -8,11 +8,12 @@ from nilcone import (
     NonDominantWeightError,
     build,
     dot_terms,
+    partition,
     reflection_length_theta,
     shift_constant,
 )
+from nilcone.graded import fold
 from nilcone.rootsys import vadd, vsub
-from nilcone.weyl import chamber_signs
 from root_lattice import coroot_pairing, to_root_basis
 from weyl_oracle import (
     WeylCapExceededError,
@@ -151,34 +152,38 @@ def test_reflection_length_matches_enumerated_reflection(systems, groups):
         assert found.length == reflection_length_theta(rs)
 
 
-def chamber_walk(rs, mus):
-    """chamber_signs on the points mu + rho of a batch: (sign, lam) with
-    the dominant point lam + rho for each mu, or None on a wall."""
-    points = [list(vadd(mu, rs.rho)) for mu in mus]
-    return [(sign, vsub(tuple(nu), rs.rho)) if sign else None
-            for sign, nu in zip(chamber_signs(rs, points), points)]
+def hand_fold(monkeypatch, rs, weights):
+    """graded.fold at mu = 0 over a hand-made key set, one key at each of
+    the distinct weights x, worth 3^i at the i-th.  A sum of distinct
+    powers of 3 with signs has one balanced ternary form, so the profile
+    names the sign and the dominant point of every x off a wall."""
+    keys = partition._WeightKeys([*weights, (0,) * rs.rank], 1)
+    values = {keys.pack(vadd(x, keys.bias)): 3**i for i, x in enumerate(weights)}
+    monkeypatch.setattr(partition, "low_degrees", lambda *_: (None, keys, values))
+    return fold(rs, 1, [(0,) * rs.rank])[1][0]
 
 
-def test_chamber_signs_examples(systems):
+def test_fold_examples(systems, monkeypatch):
     rs = systems("A", 2)
     # dominant weights stay where they are, and -rho is singular
-    assert chamber_walk(rs, [(0, 0), (1, 0), (2, 3), (-1, -1)]) == [
-        (1, (0, 0)), (1, (1, 0)), (1, (2, 3)), None]
+    assert hand_fold(monkeypatch, rs, [(0, 0), (1, 0), (2, 3), (-1, -1)]) == {
+        (0, 0): 1, (1, 0): 3, (2, 3): 9}
     rs1 = systems("A", 1)
-    assert chamber_walk(rs1, [(-2,), (-1,)]) == [(-1, (0,)), None]
-    assert chamber_signs(rs1, []) == []
+    assert hand_fold(monkeypatch, rs1, [(-2,), (-1,)]) == {(0,): -1}
+    assert hand_fold(monkeypatch, rs1, []) == {}
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("G", 2)])
-def test_chamber_signs_resolve_dot_orbit(systems, groups, family, rank):
+def test_fold_resolves_dot_orbit(systems, groups, monkeypatch, family, rank):
     rs = systems(family, rank)
     elements = groups(family, rank).elements
     for lam in [(0,) * rank, (1, 0), (0, 2), (1, 1)]:
         mus = [dot_action(rs, e, lam) for e in elements]
-        assert chamber_walk(rs, mus) == [(e.sign, lam) for e in elements]
+        assert hand_fold(monkeypatch, rs, mus) == {
+            lam: sum(e.sign * 3**i for i, e in enumerate(elements))}
 
 
-def test_chamber_signs_detect_singular_nonsimple_wall(systems, groups):
+def test_fold_detects_singular_nonsimple_wall(systems, groups, monkeypatch):
     # mu + rho = omega_1 - omega_2 in B_2 pairs nonzero with both simple
     # coroots but lies on the wall of the long root alpha_1 + 2 alpha_2.
     rs = systems("B", 2)
@@ -187,19 +192,31 @@ def test_chamber_signs_detect_singular_nonsimple_wall(systems, groups):
     assert all(c != 0 for c in nu)
     assert coroot_pairing(rs, nu, (1, 2)) == 0
     assert chamber_resolution(rs, groups("B", 2), mu) is None
-    assert chamber_signs(rs, [list(nu)]) == [0]
+    assert hand_fold(monkeypatch, rs, [mu, (1, 0)]) == {(1, 0): 3}
 
 
-@pytest.mark.parametrize("family,rank", [("B", 2), ("G", 2)])
-def test_chamber_signs_exhaustive_agreement(systems, groups, family, rank):
-    # For every weight in a box, one batch: the sign and the dominant point
-    # agree with a direct scan over the enumerated group, walls included.
-    rs = systems(family, rank)
-    W = groups(family, rank)
-    mus = list(itertools.product(range(-4, 3), repeat=rank))
-    resolved = chamber_walk(rs, mus)
-    assert resolved == [chamber_resolution(rs, W, mu) for mu in mus]
-    assert None in resolved and any(r and r[0] < 0 for r in resolved)
+@pytest.mark.parametrize("family,rank,m", [("A", 2, 5), ("B", 2, 5), ("G", 2, 6)])
+def test_fold_matches_a_scan_of_the_group(systems, groups, family, rank, m):
+    # Each low-degree x, sent into the dominant chamber by a scan of every
+    # element of W, adds its value with the sign found to the lam it
+    # reaches, at mu = 0 and theta_s: fold gives the same profiles, with
+    # points on walls and of either sign among them.
+    rs, W = systems(family, rank), groups(family, rank)
+    _, keys, values = partition.low_degrees(rs, m)
+    mus = [(0,) * rank, rs.theta_short]
+    _, folded = fold(rs, m, mus)
+    signs = set()
+    for mu, profile in zip(mus, folded):
+        scanned = {}
+        # Each x read with mu added: the weight x + mu the scan resolves.
+        for x_mu, value in zip(zip(*keys.columns(values, mu)), values.values()):
+            found = chamber_resolution(rs, W, x_mu)
+            signs.add(found and found[0])
+            if found:
+                sign, lam = found
+                scanned[lam] = scanned.get(lam, 0) + sign * value
+        assert profile == {lam: v for lam, v in scanned.items() if v}
+    assert signs == {None, 1, -1}
 
 
 def _scanned_terms(rs, W, lam, mu):

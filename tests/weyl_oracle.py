@@ -1,13 +1,14 @@
 """Weyl-group enumeration, weight orbits and weight lists: test oracles.
 
 The package never enumerates W: every alternating sum runs over the terms
-of ``nilcone.weyl.dot_terms``, and the Hilbert series' fold moves points
-into the dominant chamber with ``nilcone.weyl.chamber_signs``.  The
-explicit group kept here (dense integer matrices on fw coordinates, a
-breadth-first closure under simple reflections, lengths as BFS depths)
-shares no code with either walk, so the tests can check the walks, the
-dot action and the classical orders against it; ``chamber_resolution``
-is its scan for the dominant point of one weight.  The W-orbits and
+of ``nilcone.weyl.dot_terms``, and the Hilbert series' fold
+(``nilcone.graded.fold``) walks each point into the dominant chamber
+itself.  The explicit group kept here (dense integer matrices on fw
+coordinates, a breadth-first closure under simple reflections, lengths
+as BFS depths) shares no code with either walk, so the tests can check
+the walks, the dot action and the classical orders against it;
+``chamber_resolution`` is its scan for the dominant point of one weight.
+The W-orbits, closed under the same simple reflection matrices, and
 saturations are the weights the multiplicity tests query.
 """
 
@@ -66,9 +67,7 @@ class WeylElement:
         return -1 if self.length % 2 else 1
 
     def apply(self, w) -> Weight:
-        return tuple(
-            sum(row[j] * w[j] for j in range(len(row))) for row in self.matrix
-        )
+        return apply_matrix(self.matrix, w)
 
 
 @dataclass(frozen=True)
@@ -93,6 +92,11 @@ def simple_reflection_matrix(rs: RootSystem, i: int) -> tuple[tuple[int, ...], .
         tuple(int(k == j) - (rs.cartan[i][k] if j == i else 0) for j in range(rank))
         for k in range(rank)
     )
+
+
+def apply_matrix(matrix, w) -> Weight:
+    """The image of the fw coordinates w under an integer matrix."""
+    return tuple(sum(row[j] * w[j] for j in range(len(row))) for row in matrix)
 
 
 def _mat_mul(a, b):
@@ -203,14 +207,15 @@ def chamber_resolution(rs: RootSystem, group: WeylGroup, mu):
 
 def weight_orbit(rs: RootSystem, w) -> tuple[Weight, ...]:
     """The full W-orbit of a weight, sorted: its closure under the simple
-    reflections, without enumerating W."""
+    reflection matrices, without enumerating W."""
+    gens = [simple_reflection_matrix(rs, i) for i in range(rs.rank)]
     seen = {tuple(w)}
     frontier = [tuple(w)]
     while frontier:
         nxt = []
         for v in frontier:
-            for i in range(rs.rank):
-                u = rs.simple_reflection(v, i)
+            for g in gens:
+                u = apply_matrix(g, v)
                 if u not in seen:
                     seen.add(u)
                     nxt.append(u)
