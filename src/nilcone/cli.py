@@ -30,7 +30,7 @@ from math import comb
 from pathlib import Path
 
 from . import __version__, partition, rootsys, weyl
-from .errors import InternalInconsistencyError, NilconeError, report
+from .errors import NilconeError, report
 from .graded import KIND_ROWS, PROFILE, GradedCalculator
 from .multiplicity import WeightMultiplicities, kostant_mult
 
@@ -99,6 +99,22 @@ def check_total(name, lam, total, expected) -> None:
             f"total {total} != {CHECK_COLUMN[name]} = {expected} "
             f"at lambda={fmt_weight(lam)}"
         )
+
+
+def weight_mults(rs, lam, mus, check, table=None) -> list[int]:
+    """Freudenthal's m_lam(mu) for each mu in mus.  With check, each is
+    compared with Kostant's alternating sum (``kostant_mult``, on table
+    when one is given); a CheckFailure names lam, mu and both values."""
+    mults = WeightMultiplicities(rs, lam)
+    values = [mults.at(mu) for mu in mus]
+    if check:
+        for mu, value in zip(mus, values):
+            kostant = kostant_mult(rs, lam, mu, table=table)
+            if kostant != value:
+                raise CheckFailure(
+                    f"freudenthal {value} != kostant {kostant} "
+                    f"at lambda={fmt_weight(lam)}, mu={fmt_weight(mu)}")
+    return values
 
 
 def nilcone_hilbert_closed_form(rs, max_degree: int) -> list[int]:
@@ -530,7 +546,8 @@ def cohomology(family, rank, kind, sweep, max_i, check, cache_dir, fmt):
 
 @cli.command(
     Option("--check", action="store_true",
-           help="Cross-check every multiplicity with the alternating Weyl sum."),
+           help="Re-verify each of the three weight multiplicities of every "
+                "entry against Kostant's alternating Weyl sum."),
     FORMAT,
     name="tilting-example",
 )
@@ -546,16 +563,10 @@ def tilting_example(check, fmt):
     table = partition.PartitionTable(rs)
     # The Euler multiplicity of L(lam) is m_lam(3 omega_2) + m_lam(0)
     # - 2 m_lam(omega_1 + omega_2).
-    terms = [((0, 3), 1), ((0, 0), 1), ((1, 1), -2)]
-    entries = []
-    negatives = []
+    mus, coeffs = [(0, 3), (0, 0), (1, 1)], [1, 1, -2]
+    entries, negatives = [], []
     for lam in rs.dominant_below((3, 3)):
-        mults = WeightMultiplicities(rs, lam)
-        value = sum(c * mults.at(mu) for mu, c in terms)
-        if check:
-            alt = sum(c * kostant_mult(rs, lam, mu, table=table) for mu, c in terms)
-            if alt != value:
-                raise CheckFailure(f"tilting multiplicity mismatch at {fmt_weight(lam)}")
+        value = sum(c * m for c, m in zip(coeffs, weight_mults(rs, lam, mus, check, table)))
         entries.append({"lambda": list(lam), "euler_mult": value})
         if value < 0:
             negatives.append(lam)
@@ -577,30 +588,19 @@ def tilting_example(check, fmt):
     RANK,
     Option("--lambda", dest="lam_text", required=True, metavar="WEIGHT"),
     Option("--mu", dest="mu_text", required=True, metavar="WEIGHT"),
-    Option("--algorithm", choices=["freudenthal", "kostant", "both"],
-           default="freudenthal",
-           help="Freudenthal's recursion, Kostant's alternating sum, or both, "
-                "which must agree (default: %(default)s)."),
+    Option("--check", action="store_true",
+           help="Re-verify Freudenthal's value against Kostant's alternating sum."),
     FORMAT,
 )
-def mult(family, rank, lam_text, mu_text, algorithm, fmt):
+def mult(family, rank, lam_text, mu_text, check, fmt):
     """Multiplicity of the weight mu in the irreducible module L(lambda)."""
     rs = rootsys.build(family, rank)
     lam = parse_weight(lam_text, rs.rank)
     mu = parse_weight(mu_text, rs.rank)
-    values = {}
-    if algorithm in ("freudenthal", "both"):
-        values["freudenthal"] = WeightMultiplicities(rs, lam).at(mu)
-    if algorithm in ("kostant", "both"):
-        values["kostant"] = kostant_mult(rs, lam, mu)
-    if len(values) == 2 and values["freudenthal"] != values["kostant"]:
-        raise InternalInconsistencyError(
-            f"freudenthal {values['freudenthal']} != kostant {values['kostant']}"
-        )
-    value = next(iter(values.values()))
+    [value] = weight_mults(rs, lam, [mu], check)
     emit(fmt, {"command": "mult", "family": family, "rank": rank,
                "lambda": list(lam), "mu": list(mu), "mult": value,
-               "algorithms": sorted(values)},
+               "algorithms": ["freudenthal", "kostant"] if check else ["freudenthal"]},
          [("lambda", "mu", "mult"), (csv_weight(lam), csv_weight(mu), value)],
          [f"m_{fmt_weight(lam)}{fmt_weight(mu)} = {value}"])
 

@@ -4,10 +4,11 @@ Two independent routes are kept side by side: Freudenthal's recursion
 (``WeightMultiplicities.at``, on one domain per module) is the
 production path; the alternating Kostant sum over the dot-orbit terms
 (``kostant_mult``), taken by the partition table's one kernel,
-``packed_sums``, is retained as a verification oracle.  They must agree
-everywhere; the test suite checks them on every weight of the modules
-it sweeps.  ``weyl_dims`` gives the dimensions of a batch of modules at
-once; ``weyl_dim`` is its one-weight case.
+``packed_sums``, is the second opinion of ``mult --check`` and
+``tilting-example --check``.  They must agree everywhere; the test suite
+checks them on every weight of the modules it sweeps.  ``weyl_dims``
+gives the dimensions of a batch of modules at once; ``weyl_dim`` is its
+one-weight case.
 """
 
 from __future__ import annotations

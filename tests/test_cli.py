@@ -134,24 +134,25 @@ def test_graded_sweep_with_check():
     assert result.exit_code == 0
 
 
-@pytest.mark.parametrize("command,option,value", [
-    ("graded", "--jobs", "1"),
-    ("graded", "--jobs", "2"),
+@pytest.mark.parametrize("args", [
+    "graded -f A -r 2 --variety nilcone --sweep 2 --jobs 1",
+    "graded -f A -r 2 --variety nilcone --sweep 2 --jobs 2",
     # hilbert reads no partition value from a cache file and writes none.
-    ("hilbert", "--cache-dir", "DIR"),
-], ids=["1", "2", "hilbert-cache-dir"])
-def test_jobs_is_no_longer_an_option(tmp_path, command, option, value):
+    "hilbert -f A -r 2 --variety nilcone --cache-dir DIR",
+    # mult always prints Freudenthal's value; --check adds Kostant's sum.
+    "mult -f A -r 2 --lambda 1,1 --mu 0,0 --algorithm both",
+], ids=["1", "2", "hilbert-cache-dir", "mult-algorithm-both"])
+def test_jobs_is_no_longer_an_option(tmp_path, args):
     # Options that commands no longer take.
     directory = tmp_path / "cache"
     directory.mkdir()
-    value = str(directory) if value == "DIR" else value
-    result = invoke([
-        command, "-f", "A", "-r", "2", "--variety", "nilcone",
-        *(["--sweep", "2"] if command == "graded" else []), option, value,
-    ])
+    args = [str(directory) if arg == "DIR" else arg for arg in args.split()]
+    command, option = args[0], args[-2]
+    result = invoke(args)
     assert result.exit_code == EXIT_USAGE
     assert "unrecognized arguments" in result.output and option in result.output
-    assert result.stderr.startswith(f"usage: nilcone {command}")
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"usage: nilcone {command} ")
     assert list(directory.iterdir()) == []
 
 
@@ -379,13 +380,15 @@ def test_mult_command():
 
 
 def test_mult_both_algorithms():
-    result = invoke([
-        "mult", "-f", "G", "-r", "2", "--lambda", "0,1", "--mu", "0,0",
-        "--algorithm", "both", "--format", "json",
-    ])
-    doc = json.loads(result.output)
-    assert doc["mult"] == 2  # adjoint zero weight space of G_2
-    assert doc["algorithms"] == ["freudenthal", "kostant"]
+    # mult prints Freudenthal's value; --check compares Kostant's with it.
+    for check, algorithms in ([], ["freudenthal"]), (["--check"], ["freudenthal", "kostant"]):
+        result = invoke([
+            "mult", "-f", "G", "-r", "2", "--lambda", "0,1", "--mu", "0,0",
+            *check, "--format", "json",
+        ])
+        doc = json.loads(result.output)
+        assert doc["mult"] == 2  # adjoint zero weight space of G_2
+        assert doc["algorithms"] == algorithms
 
 
 def test_hilbert_command():

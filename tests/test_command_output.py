@@ -1,7 +1,7 @@
 """Every command but cohomology prints exactly what it printed when these
 hashes were taken: the sha256 of stdout in each format, for kconst on G2
-and on every type with --check, mult by both algorithms, tilting-example
-with and without --check, graded on A2 and G2 with --sweep 1 --check for
+and on every type with --check, mult and tilting-example with and
+without --check, graded on A2 and G2 with --sweep 1 --check for
 both varieties, and hilbert on G2 to degree 12 for both varieties.  Each
 run exits 0 with nothing on stderr.  (The cohomology pins are in
 ``test_cohomology_output.py``.)"""
@@ -10,7 +10,9 @@ import hashlib
 
 import pytest
 
+import nilcone.cli
 from cli_runner import invoke
+from nilcone.cli import EXIT_VIOLATION
 
 PINNED = {
     "kconst -f G -r 2 --format table":
@@ -25,11 +27,17 @@ PINNED = {
         "86592fca15a4b6e715e488bc63db459a370c6c52b3143fc9b481adca41f8e1dc",
     "kconst --all --check --format csv":
         "3a7f740a1e1713f94affdbad25778f0bdc2ebb534c4cad672c0ce3d97a50ebd8",
-    "mult -f A -r 2 --lambda 1,1 --mu 0,0 --algorithm both --format table":
+    "mult -f A -r 2 --lambda 1,1 --mu 0,0 --format table":
         "0871d184444c4c6f9cace37fa2847bcd97967d1d1718bbc971d8d9f598cf1dd7",
-    "mult -f A -r 2 --lambda 1,1 --mu 0,0 --algorithm both --format json":
+    "mult -f A -r 2 --lambda 1,1 --mu 0,0 --format json":
+        "bd6cf2f85c42b76f15eedbe91f1b9a7d2c32cc62d95b43ec07df484fdb15a98e",
+    "mult -f A -r 2 --lambda 1,1 --mu 0,0 --format csv":
+        "68faa8157f6060f0aff5a34dc50b4c5aa979935f39d1f14f85b17c214afc2e0b",
+    "mult -f A -r 2 --lambda 1,1 --mu 0,0 --check --format table":
+        "0871d184444c4c6f9cace37fa2847bcd97967d1d1718bbc971d8d9f598cf1dd7",
+    "mult -f A -r 2 --lambda 1,1 --mu 0,0 --check --format json":
         "7f7d0cb0633691a9c6ed997da49b12a57ce667e76b98c4edd3b14dc584959fb8",
-    "mult -f A -r 2 --lambda 1,1 --mu 0,0 --algorithm both --format csv":
+    "mult -f A -r 2 --lambda 1,1 --mu 0,0 --check --format csv":
         "68faa8157f6060f0aff5a34dc50b4c5aa979935f39d1f14f85b17c214afc2e0b",
     "tilting-example --format table":
         "60fcdd56c3ed19e22c55daee0ec837a2219150dc0242df48985e0723c6b638a5",
@@ -87,4 +95,35 @@ def test_stdout_is_pinned(case):
     result = invoke(case.split())
     assert result.exit_code == 0, result.output
     assert result.stderr == ""
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == PINNED[case]
+
+
+@pytest.mark.parametrize("command", [
+    "mult -f A -r 2 --lambda 1,1 --mu 0,0",
+    "tilting-example",
+], ids=["mult", "tilting-example"])
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_a_kostant_disagreement_fails_only_the_check(monkeypatch, command, fmt):
+    # Kostant's sum, one higher at m_(1,1)(0,0) = 2: a weight that both
+    # commands read.  --check compares every Freudenthal value it prints
+    # or sums with it; without --check it is never called.
+    kostant_mult, calls = nilcone.cli.kostant_mult, []
+
+    def skewed(rs, lam, mu, **kwargs):
+        calls.append((lam, mu))
+        return kostant_mult(rs, lam, mu, **kwargs) + ((lam, mu) == ((1, 1), (0, 0)))
+
+    monkeypatch.setattr(nilcone.cli, "kostant_mult", skewed)
+    result = invoke(f"{command} --check --format {fmt}".split())
+    assert result.exit_code == EXIT_VIOLATION
+    assert result.stdout == ""
+    assert result.stderr == ("error: freudenthal 2 != kostant 3 "
+                             "at lambda=(1,1), mu=(0,0)\n")
+    assert calls[-1] == ((1, 1), (0, 0))
+
+    calls.clear()
+    case = f"{command} --format {fmt}"
+    result = invoke(case.split())
+    assert result.exit_code == 0, result.output
+    assert result.stderr == "" and calls == []
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == PINNED[case]

@@ -183,6 +183,43 @@ def test_support_bound(calculators, family, rank):
                 assert n <= h
 
 
+def q_profile(calc, lams, alpha):
+    """[{n + 1: coefficient n of E(lam, alpha; q)} for lam in lams], zeros
+    dropped: q E(lam, alpha; q), read balanced from one batch."""
+    packing, values = calc.table.packed_sums(
+        [dot_terms(calc.rs, lam, alpha) for lam in lams])
+    return [{n + 1: v for n, v in packing.balanced(value, packing.height).items()}
+            for value in values]
+
+
+@pytest.mark.parametrize("family,rank,sweep,short", [
+    ("A", 2, 3, 0), ("A", 3, 2, 0), ("B", 2, 6, 1), ("B", 3, 2, 2), ("C", 3, 2, 0),
+    ("D", 4, 2, 0), ("G", 2, 6, 0), ("F", 4, 2, 2), ("E", 6, 1, 0),
+])
+def test_a_is_q_times_the_short_simple_root_profile(calculators, family, rank,
+                                                    sweep, short):
+    # a(lam; q) = q E(lam, alpha; q), degree by degree, for a short simple
+    # root alpha (Bourbaki index short + 1).  The functions on
+    # T*(G/P_alpha) have d(lam; q) - q E(lam, alpha; q) as graded
+    # multiplicities, and for a short alpha its moment map should be
+    # birational onto the subregular closure; this test is the evidence,
+    # not a proof.  It shares the kernel with series, but not theta_s or k.
+    calc = calculators(family, rank)
+    lams = list(calc.sweep_domain(sweep))
+    assert q_profile(calc, lams, calc.rs.cartan[short]) == calc.series("a", lams)
+
+
+def test_a_is_not_q_times_a_long_simple_root_profile(calculators):
+    # With B2's long simple root alpha_1, d - q E(lam, alpha_1; q) has one
+    # more L(1,0) in degree 1 than t.
+    calc = calculators("B", 2)
+    lams = list(calc.sweep_domain(6))
+    long, a = q_profile(calc, lams, calc.rs.cartan[0]), calc.series("a", lams)
+    assert long != a
+    i = lams.index((1, 0))
+    assert long[i].get(1, 0) == a[i].get(1, 0) - 1
+
+
 # -- cohomology tables ---------------------------------------------------------
 
 def test_trivial_table_a1(calculators):
