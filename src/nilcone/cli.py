@@ -21,8 +21,6 @@ and maps a package error to its exit code.  The cache file's name,
 layout and save policy belong to ``partition``.
 """
 
-from __future__ import annotations
-
 import os
 import sys
 from itertools import chain
@@ -374,7 +372,7 @@ class Group(Node):
 
         return register
 
-    def group(self, name, doc) -> Group:
+    def group(self, name, doc) -> "Group":
         self.commands[name] = group = Group(name, doc, parent=self)
         return group
 

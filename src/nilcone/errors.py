@@ -7,8 +7,6 @@ cannot be used is a miss.  Every error and warning the package prints
 goes through ``report``.
 """
 
-from __future__ import annotations
-
 import sys
 
 
@@ -58,7 +56,9 @@ class PositivityViolationError(NilconeError):
 
 
 class InternalInconsistencyError(NilconeError):
-    """A quantity that is nonnegative by theory came out negative."""
+    """A quantity that is nonnegative by theory came out negative, or a
+    profile that ``GradedCalculator.hilbert_series`` folds came out
+    nonzero outside ``sweep_domain(m)``, where it vanishes by theory."""
 
 
 class StaleCacheError(NilconeError):

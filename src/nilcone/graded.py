@@ -55,8 +55,6 @@ the weights kept in one batch, which ``_Digits.weighted_digits`` sums
 with their digits, a few fields at a time.
 """
 
-from __future__ import annotations
-
 from . import partition
 from .errors import InternalInconsistencyError, PositivityViolationError
 from .multiplicity import weyl_dims

@@ -11,10 +11,8 @@ gives the dimensions of a batch of modules at once; ``weyl_dim`` is its
 one-weight case.
 """
 
-from __future__ import annotations
-
 from itertools import repeat
-from operator import ge, mul
+from operator import mul
 
 from . import partition
 from .errors import InternalInconsistencyError, NonDominantWeightError
@@ -27,42 +25,31 @@ class WeightMultiplicities:
 
     The domain, the dominant weights below lam, is found once by
     ``dominant_below``, which gives each nu in it with the root
-    coordinates of lam - nu, in domain order.  Values are memoized per
-    dominant representative.  A query fills the memo over the domain
-    weights above its own, in the reverse of that order, shallowest
-    first: Freudenthal's formula at nu reads only representatives above
-    nu and strictly shallower, so each is in place before it is needed,
-    with no recursion however far the weight is below lam.  A fill skips
-    the values already in place and stores each one only once it is
-    computed, so a query that raises part way leaves no gap for the
-    next.  A lam or mu without rank coordinates raises ValueError, and
-    a lam that is not dominant NonDominantWeightError.
+    coordinates of lam - nu, in domain order.  The table is filled over
+    the whole domain when it is built, in the reverse of that order,
+    shallowest first: Freudenthal's formula at nu reads only
+    representatives above nu and strictly shallower, so each is in place
+    before it is needed, with no recursion however far the weight is
+    below lam.  So the table is complete once built, and ``at`` looks up
+    the dominant representative.  A lam or mu without rank
+    coordinates raises ValueError, and a lam that is not dominant
+    NonDominantWeightError.
     """
 
     def __init__(self, rs: RootSystem, lam):
         self.rs = rs
         self.lam = lam = rs.as_weight(lam)
-        # {nu: root coordinates of lam - nu}; lam, the shallowest, is last
-        self._below = rs.dominant_below(lam)
         self._memo: dict[Weight, int] = {lam: 1}
         self._lam_shift = vadd(lam, rs.rho)
+        # {nu: root coordinates of lam - nu}, read from lam, the shallowest
+        for nu, diff in reversed(rs.dominant_below(lam).items()):
+            if nu != lam:
+                self._memo[nu] = self._freudenthal(nu, diff)
 
     def at(self, mu) -> int:
         """Multiplicity of the weight mu in L(lam): 0 unless the dominant
         representative of mu is below lam."""
-        mu = self.rs.dominant_representative(mu)
-        memo, below = self._memo, self._below
-        if mu in memo:
-            return memo[mu]
-        if mu not in below:
-            return 0
-        limit = below[mu]
-        for nu, diff in reversed(below.items()):
-            if nu not in memo and all(map(ge, limit, diff)):  # mu <= nu
-                memo[nu] = self._freudenthal(nu, diff)
-            if nu == mu:
-                break
-        return memo[mu]
+        return self._memo.get(self.rs.dominant_representative(mu), 0)
 
     def _freudenthal(self, mu: Weight, diff) -> int:
         """m(mu) for a dominant mu below lam, from the memoized values above

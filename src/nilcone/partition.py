@@ -64,8 +64,6 @@ into its neighbour; it packs the held values it reads and stores the
 values it fills unpacked.
 """
 
-from __future__ import annotations
-
 import os
 import sys
 from itertools import repeat

@@ -23,12 +23,9 @@ squared length 2 (``inner`` values on the weight lattice are integers).
 ``RootSystemId`` and ``RootSystem`` are plain tuples, subclasses of
 ``collections.namedtuple`` bases with empty ``__slots__``: immutable,
 compared and hashed by value.  They are not ``typing.NamedTuple``
-classes, whose field annotations, strings under ``from __future__ import
-annotations``, each cost a ``compile`` call at every import: about half
-a millisecond of every command.
+classes, which build the same ``namedtuple`` and then read a type
+annotation for every field, work that every import would repeat.
 """
-
-from __future__ import annotations
 
 from collections import namedtuple
 from math import gcd, lcm, prod

@@ -12,8 +12,6 @@ enumeration of W, which shares no code with either walk, lives with
 the tests as their oracle.
 """
 
-from __future__ import annotations
-
 from .errors import NonDominantWeightError
 from .rootsys import RootSystem, RootVector, vadd
 

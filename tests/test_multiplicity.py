@@ -16,7 +16,6 @@ from nilcone import (
 from nilcone.graded import fold
 from nilcone.multiplicity import weyl_dims
 from nilcone.rootsys import vadd, vscale
-from root_lattice import dominance_le
 from weyl_oracle import dominant_up_to_height, saturation
 
 
@@ -224,43 +223,21 @@ def test_one_domain_per_table(systems, monkeypatch):
     assert expected[0] > 1 and expected[-1] == 1
 
 
-def test_query_fills_only_the_weights_above_it(systems, monkeypatch):
-    # A query on a fresh F4 L(3 theta) table evaluates Freudenthal's
-    # formula at the domain weights above its own and nowhere else.
+def test_a_table_is_filled_whole_when_built(systems, monkeypatch):
+    # Building F4 L(3 theta) evaluates Freudenthal's formula once at each
+    # of its 17 domain weights but lam, and a query after that evaluates
+    # it nowhere: at() only looks a value up.
     rs = systems("F", 4)
     lam = vscale(3, rs.theta_long)
     domain = rs.dominant_below(lam)
+    assert len(domain) == 17
     step = WeightMultiplicities._freudenthal
     evaluated = []
     monkeypatch.setattr(WeightMultiplicities, "_freudenthal",
                         lambda self, mu, diff: evaluated.append(mu) or step(self, mu, diff))
-    for mu in domain:
-        evaluated.clear()
-        WeightMultiplicities(rs, lam).at(mu)
-        assert sorted(evaluated) == sorted(
-            nu for nu in domain if nu != lam and dominance_le(rs, mu, nu)), mu
-
-
-def test_fill_resumes_after_an_interrupted_query(systems, monkeypatch):
-    # Freudenthal's step raises once part way down G2 L(2 theta); the
-    # value it was computing is not stored, so the retried query fills
-    # it and the weights after it, and the whole table matches Kostant.
-    rs = systems("G", 2)
-    lam = vscale(2, rs.theta_long)
-    domain = list(rs.dominant_below(lam))
     table = WeightMultiplicities(rs, lam)
-    step = WeightMultiplicities._freudenthal
-    failing = domain[len(domain) // 2]
-
-    def flaky(self, mu, diff):
-        if mu == failing:
-            monkeypatch.setattr(WeightMultiplicities, "_freudenthal", step)
-            raise KeyboardInterrupt
-        return step(self, mu, diff)
-
-    monkeypatch.setattr(WeightMultiplicities, "_freudenthal", flaky)
-    with pytest.raises(KeyboardInterrupt):
-        table.at(domain[0])
-    assert failing not in table._memo
+    assert sorted(evaluated) == sorted(nu for nu in domain if nu != lam)
+    evaluated.clear()
     assert [table.at(mu) for mu in domain] == [
         kostant_mult(rs, lam, mu) for mu in domain]
+    assert evaluated == []
