@@ -15,7 +15,8 @@ integers precisely on the root lattice.  ``depths`` gives them for a
 batch of weights below one top, those that are nonnegative integers, so
 it is also the one test of the dominance order.
 All arithmetic is exact, never floats: ``build`` works in integers only
-(a fraction-free adjugate, an integer symmetrizer).
+(a fraction-free adjugate).  The symmetrizer is family data, which
+``build`` checks against the Cartan matrix.
 
 The symmetric bilinear form is normalised so that short roots have
 squared length 2 (``inner`` values on the weight lattice are integers).
@@ -28,7 +29,7 @@ annotation for every field, work that every import would repeat.
 """
 
 from collections import namedtuple
-from math import gcd, lcm, prod
+from math import lcm, prod
 from operator import add, mul, sub
 
 from .errors import InadmissibleTypeError, NonDominantWeightError
@@ -186,31 +187,18 @@ def _cartan_matrix(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in a)
 
 
-def _symmetrizer(cartan) -> tuple[int, ...]:
-    """Positive integers d with d_j*cartan[i][j] symmetric, short roots d=1."""
-    rank = len(cartan)
-    d = [0] * rank
-    d[0] = 1
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in range(rank):
-            if i != j and cartan[i][j] != 0 and not d[j]:
-                # d_j = d_i * cartan[j][i] / cartan[i][j]; when that is not
-                # an integer, scale every d fixed so far by the divisor.
-                num, den = d[i] * cartan[j][i], cartan[i][j]
-                if num % den:
-                    d = [x * abs(den) for x in d]
-                    num *= abs(den)
-                d[j] = num // den
-                stack.append(j)
-    assert all(x > 0 for x in d), "Dynkin diagram not connected"
-    g = gcd(*d)
-    ints = [x // g for x in d]
-    for i in range(rank):
-        for j in range(rank):
-            assert ints[j] * cartan[i][j] == ints[i] * cartan[j][i]
-    return tuple(ints)
+def _symmetrizer(family: str, rank: int) -> tuple[int, ...]:
+    """d_i = (alpha_i, alpha_i) / 2 in Bourbaki numbering: 1 on the short
+    simple roots, and on every simple root of a simply laced type."""
+    if family == "B":
+        return (2,) * (rank - 1) + (1,)
+    if family == "C":
+        return (1,) * (rank - 1) + (2,)
+    if family == "F":
+        return (2, 2, 1, 1)
+    if family == "G":
+        return (1, 3)
+    return (1,) * rank
 
 
 def _adjugate_of_transpose(cartan) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -389,33 +377,34 @@ def build(family: str, rank: int) -> RootSystem:
     if not admissible(family, rank):
         raise InadmissibleTypeError(family, rank)
     cartan = _cartan_matrix(family, rank)
-    d = _symmetrizer(cartan)
+    d = _symmetrizer(family, rank)
+    assert all(d[j] * cartan[i][j] == d[i] * cartan[j][i]
+               for i in range(rank) for j in range(rank))
     adj, det = _adjugate_of_transpose(cartan)
 
-    # Reflection closure of the simple roots: fw maps each root's root
-    # coords to its fw coords.  s_i changes root coordinate i by the i-th
-    # fw coordinate and shifts fw coords by a Cartan row.
+    # Reflection closure of the simple roots inside Phi+: fw maps each
+    # root's root coords to its fw coords.  s_i takes r to r - c_i alpha_i
+    # with c_i its i-th fw coordinate, which shifts its fw coords by c_i
+    # times a Cartan row.  It permutes Phi+ less alpha_i (Humphreys,
+    # Lie Algebras, 10.2 Lemma B); of the positive roots with c_i != 0,
+    # alpha_i alone has r_i < c_i.
     fw = {tuple(int(i == j) for j in range(rank)): cartan[i] for i in range(rank)}
     frontier = list(fw.items())
     while frontier:
         nxt = []
         for r, c in frontier:
-            for i in range(rank):
-                ci = c[i]
-                if ci == 0:
-                    continue
-                r2 = tuple(r[j] - ci * int(i == j) for j in range(rank))
-                if r2 not in fw:
-                    c2 = tuple(c[j] - ci * cartan[i][j] for j in range(rank))
-                    fw[r2] = c2
-                    nxt.append((r2, c2))
+            for i, ci in enumerate(c):
+                if ci and r[i] >= ci:
+                    r2 = list(r)
+                    r2[i] -= ci
+                    r2 = tuple(r2)
+                    if r2 not in fw:
+                        c2 = tuple([a - ci * b for a, b in zip(c, cartan[i])])
+                        fw[r2] = c2
+                        nxt.append((r2, c2))
         frontier = nxt
 
-    positives = sorted(
-        (r for r in fw if all(x >= 0 for x in r)),
-        key=lambda r: (sum(r), r),
-    )
-    assert 2 * len(positives) == len(fw)
+    positives = sorted(fw, key=lambda r: (sum(r), r))
     expected = positive_root_count(family, rank)
     assert len(positives) == expected, (
         f"{family}_{rank}: built {len(positives)} positive roots, "

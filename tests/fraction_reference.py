@@ -1,11 +1,13 @@
 """Rational-arithmetic versions of the integer steps of ``rootsys.build``.
 
-``build`` fixes the symmetrizer by integer scaling, the adjugate of the
-transposed Cartan matrix by fraction-free elimination, and the dominant
-short root by comparing coroot heights over a common denominator.  The
-functions here do the same three things with ``fractions.Fraction``, by
-ordinary Gauss-Jordan elimination and direct rational comparison, so the
-tests can check the integer versions against them.
+``build`` takes the symmetrizer from a table of the families, the
+adjugate of the transposed Cartan matrix by fraction-free elimination, and
+the dominant short root by comparing coroot heights over a common
+denominator.  The functions here get the same three things with
+``fractions.Fraction``: the symmetrizer from the Cartan matrix, by ratios
+along the Dynkin diagram, the adjugate by ordinary Gauss-Jordan
+elimination, and the dominant short root by direct rational comparison,
+so the tests can check ``build``'s versions against them.
 """
 
 from fractions import Fraction

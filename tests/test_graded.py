@@ -221,6 +221,47 @@ def test_a_is_not_q_times_a_long_simple_root_profile(calculators):
     assert long[i].get(1, 0) == a[i].get(1, 0) - 1
 
 
+@pytest.mark.parametrize("rank,sweep", [(2, 4), (3, 3), (4, 2), (5, 2)])
+def test_levi_of_the_first_simple_roots_gives_the_minimal_orbit(calculators,
+                                                                 rank, sweep):
+    """E_P(lam; q) = sum_{T in S} (-q)^|T| E(lam, sum T; q) is q^n at lam =
+    n theta and 0 elsewhere, for the parabolic P of A_rank with Levi
+    alpha_1, ..., alpha_{rank - 1} and S the Levi's positive roots.
+
+    Since 1 / prod_{beta in Phi+ - S} (1 - q e^beta) = prod_{beta in S}
+    (1 - q e^beta) / prod_{beta in Phi+} (1 - q e^beta), E_P(lam; q) is
+    the graded multiplicity of L(lam) in the Euler characteristic of the
+    functions on T*(G/P).  G/P is P^rank, and T*(P^rank) resolves the
+    closure of the minimal orbit with no higher cohomology, so E_P(lam;
+    q) is the multiplicity in its ring C[O_min] = sum_n L(n theta), with
+    L(n theta) in degree n (Vinberg and Popov, Izv. Akad. Nauk SSSR 36,
+    1972).  Each E is read balanced before the sum.
+    """
+    calc = calculators("A", rank)
+    rs = calc.rs
+    levi = [c for c, r in zip(rs.positive_roots, rs.positive_root_coords)
+            if not r[-1]]
+    subsets = {}  # sum T (fw coordinates) -> {|T|: number of such T}
+    for size in range(len(levi) + 1):
+        for t in itertools.combinations(levi, size):
+            by_size = subsets.setdefault(tuple(map(sum, zip((0,) * rank, *t))), {})
+            by_size[size] = by_size.get(size, 0) + 1
+    lams, mus = list(calc.sweep_domain(sweep)), list(subsets)
+    packing, values = calc.table.packed_sums(
+        [dot_terms(rs, lam, mu) for lam in lams for mu in mus])
+    values = iter(values)
+    for lam in lams:
+        total = {}
+        for mu in mus:
+            e = packing.balanced(next(values), packing.height)
+            for size, count in subsets[mu].items():
+                for n, c in e.items():
+                    total[n + size] = total.get(n + size, 0) + (-1) ** size * count * c
+        multiple = lam[0]  # lam = multiple * theta when it is one
+        expected = {multiple: 1} if lam == vscale(multiple, rs.theta_long) else {}
+        assert {n: c for n, c in total.items() if c} == expected, lam
+
+
 # -- cohomology tables ---------------------------------------------------------
 
 def test_trivial_table_a1(calculators):

@@ -989,6 +989,16 @@ def test_cache_header_records_ordering_hash(tmp_path):
         PartitionTable(rs).extend_from(path)
 
 
+@pytest.mark.parametrize("family,rank,expected", [
+    ("A", 2, "94953dbb095bb6cc"), ("G", 2, "f28525e9aa23290c"),
+    ("F", 4, "6722cf629e68f1ae"), ("E", 8, "8d2c13dd9ab0cffd"),
+])
+def test_root_order_hash_is_pinned(family, rank, expected):
+    # The order of Phi+ is the DP order and the cache header's guard: a
+    # change to it would make every cache file stale, so it is pinned.
+    assert PartitionTable(build(family, rank)).root_order_hash() == expected
+
+
 def test_failed_save_keeps_previous_cache(tmp_path, monkeypatch):
     import os
 
