@@ -10,10 +10,11 @@ by one kernel (``PartitionTable.packed_sums``), which fills the partition
 values of a whole batch of sums in one pass, so no computation
 enumerates the Weyl group and all types through E_8 are reachable.
 The graded multiplicities of weights lams are
-``GradedCalculator(rs).series(name, lams)``, name d (nilcone), a
-(induced wall) or t (subregular); the other queries take a variety or
-module kind as a plain string, such as ``"subregular"`` or ``"weyl"``.
-The Hilbert series is the one query off that kernel: it folds the few
+``GradedCalculator(rs).profiles(lams, names)``, each name d (nilcone),
+a (induced wall) or t (subregular), or ``series(name, lams)`` for one
+name; varieties, module kinds and cohomological rows are the command
+line's (``cli.PROFILE``, ``cli.KIND_ROWS``).  The Hilbert series of the
+d or t ring is the one query off that kernel: it folds the few
 low-degree partition values into the dominant chamber (``graded.fold``).
 A weight multiplicity is ``WeightMultiplicities(rs, lam).at(mu)``, by
 Freudenthal's recursion; ``kostant_mult`` gives the same number from the

@@ -1,11 +1,20 @@
 """Command-line surface for the graded multiplicity engine.
 
 Exit codes: 0 success, 2 usage error, 4 invariant violation (including
---check failures).  A partition cache file that cannot be used or
-written is only a warning on stderr (``partition.load_table``,
-``PartitionTable.persist``).  Errors and warnings go through
-``errors.report``, which drops them when stderr is closed rather than
-let them reach stdout.
+--check failures), 120 stdout a closed pipe (``run``).  A partition
+cache file that cannot be used or written is only a warning on stderr
+(``partition.load_table``, ``PartitionTable.persist``).  Errors and
+warnings go through ``errors.report``, which drops them when stderr is
+closed rather than let them reach stdout.
+
+The words a user reads are this module's, not the library's: the
+library speaks of the profiles d, a and t (``GradedCalculator.profiles``),
+``PROFILE`` maps each variety to the one it reads, and ``KIND_ROWS`` each
+module kind to the (offset, name) parts whose digit n ``cohomology`` adds
+into row 2n + offset.  So each kind writes its rows in one parity (weyl
+in both), and parity vanishing holds there by construction; the A_2
+tilting module where it fails is a sum of three weight multiplicities,
+which the ``tilting-example`` command takes itself.
 
 Output formats: human tables (default), versioned JSON, CSV.  Every
 command with --format hands its JSON payload, CSV rows and table lines
@@ -29,7 +38,7 @@ from pathlib import Path
 
 from . import __version__, partition, rootsys, weyl
 from .errors import NilconeError, report
-from .graded import KIND_ROWS, PROFILE, GradedCalculator
+from .graded import GradedCalculator
 from .multiplicity import WeightMultiplicities, kostant_mult
 
 JSON_SCHEMA_VERSION = 1
@@ -41,6 +50,7 @@ DEGREE_CONVENTION = (
 
 EXIT_USAGE = 2
 EXIT_VIOLATION = 4
+EXIT_OUTPUT = 120  # stdout is a closed pipe (``run``)
 
 
 class CheckFailure(NilconeError):
@@ -76,6 +86,20 @@ def csv_weight(w) -> str:
     """A weight as one CSV field: its coordinates, quoted."""
     return '"' + ",".join(str(c) for c in w) + '"'
 
+
+# The profile each variety reads; its keys are the varieties.
+PROFILE = {"nilcone": "d", "subregular": "t"}
+
+# Each module kind's (offset, name) parts, in the order --help lists them:
+# trivial H^{2n} = d_n, induced_wall H^{2i-1} = a_i, tilting H^{2n} = t_n,
+# weyl H^{2n} = t_n and H^{2n+1} = d_n, simple H^{2i+1} = d_i + a_{i+1}.
+KIND_ROWS = {
+    "trivial": [(0, "d")],
+    "induced_wall": [(-1, "a")],
+    "tilting": [(0, "t")],
+    "weyl": [(0, "t"), (1, "d")],
+    "simple": [(1, "d"), (-1, "a")],
+}
 
 CHECK_COLUMN = {"d": "m(0)", "t": "m(0)-m(theta)"}
 
@@ -513,18 +537,22 @@ def cohomology(family, rank, kind, sweep, max_i, check, cache_dir, fmt):
     rs = rootsys.build(family, rank)
     calc = GradedCalculator(rs, table=partition.load_table(rs, cache_dir))
     # Every kind's rows are digits of d and a (so of d and t = d - a):
-    # --check compares the totals of their full series, whatever --max-i
-    # shows of them, read from the rows' own batch.
-    if check:
-        rows, totals = calc.cohomology_table(kind, sweep, max_i, totals=True)
-    else:
-        rows, totals = calc.cohomology_table(kind, sweep, max_i), {}
+    # --check compares the totals of the full d and t series, whatever
+    # --max-i shows of them, read from the rows' own batch.
+    parts, lams = KIND_ROWS[kind], list(calc.sweep_domain(sweep))
+    names = {name for _, name in parts} | set("dt" if check else "")
+    profiles = calc.profiles(lams, names)
     calc.table.persist()
-    for lam, sums in totals.items():
-        for name, total in freudenthal_totals(rs, lam).items():
-            check_total(name, lam, sums[name], total)
-    # Parity vanishing holds by construction: each kind writes its rows in
-    # one parity (``cohomology_table``), the weyl rows in both.
+    rows = {i: {} for i in range(max_i + 1)}
+    for lam, profile in zip(lams, profiles):
+        if check:
+            for name, total in freudenthal_totals(rs, lam).items():
+                check_total(name, lam, sum(profile[name].values()), total)
+        for offset, name in parts:  # digit n into row 2n + offset
+            for n, v in profile[name].items():
+                if 0 <= 2 * n + offset <= max_i:
+                    row = rows[2 * n + offset]
+                    row[lam] = row.get(lam, 0) + v
 
     rows = {i: sorted(row.items()) for i, row in rows.items()}
     emit(fmt, {"command": "cohomology", "parity_ok": True, "family": family,
@@ -618,10 +646,10 @@ def mult(family, rank, lam_text, mu_text, check, fmt):
 def hilbert(family, rank, variety, max_degree, check, fmt):
     """Hilbert series coefficients (graded dimensions) of the chosen ring."""
     rs = rootsys.build(family, rank)
-    calc = GradedCalculator(rs)
-    coeffs = calc.hilbert_series(variety, max_degree)
+    calc, name = GradedCalculator(rs), PROFILE[variety]
+    coeffs = calc.hilbert_series(name, max_degree)
     if check:
-        check_hilbert(rs, PROFILE[variety], calc.k, coeffs)
+        check_hilbert(rs, name, calc.k, coeffs)
     emit(fmt, {"command": "hilbert", "family": family, "rank": rank,
                "variety": variety, "coefficients": coeffs},
          chain([("degree", "dimension")], enumerate(coeffs)),
@@ -736,19 +764,26 @@ def run() -> None:
     - no thread.
     Anything that breaks one of these must end through the normal exit.
 
-    Everything else takes the normal exit, so its status and stderr stay
-    Python's own: a SystemExit or other exception from ``main`` (usage
-    error 2, violation 4, a traceback), and a flush that fails, such as
-    stdout on a closed pipe, which the interpreter's exit then reports
-    with status 120.  A stream that is None, as when the process started
-    with that descriptor closed, is skipped."""
-    main()
+    A closed pipe on stdout ends the process with EXIT_OUTPUT and one
+    line on stderr, whatever the size of the output: a print raises
+    BrokenPipeError once the output passes the buffer's 8192 bytes, and
+    the flush here for less.  Python's own exit would not do: it reports
+    a failed flush with status 120 only while the buffer still holds the
+    output, and after a failed flush of 4097 to 8191 bytes it is empty,
+    so the process would exit 0.  Everything else takes the normal exit,
+    so its status and stderr stay Python's own: a SystemExit or other
+    exception from ``main`` (usage error 2, violation 4, a traceback), or
+    from a flush that fails otherwise, as on a full device.  A stream
+    that is None, as when the process started with that descriptor
+    closed, is skipped."""
     try:
+        main()
         for stream in (sys.stdout, sys.stderr):
             if stream is not None:
                 stream.flush()
-    except OSError:
-        return
+    except BrokenPipeError as exc:
+        report(f"error: cannot write the output: {exc}")
+        os._exit(EXIT_OUTPUT)
     os._exit(0)
 
 

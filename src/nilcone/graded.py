@@ -15,31 +15,26 @@ with theta the dominant short root and k the shift constant
 (2k - 1 = length of the reflection in theta).  The positivity of t_n is a
 theorem, so a negative value is reported as a hard error, never clamped.
 
-Degrees are polynomial degrees throughout; cohomological degree 2n (even
-parts) or 2n - 1 (odd parts) is presentation only, spelled out by the
-command line.  The queries return plain values: ``series(name, lams)``
-is a list of {n: c_n}, the digits of the profile named d, a or t as
-above at each lam, ``cohomology_table`` is {i: {lam: mult}},
-``hilbert_series`` a list; one degree of a series is ``.get(n, 0)``.
-Varieties and module kinds are plain strings, the keys of ``PROFILE``
-(the profile each variety reads) and ``KIND_ROWS``; every query raises
-ValueError for a name it does not know.  ``cohomology_table`` adds
-digit n of each (offset, name) part of its kind into row 2n + offset,
-so each kind writes its rows in one parity (weyl in both) and parity
-vanishing holds there by construction; the A_2 tilting module where it
-fails is a sum of three weight multiplicities, which the
-``tilting-example`` command takes itself.
+Degrees are polynomial degrees throughout, and this module speaks only
+of the profiles d, a and t.  Varieties, module kinds and cohomological
+degree 2n (even parts) or 2n - 1 (odd parts) are presentation, and
+belong to the command line, which maps each to the profiles it reads.
+The queries return plain values: ``profiles(lams, names)`` is a list of
+{name: {n: c_n}}, the digits of each profile named at each lam;
+``series(name, lams)`` the list of {n: c_n} of one name;
+``hilbert_series(name, m)`` a list, for d or t; one degree of a profile
+is ``.get(n, 0)``.  Every query raises ValueError for a name it does
+not know.
 
 Every query but ``hilbert_series`` reads its profiles from
-``GradedCalculator._profiles``: it gathers the dot-orbit terms of every
-weight asked for (those given to ``series``, a whole domain for
-``cohomology_table``) and hands them to the partition table as one
-batch, which takes the width of its tallest argument (for a domain, the
-top weight's own), so the DP fills all of their values in one pass, and
-every value lands in the calculator's table, which a cache file
-persists.  ``hilbert_series`` is the one query
-off ``packed_sums``: it prints the degrees n <= max_degree alone, and
-``fold`` gives their digits for every weight at once, from the few
+``GradedCalculator.profiles``: it gathers the dot-orbit terms of every
+weight asked for (a single weight, or a whole domain) and hands them to
+the partition table as one batch, which takes the width of its tallest
+argument (for a domain, the top weight's own), so the DP fills all of
+their values in one pass, and every value lands in the calculator's
+table, which a cache file persists.  ``hilbert_series`` is the one
+query off ``packed_sums``: it prints the degrees n <= max_degree alone,
+and ``fold`` gives their digits for every weight at once, from the few
 partition values those degrees reach, with no table and no cache.  The
 weights it folds are its domain: no weight it leaves out has a nonzero
 digit, so ``hilbert_series`` keeps the folded weights below m *
@@ -62,26 +57,12 @@ from .rootsys import RootSystem, RootVector, Weight, vadd, vscale, vsub
 from .weyl import dot_terms, shift_constant
 
 
-# The profile each variety's series reads; its keys are the varieties.
-PROFILE = {"nilcone": "d", "subregular": "t"}
-
-# Each kind's (offset, name) parts: digit n of a profile adds into row
-# 2n + offset.  Its keys are the module kinds, in the order --help lists them.
-KIND_ROWS = {
-    "trivial": [(0, "d")],
-    "induced_wall": [(-1, "a")],
-    "tilting": [(0, "t")],
-    "weyl": [(0, "t"), (1, "d")],
-    "simple": [(1, "d"), (-1, "a")],
-}
-
-
 class GradedCalculator:
     """Bundles a root system with its partition table: the one given,
     or a new one of its own.
 
     Every query is read off the checked profiles E(lam, mu; q) of
-    ``_profiles``, or, for ``hilbert_series``, of ``fold``.  All methods
+    ``profiles``, or, for ``hilbert_series``, of ``fold``.  All methods
     are pure given the immutable inputs; one calculator can serve any
     number of queries and threads, and its table keeps every value they
     compute for the next query and for the cache file.
@@ -99,16 +80,31 @@ class GradedCalculator:
 
     # -- the one checked kernel ----------------------------------------------
 
-    def _profiles(self, lams, names):
-        """(packing, ``_checked`` profiles of each lam, in order): the
-        dot-orbit terms of every (lam, mu) the names need (``_sources``),
-        in one ``packed_sums`` batch before any DP work."""
+    def profiles(self, lams, names) -> list[dict[str, dict[int, int]]]:
+        """[{name: {n: digit n of profile name at lam}} for lam in lams],
+        for exactly the names given, each d, a or t (``_checked``): d_n,
+        a_i with the shift by k applied (a_i = 0 for i < k), or t_n = d_n
+        - a_n, guaranteed nonnegative; each dict lists them in that order.
+
+        The dot-orbit terms of every (lam, mu) the names need
+        (``_sources``) go to ``packed_sums`` as one batch before any DP
+        work, and the batch is checked weight by weight, in order: every
+        profile read, so t too once d and a are.  An empty or unknown name
+        raises ValueError, and the first lam that is not dominant
+        ``NonDominantWeightError``, before anything is computed."""
+        names = set(names)
+        unknown = names - {"d", "a", "t"}
+        if unknown or not names:
+            name = min(unknown, default="")
+            raise ValueError(f"{name!r} is not a profile name: d, a or t")
         rs, lams, mus = self.rs, list(lams), self._sources(names)
         packing, totals = self.table.packed_sums(
             [dot_terms(rs, lam, mu) for lam in lams for mu in mus.values()])
         values = iter(totals)
         rows = zip(lams, zip(*[values] * len(mus)))  # len(mus) values a lam
-        return packing, self._checked(rows, mus, packing, packing.height + self.k + 1)
+        checked = self._checked(rows, mus, packing, packing.height + self.k + 1)
+        return [{name: packing.digits(profiles[name])
+                 for name in "dat" if name in names} for _, profiles in checked]
 
     def _sources(self, names) -> dict[str, Weight]:
         """{name: mu} of each E(lam, mu; q) the names need, d then a."""
@@ -147,21 +143,12 @@ class GradedCalculator:
                     raise _negative(name, lam, digits.balanced(value, fields - 1))
             yield lam, profiles
 
-    # -- whole series --------------------------------------------------------
-
     def series(self, name: str, lams) -> list[dict[int, int]]:
-        """[{n: digit n of profile name at lam} for lam in lams], name
-        d, a or t (``_checked``): d_n, a_i with the shift by k applied
-        (a_i = 0 for i < k), or t_n = d_n - a_n, guaranteed nonnegative.
-        Every partition value comes from one batch, checked weight by
-        weight in order.  The first lam that is not dominant raises
-        ``NonDominantWeightError`` before any of them is computed."""
-        if name not in ("d", "a", "t"):
-            raise ValueError(f"{name!r} is not a profile name: d, a or t")
-        packing, checked = self._profiles(lams, name)
-        return [packing.digits(profiles[name]) for _, profiles in checked]
+        """[profile name at lam for lam in lams]: ``profiles`` of the one
+        name, which raises ValueError for any but d, a or t."""
+        return [p[name] for p in self.profiles(lams, [name])]
 
-    # -- assembled tables ------------------------------------------------------
+    # -- domains and the Hilbert series ------------------------------------
 
     def sweep_domain(self, sweep: int) -> dict[Weight, RootVector]:
         """Dominant weights dominance-below sweep * theta_long, each with
@@ -169,43 +156,10 @@ class GradedCalculator:
         order (``RootSystem.dominant_below``)."""
         return self.rs.dominant_below(vscale(sweep, self.rs.theta_long))
 
-    def cohomology_table(self, kind: str, sweep: int, max_i: int,
-                         totals: bool = False):
-        """Rows {i: {lam: mult}}, i = 0..max_i, of one module kind over
-        ``sweep_domain(sweep)``; zero multiplicities are left out.
-
-        Row conventions per kind (n, i are polynomial degrees):
-          trivial       H^{2n}   = d_n          (odd rows vanish)
-          tilting       H^{2n}   = t_n          (odd rows vanish)
-          induced_wall  H^{2i-1} = a_i          (even rows vanish)
-          weyl          H^{2n}   = t_n,  H^{2n+1} = d_n
-          simple        H^{2i+1} = d_i + a_{i+1} (even rows vanish)
-
-        With totals, returns (rows, {lam: {"d": total, "t": total}})
-        instead: the sum over all degrees of each weight's full d and t
-        series, read from the same batch as the rows, which then holds the
-        profiles of both mus whatever the kind.
-        """
-        if kind not in KIND_ROWS:
-            raise ValueError(f"{kind!r} is not a module kind: {', '.join(KIND_ROWS)}")
-        parts = KIND_ROWS[kind]
-        names = {name for _, name in parts} | set("dt" if totals else "")
-        rows: dict[int, dict[Weight, int]] = {i: {} for i in range(max_i + 1)}
-        sums: dict[Weight, dict[str, int]] = {}
-        packing, checked = self._profiles(self.sweep_domain(sweep), names)
-        for lam, profiles in checked:
-            for offset, name in parts:
-                for n, v in packing.digits(profiles[name]).items():
-                    if 0 <= 2 * n + offset <= max_i:
-                        row = rows[2 * n + offset]
-                        row[lam] = row.get(lam, 0) + v
-            if totals:
-                sums[lam] = {name: sum(packing.digits(profiles[name]).values())
-                             for name in "dt"}
-        return (rows, sums) if totals else rows
-
-    def hilbert_series(self, variety: str, max_degree: int) -> list[int]:
-        """Dimension of each graded piece of the chosen coordinate ring.
+    def hilbert_series(self, name: str, max_degree: int) -> list[int]:
+        """Dimension of each graded piece of the coordinate ring whose
+        profile is name: d for the nilcone, t for the subregular closure;
+        any other name raises ValueError.
 
         Coefficient n sums mult_n(lam) * dim L(lam) over dominant lam; as
         d_n(lam) = 0 unless lam <= n * theta_long, the lam below m *
@@ -214,16 +168,16 @@ class GradedCalculator:
         theta_long - lam has nonnegative integer root coordinates are in
         that domain, and ``RootSystem.depths`` gives them in
         ``sweep_domain``'s order, in which ``_checked`` checks them; every
-        other lam of the domain has a zero profile, which passes.  The dimensions of the lam with a
-        nonzero profile come in one ``weyl_dims`` batch once all have
-        passed, and ``_Digits.weighted_digits`` sums them with their
-        digits.  A folded lam outside the domain whose profile, A
-        shifted and cut, is not 0 is an internal inconsistency.
+        other lam of the domain has a zero profile, which passes.  The
+        dimensions of the lam with a nonzero profile come in one
+        ``weyl_dims`` batch once all have passed, and
+        ``_Digits.weighted_digits`` sums them with their digits.  A folded
+        lam outside the domain whose profile, A shifted and cut, is not 0
+        is an internal inconsistency.
         """
-        if variety not in PROFILE:
-            raise ValueError(f"{variety!r} is not a variety: {', '.join(PROFILE)}")
-        m, name = max_degree, PROFILE[variety]
-        mus = self._sources(name)
+        if name not in ("d", "t"):
+            raise ValueError(f"{name!r} is not a coordinate ring's profile: d or t")
+        m, mus = max_degree, self._sources(name)
         digits, folded = fold(self.rs, m, mus.values())
         domain = self.rs.depths(vscale(m, self.rs.theta_long), set().union(*folded))
         rows = ((lam, [profiles.pop(lam, 0) for profiles in folded]) for lam in domain)

@@ -10,7 +10,8 @@ import pytest
 
 from cache_file import editing, split
 from cli_runner import invoke
-from nilcone.cli import EXIT_USAGE, EXIT_VIOLATION, CheckFailure, exit_code_for, main
+from nilcone.cli import (EXIT_OUTPUT, EXIT_USAGE, EXIT_VIOLATION, CheckFailure,
+                         exit_code_for, main)
 from nilcone.errors import (
     InadmissibleTypeError,
     InternalInconsistencyError,
@@ -837,19 +838,40 @@ def test_process_usage_error():
     assert result.stderr.startswith(b"usage: nilcone hilbert ")
 
 
-def test_process_on_a_closed_pipe():
-    # The flush in run() fails, so the interpreter's own exit flushes
-    # again and reports it once, with status 120 and no traceback.
+def closed_pipe(args, size):
+    """Run args as a process whose stdout is a pipe with no reader, after
+    checking that the output is `size` bytes: its stderr, which must be
+    run()'s one line, and its status, which must be EXIT_OUTPUT."""
+    assert len(invoke(args).stdout.encode()) == size
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        result = process(G2_HILBERT, stdout=write_end)
+        result = process(args, stdout=write_end)
     finally:
         os.close(write_end)
-    assert result.returncode == 120
-    first, second = result.stderr.decode().splitlines()
-    assert first.startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>' ")
-    assert second == "BrokenPipeError: [Errno 32] Broken pipe"
+    assert result.returncode == EXIT_OUTPUT == 120
+    assert result.stderr == b"error: cannot write the output: [Errno 32] Broken pipe\n"
+
+
+def test_process_on_a_closed_pipe():
+    # 4096 bytes or less: print fills the buffer, and the flush in run()
+    # fails.
+    closed_pipe(G2_HILBERT, 67)
+
+
+def test_process_on_a_closed_pipe_past_half_the_buffer():
+    # 4097 to 8191 bytes: the flush in run() fails too, and drops the
+    # buffer, so the interpreter's exit alone would find nothing to flush
+    # and exit 0.
+    closed_pipe(["graded", "-f", "A", "-r", "3", "--variety", "nilcone",
+                 "--sweep", "4", "--format", "json"], 7985)
+
+
+def test_process_on_a_closed_pipe_past_the_buffer():
+    # 8192 bytes or more: print itself raises BrokenPipeError, inside the
+    # command, which alone would be a traceback and status 1.
+    closed_pipe(["graded", "-f", "A", "-r", "2", "--variety", "nilcone",
+                 "--sweep", "10", "--format", "json"], 19774)
 
 
 def test_process_with_stdout_closed():

@@ -19,7 +19,7 @@ from nilcone import (
     kostant_mult,
     weyl_dim,
 )
-from nilcone.graded import PROFILE, fold
+from nilcone.graded import fold
 from nilcone.partition import (
     PARTITION_CACHE_SCHEMA,
     _coefficient_bound,
@@ -497,8 +497,8 @@ def test_truncated_batch_reads_held_values_and_stores_nothing(tmp_path, held_fro
     files = {f: f.read_bytes() for f in tmp_path.iterdir()}
     calc = GradedCalculator(rs, table=table)
     fresh = GradedCalculator(rs)
-    for variety in PROFILE:
-        assert calc.hilbert_series(variety, m) == fresh.hilbert_series(variety, m)
+    for name in "dt":
+        assert calc.hilbert_series(name, m) == fresh.hilbert_series(name, m)
     assert table._values == before
     assert table.unsaved == unsaved == (held_from != "file")
     table.persist()

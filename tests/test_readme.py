@@ -83,6 +83,7 @@ def test_library_example_matches_its_comments():
     assert [{1: 1, 5: 1}] in checked
     assert [1, 14, 104, 539] in checked
     assert [{0: 1}, {3: 1}, {1: 1, 5: 1}] in checked
+    assert [{"d": {1: 1, 5: 1}, "t": {1: 1}}, {"d": {3: 1}, "t": {}}] in checked
 
 
 def test_leading_literal_stops_at_prose():
