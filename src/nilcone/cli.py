@@ -1,11 +1,11 @@
 """Command-line surface for the graded multiplicity engine.
 
 Exit codes: 0 success, 2 usage error, 4 invariant violation (including
---check failures), 120 stdout a closed pipe (``run``).  A partition
-cache file that cannot be used or written is only a warning on stderr
-(``partition.load_table``, ``PartitionTable.persist``).  Errors and
-warnings go through ``errors.report``, which drops them when stderr is
-closed rather than let them reach stdout.
+--check failures), 120 a failed write of the output, all set by ``run``.
+A partition cache file or path that cannot be used is only a warning
+(``partition.load_table``, ``PartitionTable.persist``, ``cache_clear``).
+Errors and warnings go through ``errors.report``, which drops what it
+cannot write rather than let it reach stdout or change a status.
 
 The words a user reads are this module's, not the library's: the
 library speaks of the profiles d, a and t (``GradedCalculator.profiles``),
@@ -50,7 +50,7 @@ DEGREE_CONVENTION = (
 
 EXIT_USAGE = 2
 EXIT_VIOLATION = 4
-EXIT_OUTPUT = 120  # stdout is a closed pipe (``run``)
+EXIT_OUTPUT = 120  # stdout cannot be written (``run``)
 
 
 class CheckFailure(NilconeError):
@@ -671,11 +671,11 @@ cache = cli.group("cache", "List or clear the on-disk partition caches.")
 
 def cache_directory(cache_dir) -> Path | None:
     """The directory a 'cache' subcommand works on; None, said on stdout,
-    when there is no directory at that path."""
+    when there is no directory at that path that can be examined."""
     if cache_dir is None:
         raise UsageError("give --cache-dir or set NILCONE_CACHE_DIR")
     directory = Path(cache_dir)
-    if not directory.is_dir():
+    if not os.path.isdir(directory):  # False, not an error, on any OSError
         print(f"no cache directory at {directory}")
         return None
     return directory
@@ -702,11 +702,11 @@ def cache_clear(cache_dir):
         return
     removed = 0
     for f in partition.cache_files(directory):
-        if not f.is_file():
-            report(f"warning: skipping {f}: not a regular file")
-            continue
-        f.unlink()
-        removed += 1
+        try:  # a directory, no permission, a read-only file system: skipped
+            f.unlink()
+            removed += 1
+        except OSError as exc:
+            report(f"warning: skipping {f}: {exc}")
     print(f"removed {removed} cache file(s) from {directory}")
 
 
@@ -751,40 +751,33 @@ def main(argv=None) -> None:
 
 def run() -> None:
     """Process entry point (``python -m nilcone.cli`` and the ``nilcone``
-    script): ``main()``, then stdout and stderr flushed, then the end of
-    the process with ``os._exit(0)``.  That skips the interpreter's
-    finalization, a last cyclic GC and module teardown that no command
-    needs, about 7 ms of every command.
+    script), the one way a run ends: ``main()``, stdout flushed, then
+    ``os._exit(status)``.  The status is 0, the SystemExit code of a
+    usage error or a violation, or EXIT_OUTPUT, with one stderr line,
+    for any OSError whatever the output's size: every cache error is
+    handled where it arises, so one here came from writing stdout.
+    Stderr is line-buffered and ``report`` drops what it cannot write,
+    so stderr changes no status.  Only a fault of the program (a bug,
+    KeyboardInterrupt) takes Python's own exit, with its traceback.
 
-    The fast exit relies on a successful command leaving nothing that
-    the normal exit would finish:
-    - no open write handle (``PartitionTable.save`` closes its file and
-      renames it before it returns);
-    - no ``atexit`` hook;
-    - no thread.
-    Anything that breaks one of these must end through the normal exit.
-
-    A closed pipe on stdout ends the process with EXIT_OUTPUT and one
-    line on stderr, whatever the size of the output: a print raises
-    BrokenPipeError once the output passes the buffer's 8192 bytes, and
-    the flush here for less.  Python's own exit would not do: it reports
-    a failed flush with status 120 only while the buffer still holds the
-    output, and after a failed flush of 4097 to 8191 bytes it is empty,
-    so the process would exit 0.  Everything else takes the normal exit,
-    so its status and stderr stay Python's own: a SystemExit or other
-    exception from ``main`` (usage error 2, violation 4, a traceback), or
-    from a flush that fails otherwise, as on a full device.  A stream
-    that is None, as when the process started with that descriptor
-    closed, is skipped."""
+    ``os._exit`` skips the interpreter's finalization, a last cyclic GC
+    and module teardown that no command needs, about 7 ms a command.
+    It relies on a command leaving no open write handle
+    (``PartitionTable.save`` closes its file and renames it before it
+    returns), no ``atexit`` hook and no thread; anything that breaks one
+    of these must end through the normal exit."""
     try:
-        main()
-        for stream in (sys.stdout, sys.stderr):
-            if stream is not None:
-                stream.flush()
-    except BrokenPipeError as exc:
+        try:
+            main()
+            status = 0
+        except SystemExit as exc:  # a usage error (2) or a violation (4)
+            status = exc.code
+        if sys.stdout is not None:  # None: started with descriptor 1 closed
+            sys.stdout.flush()
+    except OSError as exc:
         report(f"error: cannot write the output: {exc}")
-        os._exit(EXIT_OUTPUT)
-    os._exit(0)
+        status = EXIT_OUTPUT
+    os._exit(status)
 
 
 if __name__ == "__main__":

@@ -11,11 +11,14 @@ import sys
 
 
 def report(*lines) -> None:
-    """Print lines to stderr, or nothing when sys.stderr is None (the
-    process started with descriptor 2 closed), where print would write
-    them to stdout."""
+    """Print lines to stderr; never raises.  They are dropped when the
+    write fails (a full device) and when sys.stderr is None (the process
+    started with descriptor 2 closed), where print would write to stdout."""
     if sys.stderr is not None:
-        print(*lines, sep="\n", file=sys.stderr)
+        try:
+            print(*lines, sep="\n", file=sys.stderr)
+        except OSError:
+            pass
 
 
 class NilconeError(Exception):

@@ -399,19 +399,23 @@ class PartitionTable:
                 report(f"warning: cannot write partition cache {self.path}: {exc}")
 
     def extend_from(self, path) -> int:
-        """Merge records from a cache file; returns the number loaded.
+        """Merge records from a cache file; returns the number loaded, 0
+        when it is not there.
 
         Partial tables are extendable: existing entries must agree with
         the file (both are reproducible by the DP), new ones are added as
-        they are.  The checks, in order: a schema-3 header line, the
-        family and rank, the root-order hash, the SHA-256 of the record
-        bytes as read, before any parsing, each record's shape
-        (``_parse_records``), and agreement with held values.  A file
-        that fails any of them raises StaleCacheError and merges nothing.
+        they are.  The checks, in order: a readable file, a schema-3
+        header line, the family and rank, the root-order hash, the
+        SHA-256 of the record bytes as read, before any parsing, each
+        record's shape (``_parse_records``), and agreement with held
+        values.  A file that fails any of them raises StaleCacheError
+        and merges nothing.
         """
         path = Path(path)
         try:
             data = path.read_bytes()
+        except (FileNotFoundError, NotADirectoryError):
+            return 0
         except OSError as exc:
             raise StaleCacheError(f"unreadable partition cache {path}: {exc}") from exc
         head, _, body = data.partition(b"\n")
@@ -610,20 +614,19 @@ def load_table(rs: RootSystem, cache_dir) -> PartitionTable:
     from that file when present; a fresh table that persists nothing
     when cache_dir is None.
 
-    A cache file that cannot be used (``StaleCacheError``) counts as a
-    miss: a one-line warning goes to stderr and the table is marked
-    unsaved, so ``persist`` rewrites the file even if nothing new is
-    computed.
+    A file that is not there is a silent miss; it is read, not looked
+    for.  One that cannot be read or used (``StaleCacheError``) is a
+    miss with a one-line warning, and marks the table unsaved, so
+    ``persist`` rewrites it even if nothing new is computed.
     """
     table = PartitionTable(rs)
     if cache_dir is None:
         return table
-    table.path = path = cache_path(rs.id, cache_dir)
-    if path.exists():
-        try:
-            table.extend_from(path)
-        except StaleCacheError as exc:
-            report(f"warning: {exc}; recomputing")
-            table.unsaved = True
+    table.path = cache_path(rs.id, cache_dir)
+    try:
+        table.extend_from(table.path)
+    except StaleCacheError as exc:
+        report(f"warning: {exc}; recomputing")
+        table.unsaved = True
     return table
 

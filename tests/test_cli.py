@@ -1,5 +1,7 @@
 """CLI surface: commands, formats, exit codes, determinism."""
 
+import errno
+import io
 import json
 import os
 import subprocess
@@ -17,6 +19,7 @@ from nilcone.errors import (
     InternalInconsistencyError,
     NonDominantWeightError,
     PositivityViolationError,
+    report,
 )
 from nilcone.partition import PARTITION_CACHE_SCHEMA
 
@@ -423,6 +426,12 @@ def test_json_outputs_are_deterministic():
         assert first.output == second.output
 
 
+def _name_too_long(tmp_path):
+    # One component past every file system's 255-byte limit: each look
+    # at the path fails with ENAMETOOLONG, for root too.
+    return tmp_path / ("x" * 300)
+
+
 def test_cache_list_and_clear(tmp_path):
     from nilcone import build
     from nilcone.partition import PartitionTable, cache_path
@@ -443,7 +452,7 @@ def test_cache_list_and_clear(tmp_path):
     assert "no cache files" in result.output
 
     (tmp_path / "a-file").write_text("")
-    for path in (tmp_path / "a-file", tmp_path / "missing"):
+    for path in (tmp_path / "a-file", tmp_path / "missing", _name_too_long(tmp_path)):
         for command in ("list", "clear"):
             result = invoke(["cache", command, "--cache-dir", str(path)])
             assert result.exit_code == 0
@@ -654,6 +663,33 @@ def test_cache_clear_skips_what_is_not_a_file(tmp_path):
     assert result.stdout == f"removed 1 cache file(s) from {tmp_path}\n"
     assert result.stderr.startswith("warning: skipping ")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["partition_A2.txt"]
+
+
+@pytest.mark.parametrize("args", [
+    ["graded", "-f", "A", "-r", "2", "--variety", "subregular", "--sweep", "2"],
+    ["cohomology", "-f", "A", "-r", "2", "--kind", "weyl", "--sweep", "2"],
+], ids=["graded", "cohomology"])
+def test_a_cache_dir_that_cannot_be_examined_is_a_miss(tmp_path, args):
+    result = invoke([*args, "--cache-dir", str(_name_too_long(tmp_path))])
+    assert result.exit_code == 0, result.output
+    assert result.stdout == invoke(args).stdout
+    lines = result.stderr.splitlines()
+    assert lines and all(l.startswith("warning: ") for l in lines)
+
+
+def test_cache_clear_skips_a_file_it_cannot_remove(tmp_path, monkeypatch):
+    def refuse(path, missing_ok=False):
+        raise PermissionError(errno.EACCES, "Permission denied", str(path))
+
+    (tmp_path / "partition_A2.txt").write_text("{}")
+    monkeypatch.setattr(Path, "unlink", refuse)
+    result = invoke(["cache", "clear", "--cache-dir", str(tmp_path)])
+    assert result.exit_code == 0
+    assert result.stdout == f"removed 0 cache file(s) from {tmp_path}\n"
+    assert result.stderr == (f"warning: skipping {tmp_path / 'partition_A2.txt'}: "
+                             f"[Errno 13] Permission denied: "
+                             f"'{tmp_path / 'partition_A2.txt'}'\n")
+    assert (tmp_path / "partition_A2.txt").exists()
 
 
 def test_compute_commands_honour_cache_env(tmp_path, monkeypatch):
@@ -874,6 +910,34 @@ def test_process_on_a_closed_pipe_past_the_buffer():
                  "--sweep", "10", "--format", "json"], 19774)
 
 
+def full_device(args, size):
+    """Run args as a process whose stdout is /dev/full, after checking
+    that the output is `size` bytes: its stderr, which must be run()'s
+    one line, and its status, which must be EXIT_OUTPUT."""
+    assert len(invoke(args).stdout.encode()) == size
+    with open("/dev/full", "wb") as full:
+        result = process(args, stdout=full)
+    assert result.returncode == EXIT_OUTPUT == 120
+    assert result.stderr == (
+        b"error: cannot write the output: [Errno 28] No space left on device\n")
+
+
+def test_process_on_a_full_device():
+    # The flush in run() fails.
+    full_device(G2_HILBERT, 67)
+
+
+def test_process_on_a_full_device_past_half_the_buffer():
+    full_device(["graded", "-f", "A", "-r", "3", "--variety", "nilcone",
+                 "--sweep", "4", "--format", "json"], 7985)
+
+
+def test_process_on_a_full_device_past_the_buffer():
+    # print itself raises, inside the command.
+    full_device(["graded", "-f", "A", "-r", "2", "--variety", "nilcone",
+                 "--sweep", "10", "--format", "json"], 19774)
+
+
 def test_process_with_stdout_closed():
     # sys.stdout is None: print() writes nothing and run() has nothing
     # to flush there.
@@ -900,6 +964,35 @@ def test_process_stale_cache_with_stderr_closed(tmp_path):
     result = process([*args, "--cache-dir", str(tmp_path)], shell_prefix=STDERR_CLOSED)
     assert result.returncode == 0
     assert result.stdout == invoke(args).stdout.encode()
+
+
+STDERR_FULL = ["sh", "-c", 'exec "$0" "$@" 2>/dev/full']
+
+
+def test_process_usage_error_with_stderr_full():
+    # The usage line and the error cannot be written, and the status is
+    # still the usage error's.
+    result = process([*G2_HILBERT, "--max-degree", "-1"], shell_prefix=STDERR_FULL)
+    assert result.returncode == EXIT_USAGE
+    assert result.stdout == b""
+
+
+def test_process_stale_cache_with_stderr_full(tmp_path):
+    # The stale-cache warning cannot be written; the run still succeeds.
+    args = ["graded", "-f", "A", "-r", "2", "--variety", "nilcone", "--sweep", "1"]
+    (tmp_path / "partition_A2.txt").write_text("stale")
+    result = process([*args, "--cache-dir", str(tmp_path)], shell_prefix=STDERR_FULL)
+    assert result.returncode == 0
+    assert result.stdout == invoke(args).stdout.encode()
+
+
+def test_report_drops_what_it_cannot_write(monkeypatch):
+    class Full(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(sys, "stderr", Full())
+    assert report("warning: one", "warning: two") is None
 
 
 def test_process_writes_the_whole_cache_file(tmp_path):
