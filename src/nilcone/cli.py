@@ -106,11 +106,10 @@ CHECK_COLUMN = {"d": "m(0)", "t": "m(0)-m(theta)"}
 
 def freudenthal_totals(rs, lam) -> dict[str, int]:
     """What the d and t series of L(lam) sum to over all degrees, by
-    Freudenthal: m(0) for the nilcone, m(0) - m(theta) for the
-    subregular closure."""
-    mults = WeightMultiplicities(rs, lam)
-    m0 = mults.at((0,) * rs.rank)
-    return {"d": m0, "t": m0 - mults.at(rs.theta_short)}
+    Freudenthal (``weight_mults``, unchecked): m(0) for the nilcone,
+    m(0) - m(theta) for the subregular closure."""
+    m0, m_theta = weight_mults(rs, lam, [(0,) * rs.rank, rs.theta_short], False)
+    return {"d": m0, "t": m0 - m_theta}
 
 
 def check_total(name, lam, total, expected) -> None:
@@ -123,15 +122,17 @@ def check_total(name, lam, total, expected) -> None:
         )
 
 
-def weight_mults(rs, lam, mus, check, table=None) -> list[int]:
-    """Freudenthal's m_lam(mu) for each mu in mus.  With check, each is
-    compared with Kostant's alternating sum (``kostant_mult``, on table
-    when one is given); a CheckFailure names lam, mu and both values."""
+def weight_mults(rs, lam, mus, check) -> list[int]:
+    """Freudenthal's m_lam(mu) for each mu in mus, from one table: the
+    one place the command line builds a ``WeightMultiplicities``.  With
+    check, each is compared with Kostant's alternating sum
+    (``kostant_mult``, each on a partition table of its own); a
+    CheckFailure names lam, mu and both values."""
     mults = WeightMultiplicities(rs, lam)
     values = [mults.at(mu) for mu in mus]
     if check:
         for mu, value in zip(mus, values):
-            kostant = kostant_mult(rs, lam, mu, table=table)
+            kostant = kostant_mult(rs, lam, mu)
             if kostant != value:
                 raise CheckFailure(
                     f"freudenthal {value} != kostant {kostant} "
@@ -586,13 +587,12 @@ def tilting_example(check, fmt):
     failure.
     """
     rs = rootsys.build("A", 2)
-    table = partition.PartitionTable(rs)
     # The Euler multiplicity of L(lam) is m_lam(3 omega_2) + m_lam(0)
     # - 2 m_lam(omega_1 + omega_2).
     mus, coeffs = [(0, 3), (0, 0), (1, 1)], [1, 1, -2]
     entries, negatives = [], []
     for lam in rs.dominant_below((3, 3)):
-        value = sum(c * m for c, m in zip(coeffs, weight_mults(rs, lam, mus, check, table)))
+        value = sum(c * m for c, m in zip(coeffs, weight_mults(rs, lam, mus, check)))
         entries.append({"lambda": list(lam), "euler_mult": value})
         if value < 0:
             negatives.append(lam)
@@ -706,7 +706,7 @@ def cache_clear(cache_dir):
             f.unlink()
             removed += 1
         except OSError as exc:
-            report(f"warning: skipping {f}: {exc}")
+            report(f"warning: skipping {f}: {exc.strerror or exc}")
     print(f"removed {removed} cache file(s) from {directory}")
 
 

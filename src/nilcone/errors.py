@@ -59,9 +59,11 @@ class PositivityViolationError(NilconeError):
 
 
 class InternalInconsistencyError(NilconeError):
-    """A quantity that is nonnegative by theory came out negative, or a
-    profile that ``GradedCalculator.hilbert_series`` folds came out
-    nonzero outside ``sweep_domain(m)``, where it vanishes by theory."""
+    """A computed value broke a theorem: a quantity nonnegative by theory
+    came out negative, a quotient exact by theory (Freudenthal's and
+    Weyl's dimension formulas) was not, s_theta had even length, or a
+    profile that ``GradedCalculator.hilbert_series`` folds was nonzero
+    outside ``sweep_domain(m)``.  Raised, never asserted: exit 4."""
 
 
 class StaleCacheError(NilconeError):

@@ -11,7 +11,6 @@ gives the dimensions of a batch of modules at once; ``weyl_dim`` is its
 one-weight case.
 """
 
-from itertools import repeat
 from operator import mul
 
 from . import partition
@@ -53,7 +52,8 @@ class WeightMultiplicities:
 
     def _freudenthal(self, mu: Weight, diff) -> int:
         """m(mu) for a dominant mu below lam, from the memoized values above
-        it; diff is the root coordinates of lam - mu."""
+        it; diff is the root coordinates of lam - mu.  A quotient that is
+        not a nonnegative integer raises InternalInconsistencyError."""
         rs, memo, dominant = self.rs, self._memo, self.rs.dominant_representative
         # Freudenthal: ((lam+rho,lam+rho) - (mu+rho,mu+rho)) m(mu)
         #            = 2 sum_{alpha>0} sum_{j>=1} (mu + j alpha, alpha) m(mu + j alpha)
@@ -73,37 +73,32 @@ class WeightMultiplicities:
                 if m:
                     numerator += (base + j * slope) * m
         denominator = rs.inner(vadd(vadd(mu, rs.rho), self._lam_shift), diff)
-        assert denominator > 0
-        value, rem = divmod(2 * numerator, denominator)
-        assert rem == 0 and value >= 0, (
+        if denominator > 0:
+            value, rem = divmod(2 * numerator, denominator)
+            if not rem and value >= 0:
+                return value
+        raise InternalInconsistencyError(
             f"Freudenthal's formula produced {2 * numerator}/{denominator} "
             f"at mu={mu}"
         )
-        return value
 
 
-def kostant_mult(
-    rs: RootSystem,
-    lam,
-    mu,
-    *,
-    table: partition.PartitionTable | None = None,
-) -> int:
+def kostant_mult(rs: RootSystem, lam, mu) -> int:
     """Multiplicity of mu in L(lam) as the alternating partition sum over W.
 
     sum_w (-1)^w P(w.lam - mu; 1), over the contributing w that
     ``weyl.dot_terms`` walks to: the q = 1 value of the graded profile,
     from the same ``PartitionTable.packed_sums`` kernel the graded
-    multiplicities use.  Its digits are read balanced, since a
-    non-dominant mu can make one negative.  Agreement with
-    ``WeightMultiplicities.at`` is an invariant of the package.  A lam
-    that is not dominant raises ``NonDominantWeightError`` (``dot_terms``).
+    multiplicities use, on a table of its own, so no two calls share
+    values.  Its digits are read balanced, since a non-dominant mu can
+    make one negative; a negative total raises InternalInconsistencyError.
+    Agreement with ``WeightMultiplicities.at`` is an invariant of the
+    package.  A lam that is not dominant raises ``NonDominantWeightError``
+    (``dot_terms``).
     """
     lam, mu = tuple(lam), tuple(mu)
     terms = dot_terms(rs, lam, mu)
-    if table is None:
-        table = partition.PartitionTable(rs)
-    packing, [value] = table.packed_sums([terms])
+    packing, [value] = partition.PartitionTable(rs).packed_sums([terms])
     total = sum(packing.balanced(value, packing.height).values())
     if total < 0:
         raise InternalInconsistencyError(
@@ -120,7 +115,8 @@ def weyl_dims(rs: RootSystem, lams) -> list[int]:
     The batch is taken as columns of lam + rho, and each pairing row
     multiplies into every numerator at once.  The first lam without rank
     coordinates raises ValueError, and then the first that is not
-    dominant ``NonDominantWeightError``.
+    dominant ``NonDominantWeightError``; a quotient that is not a positive
+    integer raises InternalInconsistencyError.
     """
     lams = list(map(rs.as_weight, lams))
     if not lams:
@@ -133,9 +129,12 @@ def weyl_dims(rs: RootSystem, lams) -> list[int]:
     nums = [1] * len(lams)
     for row in rs.pairing_rows:
         nums = list(map(mul, nums, pair_columns(row, shifted)))
-    dims = list(map(divmod, nums, repeat(rs.rho_pairing_product)))
-    assert all(result > 0 and not rem for result, rem in dims)
-    return [result for result, _ in dims]
+    den = rs.rho_pairing_product
+    for lam, num in zip(lams, nums):
+        if num <= 0 or num % den:
+            raise InternalInconsistencyError(
+                f"Weyl's dimension formula produced {num}/{den} at lam={lam}")
+    return [num // den for num in nums]
 
 
 def weyl_dim(rs: RootSystem, lam) -> int:

@@ -85,8 +85,6 @@ class _Digits:
 
     def __init__(self, bits: int):
         self.bits = bits
-        # fields -> tops(fields).
-        self._tops: dict[int, int] = {}
 
     def pack(self, coeffs) -> int:
         """sum_n c_n 2^(bits n)."""
@@ -136,13 +134,9 @@ class _Digits:
 
     def tops(self, fields: int) -> int:
         """The top bit of each of the lowest `fields` fields: 2^(bits - 1)
-        in every digit."""
-        mask = self._tops.get(fields)
-        if mask is None:
-            bits = self.bits
-            mask = ((1 << (bits * fields)) - 1) // ((1 << bits) - 1) << (bits - 1)
-            self._tops[fields] = mask
-        return mask
+        in every digit, computed on each call."""
+        bits = self.bits
+        return ((1 << (bits * fields)) - 1) // ((1 << bits) - 1) << (bits - 1)
 
     def balanced(self, value: int, height: int) -> dict[int, int]:
         """{n: c_n} for value = sum_{n <= height} c_n 2^(bits n) with every
@@ -396,7 +390,8 @@ class PartitionTable:
             try:
                 self.save(self.path)
             except OSError as exc:
-                report(f"warning: cannot write partition cache {self.path}: {exc}")
+                report(f"warning: cannot write partition cache {self.path}: "
+                       f"{exc.strerror or exc}")
 
     def extend_from(self, path) -> int:
         """Merge records from a cache file; returns the number loaded, 0
@@ -417,7 +412,8 @@ class PartitionTable:
         except (FileNotFoundError, NotADirectoryError):
             return 0
         except OSError as exc:
-            raise StaleCacheError(f"unreadable partition cache {path}: {exc}") from exc
+            raise StaleCacheError(f"unreadable partition cache {path}: "
+                                  f"{exc.strerror or exc}") from exc
         head, _, body = data.partition(b"\n")
         fields = head.split(b" ")
         if fields[0] != _MAGIC.encode() or len(fields) != 6:

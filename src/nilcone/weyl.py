@@ -12,7 +12,7 @@ enumeration of W, which shares no code with either walk, lives with
 the tests as their oracle.
 """
 
-from .errors import NonDominantWeightError
+from .errors import InternalInconsistencyError, NonDominantWeightError
 from .rootsys import RootSystem, RootVector, vadd
 
 
@@ -70,8 +70,9 @@ def reflection_length_theta(rs: RootSystem) -> int:
     """Length of the reflection in the dominant short root.
 
     Counted as the number of positive roots sent negative, so no group
-    enumeration is needed and E_8 is immediate.  Always odd; the shift
-    constant of the subregular formulas is (result + 1) / 2.
+    enumeration is needed and E_8 is immediate.  Always odd, or
+    InternalInconsistencyError; the shift constant of the subregular
+    formulas is (result + 1) / 2.
     """
     theta_r = rs.theta_short_coords
     count = 0
@@ -83,7 +84,9 @@ def reflection_length_theta(rs: RootSystem) -> int:
         image = tuple(a - pairing * t for a, t in zip(r_alpha, theta_r))
         if any(x < 0 for x in image):
             count += 1
-    assert count % 2 == 1, "a reflection has odd length"
+    if count % 2 == 0:
+        raise InternalInconsistencyError(
+            f"a reflection has odd length, but s_theta has length {count}")
     return count
 
 

@@ -7,7 +7,8 @@ gives the bilinear form.  These helpers give the coordinates of any
 weight, with ``fractions.Fraction``, the tests' reference for
 ``depths``, map root coordinates back to fw coordinates, test dominance
 one pair of weights at a time, and give the squared lengths and coroot
-pairings the tests check the root data with.
+pairings the tests check the root data with, and skew root data so
+that the package's checks of its theorems fire.
 """
 
 from fractions import Fraction
@@ -53,3 +54,11 @@ def coroot_pairing(rs, w, r) -> int:
     num = 2 * rs.inner(w, r)
     assert num % n2 == 0, "coroot pairing of a weight must be integral"
     return num // n2
+
+
+def skew_pairing(rs, i, j):
+    """rs with pairing_rows[i][j] one too high: root data on which a
+    theorem of the package fails, for the checks that must refuse it."""
+    rows = [list(row) for row in rs.pairing_rows]
+    rows[i][j] += 1
+    return rs._replace(pairing_rows=tuple(map(tuple, rows)))

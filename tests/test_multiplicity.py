@@ -58,7 +58,7 @@ def test_kostant_sum_is_the_shared_kernel_and_checked(systems, monkeypatch):
     monkeypatch.setattr(PartitionTable, "packed_sums",
                         lambda self, term_lists: (packing, [value]))
     with pytest.raises(InternalInconsistencyError, match="negative: -2"):
-        kostant_mult(rs, (1, 1), (0, 0), table=PartitionTable(rs))
+        kostant_mult(rs, (1, 1), (0, 0))
 
 
 def test_non_dominant_highest_weight_rejected(systems):

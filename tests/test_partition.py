@@ -756,7 +756,7 @@ def test_vectors_of_the_wrong_length_are_refused():
     with pytest.raises(ValueError, match="coordinates"):
         GradedCalculator(rs, table=table).series("d", [(1, 1, 1)])
     with pytest.raises(ValueError, match="coordinates"):
-        kostant_mult(rs, (1, 1), (0, 0, 0), table=table)
+        kostant_mult(rs, (1, 1), (0, 0, 0))
     assert table._values == {}
 
 
