@@ -11,10 +11,7 @@ The words a user reads are this module's, not the library's: the
 library speaks of the profiles d, a and t (``GradedCalculator.profiles``),
 ``PROFILE`` maps each variety to the one it reads, and ``KIND_ROWS`` each
 module kind to the (offset, name) parts whose digit n ``cohomology`` adds
-into row 2n + offset.  So each kind writes its rows in one parity (weyl
-in both), and parity vanishing holds there by construction; the A_2
-tilting module where it fails is a sum of three weight multiplicities,
-which the ``tilting-example`` command takes itself.
+into row 2n + offset.
 
 Output formats: human tables (default), versioned JSON, CSV.  Every
 command with --format hands its JSON payload, CSV rows and table lines
@@ -556,7 +553,7 @@ def cohomology(family, rank, kind, sweep, max_i, check, cache_dir, fmt):
                     row[lam] = row.get(lam, 0) + v
 
     rows = {i: sorted(row.items()) for i, row in rows.items()}
-    emit(fmt, {"command": "cohomology", "parity_ok": True, "family": family,
+    emit(fmt, {"command": "cohomology", "family": family,
                "rank": rank, "kind": kind, "k": calc.k,
                "degree_convention": DEGREE_CONVENTION,
                "rows": [{"i": i, "entries": [{"lambda": list(lam), "mult": m}
@@ -567,8 +564,7 @@ def cohomology(family, rank, kind, sweep, max_i, check, cache_dir, fmt):
          chain([f"cohomology of kind '{kind}' for {family}_{rank} "
                 f"(k={calc.k}; sweep {sweep}; {DEGREE_CONVENTION})"],
                (f"H^{i:<3} {'  '.join(f'L{fmt_weight(l)}:{m}' for l, m in row) or 0}"
-                for i, row in rows.items()),
-               ["parity vanishing: OK"]))
+                for i, row in rows.items())))
 
 
 @cli.command(

@@ -66,6 +66,7 @@ values it fills unpacked.
 
 import os
 import sys
+from errno import ENOTDIR
 from itertools import repeat
 from math import comb
 from operator import and_, lshift, mul, sub
@@ -358,7 +359,11 @@ class PartitionTable:
         import threading  # only a write needs the thread id
 
         path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        except FileExistsError:  # the directory is a regular file
+            raise NotADirectoryError(ENOTDIR, os.strerror(ENOTDIR),
+                                     str(path.parent)) from None
         records = sorted(x + coeffs for x, coeffs in self._values.items())
         body = "".join(" ".join(map(str, r)) + "\n" for r in records).encode()
         header = (f"{_MAGIC} {PARTITION_CACHE_SCHEMA} {self.rs.family} "

@@ -422,12 +422,25 @@ def test_table_json_and_csv_shape():
     args = ["cohomology", "-f", "A", "-r", "1", "--kind", "trivial", "--sweep", "1",
             "--max-i", "2"]
     doc = json.loads(invoke([*args, "--format", "json"]).stdout)
-    assert set(doc) == {"schema_version", "command", "parity_ok", "family", "rank",
+    assert set(doc) == {"schema_version", "command", "family", "rank",
                         "kind", "k", "degree_convention", "rows"}
     assert doc["family"] == "A" and doc["rank"] == 1 and doc["kind"] == "trivial"
     assert doc["rows"][0] == {"i": 0, "entries": [{"lambda": [0], "mult": 1}]}
     rows = invoke([*args, "--format", "csv"]).stdout.splitlines()
     assert rows == ["i,lambda,mult", '0,"0",1', '2,"2",1']
+
+
+@pytest.mark.parametrize("kind", list(KIND_ROWS))
+def test_cohomology_states_no_parity(kind):
+    # The rows are each kind's layout, not a parity check: the weyl kind
+    # writes L(0,0) into H^0 and H^1.  Parity is computed only by
+    # tilting-example.
+    args = ["cohomology", "-f", "A", "-r", "2", "--kind", kind, "--sweep", "1"]
+    table = invoke(args)
+    assert table.exit_code == 0, table.output
+    assert not [line for line in table.stdout.splitlines() if "parity" in line.lower()]
+    doc = json.loads(invoke([*args, "--format", "json"]).stdout)
+    assert "parity_ok" not in doc
 
 
 # -- the A_2 tilting example ----------------------------------------------------
@@ -1028,16 +1041,16 @@ def test_cohomology_weyl_check_sees_a_wrong_total(monkeypatch, max_i):
 ], ids=["d", "a"])
 def test_cohomology_check_sees_a_wrong_total_for_every_kind(monkeypatch, kind, mu,
                                                             by, message):
-    # Each skew leaves every digit of d, a and t nonnegative, and the rows
-    # of every kind sit in their kind's parity, so only the totals of the
-    # full d and t series can catch it, whichever profiles the kind reads.
+    # Each skew leaves every digit of d, a and t nonnegative, and no kind
+    # prints a parity verdict, so only the totals of the full d and t
+    # series can catch it, whichever profiles the kind reads.
     rs = build("A", 2)
     mu = (0, 0) if mu == "zero" else rs.theta_short
     skew_packed_kernel(monkeypatch, rs.theta_long, mu, by)
     args = ["cohomology", "-f", "A", "-r", "2", "--kind", kind, "--sweep", "1"]
     result = invoke(args)
     assert result.exit_code == 0, result.output
-    assert "parity vanishing: OK" in result.output
+    assert "parity" not in result.output
     result = invoke([*args, "--check"])
     assert result.exit_code == 4
     assert message in result.output
